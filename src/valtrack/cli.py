@@ -4,6 +4,9 @@ Subcommands: run, sweep, grid, impact, multival, estimate, analyze.
 Every output file gets a JSON sidecar (<name>.meta.json) carrying the full
 resolved configuration, the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
+The sweep sidecar also has a "telemetry" key (runs, steps, aborted runs,
+wall time, steps/s) that changes between runs; it is not part of the
+reproducible output.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 """
@@ -13,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 
 from . import __version__, analysis, config as config_mod, experiments, metrics, svg
@@ -176,11 +180,17 @@ def cmd_sweep(args, cfg) -> int:
     preset = experiments.FULL_PRESET if args.preset == "paper" else experiments.DESK_PRESET
     resolution = args.resolution or preset["resolution"]
     replicates = args.sweep_replicates or preset["replicates"]
+    start = time.perf_counter()
     grid = experiments.ternary_sweep(cfg, resolution, replicates,
                                      workers=args.workers)
+    wall = time.perf_counter() - start
     out = os.path.join(_outdir(args), "ternary.csv")
     _write_csv(out, experiments.ternary_csv_rows(grid))
-    _write_sidecar(out, cfg, args, {"resolution": resolution, "replicates": replicates})
+    telemetry = {"runs": grid.runs, "steps": grid.steps,
+                 "aborted_runs": grid.aborted_runs, "wall_s": wall,
+                 "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
+    _write_sidecar(out, cfg, args, {"resolution": resolution, "replicates": replicates,
+                                    "telemetry": telemetry})
     if args.svg:
         doc = svg.render_ternary_svg(grid, metric=args.metric)
         with open(os.path.join(_outdir(args), args.svg), "w", encoding="utf-8") as fh:

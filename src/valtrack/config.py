@@ -14,17 +14,6 @@ from .metrics import CrashPredicate
 from .params import CommitmentParams, MarketParams
 from .traders import PopulationSpec
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
-
-
 # key -> (type tag, default accessor description)
 SCHEMA: dict[str, str] = {
     "market.lambda": "float",
@@ -108,8 +97,6 @@ def _convert(key: str, raw: str, where: str):
             return value
         if kind == "int":
             return int(raw)
-        if kind == "bool":
-            return _parse_bool(raw)
         return raw
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} for {key}") from None

@@ -10,17 +10,23 @@ by the prevailing price, so q_p and q_s are both asset quantities and the
 ratio in the price update is dimensionless. One-sided order flow moves the
 price at the cap; zero flow on both sides leaves it unchanged. Natural
 logarithms throughout.
+
+Two engines share these rules. `run` steps one market and records every
+step; `run_summaries` steps a batch of independent runs in lockstep as
+numpy arrays and keeps only what a sweep reads of each run. The batched
+kernel reproduces `run` bit for bit, and `run` is its test oracle.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .traders import MarketState, trader_orders
+from .traders import RAND_REFINED, MarketState, batch_layout, trader_orders
 
 PRICE_FLOOR = 1e-12
 
@@ -247,3 +253,251 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     return RunResult(prices=prices, momenta=momenta, wealth=wealth,
                      records=records, final_state=state,
                      crash_step=crash_step, boom_step=boom_step, aborted=aborted)
+
+
+# --- replicate-batched summary kernel ------------------------------------------
+#
+# run_summaries matches run bit for bit because it keeps the scalar path's
+# arithmetic, not just its formulas:
+#   - every row sum equals math.fsum of the row (_exact_row_sums);
+#   - exp, log and ** are the libm calls the scalar path makes, applied one
+#     element at a time (_libm); numpy's vectorised exp and log round
+#     differently from libm on a few percent of inputs;
+#   - each run draws from its own PCG64 stream the uniforms its scalar run
+#     would draw, in blocks of _RNG_BLOCK_STEPS steps to bound memory;
+#   - each expression keeps the scalar left-to-right order, and min/max
+#     become comparisons and np.where, which pick the same operand.
+# Traders a run lacks are padded as zero-holding traders: they add exactly
+# 0.0 to every sum and never trade.
+#
+# The kernel keeps to a few numpy operations: arithmetic, comparisons,
+# np.where, isfinite and count_nonzero. Each further ufunc or reduction
+# faults in another 64-128 KiB of numpy's machine code, and peak RSS is one
+# of the sweep's end-to-end costs.
+
+_RNG_BLOCK_STEPS = 8
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53: numpy's uint64 -> [0, 1) map
+
+
+@dataclass(frozen=True, slots=True)
+class RunSummaries:
+    """What a sweep reads of each run of a batch, indexed like the batch.
+
+    min_price is the lowest price of the run, its initial price included.
+    crashed and boomed say whether run() would have set crash_step and
+    boom_step; a run stopped by the price floor is aborted and counts as
+    crashed. steps is the number of steps simulated.
+    """
+
+    min_price: np.ndarray
+    crashed: np.ndarray
+    boomed: np.ndarray
+    aborted: np.ndarray
+    steps: np.ndarray
+
+
+def _two_sum(a, b):
+    """Knuth's error-free sum: s + e == a + b exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, each equal to math.fsum of its row.
+
+    A TwoSum cascade leaves the running sum s and error terms whose exact
+    sum is the rest of the row total. Where a second TwoSum cascade adds
+    those error terms without error, s + E is the exact total and its
+    rounding fl(s + E) is the correctly rounded sum math.fsum returns. Rows
+    where it is not exact fall back to math.fsum.
+    """
+    s = x[:, 0]
+    errors = []
+    for j in range(1, x.shape[1]):
+        s, e = _two_sum(s, x[:, j])
+        errors.append(e)
+    if not errors:
+        return s.copy()
+    tail = errors[0]
+    inexact = np.zeros(len(s), dtype=bool)
+    for e in errors[1:]:
+        tail, f = _two_sum(tail, e)
+        inexact = np.where(f != 0.0, True, inexact)
+    total = s + tail
+    for i in np.flatnonzero(inexact):
+        total[i] = math.fsum(x[i].tolist())
+    return total
+
+
+def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) for each element, on Python floats so that math.exp,
+    math.log and pow are the scalar path's calls."""
+    floats = values.tolist()
+    return np.fromiter(map(fn, floats, *(repeat(a) for a in args)), float, len(floats))
+
+
+def _require_valid(values: np.ndarray, positive: bool, what: str) -> None:
+    """Raise InvalidInputError unless every value is finite and > 0
+    (positive) or >= 0; the scalar path's guards reject the same values."""
+    sign_ok = (values > 0.0) if positive else (values >= 0.0)
+    valid = np.where(np.isfinite(values), sign_ok, False)
+    if np.count_nonzero(valid) < len(values):
+        raise InvalidInputError(f"{what} must be finite and {'> 0' if positive else '>= 0'}"
+                                f", got {values[np.argmin(valid)]}")
+
+
+def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
+    """The next 2 * steps uniforms on [0, 1) of each stream, one row per
+    stream, as Generator.random() returns them; k * u is uniform(0, k).
+    A run without a random trader has no stream (None) and gets zeros."""
+    raw = np.zeros((len(bitgens), 2 * steps), dtype=np.uint64)
+    for row, bitgen in zip(raw, bitgens):
+        if bitgen is not None:
+            row[:] = bitgen.random_raw(2 * steps)
+    np.right_shift(raw, 11, out=raw)
+    return raw * _DOUBLE_UNIT
+
+
+def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
+                  seeds, crash: "metrics.CrashPredicate | None" = None) -> RunSummaries:
+    """Run each initial state for params.horizon steps, in lockstep, and
+    summarise each run as run(initial, params, commitments, seed, crash)
+    would, bit for bit, for its seed.
+
+    A state may hold any number of valuation traders and at most one
+    momentum and one random trader; the random traders of a batch share one
+    mode. Runs that fall below the price floor stop there, as in run().
+    Raises InvalidInputError wherever run() would.
+    """
+    if len(initials) != len(seeds):
+        raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
+    n_runs = len(initials)
+    cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(initials)
+    n_vals = valuations.shape[1]
+    mo, rand = n_vals, n_vals + 1
+    c = commitments
+    horizon, eta, mu = params.horizon, params.eta, params.mu
+    one_minus_mu = 1.0 - mu
+
+    p = np.array([s.price for s in initials], dtype=float)
+    m = np.array([s.momentum for s in initials], dtype=float)
+    _require_valid(p, True, "price")
+    if np.count_nonzero(np.isfinite(m)) < n_runs:
+        raise InvalidInputError("momentum must be finite")
+    p0 = p.copy()
+    low = p.copy()
+    detect_until = -1
+    if crash is not None:
+        detect_until = horizon if crash.horizon is None else min(horizon, crash.horizon)
+    if detect_until >= 0:
+        crashed = crash.crash_at(p0, p)
+        boomed = crash.boom_at(p0, p)
+    else:
+        crashed = boomed = np.zeros(n_runs, dtype=bool)
+
+    out_low = np.empty(n_runs)
+    out_crashed = np.zeros(n_runs, dtype=bool)
+    out_boomed = np.zeros(n_runs, dtype=bool)
+    out_aborted = np.zeros(n_runs, dtype=bool)
+    out_steps = np.full(n_runs, horizon)
+    rows = np.arange(n_runs)
+    bitgens = [np.random.PCG64(s) if r else None for s, r in zip(seeds, rand_rows)]
+    draws = None
+
+    for t in range(1, horizon + 1):
+        # orders at the prevailing price
+        bids = np.zeros_like(cash)
+        offers = np.zeros_like(asset)
+        bids[:, :n_vals] = np.where(p[:, None] < valuations, c.kv_buy * cash[:, :n_vals], 0.0)
+        offers[:, :n_vals] = np.where(p[:, None] > valuations,
+                                      c.kv_sell * asset[:, :n_vals], 0.0)
+        bids[:, mo] = np.where(m > 0.0, c.km_buy * cash[:, mo], 0.0)
+        offers[:, mo] = np.where(m < 0.0, c.km_sell * asset[:, mo], 0.0)
+        if rand_mode is not None:
+            k = (t - 1) % _RNG_BLOCK_STEPS
+            if k == 0:
+                draws = _draw_uniforms(bitgens, min(_RNG_BLOCK_STEPS, horizon - t + 1))
+            u_bid = c.kr_buy * draws[:, 2 * k]
+            u_offer = c.kr_sell * draws[:, 2 * k + 1]
+            r_cash, r_asset = cash[:, rand], asset[:, rand]
+            if rand_mode == RAND_REFINED:
+                r_value = r_asset * p
+                below = np.where(r_cash < critical[:, 0], True, r_value < critical[:, 1])
+                reference = np.where(below, np.where(r_value < r_cash, r_value, r_cash),
+                                     r_cash + r_value)
+                bid = u_bid * reference
+                offer = u_offer * reference / p
+                bids[:, rand] = np.where(r_cash < bid, r_cash, bid)
+                offers[:, rand] = np.where(r_asset < offer, r_asset, offer)
+            else:
+                bids[:, rand] = u_bid * r_cash
+                offers[:, rand] = u_offer * r_asset
+        totals = _exact_row_sums(np.concatenate((bids, offers)))
+        total_bid, total_offer = totals[:len(p)], totals[len(p):]
+        q_p = total_bid / p
+        q_s = total_offer
+        _require_valid(q_p, False, "q_p")
+        _require_valid(q_s, False, "q_s")
+
+        # price impact, capped at eta; one-sided flow moves at the cap
+        if params.impact == IMPACT_RATIO:
+            two_sided = np.where(q_p > 0.0, q_s > 0.0, False)
+            flow_ratio = np.where(two_sided, q_p, 1.0) / np.where(two_sided, q_s, 1.0)
+            dlog = params.lam * _libm(math.log, flow_ratio)
+            dlog = np.where(dlog < eta, dlog, eta)
+            dlog = np.where(dlog > -eta, dlog, -eta)
+            dlog = np.where(two_sided, dlog,
+                            np.where(q_p > q_s, eta, np.where(q_p < q_s, -eta, 0.0)))
+        else:
+            imbalance = q_p - q_s
+            dlog = _libm(pow, np.abs(imbalance / params.liquidity), params.zeta)
+            dlog = np.where(eta < dlog, eta, dlog)
+            dlog = np.where(imbalance < 0.0, -dlog, dlog)
+        p_new = p * _libm(math.exp, dlog)
+        _require_valid(p_new, True, "price")
+
+        # settlement: the larger side is scaled down pro-rata to parity
+        p_settle = p_new if params.settlement == SETTLE_UPDATED else p
+        demand = total_bid / p_settle
+        trade = np.where(demand > 0.0, total_offer > 0.0, False)
+        f_buy = total_offer / np.where(trade, demand, 1.0)
+        f_sell = demand / np.where(trade, total_offer, 1.0)
+        f_buy = np.where(f_buy < 1.0, f_buy, 1.0)[:, None]
+        f_sell = np.where(f_sell < 1.0, f_sell, 1.0)[:, None]
+        trade = trade[:, None]
+        paid = np.where(np.where(trade, bids > 0.0, False), bids * f_buy, 0.0)
+        sold = np.where(np.where(trade, offers > 0.0, False), offers * f_sell, 0.0)
+        cash = (cash - paid) + sold * p_settle[:, None]
+        asset = (asset + paid / p_settle[:, None]) - sold
+
+        m = mu * _libm(math.log, p_new / p) + one_minus_mu * m
+        p = p_new
+        low = np.where(p < low, p, low)
+        if t <= detect_until:
+            crashed = np.where(crashed, True, crash.crash_at(p0, p))
+            boomed = np.where(boomed, True, crash.boom_at(p0, p))
+
+        floored = p < PRICE_FLOOR
+        if np.count_nonzero(floored):
+            done = rows[floored]
+            out_low[done] = low[floored]
+            out_crashed[done] = True
+            out_boomed[done] = boomed[floored]
+            out_aborted[done] = True
+            out_steps[done] = t
+            keep = p >= PRICE_FLOOR
+            rows, p, m, p0, low = rows[keep], p[keep], m[keep], p0[keep], low[keep]
+            crashed, boomed = crashed[keep], boomed[keep]
+            cash, asset = cash[keep], asset[keep]
+            valuations, critical = valuations[keep], critical[keep]
+            bitgens = [b for b, kept in zip(bitgens, keep.tolist()) if kept]
+            if draws is not None:
+                draws = draws[keep]
+            if not len(rows):
+                break
+
+    out_low[rows] = low
+    out_crashed[rows] = crashed
+    out_boomed[rows] = boomed
+    return RunSummaries(out_low, out_crashed, out_boomed, out_aborted, out_steps)

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import analysis, metrics
-from .engine import RunResult, run
+from .engine import RunResult, run, run_summaries
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
 from .params import CommitmentParams, MarketParams
@@ -21,6 +21,11 @@ from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
 
 DESK_PRESET = {"resolution": 20, "replicates": 20}
 FULL_PRESET = {"resolution": 99, "replicates": 100}
+
+# Largest number of sweep runs stepped together by engine.run_summaries. It
+# bounds the batch's arrays and PCG64 streams in memory; results do not
+# depend on it.
+_MAX_BATCH_RUNS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,13 +45,18 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
 
 
+def _seeded_start(config: ExperimentConfig, task_seed: int):
+    """(initial state, engine seed) of the run with this task seed."""
+    state = init_population(config.population, m0=config.m0,
+                            rng=rng_for(task_seed, 0))
+    return state, mix_seed(task_seed, 1)
+
+
 def run_once(config: ExperimentConfig, seed: int | None = None,
              stop_at_crash: bool = False) -> RunResult:
     """One seeded run of the configured population."""
-    task_seed = config.seed if seed is None else seed
-    state = init_population(config.population, m0=config.m0,
-                            rng=rng_for(task_seed, 0))
-    return run(state, config.market, config.commitments, seed=mix_seed(task_seed, 1),
+    state, run_seed = _seeded_start(config, config.seed if seed is None else seed)
+    return run(state, config.market, config.commitments, seed=run_seed,
                crash=config.crash, stop_at_crash=stop_at_crash)
 
 
@@ -119,14 +129,23 @@ class TernaryPoint:
 
 @dataclass(frozen=True, slots=True)
 class TernaryGrid:
+    """Per-point statistics of a sweep, plus what the sweep simulated:
+    steps summed over all runs and the runs stopped by the price floor."""
+
     resolution: int
     replicates: int
     points: tuple
+    steps: int
+    aborted_runs: int
 
     def __post_init__(self):
         expected = (self.resolution + 1) * (self.resolution + 2) // 2
         if len(self.points) != expected:
             raise ConfigError(f"expected {expected} simplex points, got {len(self.points)}")
+
+    @property
+    def runs(self) -> int:
+        return len(self.points) * self.replicates
 
 
 def simplex_points(resolution: int):
@@ -139,24 +158,24 @@ def simplex_points(resolution: int):
     return pts
 
 
-def _ternary_point_task(args):
-    config, index, point, replicates = args
-    val, mo, rand = point
-    population = config.population.with_mix(val, mo, rand)
-    cfg = replace(config, population=population)
-    drops = []
-    crashes = 0
-    booms = 0
-    for rep in range(replicates):
-        seed = mix_seed(config.seed, index, rep)
-        result = run_once(cfg, seed=seed)
-        drops.append(metrics.max_relative_drop(result.prices))
-        if result.crash_step is not None:
-            crashes += 1
-        if result.boom_step is not None:
-            booms += 1
-    return TernaryPoint(val, mo, rand, math.fsum(drops) / replicates,
-                        crashes / replicates, booms / replicates)
+def _ternary_batch_task(args):
+    """Summaries of sweep runs start..stop-1 in one engine batch.
+
+    Run j is replicate j % replicates of simplex point j // replicates;
+    points holds the simplex points from index start // replicates on.
+    """
+    config, replicates, start, stop, points = args
+    first = start // replicates
+    states, seeds = [], []
+    for j in range(start, stop):
+        index, rep = divmod(j, replicates)
+        if j == start or rep == 0:
+            cfg = replace(config, population=config.population.with_mix(*points[index - first]))
+        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, index, rep))
+        states.append(state)
+        seeds.append(run_seed)
+    return run_summaries(states, config.market, config.commitments, seeds,
+                         crash=config.crash)
 
 
 def ternary_sweep(config: ExperimentConfig, resolution: int,
@@ -165,15 +184,35 @@ def ternary_sweep(config: ExperimentConfig, resolution: int,
     """Simulate every simplex point and aggregate drop/crash/boom statistics.
 
     Per-replicate seeds derive from (master seed, point index, replicate),
-    so the grid is identical for any worker count.
+    so the grid is identical for any worker count. The runs go through the
+    batched engine in batches of at most _MAX_BATCH_RUNS, split evenly
+    across workers.
     """
     if resolution < 1:
         raise ConfigError("resolution must be >= 1")
     reps = config.replicates if replicates is None else replicates
     points = simplex_points(resolution)
-    tasks = [(config, i, pt, reps) for i, pt in enumerate(points)]
-    results = _run_tasks(_ternary_point_task, tasks, workers)
-    return TernaryGrid(resolution, reps, tuple(results))
+    n_runs = len(points) * reps
+    size = min(_MAX_BATCH_RUNS, -(-n_runs // max(1, workers or 1)))
+    tasks = []
+    for start in range(0, n_runs, size):
+        stop = min(start + size, n_runs)
+        tasks.append((config, reps, start, stop,
+                      points[start // reps:(stop - 1) // reps + 1]))
+    batches = _run_tasks(_ternary_batch_task, tasks, workers)
+    p0 = config.population.p0
+    drops = [metrics.max_relative_drop((p0, low))
+             for b in batches for low in b.min_price.tolist()]
+    crashed = [flag for b in batches for flag in b.crashed.tolist()]
+    boomed = [flag for b in batches for flag in b.boomed.tolist()]
+    results = []
+    for i, (val, mo, rand) in enumerate(points):
+        runs = slice(i * reps, (i + 1) * reps)
+        results.append(TernaryPoint(val, mo, rand, math.fsum(drops[runs]) / reps,
+                                    sum(crashed[runs]) / reps, sum(boomed[runs]) / reps))
+    return TernaryGrid(resolution, reps, tuple(results),
+                       steps=sum(sum(b.steps.tolist()) for b in batches),
+                       aborted_runs=sum(sum(b.aborted.tolist()) for b in batches))
 
 
 def _run_tasks(fn, tasks, workers: int | None):

@@ -18,21 +18,6 @@ CRASH_RELATIVE_DROP = "relative_drop"
 CRASH_DECIBLACK_DROP = "deciblack_drop"
 
 
-@dataclass(frozen=True, slots=True)
-class TrackingError:
-    """Tracking error in Blacks, with the deciblack convenience view."""
-
-    tau: float
-
-    @property
-    def deciblacks(self) -> float:
-        return 10.0 * self.tau
-
-    @classmethod
-    def of(cls, p: float, u: float) -> "TrackingError":
-        return cls(tau(p, u))
-
-
 def tau(p: float, u: float) -> float:
     """|log2 p - log2 u| in Blacks."""
     if p <= 0 or u <= 0 or not (math.isfinite(p) and math.isfinite(u)):

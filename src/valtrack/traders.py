@@ -56,8 +56,7 @@ class MarketState:
     """Complete market snapshot: price, momentum, step index and traders.
 
     total_cash / total_asset are the conserved totals fixed at
-    initialisation; u_ref is the valuation used to size the asset supply
-    (diagnostics only).
+    initialisation.
     """
 
     price: float
@@ -66,12 +65,11 @@ class MarketState:
     traders: list
     total_cash: float
     total_asset: float
-    u_ref: float = 1.0
 
     def copy(self) -> "MarketState":
         return MarketState(self.price, self.momentum, self.time,
                            [t.copy() for t in self.traders],
-                           self.total_cash, self.total_asset, self.u_ref)
+                           self.total_cash, self.total_asset)
 
     def cash_sum(self) -> float:
         return sum(t.cash for t in self.traders)
@@ -150,6 +148,52 @@ def trader_orders(trader: Trader, price: float, momentum: float,
         return rand_orders_basic(trader.cash, trader.asset,
                                  commitments.kr_buy, commitments.kr_sell, rng)
     raise InvalidInputError(f"unknown trader kind {trader.kind!r}")
+
+
+def batch_layout(states):
+    """Holdings and strategy fields of several markets as numpy arrays, one
+    row per market, for the batched engine.
+
+    Columns are n_vals valuation traders (the most any market has), then
+    one momentum and one random trader; a market lacking a trader holds
+    nothing in its column. Returns (cash, asset, valuations, critical,
+    rand_rows, rand_mode): critical holds the random trader's critical cash
+    and asset value, rand_rows[i] whether market i has a random trader, and
+    rand_mode the one random-trader mode of all markets (None without one).
+    Raises InvalidInputError for a layout the batched engine cannot step.
+    """
+    n_vals = max(sum(t.kind == KIND_VAL for t in s.traders) for s in states)
+    cash = np.zeros((len(states), n_vals + 2))
+    asset = np.zeros_like(cash)
+    valuations = np.ones((len(states), n_vals))
+    critical = np.zeros((len(states), 2))
+    rand_rows = []
+    modes = set()
+    for row, state in enumerate(states):
+        kinds = [t.kind for t in state.traders]
+        if kinds.count(KIND_MO) > 1 or kinds.count(KIND_RAND) > 1:
+            raise InvalidInputError("a batched market holds at most one momentum "
+                                    "and one random trader")
+        val_col = 0
+        for t in state.traders:
+            if t.kind == KIND_VAL:
+                col = val_col
+                valuations[row, col] = t.valuation
+                val_col += 1
+            elif t.kind == KIND_MO:
+                col = n_vals
+            elif t.kind == KIND_RAND:
+                col = n_vals + 1
+                critical[row] = t.critical_cash, t.critical_asset
+                modes.add(t.rand_mode)
+            else:
+                raise InvalidInputError(f"unknown trader kind {t.kind!r}")
+            cash[row, col] = t.cash
+            asset[row, col] = t.asset
+        rand_rows.append(KIND_RAND in kinds)
+    if len(modes) > 1:
+        raise InvalidInputError(f"batched markets need one random-trader mode, got {sorted(modes)}")
+    return cash, asset, valuations, critical, rand_rows, modes.pop() if modes else None
 
 
 def sample_gamma(shape: float, rate: float, rng: np.random.Generator) -> float:
@@ -255,5 +299,4 @@ def init_population(spec: PopulationSpec, m0: float = 0.0,
     total_cash = math.fsum(t.cash for t in traders)
     total_asset = math.fsum(t.asset for t in traders)
     return MarketState(price=spec.p0, momentum=m0, time=0, traders=traders,
-                       total_cash=total_cash, total_asset=total_asset,
-                       u_ref=spec.u_ref)
+                       total_cash=total_cash, total_asset=total_asset)

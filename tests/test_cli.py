@@ -119,6 +119,14 @@ class TestCliCommands:
         lines = (tmp_path / "ternary.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + 6 simplex points
         ET.fromstring((tmp_path / "tern.svg").read_text())
+        meta = json.loads((tmp_path / "ternary.csv.meta.json").read_text())
+        telemetry = meta["telemetry"]
+        assert set(telemetry) == {"runs", "steps", "aborted_runs", "wall_s",
+                                  "steps_per_s"}
+        # 25 nats of capped moves in 250 steps cannot reach the price floor
+        assert (telemetry["runs"], telemetry["steps"], telemetry["aborted_runs"]) \
+            == (12, 12 * 250, 0)
+        assert telemetry["wall_s"] > 0 and telemetry["steps_per_s"] > 0
 
     def test_grid_command(self, tmp_path):
         code = cli.main(["grid", "--cells", "2", "--k-plus-min", "0.1",
