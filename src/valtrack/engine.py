@@ -7,9 +7,20 @@ updated or the current price, update momentum, advance time.
 Unit conventions: bids are cash amounts, offers are asset quantities. The
 purchase volume q_p used by the impact functions is total bid cash divided
 by the prevailing price, so q_p and q_s are both asset quantities and the
-ratio in the price update is dimensionless. One-sided order flow moves the
-price at the cap; zero flow on both sides leaves it unchanged. Natural
-logarithms throughout.
+ratio in the price update is dimensionless. Natural logarithms throughout.
+
+The impact rule exists once: `log_impact` returns the uncapped log move of
+the order flow (infinite for one-sided ratio-power flow, 0 for no flow),
+and a step caps that value at +-eta, moves the price by the capped value
+and sets cap_hit from the same uncapped value. One-sided order flow thus
+moves the price at the cap; zero flow on both sides leaves it unchanged.
+
+Inputs are validated at the boundary. MarketParams and CommitmentParams
+check themselves when built, and `check_state` checks a state where it
+enters `run`, `step` or `run_summaries`. Inside the loop a step checks only
+what a valid state does not guarantee: a finite order flow >= 0 and a
+finite new price > 0. Both engines raise InvalidInputError on the same
+inputs.
 
 Two engines share these rules. `run` steps one market and records every
 step; `run_summaries` steps a batch of independent runs in lockstep as
@@ -35,13 +46,15 @@ PRICE_FLOOR = 1e-12
 class StepOrders:
     """Per-trader orders for one step plus their aggregates.
 
-    bids[i] is trader i's cash bid, offers[i] its asset offer; q_p is the
-    total bid converted to asset units at the prevailing price, q_s the
-    total asset offered.
+    bids[i] is trader i's cash bid, offers[i] its asset offer; total_bid is
+    the total bid cash, q_p that total converted to asset units at the
+    prevailing price, q_s the total asset offered. The totals are exact
+    (math.fsum) sums, taken once per step.
     """
 
     bids: tuple
     offers: tuple
+    total_bid: float
     q_p: float
     q_s: float
 
@@ -81,51 +94,40 @@ class RunResult:
     aborted: bool = False
 
 
-def _require_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{name} must be finite, got {v}")
+def check_state(state: MarketState) -> None:
+    """Raise InvalidInputError unless the state can be stepped: a finite
+    price > 0, a finite momentum and finite holdings >= 0."""
+    if not (0.0 < state.price < math.inf and math.isfinite(state.momentum)):
+        raise InvalidInputError("need a finite price > 0 and a finite momentum, "
+                                f"got {state.price}, {state.momentum}")
+    for t in state.traders:
+        if not (0.0 <= t.cash < math.inf and 0.0 <= t.asset < math.inf):
+            raise InvalidInputError(f"holdings must be finite and >= 0, got {t.cash}, {t.asset}")
 
 
-def update_price_ratio(p: float, q_p: float, q_s: float,
-                       lam: float, eta: float) -> float:
-    """Ratio-power impact: p' = p * exp(clamp(lam * log(q_p/q_s), -eta, eta)).
+def log_impact(q_p: float, q_s: float, params: MarketParams) -> float:
+    """Uncapped log price move implied by order flow q_p, q_s >= 0.
 
-    One-sided flow moves the price at the cap; no flow leaves it unchanged.
+    Ratio-power impact: lam * log(q_p/q_s), +-inf for one-sided flow.
+    Power-law impact: |(q_p - q_s)/liquidity|^zeta, signed by the imbalance.
+    No flow moves nothing. The caller caps the move at +-eta.
     """
-    _require_finite(p=p, q_p=q_p, q_s=q_s, lam=lam, eta=eta)
-    if p <= 0 or q_p < 0 or q_s < 0:
-        raise InvalidInputError(f"need p > 0 and q_p, q_s >= 0, got {p}, {q_p}, {q_s}")
-    if q_p == 0.0 and q_s == 0.0:
-        return p
-    if q_s == 0.0:
-        return p * math.exp(eta)
-    if q_p == 0.0:
-        return p * math.exp(-eta)
-    dlog = lam * math.log(q_p / q_s)
-    dlog = max(-eta, min(eta, dlog))
-    return p * math.exp(dlog)
-
-
-def update_price_powerlaw(p: float, q_p: float, q_s: float, liquidity: float,
-                          zeta: float, eta: float) -> float:
-    """Power-law impact in the order difference:
-    |d log p| = min(|(q_p - q_s)/liquidity|^zeta, eta), signed by the imbalance."""
-    _require_finite(p=p, q_p=q_p, q_s=q_s, liquidity=liquidity, zeta=zeta, eta=eta)
-    if p <= 0 or liquidity <= 0 or zeta <= 0 or q_p < 0 or q_s < 0:
-        raise InvalidInputError("need p, liquidity, zeta > 0 and q_p, q_s >= 0")
+    if params.impact == IMPACT_RATIO:
+        if q_p == 0.0 and q_s == 0.0:
+            return 0.0
+        if q_s == 0.0:
+            return math.inf
+        if q_p == 0.0:
+            return -math.inf
+        return params.lam * math.log(q_p / q_s)
     imbalance = q_p - q_s
     if imbalance == 0.0:
-        return p
-    dlog = min(abs(imbalance / liquidity) ** zeta, eta)
-    return p * math.exp(math.copysign(dlog, imbalance))
+        return 0.0
+    return math.copysign(abs(imbalance / params.liquidity) ** params.zeta, imbalance)
 
 
 def update_momentum(m: float, p: float, p_new: float, mu: float) -> float:
     """Exponentially smoothed log return: mu * log(p_new/p) + (1 - mu) * m."""
-    _require_finite(m=m, p=p, p_new=p_new, mu=mu)
-    if p <= 0 or p_new <= 0 or not (0.0 < mu < 1.0):
-        raise InvalidInputError("need p, p_new > 0 and 0 < mu < 1")
     return mu * math.log(p_new / p) + (1.0 - mu) * m
 
 
@@ -135,18 +137,14 @@ def settle(state: MarketState, orders: StepOrders, p_settle: float) -> MarketSta
     Bids stay fixed in cash and convert to asset demand at p_settle; offers
     stay fixed in asset units. When demand and supply differ, the larger
     side is scaled down pro-rata to parity. Totals are conserved and no
-    holding goes negative.
+    holding goes negative. p_settle must be finite and > 0.
     """
-    if not math.isfinite(p_settle) or p_settle <= 0:
-        raise InvalidInputError(f"settlement price must be > 0, got {p_settle}")
     new_state = state.copy()
-    total_bid = math.fsum(orders.bids)
-    total_offer = math.fsum(orders.offers)
-    demand = total_bid / p_settle
-    if demand <= 0.0 or total_offer <= 0.0:
+    demand = orders.total_bid / p_settle
+    if demand <= 0.0 or orders.q_s <= 0.0:
         return new_state
-    f_buy = min(1.0, total_offer / demand)
-    f_sell = min(1.0, demand / total_offer)
+    f_buy = min(1.0, orders.q_s / demand)
+    f_sell = min(1.0, demand / orders.q_s)
     for trader, bid, offer in zip(new_state.traders, orders.bids, orders.offers):
         if bid > 0.0:
             paid = bid * f_buy
@@ -169,50 +167,41 @@ def collect_orders(state: MarketState, commitments: CommitmentParams,
                                    commitments, rng)
         bids.append(bid)
         offers.append(offer)
-    q_p = math.fsum(bids) / state.price
-    q_s = math.fsum(offers)
-    return StepOrders(tuple(bids), tuple(offers), q_p, q_s)
-
-
-def _raw_dlog(orders: StepOrders, params: MarketParams) -> float:
-    """Uncapped log price change implied by the order flow."""
-    if params.impact == IMPACT_RATIO:
-        if orders.q_p == 0.0 and orders.q_s == 0.0:
-            return 0.0
-        if orders.q_s == 0.0:
-            return math.inf
-        if orders.q_p == 0.0:
-            return -math.inf
-        return params.lam * math.log(orders.q_p / orders.q_s)
-    imbalance = orders.q_p - orders.q_s
-    if imbalance == 0.0:
-        return 0.0
-    return math.copysign(abs(imbalance / params.liquidity) ** params.zeta, imbalance)
+    total_bid = math.fsum(bids)
+    return StepOrders(tuple(bids), tuple(offers), total_bid,
+                      total_bid / state.price, math.fsum(offers))
 
 
 def step(state: MarketState, params: MarketParams, commitments: CommitmentParams,
          rng: np.random.Generator | None = None) -> tuple[MarketState, StepRecord]:
     """Advance the market by one step; the price updates even when no trade
-    executes."""
+    executes. Raises InvalidInputError on a state check_state rejects."""
+    check_state(state)
+    return _step(state, params, commitments, rng)
+
+
+def _step(state: MarketState, params: MarketParams, commitments: CommitmentParams,
+          rng: np.random.Generator | None) -> tuple[MarketState, StepRecord]:
+    """step() on a state known to be valid: a checked initial state or the
+    output of a previous step."""
     orders = collect_orders(state, commitments, rng)
-    if params.impact == IMPACT_RATIO:
-        p_new = update_price_ratio(state.price, orders.q_p, orders.q_s,
-                                   params.lam, params.eta)
-    else:
-        p_new = update_price_powerlaw(state.price, orders.q_p, orders.q_s,
-                                      params.liquidity, params.zeta, params.eta)
+    if not (0.0 <= orders.q_p < math.inf and 0.0 <= orders.q_s < math.inf):
+        raise InvalidInputError(f"order flow must be finite and >= 0, got {orders.q_p}, {orders.q_s}")
+    dlog = log_impact(orders.q_p, orders.q_s, params)
+    p_new = state.price * math.exp(max(-params.eta, min(params.eta, dlog)))
+    if not 0.0 < p_new < math.inf:
+        raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
     p_settle = p_new if params.settlement == SETTLE_UPDATED else state.price
     new_state = settle(state, orders, p_settle)
-    executed = min(math.fsum(orders.bids) / p_settle, math.fsum(orders.offers))
     m_new = update_momentum(state.momentum, state.price, p_new, params.mu)
     new_state.price = p_new
     new_state.momentum = m_new
     new_state.time = state.time + 1
     record = StepRecord(time=new_state.time, old_price=state.price,
                         new_price=p_new, q_p=orders.q_p, q_s=orders.q_s,
-                        executed=executed,
+                        executed=min(orders.total_bid / p_settle, orders.q_s),
                         momentum_before=state.momentum, momentum_after=m_new,
-                        cap_hit=abs(_raw_dlog(orders, params)) > params.eta)
+                        cap_hit=abs(dlog) > params.eta)
     return new_state, record
 
 
@@ -224,8 +213,10 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     Identical seed and configuration give a bit-identical result. A run
     aborts (and counts as a crash) if the price falls below the 1e-12
     floor. With stop_at_crash the loop ends as soon as the crash predicate
-    fires, which shortens the recorded series.
+    fires, which shortens the recorded series. Raises InvalidInputError on
+    an initial state check_state rejects.
     """
+    check_state(initial)
     rng = np.random.Generator(np.random.PCG64(seed))
     state = initial.copy()
     prices = [state.price]
@@ -234,7 +225,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     records: list[StepRecord] = []
     aborted = False
     for _ in range(params.horizon):
-        state, record = step(state, params, commitments, rng)
+        state, record = _step(state, params, commitments, rng)
         prices.append(state.price)
         momenta.append(state.momentum)
         wealth.append([t.wealth(state.price) for t in state.traders])
@@ -372,6 +363,8 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     """
     if len(initials) != len(seeds):
         raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
+    for state in initials:
+        check_state(state)
     n_runs = len(initials)
     cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(initials)
     n_vals = valuations.shape[1]
@@ -382,9 +375,6 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
 
     p = np.array([s.price for s in initials], dtype=float)
     m = np.array([s.momentum for s in initials], dtype=float)
-    _require_valid(p, True, "price")
-    if np.count_nonzero(np.isfinite(m)) < n_runs:
-        raise InvalidInputError("momentum must be finite")
     p0 = p.copy()
     low = p.copy()
     detect_until = -1

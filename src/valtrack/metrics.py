@@ -129,28 +129,6 @@ def tau_hat(valuations, p: float) -> float:
     return tau(p, float(vals.mean()))
 
 
-def tau_hat_weighted(valuations, variances, p: float) -> float:
-    """Inverse-variance weighted variant of tau_hat."""
-    vals = np.asarray(valuations, dtype=float)
-    var = np.asarray(variances, dtype=float)
-    if vals.size == 0 or vals.shape != var.shape:
-        raise DomainError("need matching nonempty valuations and variances")
-    if np.any(vals <= 0) or np.any(var <= 0):
-        raise DomainError("valuations and variances must be positive")
-    weights = 1.0 / var
-    return tau(p, float(np.sum(weights * vals) / np.sum(weights)))
-
-
-def tau_hat_median(valuations, p: float) -> float:
-    """Median-of-valuations variant of tau_hat, for biased samples."""
-    vals = np.asarray(valuations, dtype=float)
-    if vals.size == 0:
-        raise DomainError("need at least one valuation")
-    if np.any(vals <= 0):
-        raise DomainError("valuations must be positive")
-    return tau(p, float(np.median(vals)))
-
-
 def tau_hat_predicted_std(sigma: float, u: float, n: int, p: float) -> float:
     """Leading-order (delta method) std of tau_hat: sigma / (u sqrt(n) ln 2).
 

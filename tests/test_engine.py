@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
-from valtrack.engine import (StepOrders, collect_orders, settle,
-                             update_momentum, update_price_powerlaw,
-                             update_price_ratio)
+from valtrack.engine import (StepOrders, collect_orders, log_impact, settle,
+                             update_momentum)
 from valtrack.errors import InvalidInputError
 
 
@@ -18,64 +17,90 @@ def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
     return init_population(spec, m0=m0)
 
 
+def market_state(price, traders, momentum=0.0):
+    return MarketState(price=price, momentum=momentum, time=0, traders=traders,
+                       total_cash=sum(t.cash for t in traders),
+                       total_asset=sum(t.asset for t in traders))
+
+
+def capped_move(p, q_p, q_s, params):
+    """p moved by the uncapped log impact capped once at +-eta, as step
+    moves it."""
+    dlog = log_impact(q_p, q_s, params)
+    return p * math.exp(max(-params.eta, min(params.eta, dlog)))
+
+
+def ratio_price(p, q_p, q_s, lam, eta):
+    return capped_move(p, q_p, q_s, MarketParams(lam=lam, eta=eta))
+
+
+def powerlaw_price(p, q_p, q_s, liquidity, zeta, eta):
+    return capped_move(p, q_p, q_s, MarketParams(impact="powerlaw", liquidity=liquidity,
+                                                 zeta=zeta, eta=eta))
+
+
 class TestRatioImpact:
     def test_balanced_orders_leave_price_unchanged(self):
-        assert update_price_ratio(1.0, 1.0, 1.0, 0.04, 0.1) == 1.0
+        assert ratio_price(1.0, 1.0, 1.0, 0.04, 0.1) == 1.0
 
     def test_small_imbalance(self):
         # 2 ** 0.04, evaluated independently
-        assert update_price_ratio(1.0, 2.0, 1.0, 0.04, 0.1) == pytest.approx(
+        assert ratio_price(1.0, 2.0, 1.0, 0.04, 0.1) == pytest.approx(
             1.0281138266560665, rel=1e-12)
 
     def test_cap_engages_on_large_imbalance(self):
         # lam * log(100) = 0.1842 exceeds the 0.1 cap
-        assert update_price_ratio(1.0, 100.0, 1.0, 0.04, 0.1) == pytest.approx(
+        assert ratio_price(1.0, 100.0, 1.0, 0.04, 0.1) == pytest.approx(
             1.1051709180756477, rel=1e-12)
 
     def test_one_sided_flow_moves_at_cap(self):
-        assert update_price_ratio(2.0, 1.0, 0.0, 0.04, 0.1) == pytest.approx(
+        assert ratio_price(2.0, 1.0, 0.0, 0.04, 0.1) == pytest.approx(
             2.0 * 1.1051709180756477, rel=1e-12)
-        assert update_price_ratio(2.0, 0.0, 1.0, 0.04, 0.1) == pytest.approx(
+        assert ratio_price(2.0, 0.0, 1.0, 0.04, 0.1) == pytest.approx(
             2.0 * 0.9048374180359595, rel=1e-12)
 
     def test_no_orders_no_move(self):
-        assert update_price_ratio(3.5, 0.0, 0.0, 0.04, 0.1) == 3.5
+        assert ratio_price(3.5, 0.0, 0.0, 0.04, 0.1) == 3.5
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            update_price_ratio(1.0, math.nan, 1.0, 0.04, 0.1)
-        with pytest.raises(InvalidInputError):
-            update_price_ratio(-1.0, 1.0, 1.0, 0.04, 0.1)
+        # the order flow is checked on every step: here a bid of 1e9 cash at
+        # a price of 1e-300 is an infinite purchase volume
+        buyer = Trader(1e10, 1.0, "val", valuation=1.0)
+        with pytest.raises(InvalidInputError, match="order flow"):
+            step(market_state(1e-300, [buyer]), MarketParams(), CommitmentParams())
+        # the state is checked on entry
+        with pytest.raises(InvalidInputError, match="price"):
+            step(market_state(-1.0, [buyer]), MarketParams(), CommitmentParams())
 
     @given(q1=st.floats(1e-6, 1e3), q2=st.floats(1e-6, 1e3),
            q_s=st.floats(1e-6, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_buy_volume(self, q1, q2, q_s):
         lo, hi = sorted((q1, q2))
-        assert (update_price_ratio(1.0, lo, q_s, 0.04, 0.1)
-                <= update_price_ratio(1.0, hi, q_s, 0.04, 0.1))
+        assert (ratio_price(1.0, lo, q_s, 0.04, 0.1)
+                <= ratio_price(1.0, hi, q_s, 0.04, 0.1))
 
 
 class TestPowerlawImpact:
     def test_zero_imbalance(self):
-        assert update_price_powerlaw(1.0, 3.0, 3.0, 1.0, 1.0, 0.1) == 1.0
+        assert powerlaw_price(1.0, 3.0, 3.0, 1.0, 1.0, 0.1) == 1.0
 
     def test_linear_exponent(self):
-        assert update_price_powerlaw(1.0, 1.05, 1.0, 1.0, 1.0, 0.1) == pytest.approx(
+        assert powerlaw_price(1.0, 1.05, 1.0, 1.0, 1.0, 0.1) == pytest.approx(
             1.0512710963760241, rel=1e-12)
 
     def test_concave_exponent(self):
         # 0.05 ** 0.8 = 0.09102821015130401 stays under the cap
-        assert update_price_powerlaw(1.0, 1.05, 1.0, 1.0, 0.8, 0.1) == pytest.approx(
+        assert powerlaw_price(1.0, 1.05, 1.0, 1.0, 0.8, 0.1) == pytest.approx(
             1.0952999033986409, rel=1e-12)
 
     def test_cap_applies(self):
-        assert update_price_powerlaw(1.0, 5.0, 1.0, 1.0, 1.0, 0.1) == pytest.approx(
+        assert powerlaw_price(1.0, 5.0, 1.0, 1.0, 1.0, 0.1) == pytest.approx(
             1.1051709180756477, rel=1e-12)
 
     def test_negative_imbalance_mirrors(self):
-        up = update_price_powerlaw(1.0, 1.03, 1.0, 1.0, 0.8, 0.1)
-        down = update_price_powerlaw(1.0, 1.0, 1.03, 1.0, 0.8, 0.1)
+        up = powerlaw_price(1.0, 1.03, 1.0, 1.0, 0.8, 0.1)
+        down = powerlaw_price(1.0, 1.0, 1.03, 1.0, 0.8, 0.1)
         assert up * down == pytest.approx(1.0, rel=1e-12)
 
 
@@ -94,8 +119,9 @@ class TestMomentum:
 
 
 def make_orders(state, bids, offers):
-    q_p = sum(bids) / state.price
-    return StepOrders(tuple(bids), tuple(offers), q_p, sum(offers))
+    total_bid = math.fsum(bids)
+    return StepOrders(tuple(bids), tuple(offers), total_bid,
+                      total_bid / state.price, math.fsum(offers))
 
 
 class TestSettle:
@@ -127,9 +153,13 @@ class TestSettle:
         assert out.traders[1].cash == pytest.approx(10.0)
 
     def test_rejects_bad_settlement_price(self):
-        s = self.state()
-        with pytest.raises(InvalidInputError):
-            settle(s, make_orders(s, [1.0, 0.0], [0.0, 1.0]), 0.0)
+        # settle trusts its price: step rejects a state that would settle
+        # at a price that is not finite and > 0
+        for price in (0.0, math.inf, math.nan):
+            s = self.state()
+            s.price = price
+            with pytest.raises(InvalidInputError):
+                step(s, MarketParams(settlement="current"), CommitmentParams())
 
     @given(bid=st.floats(0.0, 10.0), offer=st.floats(0.0, 40.0),
            p=st.floats(0.1, 10.0))
@@ -177,6 +207,42 @@ class TestStep:
             max(-0.1, min(0.1, 0.04 * math.log(orders.q_p / orders.q_s))))
         out, _ = step(state, MarketParams(), CommitmentParams())
         assert out.price == pytest.approx(expected, rel=1e-14)
+
+
+holdings = st.floats(0.0, 10.0)
+
+
+@st.composite
+def random_markets(draw):
+    """A state of 1-4 traders with random holdings, and market params with
+    either impact, eta 0.1 or 2 and either settlement."""
+    traders = []
+    for kind in draw(st.lists(st.sampled_from(["val", "mo", "rand"]), min_size=1, max_size=4)):
+        cash, asset = draw(holdings), draw(holdings)
+        traders.append(Trader(cash, asset, kind, valuation=draw(st.floats(0.5, 2.0)),
+                              rand_mode=draw(st.sampled_from(["basic", "refined"])),
+                              critical_cash=0.2 * cash, critical_asset=0.2 * asset))
+    state = market_state(draw(st.floats(0.05, 20.0)), traders,
+                         momentum=draw(st.floats(-0.01, 0.01)))
+    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
+                                         ("powerlaw", 0.8)]))
+    params = MarketParams(impact=impact, zeta=zeta, eta=draw(st.sampled_from([0.1, 2.0])),
+                          settlement=draw(st.sampled_from(["updated", "current"])))
+    return state, params
+
+
+class TestCapHit:
+    @given(market=random_markets(), seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_cap_hit_matches_the_price_move(self, market, seed):
+        state, params = market
+        _, record = step(state, params, CommitmentParams(), np.random.default_rng(seed))
+        old, new, eta = record.old_price, record.new_price, params.eta
+        if record.cap_hit:
+            assert new == old * math.exp(eta if record.q_p > record.q_s else -eta)
+        else:
+            # |log(new/old)| <= eta, without the rounding of a log
+            assert old * math.exp(-eta) <= new <= old * math.exp(eta)
 
 
 class TestRun:

@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of seeded command outputs at small sizes.
 
-The digests were recorded with the scalar per-replicate sweep that the
-batched kernel replaced. Any change to a seeded output, however small,
-changes the digest.
+The sweep digests were recorded with the scalar per-replicate sweep that
+the batched kernel replaced; the digests of the other commands were
+recorded before the scalar step was reduced to one capped impact path. Any
+change to a seeded output, however small, changes the digest.
 """
 
 import hashlib
@@ -32,10 +33,57 @@ GOLDEN_SWEEPS = {
         "fd6c13bace75562543ceed2d3b5a93a4a3f24af982e88d17295e641522508d17"),
 }
 
+# a Val/Mo/Rand market whose records cover q_p, q_s, executed and cap_hit
+RUN = ["run", "--mo", "0.3", "--rand", "0.3", "--rand-mode", "refined",
+       "--horizon", "120", "--seed", "4"]
+
+GOLDEN_COMMANDS = {
+    "run, ratio impact, updated settlement": (
+        [*RUN, "--impact", "ratio", "--settlement", "updated"],
+        {"run.csv": "504cf5e5556ef42137b559f9565ac4599e8fb85cc670a7bff7a42410cd493d14"}),
+    "run, ratio impact, current settlement": (
+        [*RUN, "--impact", "ratio", "--settlement", "current"],
+        {"run.csv": "1216a4369a4499fa4722473738370adf5cc4e632589243423e2bfb6de2b8c0e6"}),
+    "run, power-law impact, updated settlement": (
+        [*RUN, "--impact", "powerlaw", "--zeta", "0.8", "--settlement", "updated"],
+        {"run.csv": "10a9d8ca32dd40a78a260a2b517f80b636aa47574d490ba098fd50ef55e16e03"}),
+    "run, power-law impact, current settlement": (
+        [*RUN, "--impact", "powerlaw", "--zeta", "0.8", "--settlement", "current"],
+        {"run.csv": "12be7f66c6f4933737265c7c89ea09ecfa081f6a22b04eb9fad91ca74551e611"}),
+    "grid": (
+        ["grid", "--cells", "2", "--seed", "3"],
+        {"grid.csv": "50c43c98366287150d98cd68f4cf9a73e7f182175082e8688400c64da37c7cd4"}),
+    "impact": (
+        ["impact", "--seed", "3"],
+        {"impact.json": "3deb48b94d5478818bb7623d226fc17edff098ab9600d7d915a7fc0b1351008a"}),
+    "multival": (
+        ["multival", "--multival-n-vals", "4", "--multival-horizon", "200", "--seed", "5"],
+        {"multival_run.csv":
+             "e90439776564dc4f866799388100201cae1ba51ab54a38c07f773d4ecfe38f55",
+         "multival_histogram.csv":
+             "5bafd939cdcca9758f7bb0bf44746528ca88d82c2f3a0a35d5b3d96a5eec56d1"}),
+    "estimate": (
+        ["estimate", "--n", "50", "--reps", "400", "--seed", "6"],
+        {"estimator.json": "c8af77639b522213e98a4df78b496e50fdec4bf2540ebd98903f8d3541105ad4"}),
+    "analyze": (
+        ["analyze", "--csv"],
+        {"analysis.csv": "5a9c1abbf841f1cf40478a8b72d7ab0fa454f75ccd4f5d67f6acf07e8e44bda0"}),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
 def test_sweep_csv_matches_golden_digest(name, tmp_path, capsys):
     argv, digest = GOLDEN_SWEEPS[name]
     assert cli.main([*SWEEP, *argv, "--out", str(tmp_path)]) == 0
-    data = (tmp_path / "ternary.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert sha256(tmp_path / "ternary.csv") == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_outputs_match_golden_digests(name, tmp_path, capsys):
+    argv, digests = GOLDEN_COMMANDS[name]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert {f: sha256(tmp_path / f) for f in digests} == digests

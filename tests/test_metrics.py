@@ -9,8 +9,7 @@ from valtrack.errors import ConfigError, DomainError
 from valtrack.metrics import (CrashPredicate, detect_boom, detect_crash,
                               estimator_mc, is_tracking, max_relative_drop,
                               price_level_histogram, tau, tau_hat,
-                              tau_hat_median, tau_hat_predicted_std,
-                              tau_hat_weighted)
+                              tau_hat_predicted_std)
 
 
 class TestTau:
@@ -130,14 +129,6 @@ class TestTauHat:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             tau_hat([], 1.0)
-
-    def test_weighted_variant_prefers_low_variance(self):
-        # all weight on the first valuation as its variance vanishes
-        est = tau_hat_weighted([1.0, 4.0], [1e-9, 1e3], 1.0)
-        assert est == pytest.approx(0.0, abs=1e-3)
-
-    def test_median_variant_ignores_one_outlier(self):
-        assert tau_hat_median([1.0, 1.0, 50.0], 1.0) == 0.0
 
 
 class TestPredictedStd:

@@ -160,10 +160,10 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
     assert sums.tolist() == [math.fsum(row) for row in rows]
 
 
-def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2):
-    traders = [Trader(0.8, 3.2, "val"), Trader(mo_cash, 0.8, "mo")]
+def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2):
+    traders = [Trader(val_cash, val_asset, "val"), Trader(mo_cash, 0.8, "mo")]
     return MarketState(price=price, momentum=momentum, time=0, traders=traders,
-                       total_cash=0.8 + mo_cash, total_asset=4.0)
+                       total_cash=val_cash + mo_cash, total_asset=val_asset + 0.8)
 
 
 @pytest.mark.parametrize("state, params", [
@@ -173,11 +173,17 @@ def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2):
     (bad_state(momentum=math.inf), MarketParams()),
     (bad_state(momentum=0.001, mo_cash=-1.0), MarketParams()),
     (bad_state(), MarketParams(eta=1000.0)),
+    (bad_state(price=0.0), MarketParams()),
+    (bad_state(val_cash=math.nan), MarketParams()),
+    (bad_state(val_asset=-1.0), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
-        "negative bid", "price underflows to 0"])
+        "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
+        "negative asset"])
 def test_kernel_raises_where_the_scalar_engine_raises(state, params):
     with pytest.raises(InvalidInputError):
         engine.run(state, params, CommitmentParams(), seed=0)
+    with pytest.raises(InvalidInputError):
+        engine.step(state, params, CommitmentParams())
     good = bad_state()
     with pytest.raises(InvalidInputError):
         engine.run_summaries([good, state], params, CommitmentParams(), [0, 1],
