@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .params import CommitmentParams, MarketParams
 from .traders import MarketState, PopulationSpec, Trader, init_population
-from .engine import RunResult, StepOrders, StepRecord, run, step
+from .engine import RunResult, StepRecord, crash_step, run, step
 from .analysis import (AnalysisConstants, FixedPointReport, ReducedState,
                        alpha_fixed_points, beta_fixed_points,
                        mo_crash_threshold_analytic, reduce, reduced_step)
@@ -14,8 +14,8 @@ from .metrics import (CrashPredicate, EstimatorReport, estimator_mc,
 
 __all__ = [
     "CommitmentParams", "MarketParams", "MarketState", "PopulationSpec",
-    "Trader", "init_population", "RunResult", "StepOrders", "StepRecord",
-    "run", "step", "AnalysisConstants", "FixedPointReport", "ReducedState",
+    "Trader", "init_population", "RunResult", "StepRecord", "run", "step",
+    "crash_step", "AnalysisConstants", "FixedPointReport", "ReducedState",
     "alpha_fixed_points", "beta_fixed_points", "mo_crash_threshold_analytic",
     "reduce", "reduced_step", "CrashPredicate", "EstimatorReport",
     "estimator_mc", "detect_boom", "detect_crash", "max_relative_drop",

@@ -17,15 +17,19 @@ moves the price at the cap; zero flow on both sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state where it
-enters `run`, `step` or `run_summaries`. Inside the loop a step checks only
-what a valid state does not guarantee: a finite order flow >= 0 and a
-finite new price > 0. Both engines raise InvalidInputError on the same
-inputs.
+enters `run`, `step`, `crash_step` or `run_summaries`. Inside the loop a
+step checks only what a valid state does not guarantee: a finite order
+flow >= 0 and a finite new price > 0. Both engines raise
+InvalidInputError on the same inputs.
 
-Two engines share these rules. `run` steps one market and records every
-step; `run_summaries` steps a batch of independent runs in lockstep as
-numpy arrays and keeps only what a sweep reads of each run. The batched
-kernel reproduces `run` bit for bit, and `run` is its test oracle.
+Two engines share these rules. The scalar one steps a private copy of
+its state in place, one step body for all its entry points: `step`
+returns a new state and leaves its input as it was, `run` records every
+step, and `crash_step` keeps no history and returns only what a threshold
+bisection reads, run(..., stop_at_crash=True).crash_step. `run_summaries`
+steps a batch of independent runs in lockstep as numpy arrays and keeps
+only what a sweep reads of each run. The batched kernel reproduces `run`
+bit for bit, and `run` is its test oracle.
 """
 
 import math
@@ -37,26 +41,9 @@ import numpy as np
 from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .traders import RAND_REFINED, MarketState, batch_layout, trader_orders
+from .traders import KIND_RAND, RAND_REFINED, MarketState, batch_layout, trader_orders
 
 PRICE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class StepOrders:
-    """Per-trader orders for one step plus their aggregates.
-
-    bids[i] is trader i's cash bid, offers[i] its asset offer; total_bid is
-    the total bid cash, q_p that total converted to asset units at the
-    prevailing price, q_s the total asset offered. The totals are exact
-    (math.fsum) sums, taken once per step.
-    """
-
-    bids: tuple
-    offers: tuple
-    total_bid: float
-    q_p: float
-    q_s: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,21 +118,22 @@ def update_momentum(m: float, p: float, p_new: float, mu: float) -> float:
     return mu * math.log(p_new / p) + (1.0 - mu) * m
 
 
-def settle(state: MarketState, orders: StepOrders, p_settle: float) -> MarketState:
-    """Exchange cash and asset at p_settle.
+def settle(traders, bids, offers, total_bid, q_s, p_settle) -> None:
+    """Exchange cash and asset at p_settle, in place on the traders.
 
-    Bids stay fixed in cash and convert to asset demand at p_settle; offers
-    stay fixed in asset units. When demand and supply differ, the larger
-    side is scaled down pro-rata to parity. Totals are conserved and no
-    holding goes negative. p_settle must be finite and > 0.
+    bids[i] is trader i's cash bid and offers[i] its asset offer; total_bid
+    and q_s are their exact (math.fsum) totals. Bids stay fixed in cash and
+    convert to asset demand at p_settle; offers stay fixed in asset units.
+    When demand and supply differ, the larger side is scaled down pro-rata
+    to parity. Totals are conserved and no holding goes negative. p_settle
+    must be finite and > 0.
     """
-    new_state = state.copy()
-    demand = orders.total_bid / p_settle
-    if demand <= 0.0 or orders.q_s <= 0.0:
-        return new_state
-    f_buy = min(1.0, orders.q_s / demand)
-    f_sell = min(1.0, demand / orders.q_s)
-    for trader, bid, offer in zip(new_state.traders, orders.bids, orders.offers):
+    demand = total_bid / p_settle
+    if demand <= 0.0 or q_s <= 0.0:
+        return
+    f_buy = min(1.0, q_s / demand)
+    f_sell = min(1.0, demand / q_s)
+    for trader, bid, offer in zip(traders, bids, offers):
         if bid > 0.0:
             paid = bid * f_buy
             trader.cash -= paid
@@ -154,61 +142,51 @@ def settle(state: MarketState, orders: StepOrders, p_settle: float) -> MarketSta
             sold = offer * f_sell
             trader.asset -= sold
             trader.cash += sold * p_settle
-    return new_state
 
 
-def collect_orders(state: MarketState, commitments: CommitmentParams,
-                   rng: np.random.Generator | None) -> StepOrders:
-    """Gather every trader's orders at the prevailing price."""
-    bids = []
-    offers = []
+def _advance(state, params, commitments, rng, record=True):
+    """Step a valid state in place: a checked state that nothing else holds,
+    or the output of a previous step. Returns the step's record if asked."""
+    p, m = state.price, state.momentum
+    bids, offers = [], []
     for trader in state.traders:
-        bid, offer = trader_orders(trader, state.price, state.momentum,
-                                   commitments, rng)
+        bid, offer = trader_orders(trader, p, m, commitments, rng)
         bids.append(bid)
         offers.append(offer)
     total_bid = math.fsum(bids)
-    return StepOrders(tuple(bids), tuple(offers), total_bid,
-                      total_bid / state.price, math.fsum(offers))
+    q_p = total_bid / p
+    q_s = math.fsum(offers)
+    if not (0.0 <= q_p < math.inf and 0.0 <= q_s < math.inf):
+        raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
+    dlog = log_impact(q_p, q_s, params)
+    p_new = p * math.exp(max(-params.eta, min(params.eta, dlog)))
+    if not 0.0 < p_new < math.inf:
+        raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
+    p_settle = p_new if params.settlement == SETTLE_UPDATED else p
+    settle(state.traders, bids, offers, total_bid, q_s, p_settle)
+    state.price = p_new
+    state.momentum = update_momentum(m, p, p_new, params.mu)
+    state.time += 1
+    if record:
+        return StepRecord(state.time, p, p_new, q_p, q_s, min(total_bid / p_settle, q_s),
+                          m, state.momentum, abs(dlog) > params.eta)
 
 
 def step(state: MarketState, params: MarketParams, commitments: CommitmentParams,
          rng: np.random.Generator | None = None) -> tuple[MarketState, StepRecord]:
     """Advance the market by one step; the price updates even when no trade
-    executes. Raises InvalidInputError on a state check_state rejects."""
+    executes. The input state is left as it was. Raises InvalidInputError
+    on a state check_state rejects."""
     check_state(state)
-    return _step(state, params, commitments, rng)
-
-
-def _step(state: MarketState, params: MarketParams, commitments: CommitmentParams,
-          rng: np.random.Generator | None) -> tuple[MarketState, StepRecord]:
-    """step() on a state known to be valid: a checked initial state or the
-    output of a previous step."""
-    orders = collect_orders(state, commitments, rng)
-    if not (0.0 <= orders.q_p < math.inf and 0.0 <= orders.q_s < math.inf):
-        raise InvalidInputError(f"order flow must be finite and >= 0, got {orders.q_p}, {orders.q_s}")
-    dlog = log_impact(orders.q_p, orders.q_s, params)
-    p_new = state.price * math.exp(max(-params.eta, min(params.eta, dlog)))
-    if not 0.0 < p_new < math.inf:
-        raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
-    p_settle = p_new if params.settlement == SETTLE_UPDATED else state.price
-    new_state = settle(state, orders, p_settle)
-    m_new = update_momentum(state.momentum, state.price, p_new, params.mu)
-    new_state.price = p_new
-    new_state.momentum = m_new
-    new_state.time = state.time + 1
-    record = StepRecord(time=new_state.time, old_price=state.price,
-                        new_price=p_new, q_p=orders.q_p, q_s=orders.q_s,
-                        executed=min(orders.total_bid / p_settle, orders.q_s),
-                        momentum_before=state.momentum, momentum_after=m_new,
-                        cap_hit=abs(dlog) > params.eta)
-    return new_state, record
+    new_state = state.copy()
+    return new_state, _advance(new_state, params, commitments, rng)
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
         seed: int, crash: "metrics.CrashPredicate | None" = None,
         stop_at_crash: bool = False) -> RunResult:
-    """Run params.horizon steps from the initial state.
+    """Run params.horizon steps from the initial state, stepping one private
+    copy of it in place.
 
     Identical seed and configuration give a bit-identical result. A run
     aborts (and counts as a crash) if the price falls below the 1e-12
@@ -222,14 +200,13 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     prices = [state.price]
     momenta = [state.momentum]
     wealth = [[t.wealth(state.price) for t in state.traders]]
-    records: list[StepRecord] = []
+    records = []
     aborted = False
     for _ in range(params.horizon):
-        state, record = _step(state, params, commitments, rng)
+        records.append(_advance(state, params, commitments, rng))
         prices.append(state.price)
         momenta.append(state.momentum)
         wealth.append([t.wealth(state.price) for t in state.traders])
-        records.append(record)
         if state.price < PRICE_FLOOR:
             aborted = True
             break
@@ -241,9 +218,32 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
         boom_step = metrics.detect_boom(prices, crash)
     if aborted and crash_step is None:
         crash_step = len(prices) - 1
-    return RunResult(prices=prices, momenta=momenta, wealth=wealth,
-                     records=records, final_state=state,
-                     crash_step=crash_step, boom_step=boom_step, aborted=aborted)
+    return RunResult(prices, momenta, wealth, records, state, crash_step, boom_step, aborted)
+
+
+def crash_step(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
+               seed: int, crash: "metrics.CrashPredicate") -> int | None:
+    """run(initial, params, commitments, seed, crash, stop_at_crash=True)
+    .crash_step, from the same steps but keeping no history.
+
+    The run stops at the first step where the predicate fires or the price
+    floor aborts it; a fire after the predicate's horizon stops the run but
+    is no crash, an abort is one. A start that already satisfies the
+    predicate is a crash at index 0, once the run has stopped.
+    """
+    check_state(initial)
+    state = initial.copy()
+    rand = any(t.kind == KIND_RAND for t in state.traders)
+    rng = np.random.Generator(np.random.PCG64(seed)) if rand else None
+    p0 = state.price
+    start = metrics.detect_crash((p0,), crash)
+    for t in range(1, params.horizon + 1):
+        _advance(state, params, commitments, rng, False)
+        if state.price < PRICE_FLOOR:
+            return t if start is None else start
+        if crash.crash_at(p0, state.price):
+            return t if start is None and (crash.horizon is None or t <= crash.horizon) else start
+    return start
 
 
 # --- replicate-batched summary kernel ------------------------------------------

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import analysis, metrics
-from .engine import RunResult, run, run_summaries
+from .engine import RunResult, crash_step, run, run_summaries
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
 from .params import CommitmentParams, MarketParams
@@ -52,12 +52,10 @@ def _seeded_start(config: ExperimentConfig, task_seed: int):
     return state, mix_seed(task_seed, 1)
 
 
-def run_once(config: ExperimentConfig, seed: int | None = None,
-             stop_at_crash: bool = False) -> RunResult:
+def run_once(config: ExperimentConfig, seed: int | None = None) -> RunResult:
     """One seeded run of the configured population."""
     state, run_seed = _seeded_start(config, config.seed if seed is None else seed)
-    return run(state, config.market, config.commitments, seed=run_seed,
-               crash=config.crash, stop_at_crash=stop_at_crash)
+    return run(state, config.market, config.commitments, seed=run_seed, crash=config.crash)
 
 
 # --- threshold bisection -----------------------------------------------------
@@ -66,8 +64,11 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     """Does the crash predicate fire at momentum-trader wealth share theta?
 
     The valuation side receives the remaining wealth after the configured
-    random-trader share. Deterministic populations use a single run;
-    with a random trader the majority outcome over config.replicates wins.
+    random-trader share. Deterministic populations use a single run; with
+    a random trader or gamma valuations the majority outcome over
+    config.replicates wins, and a tie (an even replicate count split
+    evenly) counts as no crash. Each run is a summary-only
+    engine.crash_step that stops at the crash.
     """
     rand_frac = config.population.rand_frac
     val_frac = 1.0 - theta - rand_frac
@@ -79,9 +80,8 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     reps = config.replicates if stochastic else 1
     crashes = 0
     for rep in range(reps):
-        seed = mix_seed(config.seed, int(round(theta * 1e8)), rep)
-        result = run_once(cfg, seed=seed, stop_at_crash=True)
-        if result.crash_step is not None:
+        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, int(round(theta * 1e8)), rep))
+        if crash_step(state, cfg.market, cfg.commitments, run_seed, cfg.crash) is not None:
             crashes += 1
     return 2 * crashes > reps
 

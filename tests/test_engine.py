@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
-from valtrack.engine import (StepOrders, collect_orders, log_impact, settle,
-                             update_momentum)
+from valtrack import engine
+from valtrack.engine import log_impact, settle, update_momentum
 from valtrack.errors import InvalidInputError
+from valtrack.metrics import CrashPredicate
 
 
 def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
@@ -118,10 +120,10 @@ class TestMomentum:
             0.0002, rel=1e-9)
 
 
-def make_orders(state, bids, offers):
-    total_bid = math.fsum(bids)
-    return StepOrders(tuple(bids), tuple(offers), total_bid,
-                      total_bid / state.price, math.fsum(offers))
+def settle_orders(state, bids, offers, p):
+    """The state after settle exchanges these orders on its traders at p."""
+    settle(state.traders, bids, offers, math.fsum(bids), math.fsum(offers), p)
+    return state
 
 
 class TestSettle:
@@ -132,13 +134,13 @@ class TestSettle:
 
     def test_no_orders_is_identity(self):
         s = self.state()
-        out = settle(s, make_orders(s, [0.0, 0.0], [0.0, 0.0]), 1.0)
+        out = settle_orders(s, [0.0, 0.0], [0.0, 0.0], 1.0)
         assert out.traders[0].cash == 10.0
         assert out.traders[1].asset == 40.0
 
     def test_exact_parity_fills_both_sides(self):
         s = self.state()
-        out = settle(s, make_orders(s, [10.0, 0.0], [0.0, 10.0]), 1.0)
+        out = settle_orders(s, [10.0, 0.0], [0.0, 10.0], 1.0)
         assert out.traders[0].cash == pytest.approx(0.0, abs=1e-15)
         assert out.traders[0].asset == pytest.approx(10.0)
         assert out.traders[1].cash == pytest.approx(10.0)
@@ -147,7 +149,7 @@ class TestSettle:
     def test_prorata_scales_larger_side(self):
         # 10 cash of demand vs 40 asset offered: sell side scaled by 1/4
         s = self.state()
-        out = settle(s, make_orders(s, [10.0, 0.0], [0.0, 40.0]), 1.0)
+        out = settle_orders(s, [10.0, 0.0], [0.0, 40.0], 1.0)
         assert out.traders[0].asset == pytest.approx(10.0)
         assert out.traders[1].asset == pytest.approx(30.0)
         assert out.traders[1].cash == pytest.approx(10.0)
@@ -166,7 +168,7 @@ class TestSettle:
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_nonnegativity(self, bid, offer, p):
         s = self.state()
-        out = settle(s, make_orders(s, [bid, 0.0], [0.0, offer]), p)
+        out = settle_orders(s, [bid, 0.0], [0.0, offer], p)
         assert out.cash_sum() == pytest.approx(10.0, rel=1e-12)
         assert out.asset_sum() == pytest.approx(40.0, rel=1e-12)
         for t in out.traders:
@@ -202,9 +204,11 @@ class TestStep:
 
     def test_case2_price_move_matches_log_order_ratio(self):
         state = two_trader_state(theta=0.3, p0=0.95, m0=-0.001)
-        orders = collect_orders(state, CommitmentParams(), None)
-        expected = state.price * math.exp(
-            max(-0.1, min(0.1, 0.04 * math.log(orders.q_p / orders.q_s))))
+        c = CommitmentParams()
+        val, mo = state.traders
+        q_p = c.kv_buy * val.cash / state.price  # p < u: the Val trader bids
+        q_s = c.km_sell * mo.asset               # m < 0: the Mo trader offers
+        expected = state.price * math.exp(max(-0.1, min(0.1, 0.04 * math.log(q_p / q_s))))
         out, _ = step(state, MarketParams(), CommitmentParams())
         assert out.price == pytest.approx(expected, rel=1e-14)
 
@@ -319,3 +323,141 @@ class TestInvariantSweep:
                 for trader in state.traders:
                     assert trader.cash >= 0.0
                     assert trader.asset >= 0.0
+
+
+class TestInputsStayUnchanged:
+    """Each entry point steps a private copy of its state in place; the
+    state it was given, and that state's traders, stay as they were."""
+
+    def test_step_run_and_crash_step_leave_their_input_unchanged(self):
+        spec = PopulationSpec(val_fracs=(0.3, 0.2), mo_frac=0.3, rand_frac=0.2,
+                              valuation="gamma", rand_mode="refined")
+        state = init_population(spec, m0=-0.001, rng=np.random.default_rng(1))
+        before = copy.deepcopy(state)
+        params = MarketParams(horizon=50)
+        out, _ = step(state, params, CommitmentParams(), np.random.default_rng(2))
+        result = run(state, params, CommitmentParams(), seed=3)
+        engine.crash_step(state, params, CommitmentParams(), 3, CrashPredicate.drop_below(1e-9))
+        assert state == before
+        assert out.traders != before.traders != result.final_state.traders  # they traded
+        given = {id(t) for t in state.traders}
+        assert not given & {id(t) for t in out.traders + result.final_state.traders}
+
+
+# a drop below 1e-13 fires only after the 1e-12 price floor has aborted the run
+CRASH_KINDS = {
+    "drop_below": (CrashPredicate.drop_below, [1e-13, 0.01, 0.5, 0.9]),
+    "relative_drop": (CrashPredicate.relative_drop, [0.05, 0.3]),
+    "deciblack_drop": (CrashPredicate.deciblack_drop, [0.5, 2.0, 5.0]),
+}
+
+
+@st.composite
+def crash_probes(draw):
+    """A seeded Val/Mo/Rand start, market and commitment params and a crash
+    predicate, over every population, impact, settlement and crash kind."""
+    horizon = draw(st.integers(1, 80))
+    mo = draw(st.sampled_from([0.0, 0.1, 0.22, 0.4, 1.0]))
+    rand = draw(st.sampled_from([0.0, 0.1, 0.3])) * (1.0 - mo)
+    n_vals = draw(st.integers(1, 3))
+    spec = PopulationSpec(val_fracs=(max(1.0 - mo - rand, 0.0) / n_vals,) * n_vals,
+                          mo_frac=mo, rand_frac=rand,
+                          valuation=draw(st.sampled_from(["fixed", "gamma"])),
+                          rand_mode=draw(st.sampled_from(["basic", "refined"])),
+                          p0=draw(st.sampled_from([0.005, 0.5, 0.95, 1.0, 1.05])),
+                          rho=draw(st.sampled_from([1.0, 4.0])))
+    seed = draw(st.integers(0, 2**32))
+    state = init_population(spec, m0=draw(st.sampled_from([-0.001, 0.0, 0.001])),
+                            rng=np.random.default_rng(seed))
+    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
+                                         ("powerlaw", 0.8)]))
+    # at eta = 2 a lone momentum seller falls through the price floor
+    params = MarketParams(horizon=horizon, impact=impact, zeta=zeta,
+                          eta=draw(st.sampled_from([0.1, 1.0, 2.0])),
+                          settlement=draw(st.sampled_from(["updated", "current"])))
+    commitments = CommitmentParams(*draw(st.lists(st.floats(0.02, 0.5),
+                                                  min_size=6, max_size=6)))
+    make, values = CRASH_KINDS[draw(st.sampled_from(sorted(CRASH_KINDS)))]
+    crash = make(draw(st.sampled_from(values)),
+                 horizon=draw(st.one_of(st.none(), st.integers(0, horizon - 1))))
+    return state, params, commitments, seed, crash
+
+
+def outcome(fn):
+    """fn()'s value, or the message of the InvalidInputError it raises."""
+    try:
+        return fn()
+    except InvalidInputError as error:
+        return f"InvalidInputError: {error}"
+
+
+def assert_crash_step_matches_run(state, params, commitments, seed, crash):
+    summary = outcome(lambda: engine.crash_step(state, params, commitments, seed, crash))
+    full = outcome(lambda: run(state, params, commitments, seed, crash,
+                               stop_at_crash=True).crash_step)
+    assert summary == full
+    return summary
+
+
+class TestCrashStep:
+    """engine.crash_step is run(..., stop_at_crash=True).crash_step without
+    the history."""
+
+    @given(probe=crash_probes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_stopped_at_the_crash(self, probe):
+        assert_crash_step_matches_run(*probe)
+
+    def test_price_floor_abort_is_a_crash(self):
+        # a lone momentum seller at eta = 1 falls through the 1e-12 floor
+        # at step 28, to e^-28 = 6.9e-13, before it falls below 1e-13
+        state = init_population(PopulationSpec(val_fracs=(0.0,), mo_frac=1.0), m0=-0.001)
+        params, crash = MarketParams(eta=1.0, horizon=60), CrashPredicate.drop_below(1e-13, 3)
+        result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
+        assert result.aborted
+        assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
+                                             crash) == len(result.prices) - 1 == 28
+
+    def test_start_below_a_drop_below_level_is_a_crash_at_index_0(self):
+        state = two_trader_state(theta=0.1, p0=0.005)
+        for horizon in (None, 0, 5):
+            crash = CrashPredicate.drop_below(0.01, horizon)
+            assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(),
+                                                 0, crash) == 0
+
+    def test_a_crash_after_the_predicate_horizon_stops_the_run_but_does_not_count(self):
+        state = two_trader_state(theta=0.3)
+        crash = CrashPredicate.deciblack_drop()
+        fired = engine.crash_step(state, MarketParams(), CommitmentParams(), 0, crash)
+        assert 0 < fired < MarketParams().horizon
+        late = CrashPredicate.deciblack_drop(horizon=fired - 1)
+        stopped = run(state, MarketParams(), CommitmentParams(), 0, late, stop_at_crash=True)
+        assert len(stopped.prices) - 1 == fired
+        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(),
+                                             0, late) is None
+
+
+def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2):
+    traders = [Trader(val_cash, val_asset, "val"), Trader(mo_cash, 0.8, "mo")]
+    return market_state(price, traders, momentum)
+
+
+@pytest.mark.parametrize("state, params", [
+    (invalid_state(price=math.nan), MarketParams()),
+    (invalid_state(price=math.inf), MarketParams()),
+    (invalid_state(momentum=math.nan), MarketParams()),
+    (invalid_state(momentum=math.inf), MarketParams()),
+    (invalid_state(momentum=0.001, mo_cash=-1.0), MarketParams()),
+    (invalid_state(), MarketParams(eta=1000.0)),
+    (invalid_state(price=0.0), MarketParams()),
+    (invalid_state(val_cash=math.nan), MarketParams()),
+    (invalid_state(val_asset=-1.0), MarketParams()),
+], ids=["nan price", "inf price", "nan momentum", "inf momentum",
+        "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
+        "negative asset"])
+def test_crash_step_raises_where_run_raises(state, params):
+    crash = CrashPredicate.relative_drop(0.3)
+    with pytest.raises(InvalidInputError):
+        engine.crash_step(state, params, CommitmentParams(), 0, crash)
+    assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
+                                         crash).startswith("InvalidInputError")

@@ -2,8 +2,10 @@
 
 The sweep digests were recorded with the scalar per-replicate sweep that
 the batched kernel replaced; the digests of the other commands were
-recorded before the scalar step was reduced to one capped impact path. Any
-change to a seeded output, however small, changes the digest.
+recorded before the scalar step was reduced to one capped impact path,
+and the current-settlement grid and stochastic impact digests before the
+bisection probes became summary-only (engine.crash_step). Any change to a
+seeded output, however small, changes the digest.
 """
 
 import hashlib
@@ -53,9 +55,16 @@ GOLDEN_COMMANDS = {
     "grid": (
         ["grid", "--cells", "2", "--seed", "3"],
         {"grid.csv": "50c43c98366287150d98cd68f4cf9a73e7f182175082e8688400c64da37c7cd4"}),
+    "grid, current settlement": (
+        ["grid", "--cells", "2", "--settlement", "current", "--seed", "3"],
+        {"grid.csv": "80e85dfa58eb9c77ebc5adc0990d8f80ce9c00b3713368739adc6769ea379436"}),
     "impact": (
         ["impact", "--seed", "3"],
         {"impact.json": "3deb48b94d5478818bb7623d226fc17edff098ab9600d7d915a7fc0b1351008a"}),
+    # majority votes over replicates whose random trader draws every step
+    "impact, stochastic bisection": (
+        ["impact", "--rand", "0.1", "--replicates", "3", "--horizon", "120", "--seed", "3"],
+        {"impact.json": "92d4cb75b03848c8886e14ace0a4019886e28abe152f5673f26f217dab617560"}),
     "multival": (
         ["multival", "--multival-n-vals", "4", "--multival-horizon", "200", "--seed", "5"],
         {"multival_run.csv":
