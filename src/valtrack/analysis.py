@@ -143,12 +143,6 @@ def reconstruct(reduced: ReducedState, constants: AnalysisConstants,
     return c_v, q_v, total_cash - c_v, total_asset - q_v
 
 
-def feasible(reduced: ReducedState, constants: AnalysisConstants) -> bool:
-    """Feasibility test for reduced coordinates (holdings in [0, 1])."""
-    return ((reduced.beta + reduced.pi + math.log(constants.b_const))
-            * (reduced.alpha + reduced.pi + math.log(constants.a_const))) <= 0.0
-
-
 def classify_region(pi: float, m: float) -> str:
     """Sign-based case classification; exact zeros are boundary states."""
     if not (math.isfinite(pi) and math.isfinite(m)):

@@ -35,6 +35,7 @@ bit for bit, and `run` is its test oracle.
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ from .traders import KIND_RAND, RAND_REFINED, MarketState, batch_layout, trader_
 PRICE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Audit record of one step, used for tests and CSV output."""
 
     time: int
@@ -204,13 +204,15 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     aborted = False
     for _ in range(params.horizon):
         records.append(_advance(state, params, commitments, rng))
-        prices.append(state.price)
+        p = state.price
+        prices.append(p)
         momenta.append(state.momentum)
-        wealth.append([t.wealth(state.price) for t in state.traders])
-        if state.price < PRICE_FLOOR:
+        # Trader.wealth(p), without a method call per trader
+        wealth.append([t.cash + t.asset * p for t in state.traders])
+        if p < PRICE_FLOOR:
             aborted = True
             break
-        if stop_at_crash and crash is not None and crash.crash_at(prices[0], state.price):
+        if stop_at_crash and crash is not None and crash.crash_at(prices[0], p):
             break
     crash_step = boom_step = None
     if crash is not None:

@@ -7,7 +7,6 @@ of worker count or scheduling. Aggregation is keyed by task index.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import analysis, metrics
@@ -46,9 +45,11 @@ class ExperimentConfig:
 
 
 def _seeded_start(config: ExperimentConfig, task_seed: int):
-    """(initial state, engine seed) of the run with this task seed."""
+    """(initial state, engine seed) of the run with this task seed. Only
+    gamma valuations draw from the population stream, so only they build it."""
+    gamma = config.population.valuation == VALUATION_GAMMA
     state = init_population(config.population, m0=config.m0,
-                            rng=rng_for(task_seed, 0))
+                            rng=rng_for(task_seed, 0) if gamma else None)
     return state, mix_seed(task_seed, 1)
 
 
@@ -219,6 +220,8 @@ def _run_tasks(fn, tasks, workers: int | None):
     """Execute tasks preserving submission order; workers > 1 forks a pool."""
     if workers is None or workers <= 1:
         return [fn(t) for t in tasks]
+    # imported only here: the import takes ~20 ms, which a single worker never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

@@ -25,14 +25,6 @@ def tau(p: float, u: float) -> float:
     return abs(math.log2(p) - math.log2(u))
 
 
-def is_tracking(series, u: float, tol: float) -> bool:
-    """True iff every price in the series stays within tol Blacks of u."""
-    series = list(series)
-    if not series:
-        raise DomainError("empty price series")
-    return all(tau(p, u) <= tol for p in series)
-
-
 def max_relative_drop(series) -> float:
     """Largest drop relative to the starting value: max(0, 1 - min p_t / p_0)."""
     series = list(series)
@@ -66,6 +58,8 @@ class CrashPredicate:
             raise ConfigError("relative_drop fraction must lie in (0, 1)")
         if self.kind == CRASH_DECIBLACK_DROP and self.value <= 0:
             raise ConfigError("deciblack_drop count must be > 0")
+        if self.horizon is not None and self.horizon < 0:
+            raise ConfigError(f"crash horizon must be >= 0, got {self.horizon}")
 
     @classmethod
     def drop_below(cls, level: float = 0.01, horizon: int | None = None):

@@ -102,9 +102,10 @@ def mo_orders(m: float, cash: float, asset: float,
 def rand_orders_basic(cash: float, asset: float, kr_buy: float, kr_sell: float,
                       rng: np.random.Generator) -> tuple[float, float]:
     """Random trader: independent uniform draws on [0, k] scale the cash bid
-    and the asset offer; both sides may be positive at once."""
-    bid = rng.uniform(0.0, kr_buy) * cash
-    offer = rng.uniform(0.0, kr_sell) * asset
+    and the asset offer; both sides may be positive at once. k * random()
+    is rng.uniform(0.0, k) bit for bit, from the same draw."""
+    bid = kr_buy * rng.random() * cash
+    offer = kr_sell * rng.random() * asset
     return bid, offer
 
 
@@ -123,8 +124,8 @@ def rand_orders_refined(cash: float, asset: float, p: float,
     reference = cash + asset_value
     if cash < critical_cash or asset_value < critical_asset:
         reference = min(cash, asset_value)
-    bid = min(rng.uniform(0.0, kr_buy) * reference, cash)
-    offer = min(rng.uniform(0.0, kr_sell) * reference / p, asset)
+    bid = min(kr_buy * rng.random() * reference, cash)
+    offer = min(kr_sell * rng.random() * reference / p, asset)
     return bid, offer
 
 

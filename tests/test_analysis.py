@@ -11,7 +11,7 @@ from valtrack.analysis import (BOUNDARY, CASE_1, CASE_2, CASE_3, CASE_4,
                                ReducedState, alpha_map, alpha_min_location,
                                beta_map, classify_region,
                                crash_sufficient, boom_sufficient,
-                               crash_threshold_formula, feasible, newton_root,
+                               crash_threshold_formula, newton_root,
                                outer_alpha_root, outer_root_window, reconstruct)
 from valtrack.engine import step
 from valtrack.errors import (BoundaryError, ContractError, DegenerateCaseError,
@@ -60,20 +60,6 @@ class TestReduce:
             assert q_v == pytest.approx(val.asset, rel=1e-12, abs=1e-12)
             assert c_m == pytest.approx(mo.cash, rel=1e-12, abs=1e-12)
             assert q_m == pytest.approx(mo.asset, rel=1e-12, abs=1e-12)
-
-    def test_feasibility_product_matches_holdings_range(self):
-        rng = np.random.default_rng(21)
-        consts = default_constants()
-        for _ in range(200):
-            red = ReducedState(pi=rng.uniform(-0.5, 0.5), m=0.0,
-                               alpha=rng.uniform(-3, 3), beta=rng.uniform(-3, 3))
-            try:
-                c_v, q_v, c_m, q_m = reconstruct(red, consts, 1.0, 4.0)
-            except DegenerateCaseError:
-                continue
-            in_range = (-1e-12 <= c_v <= 1.0 + 1e-12
-                        and -1e-12 <= q_v <= 4.0 + 1e-12)
-            assert in_range == feasible(red, consts)
 
     def test_back_diagonal_is_degenerate(self):
         consts = default_constants()

@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from xml.etree import ElementTree as ET
 
 import pytest
 
+import valtrack
 from valtrack import cli
 from valtrack.config import parse_config, serialize
 from valtrack.errors import ConfigError
@@ -141,6 +147,64 @@ class TestCliCommands:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert cli.main(["run", "--mo", "0.1", "--horizon", "5"]) == 0
         assert (tmp_path / "run.csv").exists()
+
+
+# every command that writes a CSV, with the files it writes
+CSV_COMMANDS = {
+    "run": (["run", "--mo", "0.3", "--rand", "0.3", "--rand-mode", "refined",
+             "--horizon", "40"], ["run.csv"]),
+    "sweep": (["sweep", "--resolution", "2", "--sweep-replicates", "2", "--m0", "0"],
+              ["ternary.csv"]),
+    "grid": (["grid", "--cells", "2", "--settlement", "current"], ["grid.csv"]),
+    "multival": (["multival", "--multival-n-vals", "3", "--multival-horizon", "50"],
+                 ["multival_histogram.csv", "multival_run.csv"]),
+    "analyze": (["analyze", "--csv"], ["analysis.csv"]),
+}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("name", sorted(CSV_COMMANDS))
+    def test_files_parse_back_to_the_rows_their_producer_yielded(self, name, tmp_path,
+                                                                 monkeypatch, capsys):
+        argv, files = CSV_COMMANDS[name]
+        produced = {}
+        write_csv = cli._write_csv
+
+        def recording_write_csv(path, rows):
+            rows = [list(row) for row in rows]
+            produced[os.path.basename(path)] = rows
+            write_csv(path, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert sorted(produced) == files
+        for file, rows in produced.items():
+            with open(tmp_path / file, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == rows
+            expected = io.StringIO(newline="")
+            csv.writer(expected).writerows(rows)
+            assert (tmp_path / file).read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    """main() reuses one parser per process; overrides of one call must not
+    leak into the next."""
+    calls = {"with overrides": ["run", "--set", "market.horizon=30", "--mo", "0.25",
+                                "--rand", "0.25", "--seed", "5"],
+             "without": ["run"]}
+    for name, argv in calls.items():
+        assert cli.main([*argv, "--out", str(tmp_path / "in_process" / name)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(valtrack.__file__)))
+    for name, argv in calls.items():
+        subprocess.run([sys.executable, "-m", "valtrack.cli", *argv,
+                        "--out", str(tmp_path / "fresh" / name)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    for name in calls:
+        in_process, fresh = tmp_path / "in_process" / name, tmp_path / "fresh" / name
+        files = sorted(f.name for f in in_process.iterdir())
+        assert files == sorted(f.name for f in fresh.iterdir()) == ["run.csv", "run.csv.meta.json"]
+        for file in files:
+            assert (in_process / file).read_bytes() == (fresh / file).read_bytes()
 
 
 class TestSvg:

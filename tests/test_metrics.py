@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from valtrack.errors import ConfigError, DomainError
 from valtrack.metrics import (CrashPredicate, detect_boom, detect_crash,
-                              estimator_mc, is_tracking, max_relative_drop,
+                              estimator_mc, max_relative_drop,
                               price_level_histogram, tau, tau_hat,
                               tau_hat_predicted_std)
 
@@ -42,20 +42,6 @@ class TestTau:
         value_after_fall = u * 2.0 ** -0.3
         price = value_after_fall * 2.0 ** -0.2
         assert tau(price, u) == pytest.approx(0.5, rel=1e-12)
-
-
-class TestIsTracking:
-    def test_constant_series_tracks(self):
-        assert is_tracking([1.0, 1.0, 1.0], 1.0, 0.0)
-
-    def test_factor_two_excursion_needs_full_black(self):
-        series = [1.0, 2.0, 1.0]
-        assert not is_tracking(series, 1.0, 0.9)
-        assert is_tracking(series, 1.0, 1.0)
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(DomainError):
-            is_tracking([], 1.0, 0.5)
 
 
 class TestMaxRelativeDrop:
@@ -112,6 +98,10 @@ class TestDetectors:
             CrashPredicate.drop_below(-1.0)
         with pytest.raises(ConfigError):
             CrashPredicate("nonsense", 0.5)
+        # a negative horizon would detect nothing
+        with pytest.raises(ConfigError, match="horizon"):
+            CrashPredicate.drop_below(0.5, horizon=-1)
+        assert detect_crash([0.1, 1.0], CrashPredicate.drop_below(0.5, horizon=0)) == 0
 
 
 class TestTauHat:

@@ -114,6 +114,41 @@ class TestRandRefined:
         assert 0.0 <= offer <= asset
 
 
+def uniform_basic(cash, asset, kr_buy, kr_sell, rng):
+    """rand_orders_basic as written with Generator.uniform."""
+    return rng.uniform(0.0, kr_buy) * cash, rng.uniform(0.0, kr_sell) * asset
+
+
+def uniform_refined(cash, asset, p, critical_cash, critical_asset, kr_buy, kr_sell, rng):
+    """rand_orders_refined as written with Generator.uniform."""
+    asset_value = asset * p
+    reference = cash + asset_value
+    if cash < critical_cash or asset_value < critical_asset:
+        reference = min(cash, asset_value)
+    return (min(rng.uniform(0.0, kr_buy) * reference, cash),
+            min(rng.uniform(0.0, kr_sell) * reference / p, asset))
+
+
+class TestRandDraws:
+    @given(seed=st.integers(0, 2**64 - 1), cash=st.floats(0, 1e6), asset=st.floats(0, 1e6),
+           p=st.floats(1e-6, 1e6), cash_floor=st.floats(0, 2), asset_floor=st.floats(0, 2),
+           kb=st.floats(0, 1), ks=st.floats(0, 1), calls=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_match_generator_uniform_bit_for_bit(self, seed, cash, asset, p, cash_floor,
+                                                 asset_floor, kb, ks, calls):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        oracle = np.random.Generator(np.random.PCG64(seed))
+        # floors up to twice the holding reach both reference branches
+        floors = (cash_floor * cash, asset_floor * asset * p)
+        for _ in range(calls):
+            got = (*rand_orders_basic(cash, asset, kb, ks, rng),
+                   *rand_orders_refined(cash, asset, p, *floors, kb, ks, rng))
+            want = (*uniform_basic(cash, asset, kb, ks, oracle),
+                    *uniform_refined(cash, asset, p, *floors, kb, ks, oracle))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 class TestSampleGamma:
     def test_moments_of_gamma_8_8(self):
         rng = np.random.default_rng(2024)
