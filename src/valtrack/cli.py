@@ -5,10 +5,11 @@ Every output file gets a JSON sidecar (<name>.meta.json) carrying the full
 resolved configuration, the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
 The sweep sidecar also has a "telemetry" key (runs, steps, aborted runs,
-wall time, steps/s) that changes between runs; it is not part of the
-reproducible output.
+engine batches and the widest batch's runs, wall time, steps/s) that
+changes between runs; it is not part of the reproducible output.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.
+Exit codes: 0 success, 2 configuration error, 3 any other valtrack error
+(numeric failure, invalid input, domain error).
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import __version__, analysis, config as config_mod, experiments, metrics, svg
+from . import __version__, analysis, config as config_mod, experiments, metrics
 from .errors import ConfigError, NumericError, ValtrackError
 
 OUTDIR_ENV = "VALTRACK_OUTDIR"
@@ -178,6 +179,7 @@ def cmd_run(args, cfg) -> int:
     _write_csv(out, experiments.run_csv_rows(result))
     _write_sidecar(out, cfg, args)
     if args.svg:
+        from . import svg  # only --svg needs it and its xml import
         doc = svg.render_series_svg(result.prices, valuation=cfg.population.u)
         with open(os.path.join(_outdir(args), args.svg), "w", encoding="utf-8") as fh:
             fh.write(doc)
@@ -200,11 +202,13 @@ def cmd_sweep(args, cfg) -> int:
     out = os.path.join(_outdir(args), "ternary.csv")
     _write_csv(out, experiments.ternary_csv_rows(grid))
     telemetry = {"runs": grid.runs, "steps": grid.steps,
-                 "aborted_runs": grid.aborted_runs, "wall_s": wall,
+                 "aborted_runs": grid.aborted_runs, "batches": grid.batches,
+                 "batch_runs": grid.batch_runs, "wall_s": wall,
                  "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
     _write_sidecar(out, cfg, args, {"resolution": resolution, "replicates": replicates,
                                     "telemetry": telemetry})
     if args.svg:
+        from . import svg
         doc = svg.render_ternary_svg(grid, metric=args.metric)
         with open(os.path.join(_outdir(args), args.svg), "w", encoding="utf-8") as fh:
             fh.write(doc)

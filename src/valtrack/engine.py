@@ -42,7 +42,7 @@ import numpy as np
 from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .traders import KIND_RAND, RAND_REFINED, MarketState, batch_layout, trader_orders
+from .traders import KIND_RAND, MarketState, batch_layout, batch_orders, trader_orders
 
 PRICE_FLOOR = 1e-12
 
@@ -252,14 +252,21 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 #
 # run_summaries matches run bit for bit because it keeps the scalar path's
 # arithmetic, not just its formulas:
+#   - orders come from traders.batch_orders, the scalar rules as arrays;
 #   - every row sum equals math.fsum of the row (_exact_row_sums);
 #   - exp, log and ** are the libm calls the scalar path makes, applied one
 #     element at a time (_libm); numpy's vectorised exp and log round
 #     differently from libm on a few percent of inputs;
 #   - each run draws from its own PCG64 stream the uniforms its scalar run
-#     would draw, in blocks of _RNG_BLOCK_STEPS steps to bound memory;
+#     would draw, _RNG_BLOCK_STEPS steps at a time: one random_raw call per
+#     stream per block, where drawing the whole horizon at once would hold
+#     about 4 KiB more per run;
 #   - each expression keeps the scalar left-to-right order, and min/max
-#     become comparisons and np.where, which pick the same operand.
+#     become comparisons and np.where, which pick the same operand;
+#   - crash and boom come from the lowest and highest price up to the
+#     predicate's horizon: crash_at and boom_at compare the price, or
+#     price / p0 which rounds monotonically in it, so a predicate fires at
+#     some step iff it fires at that extreme.
 # Traders a run lacks are padded as zero-holding traders: they add exactly
 # 0.0 to every sum and never trade.
 #
@@ -268,7 +275,7 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 # faults in another 64-128 KiB of numpy's machine code, and peak RSS is one
 # of the sweep's end-to-end costs.
 
-_RNG_BLOCK_STEPS = 8
+_RNG_BLOCK_STEPS = 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53: numpy's uint64 -> [0, 1) map
 
 
@@ -313,13 +320,15 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
     if not errors:
         return s.copy()
     tail = errors[0]
-    inexact = np.zeros(len(s), dtype=bool)
+    rounded = []
     for e in errors[1:]:
         tail, f = _two_sum(tail, e)
-        inexact = np.where(f != 0.0, True, inexact)
+        rounded.append(f)
     total = s + tail
-    for i in np.flatnonzero(inexact):
-        total[i] = math.fsum(x[i].tolist())
+    for f in rounded:
+        if np.count_nonzero(f):
+            for i in np.flatnonzero(f):
+                total[i] = math.fsum(x[i].tolist())
     return total
 
 
@@ -344,10 +353,8 @@ def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
     """The next 2 * steps uniforms on [0, 1) of each stream, one row per
     stream, as Generator.random() returns them; k * u is uniform(0, k).
     A run without a random trader has no stream (None) and gets zeros."""
-    raw = np.zeros((len(bitgens), 2 * steps), dtype=np.uint64)
-    for row, bitgen in zip(raw, bitgens):
-        if bitgen is not None:
-            row[:] = bitgen.random_raw(2 * steps)
+    none = np.zeros(2 * steps, dtype=np.uint64)
+    raw = np.array([none if b is None else b.random_raw(2 * steps) for b in bitgens])
     np.right_shift(raw, 11, out=raw)
     return raw * _DOUBLE_UNIT
 
@@ -369,9 +376,6 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         check_state(state)
     n_runs = len(initials)
     cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(initials)
-    n_vals = valuations.shape[1]
-    mo, rand = n_vals, n_vals + 1
-    c = commitments
     horizon, eta, mu = params.horizon, params.eta, params.mu
     one_minus_mu = 1.0 - mu
 
@@ -379,14 +383,11 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     m = np.array([s.momentum for s in initials], dtype=float)
     p0 = p.copy()
     low = p.copy()
+    high = p.copy()  # up to the predicate's horizon
+    seen_low = low  # low up to the predicate's horizon
     detect_until = -1
     if crash is not None:
         detect_until = horizon if crash.horizon is None else min(horizon, crash.horizon)
-    if detect_until >= 0:
-        crashed = crash.crash_at(p0, p)
-        boomed = crash.boom_at(p0, p)
-    else:
-        crashed = boomed = np.zeros(n_runs, dtype=bool)
 
     out_low = np.empty(n_runs)
     out_crashed = np.zeros(n_runs, dtype=bool)
@@ -395,42 +396,27 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     out_steps = np.full(n_runs, horizon)
     rows = np.arange(n_runs)
     bitgens = [np.random.PCG64(s) if r else None for s, r in zip(seeds, rand_rows)]
-    draws = None
+    draws = uniforms = None
+    # order flow: row i holds run i's bids and row n + i its offers; only
+    # retiring runs changes its shape
+    flow = np.zeros((2 * n_runs, cash.shape[1]))
 
     for t in range(1, horizon + 1):
-        # orders at the prevailing price
-        bids = np.zeros_like(cash)
-        offers = np.zeros_like(asset)
-        bids[:, :n_vals] = np.where(p[:, None] < valuations, c.kv_buy * cash[:, :n_vals], 0.0)
-        offers[:, :n_vals] = np.where(p[:, None] > valuations,
-                                      c.kv_sell * asset[:, :n_vals], 0.0)
-        bids[:, mo] = np.where(m > 0.0, c.km_buy * cash[:, mo], 0.0)
-        offers[:, mo] = np.where(m < 0.0, c.km_sell * asset[:, mo], 0.0)
+        n = len(p)
         if rand_mode is not None:
             k = (t - 1) % _RNG_BLOCK_STEPS
             if k == 0:
                 draws = _draw_uniforms(bitgens, min(_RNG_BLOCK_STEPS, horizon - t + 1))
-            u_bid = c.kr_buy * draws[:, 2 * k]
-            u_offer = c.kr_sell * draws[:, 2 * k + 1]
-            r_cash, r_asset = cash[:, rand], asset[:, rand]
-            if rand_mode == RAND_REFINED:
-                r_value = r_asset * p
-                below = np.where(r_cash < critical[:, 0], True, r_value < critical[:, 1])
-                reference = np.where(below, np.where(r_value < r_cash, r_value, r_cash),
-                                     r_cash + r_value)
-                bid = u_bid * reference
-                offer = u_offer * reference / p
-                bids[:, rand] = np.where(r_cash < bid, r_cash, bid)
-                offers[:, rand] = np.where(r_asset < offer, r_asset, offer)
-            else:
-                bids[:, rand] = u_bid * r_cash
-                offers[:, rand] = u_offer * r_asset
-        totals = _exact_row_sums(np.concatenate((bids, offers)))
-        total_bid, total_offer = totals[:len(p)], totals[len(p):]
-        q_p = total_bid / p
-        q_s = total_offer
-        _require_valid(q_p, False, "q_p")
-        _require_valid(q_s, False, "q_s")
+            uniforms = draws[:, 2 * k:2 * k + 2]
+        bids, offers = flow[:n], flow[n:]
+        batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mode,
+                     uniforms, commitments)
+        totals = _exact_row_sums(flow)
+        total_bid = totals[:n]
+        q = totals.copy()
+        q[:n] /= p
+        _require_valid(q, False, "order flow")
+        q_p, q_s = q[:n], q[n:]
 
         # price impact, capped at eta; one-sided flow moves at the cap
         if params.impact == IMPACT_RATIO:
@@ -452,37 +438,41 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         # settlement: the larger side is scaled down pro-rata to parity
         p_settle = p_new if params.settlement == SETTLE_UPDATED else p
         demand = total_bid / p_settle
-        trade = np.where(demand > 0.0, total_offer > 0.0, False)
-        f_buy = total_offer / np.where(trade, demand, 1.0)
-        f_sell = demand / np.where(trade, total_offer, 1.0)
-        f_buy = np.where(f_buy < 1.0, f_buy, 1.0)[:, None]
-        f_sell = np.where(f_sell < 1.0, f_sell, 1.0)[:, None]
-        trade = trade[:, None]
-        paid = np.where(np.where(trade, bids > 0.0, False), bids * f_buy, 0.0)
-        sold = np.where(np.where(trade, offers > 0.0, False), offers * f_sell, 0.0)
-        cash = (cash - paid) + sold * p_settle[:, None]
-        asset = (asset + paid / p_settle[:, None]) - sold
+        trade = np.where(demand > 0.0, q_s > 0.0, False)
+        # no trade leaves both factors 0, and a zero order times a finite
+        # factor pays and sells exactly 0.0, so every row settles at once
+        f_buy = np.where(trade, q_s, 0.0) / np.where(trade, demand, 1.0)
+        f_sell = np.where(trade, demand, 0.0) / np.where(trade, q_s, 1.0)
+        paid = bids * np.where(f_buy < 1.0, f_buy, 1.0)[:, None]
+        sold = offers * np.where(f_sell < 1.0, f_sell, 1.0)[:, None]
+        p_settle = p_settle[:, None]
+        cash -= paid
+        cash += sold * p_settle
+        asset += paid / p_settle
+        asset -= sold
 
         m = mu * _libm(math.log, p_new / p) + one_minus_mu * m
         p = p_new
         low = np.where(p < low, p, low)
         if t <= detect_until:
-            crashed = np.where(crashed, True, crash.crash_at(p0, p))
-            boomed = np.where(boomed, True, crash.boom_at(p0, p))
+            seen_low = low
+            high = np.where(p > high, p, high)
 
         floored = p < PRICE_FLOOR
         if np.count_nonzero(floored):
             done = rows[floored]
             out_low[done] = low[floored]
             out_crashed[done] = True
-            out_boomed[done] = boomed[floored]
+            if crash is not None:
+                out_boomed[done] = crash.boom_at(p0, high)[floored]
             out_aborted[done] = True
             out_steps[done] = t
             keep = p >= PRICE_FLOOR
             rows, p, m, p0, low = rows[keep], p[keep], m[keep], p0[keep], low[keep]
-            crashed, boomed = crashed[keep], boomed[keep]
+            seen_low, high = seen_low[keep], high[keep]
             cash, asset = cash[keep], asset[keep]
             valuations, critical = valuations[keep], critical[keep]
+            flow = np.zeros((2 * len(rows), flow.shape[1]))
             bitgens = [b for b, kept in zip(bitgens, keep.tolist()) if kept]
             if draws is not None:
                 draws = draws[keep]
@@ -490,6 +480,7 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
                 break
 
     out_low[rows] = low
-    out_crashed[rows] = crashed
-    out_boomed[rows] = boomed
+    if crash is not None:
+        out_crashed[rows] = crash.crash_at(p0, seen_low)
+        out_boomed[rows] = crash.boom_at(p0, high)
     return RunSummaries(out_low, out_crashed, out_boomed, out_aborted, out_steps)

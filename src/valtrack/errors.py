@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericError to exit code 3;
-everything else is a plain failure.
+The CLI maps ConfigError to exit code 2 and every other ValtrackError,
+NumericError included, to exit code 3. Any other exception is a bug and
+propagates with its traceback.
 """
 
 

@@ -23,8 +23,12 @@ FULL_PRESET = {"resolution": 99, "replicates": 100}
 
 # Largest number of sweep runs stepped together by engine.run_summaries. It
 # bounds the batch's arrays and PCG64 streams in memory; results do not
-# depend on it.
-_MAX_BATCH_RUNS = 256
+# depend on it. Wider batches spread numpy's per-call cost over more runs,
+# at about 3.5 KiB per run: the desk sweep (4,620 runs) took a median of
+# 2.56, 1.95, 1.72, 1.54 and 1.42 s at widths 256 to 4,096, with peak RSS
+# 36.5, 37.0, 38.8, 42.3 and 49.7 MiB (BENCH_pr7.json). From 2,048 to
+# 4,096 each added MiB saves a third of what it saved from 1,024 to 2,048.
+_MAX_BATCH_RUNS = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,13 +48,19 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
 
 
-def _seeded_start(config: ExperimentConfig, task_seed: int):
+def _seeded_start(config: ExperimentConfig, task_seed: int, shared=None):
     """(initial state, engine seed) of the run with this task seed. Only
-    gamma valuations draw from the population stream, so only they build it."""
+    gamma valuations draw from the population stream, so only they build it.
+
+    shared is None or the start of another run of this config. Fixed
+    valuations start every run from the same state, so it is returned as
+    is; only a caller that leaves its states unchanged may pass one.
+    """
     gamma = config.population.valuation == VALUATION_GAMMA
-    state = init_population(config.population, m0=config.m0,
-                            rng=rng_for(task_seed, 0) if gamma else None)
-    return state, mix_seed(task_seed, 1)
+    if shared is None or gamma:
+        shared = init_population(config.population, m0=config.m0,
+                                 rng=rng_for(task_seed, 0) if gamma else None)
+    return shared, mix_seed(task_seed, 1)
 
 
 def run_once(config: ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -131,13 +141,17 @@ class TernaryPoint:
 @dataclass(frozen=True, slots=True)
 class TernaryGrid:
     """Per-point statistics of a sweep, plus what the sweep simulated:
-    steps summed over all runs and the runs stopped by the price floor."""
+    steps summed over all runs, the runs stopped by the price floor, and
+    the engine batches and the widest one's run count. The batching depends
+    on the worker count, so equality leaves it out."""
 
     resolution: int
     replicates: int
     points: tuple
     steps: int
     aborted_runs: int
+    batches: int = field(compare=False)
+    batch_runs: int = field(compare=False)
 
     def __post_init__(self):
         expected = (self.resolution + 1) * (self.resolution + 2) // 2
@@ -164,6 +178,8 @@ def _ternary_batch_task(args):
 
     Run j is replicate j % replicates of simplex point j // replicates;
     points holds the simplex points from index start // replicates on.
+    The replicates of a point share one start where they can, as
+    run_summaries leaves its states unchanged.
     """
     config, replicates, start, stop, points = args
     first = start // replicates
@@ -172,7 +188,8 @@ def _ternary_batch_task(args):
         index, rep = divmod(j, replicates)
         if j == start or rep == 0:
             cfg = replace(config, population=config.population.with_mix(*points[index - first]))
-        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, index, rep))
+            state = None
+        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, index, rep), state)
         states.append(state)
         seeds.append(run_seed)
     return run_summaries(states, config.market, config.commitments, seeds,
@@ -213,7 +230,8 @@ def ternary_sweep(config: ExperimentConfig, resolution: int,
                                     sum(crashed[runs]) / reps, sum(boomed[runs]) / reps))
     return TernaryGrid(resolution, reps, tuple(results),
                        steps=sum(sum(b.steps.tolist()) for b in batches),
-                       aborted_runs=sum(sum(b.aborted.tolist()) for b in batches))
+                       aborted_runs=sum(sum(b.aborted.tolist()) for b in batches),
+                       batches=len(batches), batch_runs=max(len(b.steps) for b in batches))
 
 
 def _run_tasks(fn, tasks, workers: int | None):

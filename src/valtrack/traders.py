@@ -197,6 +197,46 @@ def batch_layout(states):
     return cash, asset, valuations, critical, rand_rows, modes.pop() if modes else None
 
 
+def batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mode,
+                 uniforms, commitments: CommitmentParams) -> None:
+    """Orders of markets laid out by batch_layout at prices p and momenta m,
+    written in place into bids (cash) and offers (asset), arrays shaped
+    like cash.
+
+    uniforms[i] holds the two draws on [0, 1) that market i's random
+    trader takes this step, bid first. Each order equals what val_orders,
+    mo_orders, rand_orders_basic or rand_orders_refined returns for its
+    trader, bit for bit: the same expressions in the same order, with
+    np.where for the branches and for min. The random trader's column is
+    written only when rand_mode is set.
+    """
+    c = commitments
+    n_vals = valuations.shape[1]
+    mo, rand = n_vals, n_vals + 1
+    price = p[:, None]
+    bids[:, :n_vals] = np.where(price < valuations, c.kv_buy * cash[:, :n_vals], 0.0)
+    offers[:, :n_vals] = np.where(price > valuations, c.kv_sell * asset[:, :n_vals], 0.0)
+    bids[:, mo] = np.where(m > 0.0, c.km_buy * cash[:, mo], 0.0)
+    offers[:, mo] = np.where(m < 0.0, c.km_sell * asset[:, mo], 0.0)
+    if rand_mode is None:
+        return
+    u_bid = c.kr_buy * uniforms[:, 0]
+    u_offer = c.kr_sell * uniforms[:, 1]
+    r_cash, r_asset = cash[:, rand], asset[:, rand]
+    if rand_mode == RAND_REFINED:
+        r_value = r_asset * p
+        below = np.where(r_cash < critical[:, 0], True, r_value < critical[:, 1])
+        reference = np.where(below, np.where(r_value < r_cash, r_value, r_cash),
+                             r_cash + r_value)
+        bid = u_bid * reference
+        offer = u_offer * reference / p
+        bids[:, rand] = np.where(r_cash < bid, r_cash, bid)
+        offers[:, rand] = np.where(r_asset < offer, r_asset, offer)
+    else:
+        bids[:, rand] = u_bid * r_cash
+        offers[:, rand] = u_offer * r_asset
+
+
 def sample_gamma(shape: float, rate: float, rng: np.random.Generator) -> float:
     """One Gamma(shape, rate) draw, mean shape/rate."""
     if shape <= 0 or rate <= 0:

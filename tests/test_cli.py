@@ -108,6 +108,12 @@ class TestCliCommands:
         assert cli.main(["run", "--set", "market.nope=1",
                          "--out", str(tmp_path)]) == 2
 
+    def test_other_package_errors_exit_code_3(self, tmp_path, capsys):
+        # a move of e^-1000 underflows the price to 0: InvalidInputError
+        assert cli.main(["sweep", "--eta", "1000", "--resolution", "2",
+                         "--sweep-replicates", "2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: price must be finite and > 0")
+
     def test_estimate_reports_predicted_std(self, tmp_path, capsys):
         code = cli.main(["estimate", "--n", "100", "--reps", "2000",
                          "--p", "1.3", "--out", str(tmp_path)])
@@ -127,11 +133,12 @@ class TestCliCommands:
         ET.fromstring((tmp_path / "tern.svg").read_text())
         meta = json.loads((tmp_path / "ternary.csv.meta.json").read_text())
         telemetry = meta["telemetry"]
-        assert set(telemetry) == {"runs", "steps", "aborted_runs", "wall_s",
-                                  "steps_per_s"}
+        assert set(telemetry) == {"runs", "steps", "aborted_runs", "batches",
+                                  "batch_runs", "wall_s", "steps_per_s"}
         # 25 nats of capped moves in 250 steps cannot reach the price floor
         assert (telemetry["runs"], telemetry["steps"], telemetry["aborted_runs"]) \
             == (12, 12 * 250, 0)
+        assert (telemetry["batches"], telemetry["batch_runs"]) == (1, 12)
         assert telemetry["wall_s"] > 0 and telemetry["steps_per_s"] > 0
 
     def test_grid_command(self, tmp_path):

@@ -338,6 +338,9 @@ class TestInputsStayUnchanged:
         out, _ = step(state, params, CommitmentParams(), np.random.default_rng(2))
         result = run(state, params, CommitmentParams(), seed=3)
         engine.crash_step(state, params, CommitmentParams(), 3, CrashPredicate.drop_below(1e-9))
+        # the sweep passes one start object for every replicate of a point
+        engine.run_summaries([state, state], params, CommitmentParams(), [3, 4],
+                             CrashPredicate.drop_below(1e-9))
         assert state == before
         assert out.traders != before.traders != result.final_state.traders  # they traded
         given = {id(t) for t in state.traders}

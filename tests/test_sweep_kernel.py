@@ -113,15 +113,36 @@ def test_price_floor_aborts_are_masked_and_count_as_crashes():
     assert grid.steps < grid.runs * config.market.horizon
 
 
-@pytest.mark.parametrize("batch", [1, 7, 10**6])
-def test_results_do_not_depend_on_batch_size(monkeypatch, batch):
+CAP = experiments._MAX_BATCH_RUNS
+
+
+# at the cap and one run over it, the 10 points x (CAP // 10 + 2)
+# replicates split into a full-width batch and a short one
+@pytest.mark.parametrize("batch, replicates", [
+    pytest.param(batch, replicates, id=str(batch)) for batch, replicates in
+    [(1, 2), (7, 2), (10**6, 2), (CAP, CAP // 10 + 2), (CAP + 1, CAP // 10 + 2)]])
+def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates):
     config = replace(abort_config(), population=PopulationSpec(
         val_fracs=(0.5, 0.5), valuation="gamma", rand_mode="refined"))
-    expected = scalar_sweep(config, 3, 2)
+    expected = scalar_sweep(config, 3, replicates)
     monkeypatch.setattr(experiments, "_MAX_BATCH_RUNS", batch)
-    grid = ternary_sweep(config, resolution=3, replicates=2)
+    grid = ternary_sweep(config, resolution=3, replicates=replicates)
     assert grid.points == expected
-    assert grid.aborted_runs == scalar_aborts(config, 3, 2)
+    assert grid.aborted_runs == scalar_aborts(config, 3, replicates)
+    assert (grid.batches, grid.batch_runs) == (-(-grid.runs // batch), min(batch, grid.runs))
+
+
+# the pure-momentum runs fall through the price floor at step 28, inside
+# a block of 5 or 32 steps, so the order-flow buffer and the drawn block
+# are cut down mid-block; 61 steps exceed the 60-step horizon
+@pytest.mark.parametrize("block", [1, 5, 61])
+def test_results_do_not_depend_on_rng_block_steps(monkeypatch, block):
+    config = abort_config()
+    expected = scalar_sweep(config, 2, 3)
+    monkeypatch.setattr(engine, "_RNG_BLOCK_STEPS", block)
+    grid = ternary_sweep(config, resolution=2, replicates=3)
+    assert grid.points == expected
+    assert grid.aborted_runs == scalar_aborts(config, 2, 3) > 0
 
 
 def test_results_do_not_depend_on_worker_count():

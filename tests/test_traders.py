@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from valtrack import PopulationSpec, init_population
 from valtrack.errors import ConfigError
-from valtrack.traders import (mo_orders, rand_orders_basic,
-                              rand_orders_refined, sample_gamma, val_orders)
+from valtrack.params import CommitmentParams
+from valtrack.traders import (MarketState, Trader, batch_layout, batch_orders, mo_orders,
+                              rand_orders_basic, rand_orders_refined, sample_gamma,
+                              trader_orders, val_orders)
 
 
 class TestValOrders:
@@ -147,6 +149,67 @@ class TestRandDraws:
                     *uniform_refined(cash, asset, p, *floors, kb, ks, oracle))
             assert [x.hex() for x in got] == [x.hex() for x in want]
         assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+holding = st.one_of(st.just(0.0), st.floats(0, 1e6))
+
+
+@st.composite
+def batch_markets(draw):
+    """Markets of one batch, with zero holdings, prices at a valuation
+    (the tie), zero momentum and missing traders among the cases."""
+    rand_mode = draw(st.sampled_from([None, "basic", "refined"]))
+    markets = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.floats(1e-6, 1e6))
+        m = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+        traders = [Trader(draw(holding), draw(holding), "val",
+                          valuation=draw(st.one_of(st.just(p), st.floats(1e-6, 1e6))))
+                   for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            traders.append(Trader(draw(holding), draw(holding), "mo"))
+        if rand_mode is not None and draw(st.booleans()):
+            cash, asset = draw(holding), draw(holding)
+            # floors up to twice the holding reach both reference branches
+            traders.append(Trader(cash, asset, "rand", rand_mode=rand_mode,
+                                  critical_cash=draw(st.floats(0, 2)) * cash,
+                                  critical_asset=draw(st.floats(0, 2)) * asset * p))
+        markets.append((MarketState(p, m, 0, traders, 0.0, 0.0), draw(st.integers(0, 2**64 - 1))))
+    return markets
+
+
+class TestBatchOrders:
+    @given(markets=batch_markets(),
+           k=st.lists(st.floats(0, 1), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_rules_kind_by_kind(self, markets, k):
+        commitments = CommitmentParams(*k)
+        states = [state for state, _ in markets]
+        cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(states)
+        uniforms = np.zeros((len(states), 2))
+        for row, (_, seed) in zip(uniforms, markets):
+            row[:] = np.random.Generator(np.random.PCG64(seed)).random(2)
+        bids, offers = np.full_like(cash, np.nan), np.full_like(cash, np.nan)
+        batch_orders(bids, offers, np.array([s.price for s in states]),
+                     np.array([s.momentum for s in states]), cash, asset, valuations,
+                     critical, rand_mode, uniforms, commitments)
+        n_vals = valuations.shape[1]
+        for i, (state, seed) in enumerate(markets):
+            want = {}
+            val_cols = iter(range(n_vals))
+            for trader in state.traders:
+                col = {"val": None, "mo": n_vals, "rand": n_vals + 1}[trader.kind]
+                col = next(val_cols) if col is None else col
+                rng = np.random.Generator(np.random.PCG64(seed))
+                want[col] = trader_orders(trader, state.price, state.momentum, commitments, rng)
+            for col in range(n_vals + 2):
+                if col == n_vals + 1 and rand_mode is None:
+                    # no random trader in the batch: its column is left alone
+                    assert math.isnan(bids[i, col]) and math.isnan(offers[i, col])
+                    continue
+                # a column the market lacks holds nothing and orders nothing
+                bid, offer = want.get(col, (0.0, 0.0))
+                assert (bids[i, col].hex(), offers[i, col].hex()) == (bid.hex(), offer.hex())
 
 
 class TestSampleGamma:
