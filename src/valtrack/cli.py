@@ -29,41 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# flag name -> dotted config key
-_FLAG_KEYS = {
-    "lam": "market.lambda",
-    "eta": "market.eta",
-    "mu": "market.mu",
-    "rho": "market.rho",
-    "impact": "market.impact",
-    "zeta": "market.zeta",
-    "liquidity": "market.liquidity",
-    "settlement": "market.settlement",
-    "horizon": "market.horizon",
-    "kv_buy": "commit.kv_buy",
-    "kv_sell": "commit.kv_sell",
-    "km_buy": "commit.km_buy",
-    "km_sell": "commit.km_sell",
-    "kr_buy": "commit.kr_buy",
-    "kr_sell": "commit.kr_sell",
-    "val": "population.val_frac",
-    "n_vals": "population.n_vals",
-    "mo": "population.mo_frac",
-    "rand": "population.rand_frac",
-    "valuation": "population.valuation",
-    "u": "population.u",
-    "cash": "population.cash",
-    "p0": "population.p0",
-    "rand_mode": "population.rand_mode",
-    "critical_frac": "population.critical_frac",
-    "crash_kind": "crash.kind",
-    "crash_value": "crash.value",
-    "m0": "run.m0",
-    "seed": "run.seed",
-    "replicates": "run.replicates",
-}
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with dotted keys")
     parser.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
@@ -71,10 +36,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE", help="override any dotted config key")
-    for flag, key in _FLAG_KEYS.items():
-        option = "--lambda" if flag == "lam" else "--" + flag.replace("_", "-")
-        parser.add_argument(option, dest=flag, default=None,
-                            metavar="V", help=f"override {key}")
+    for key, (_, _, flag) in config_mod.KEYS.items():
+        if flag is not None:
+            parser.add_argument("--" + flag.replace("_", "-"), default=None,
+                                metavar="V", help=f"override {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,11 +89,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    overrides: dict[str, str] = {}
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+    overrides: dict[str, str] = {
+        key: getattr(args, flag) for key, (_, _, flag) in config_mod.KEYS.items()
+        if flag is not None and getattr(args, flag) is not None}
     for item in args.sets:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -156,6 +119,12 @@ def _write_csv(path: str, rows) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_sidecar(path: str, cfg, args: argparse.Namespace, extra=None) -> None:
     from .seeding import rng_info
     payload = {
@@ -168,9 +137,7 @@ def _write_sidecar(path: str, cfg, args: argparse.Namespace, extra=None) -> None
     }
     if extra:
         payload.update(extra)
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path + ".meta.json", payload)
 
 
 def cmd_run(args, cfg) -> int:
@@ -193,8 +160,9 @@ def cmd_run(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     preset = experiments.FULL_PRESET if args.preset == "paper" else experiments.DESK_PRESET
-    resolution = args.resolution or preset["resolution"]
-    replicates = args.sweep_replicates or preset["replicates"]
+    resolution = preset["resolution"] if args.resolution is None else args.resolution
+    replicates = (preset["replicates"] if args.sweep_replicates is None
+                  else args.sweep_replicates)
     start = time.perf_counter()
     grid = experiments.ternary_sweep(cfg, resolution, replicates,
                                      workers=args.workers)
@@ -231,9 +199,7 @@ def cmd_grid(args, cfg) -> int:
 def cmd_impact(args, cfg) -> int:
     report = experiments.impact_comparison(cfg)
     out = os.path.join(_outdir(args), "impact.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, asdict(report))
     _write_sidecar(out, cfg, args)
     print(f"impact thresholds: ratio={report.ratio_threshold:.5f} "
           f"powerlaw(zeta=1)={report.powerlaw_linear_threshold:.5f} "
@@ -263,9 +229,7 @@ def cmd_estimate(args, cfg) -> int:
     report = metrics.estimator_mc(args.shape, args.rate, args.p, args.n,
                                   args.reps, cfg.seed)
     out = os.path.join(_outdir(args), "estimator.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, asdict(report))
     _write_sidecar(out, cfg, args,
                    {"estimator": {"shape": args.shape, "rate": args.rate,
                                   "p": args.p, "n": args.n, "reps": args.reps}})

@@ -10,96 +10,64 @@ import math
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig
-from .metrics import CrashPredicate
-from .params import CommitmentParams, MarketParams
-from .traders import PopulationSpec
 
-# key -> (type tag, default accessor description)
-SCHEMA: dict[str, str] = {
-    "market.lambda": "float",
-    "market.eta": "float",
-    "market.mu": "float",
-    "market.rho": "float",
-    "market.impact": "str",          # ratio | powerlaw
-    "market.zeta": "float",
-    "market.liquidity": "float",
-    "market.settlement": "str",      # updated | current
-    "market.horizon": "int",
-    "commit.kv_buy": "float",
-    "commit.kv_sell": "float",
-    "commit.km_buy": "float",
-    "commit.km_sell": "float",
-    "commit.kr_buy": "float",
-    "commit.kr_sell": "float",
-    "population.val_frac": "float",  # total valuation-trader share; -1 = remainder
-    "population.n_vals": "int",
-    "population.mo_frac": "float",
-    "population.rand_frac": "float",
-    "population.valuation": "str",   # fixed | gamma
-    "population.u": "float",
-    "population.gamma_shape": "float",
-    "population.gamma_rate": "float",
-    "population.cash": "float",
-    "population.p0": "float",
-    "population.rand_mode": "str",   # basic | refined
-    "population.critical_frac": "float",
-    "crash.kind": "str",             # drop_below | relative_drop | deciblack_drop
-    "crash.value": "float",
-    "run.m0": "float",
-    "run.seed": "int",
-    "run.replicates": "int",
-}
-
-DEFAULTS: dict[str, object] = {
-    "market.lambda": 0.04,
-    "market.eta": 0.1,
-    "market.mu": 0.002,
-    "market.rho": 4.0,
-    "market.impact": "ratio",
-    "market.zeta": 1.0,
-    "market.liquidity": 1.0,
-    "market.settlement": "updated",
-    "market.horizon": 250,
-    "commit.kv_buy": 0.10,
-    "commit.kv_sell": 0.10,
-    "commit.km_buy": 0.10,
-    "commit.km_sell": 0.10,
-    "commit.kr_buy": 0.10,
-    "commit.kr_sell": 0.10,
-    "population.val_frac": -1.0,
-    "population.n_vals": 1,
-    "population.mo_frac": 0.0,
-    "population.rand_frac": 0.0,
-    "population.valuation": "fixed",
-    "population.u": 1.0,
-    "population.gamma_shape": 8.0,
-    "population.gamma_rate": 8.0,
-    "population.cash": 1.0,
-    "population.p0": 1.0,
-    "population.rand_mode": "basic",
-    "population.critical_frac": 0.2,
-    "crash.kind": "deciblack_drop",
-    "crash.value": 5.0,
-    "run.m0": -0.001,
-    "run.seed": 0,
-    "run.replicates": 20,
+# dotted key -> (part of ExperimentConfig, or None for its own fields;
+#                field of that part; CLI flag, or None for --set only).
+# A key's default and type are its field's in ExperimentConfig(); the flag
+# is the option --<flag with '-' for '_'>. Order is serialize()'s order.
+# Three keys do not map one to one onto their field (see build_config):
+# population.val_frac and population.n_vals together make val_fracs,
+# market.rho is also the population's rho, and market.horizon is also the
+# crash predicate's horizon.
+KEYS: dict[str, tuple[str | None, str, str | None]] = {
+    "market.lambda": ("market", "lam", "lambda"),
+    "market.eta": ("market", "eta", "eta"),
+    "market.mu": ("market", "mu", "mu"),
+    "market.rho": ("market", "rho", "rho"),
+    "market.impact": ("market", "impact", "impact"),              # ratio | powerlaw
+    "market.zeta": ("market", "zeta", "zeta"),
+    "market.liquidity": ("market", "liquidity", "liquidity"),
+    "market.settlement": ("market", "settlement", "settlement"),  # updated | current
+    "market.horizon": ("market", "horizon", "horizon"),
+    "commit.kv_buy": ("commitments", "kv_buy", "kv_buy"),
+    "commit.kv_sell": ("commitments", "kv_sell", "kv_sell"),
+    "commit.km_buy": ("commitments", "km_buy", "km_buy"),
+    "commit.km_sell": ("commitments", "km_sell", "km_sell"),
+    "commit.kr_buy": ("commitments", "kr_buy", "kr_buy"),
+    "commit.kr_sell": ("commitments", "kr_sell", "kr_sell"),
+    # total valuation-trader share, split evenly over n_vals; -1 = remainder
+    "population.val_frac": ("population", "val_frac", "val"),
+    "population.n_vals": ("population", "n_vals", "n_vals"),
+    "population.mo_frac": ("population", "mo_frac", "mo"),
+    "population.rand_frac": ("population", "rand_frac", "rand"),
+    "population.valuation": ("population", "valuation", "valuation"),  # fixed | gamma
+    "population.u": ("population", "u", "u"),
+    "population.gamma_shape": ("population", "gamma_shape", None),
+    "population.gamma_rate": ("population", "gamma_rate", None),
+    "population.cash": ("population", "cash", "cash"),
+    "population.p0": ("population", "p0", "p0"),
+    "population.rand_mode": ("population", "rand_mode", "rand_mode"),  # basic | refined
+    "population.critical_frac": ("population", "critical_frac", "critical_frac"),
+    # drop_below | relative_drop | deciblack_drop
+    "crash.kind": ("crash", "kind", "crash_kind"),
+    "crash.value": ("crash", "value", "crash_value"),
+    "run.m0": (None, "m0", "m0"),
+    "run.seed": (None, "seed", "seed"),
+    "run.replicates": (None, "replicates", "replicates"),
 }
 
 
 def _convert(key: str, raw: str, where: str):
-    kind = SCHEMA[key]
+    kind = type(_DEFAULTS[key])
     raw = raw.strip()
     try:
-        if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError
-            return value
-        if kind == "int":
-            return int(raw)
-        return raw
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} for {key}") from None
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__} "
+                          f"for {key}") from None
+    return value
 
 
 def parse_keyvalues(text: str, source: str = "<config>") -> dict:
@@ -113,49 +81,39 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw, f"{source}:{lineno}")
     return values
 
 
 def build_config(values: dict) -> ExperimentConfig:
-    """Materialize an ExperimentConfig from a complete dotted-key mapping."""
-    v = dict(DEFAULTS)
-    v.update(values)
+    """Materialize an ExperimentConfig from a dotted-key mapping; missing
+    keys take their defaults."""
+    v = {**_DEFAULTS, **values}
+    kwargs: dict = {part: {} for part, _, _ in KEYS.values()}
+    for key, (part, field, _) in KEYS.items():
+        kwargs[part][field] = v[key]
+    kwargs["population"]["rho"] = kwargs["market"]["rho"]
+    kwargs["crash"]["horizon"] = kwargs["market"]["horizon"]
+    parts = {}
+    for part, fields in kwargs.items():
+        if part == "population":
+            _split_val_frac(fields)
+        if part is not None:
+            parts[part] = type(getattr(_BASE, part))(**fields)
+    return ExperimentConfig(**parts, **kwargs[None])
 
-    market = MarketParams(
-        lam=v["market.lambda"], eta=v["market.eta"], mu=v["market.mu"],
-        rho=v["market.rho"], impact=v["market.impact"], zeta=v["market.zeta"],
-        liquidity=v["market.liquidity"], settlement=v["market.settlement"],
-        horizon=v["market.horizon"])
-    commitments = CommitmentParams(
-        kv_buy=v["commit.kv_buy"], kv_sell=v["commit.kv_sell"],
-        km_buy=v["commit.km_buy"], km_sell=v["commit.km_sell"],
-        kr_buy=v["commit.kr_buy"], kr_sell=v["commit.kr_sell"])
 
-    mo = v["population.mo_frac"]
-    rand = v["population.rand_frac"]
-    val = v["population.val_frac"]
-    if val < 0:
-        val = 1.0 - mo - rand
-    n_vals = v["population.n_vals"]
+def _split_val_frac(fields: dict) -> None:
+    """Replace val_frac and n_vals by val_fracs: the total valuation-trader
+    share (-1: what the Mo and Rand traders leave) split evenly."""
+    val, n_vals = fields.pop("val_frac"), fields.pop("n_vals")
     if n_vals < 1:
         raise ConfigError("population.n_vals must be >= 1")
-    population = PopulationSpec(
-        val_fracs=tuple([val / n_vals] * n_vals), mo_frac=mo, rand_frac=rand,
-        valuation=v["population.valuation"], u=v["population.u"],
-        gamma_shape=v["population.gamma_shape"], gamma_rate=v["population.gamma_rate"],
-        cash=v["population.cash"], p0=v["population.p0"],
-        rand_mode=v["population.rand_mode"],
-        critical_frac=v["population.critical_frac"])
-
-    crash = CrashPredicate(v["crash.kind"], v["crash.value"],
-                           horizon=v["market.horizon"])
-    return ExperimentConfig(market=market, commitments=commitments,
-                            population=population, crash=crash,
-                            m0=v["run.m0"], seed=v["run.seed"],
-                            replicates=v["run.replicates"])
+    if val < 0:
+        val = 1.0 - fields["mo_frac"] - fields["rand_frac"]
+    fields["val_fracs"] = tuple([val / n_vals] * n_vals)
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None,
@@ -173,7 +131,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         values.update(parse_keyvalues(text))
     if overrides:
         for key, raw in overrides.items():
-            if key not in SCHEMA:
+            if key not in KEYS:
                 raise ConfigError(f"override: unknown key {key!r}")
             if isinstance(raw, str):
                 values[key] = _convert(key, raw, "override")
@@ -184,32 +142,19 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
 
 def config_values(config: ExperimentConfig) -> dict:
     """Dotted-key mapping equivalent to the config (inverse of build_config)."""
-    m, c, p = config.market, config.commitments, config.population
+    p = config.population
     # even splits reconstruct exactly: (x * n) / n == x for the splits we emit
     total_val = p.val_fracs[0] * p.n_vals if p.val_fracs else 0.0
-    return {
-        "market.lambda": m.lam, "market.eta": m.eta, "market.mu": m.mu,
-        "market.rho": m.rho, "market.impact": m.impact, "market.zeta": m.zeta,
-        "market.liquidity": m.liquidity, "market.settlement": m.settlement,
-        "market.horizon": m.horizon,
-        "commit.kv_buy": c.kv_buy, "commit.kv_sell": c.kv_sell,
-        "commit.km_buy": c.km_buy, "commit.km_sell": c.km_sell,
-        "commit.kr_buy": c.kr_buy, "commit.kr_sell": c.kr_sell,
-        "population.val_frac": total_val, "population.n_vals": p.n_vals,
-        "population.mo_frac": p.mo_frac, "population.rand_frac": p.rand_frac,
-        "population.valuation": p.valuation, "population.u": p.u,
-        "population.gamma_shape": p.gamma_shape,
-        "population.gamma_rate": p.gamma_rate,
-        "population.cash": p.cash, "population.p0": p.p0,
-        "population.rand_mode": p.rand_mode,
-        "population.critical_frac": p.critical_frac,
-        "crash.kind": config.crash.kind, "crash.value": config.crash.value,
-        "run.m0": config.m0, "run.seed": config.seed,
-        "run.replicates": config.replicates,
-    }
+    return {key: total_val if field == "val_frac"
+            else getattr(config if part is None else getattr(config, part), field)
+            for key, (part, field, _) in KEYS.items()}
+
+
+_BASE = ExperimentConfig()
+_DEFAULTS = {**config_values(_BASE), "population.val_frac": -1.0}
 
 
 def serialize(config: ExperimentConfig) -> str:
     """Canonical dotted-key text for a config; parse_config round-trips it."""
     values = config_values(config)
-    return "\n".join(f"{key} = {values[key]}" for key in SCHEMA) + "\n"
+    return "\n".join(f"{key} = {values[key]}" for key in KEYS) + "\n"

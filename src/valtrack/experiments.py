@@ -109,6 +109,8 @@ def threshold_search(config: ExperimentConfig, lo: float = 0.0, hi: float = 1.0,
     """
     if not (0.0 <= lo < hi <= 1.0):
         raise ConfigError(f"need 0 <= lo < hi <= 1, got {lo}, {hi}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     hi = min(hi, 1.0 - config.population.rand_frac)
     if hi <= lo:
         raise ConfigError(f"random-trader share {config.population.rand_frac} "
@@ -209,6 +211,8 @@ def ternary_sweep(config: ExperimentConfig, resolution: int,
     if resolution < 1:
         raise ConfigError("resolution must be >= 1")
     reps = config.replicates if replicates is None else replicates
+    if reps < 1:
+        raise ConfigError(f"replicates must be >= 1, got {reps}")
     points = simplex_points(resolution)
     n_runs = len(points) * reps
     size = min(_MAX_BATCH_RUNS, -(-n_runs // max(1, workers or 1)))

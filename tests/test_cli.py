@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,13 +11,33 @@ import pytest
 
 import valtrack
 from valtrack import cli
-from valtrack.config import parse_config, serialize
+from valtrack.config import KEYS, config_values, parse_config, serialize
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
 from valtrack.metrics import CrashPredicate
 from valtrack.params import MarketParams
 from valtrack.svg import render_series_svg, render_ternary_svg
 from valtrack.traders import PopulationSpec
+
+
+# a valid non-default value for every config key, in KEYS order
+EVERY_KEY = {
+    "market.lambda": "0.05", "market.eta": "0.2", "market.mu": "0.01",
+    "market.rho": "2", "market.impact": "powerlaw", "market.zeta": "0.8",
+    "market.liquidity": "2", "market.settlement": "current",
+    "market.horizon": "120",
+    "commit.kv_buy": "0.2", "commit.kv_sell": "0.15", "commit.km_buy": "0.05",
+    "commit.km_sell": "0.3", "commit.kr_buy": "0.25", "commit.kr_sell": "0.35",
+    "population.val_frac": "0.5", "population.n_vals": "4",
+    "population.mo_frac": "0.3", "population.rand_frac": "0.2",
+    "population.valuation": "gamma", "population.u": "1.3",
+    "population.gamma_shape": "4", "population.gamma_rate": "5",
+    "population.cash": "2", "population.p0": "0.9",
+    "population.rand_mode": "refined", "population.critical_frac": "0.4",
+    "crash.kind": "relative_drop", "crash.value": "0.3",
+    "run.m0": "0.01", "run.seed": "77", "run.replicates": "5",
+}
+EVERY_KEY_TEXT = "".join(f"{key} = {raw}\n" for key, raw in EVERY_KEY.items())
 
 
 class TestConfigParsing:
@@ -56,14 +77,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":1"):
             parse_config(text="market.lambda 0.04\n")
 
-    @pytest.mark.parametrize("n_vals", [1, 10])
-    def test_round_trip(self, n_vals):
-        cfg = parse_config(text=(
+    @pytest.mark.parametrize("text", [
+        pytest.param(
             "market.lambda = 0.05\nmarket.settlement = current\n"
             f"population.n_vals = {n_vals}\npopulation.mo_frac = 0.2\n"
             "population.rand_frac = 0.3\npopulation.valuation = gamma\n"
-            "crash.kind = drop_below\ncrash.value = 0.01\nrun.seed = 77\n"))
+            "crash.kind = drop_below\ncrash.value = 0.01\nrun.seed = 77\n",
+            id=str(n_vals))
+        for n_vals in (1, 10)
+    ] + [pytest.param(EVERY_KEY_TEXT, id="every key")])
+    def test_round_trip(self, text):
+        cfg = parse_config(text=text)
         assert parse_config(text=serialize(cfg)) == cfg
+
+    def test_every_key_is_set_to_a_non_default(self):
+        assert list(EVERY_KEY) == list(KEYS)
+        values = config_values(parse_config(text=EVERY_KEY_TEXT))
+        defaults = config_values(ExperimentConfig())
+        assert [key for key in KEYS if values[key] == defaults[key]] == []
+
+    def test_rho_sets_the_initial_holdings_too(self):
+        cfg = parse_config(overrides={"market.rho": "2"})
+        assert cfg.market.rho == 2.0
+        assert cfg.population.rho == 2.0
 
 
 class TestCliCommands:
@@ -114,6 +150,26 @@ class TestCliCommands:
                          "--sweep-replicates", "2", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: price must be finite and > 0")
 
+    @pytest.mark.parametrize("sizes", [["--resolution", "0"],
+                                       ["--sweep-replicates", "0"],
+                                       ["--sweep-replicates", "-3"]],
+                             ids=["resolution 0", "replicates 0", "replicates -3"])
+    def test_sweep_size_flags_below_one_exit_code(self, sizes, tmp_path, capsys):
+        assert cli.main(["sweep", *sizes, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "ternary.csv").exists()
+
+    def test_rho_reaches_the_simulated_holdings(self, tmp_path, capsys):
+        def first_wealth(name, *flags):
+            assert cli.main(["run", "--horizon", "1", *flags,
+                             "--out", str(tmp_path / name)]) == 0
+            rows = list(csv.DictReader((tmp_path / name / "run.csv").open()))
+            return float(rows[0]["wealth_0"])
+
+        # one valuation trader at p0 = u = 1 with cash 1 holds rho units
+        assert first_wealth("default") == 5.0
+        assert first_wealth("rho2", "--rho", "2") == 3.0
+
     def test_estimate_reports_predicted_std(self, tmp_path, capsys):
         code = cli.main(["estimate", "--n", "100", "--reps", "2000",
                          "--p", "1.3", "--out", str(tmp_path)])
@@ -154,6 +210,35 @@ class TestCliCommands:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert cli.main(["run", "--mo", "0.1", "--horizon", "5"]) == 0
         assert (tmp_path / "run.csv").exists()
+
+
+# the option strings every subcommand accepts, as argparse lists them
+COMMON_OPTIONS = [
+    "--cash", "--config", "--crash-kind", "--crash-value", "--critical-frac",
+    "--eta", "--help", "--horizon", "--impact", "--km-buy", "--km-sell",
+    "--kr-buy", "--kr-sell", "--kv-buy", "--kv-sell", "--lambda", "--liquidity",
+    "--m0", "--mo", "--mu", "--n-vals", "--out", "--p0", "--preset", "--rand",
+    "--rand-mode", "--replicates", "--rho", "--seed", "--set", "--settlement",
+    "--u", "--val", "--valuation", "--workers", "--zeta", "-h"]
+SUBCOMMAND_OPTIONS = {
+    "run": ["--svg"],
+    "sweep": ["--metric", "--resolution", "--svg", "--sweep-replicates"],
+    "grid": ["--cells", "--k-minus-max", "--k-minus-min", "--k-plus-max",
+             "--k-plus-min"],
+    "impact": [],
+    "multival": ["--multival-horizon", "--multival-n-vals"],
+    "estimate": ["--n", "--p", "--rate", "--reps", "--shape"],
+    "analyze": ["--csv"],
+}
+
+
+def test_option_strings_of_every_subcommand():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(SUBCOMMAND_OPTIONS)
+    for name, subparser in sub.choices.items():
+        options = sorted(o for a in subparser._actions for o in a.option_strings)
+        assert options == sorted(COMMON_OPTIONS + SUBCOMMAND_OPTIONS[name]), name
 
 
 # every command that writes a CSV, with the files it writes

@@ -56,6 +56,17 @@ class TestThresholdSearch:
         with pytest.raises(ConfigError):
             threshold_search(base_config(), lo=0.5, hi=0.2)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # tol <= 0 used to bisect forever once the bracket was 1 ulp wide
+        cfg = base_config()
+        with pytest.raises(ConfigError, match="tol"):
+            threshold_search(cfg, tol=tol)
+        with pytest.raises(ConfigError, match="tol"):
+            commitment_grid(cfg, (0.1, 0.1), (0.1, 0.1), cells=1, tol=tol)
+        with pytest.raises(ConfigError, match="tol"):
+            impact_comparison(cfg, tol=tol)
+
     def test_replicate_majority_with_random_trader(self):
         pop = PopulationSpec(val_fracs=(0.8,), rand_frac=0.2)
         cfg = base_config(population=pop, replicates=5)
@@ -92,6 +103,11 @@ class TestTernary:
             assert 0.0 <= p.crash_freq <= 1.0
             assert 0.0 <= p.boom_freq <= 1.0
             assert p.mean_drop >= 0.0
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_replicates_below_one_rejected(self, replicates):
+        with pytest.raises(ConfigError, match="replicates"):
+            ternary_sweep(base_config(), resolution=2, replicates=replicates)
 
     def test_sweep_is_reproducible(self):
         cfg = base_config(m0=0.0, seed=42,

@@ -6,9 +6,16 @@ recorded before the scalar step was reduced to one capped impact path,
 and the current-settlement grid and stochastic impact digests before the
 bisection probes became summary-only (engine.crash_step). Any change to a
 seeded output, however small, changes the digest.
+
+The sidecar digests cover everything a sidecar records but the sweep's
+timing telemetry and the RNG identification (it names the numpy version):
+the resolved configuration, command, output name, seed, code version and
+the command's own sizes. They were recorded before the configuration keys,
+defaults and flags were derived from one table.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -79,9 +86,42 @@ GOLDEN_COMMANDS = {
         {"analysis.csv": "5a9c1abbf841f1cf40478a8b72d7ab0fa454f75ccd4f5d67f6acf07e8e44bda0"}),
 }
 
+# sidecar digests of one command line per command that runs the simulator
+GOLDEN_SIDECARS = {
+    "desk fixture": (
+        [*SWEEP, *GOLDEN_SWEEPS["desk fixture"][0]],
+        {"ternary.csv.meta.json":
+             "1f9ae7267facb56fe94a8a6edaa677470e3261cea6f2c7aea4def0c91f0b79cf"}),
+    "run, ratio impact, updated settlement": (
+        GOLDEN_COMMANDS["run, ratio impact, updated settlement"][0],
+        {"run.csv.meta.json":
+             "74be5853f814dff5882b9360e6f7f1803c17929f6899947a511a6e8653b4ca40"}),
+    "grid": (
+        GOLDEN_COMMANDS["grid"][0],
+        {"grid.csv.meta.json":
+             "dcf39131e84ade5e8bd682962e7b24a74a8ec2b2f595e16166522db363ec49a5"}),
+    "grid, current settlement": (
+        GOLDEN_COMMANDS["grid, current settlement"][0],
+        {"grid.csv.meta.json":
+             "44f2db2105d1952cc8bafa5b1a7331cabde65100b31fc7642ee51a8da306a26b"}),
+    "multival": (
+        GOLDEN_COMMANDS["multival"][0],
+        {"multival_run.csv.meta.json":
+             "6941d21be34e34a2bbac96520304b23d6bbb31edb72c43314b638730f570cbe3",
+         "multival_histogram.csv.meta.json":
+             "5572f3f7255c0c7b44a939f72dbc96be837be1b60e9dbbf74e79437062deebbd"}),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sidecar_sha256(path):
+    sidecar = json.loads(path.read_text())
+    del sidecar["rng"]
+    sidecar.pop("telemetry", None)
+    return hashlib.sha256(json.dumps(sidecar, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
@@ -96,3 +136,10 @@ def test_command_outputs_match_golden_digests(name, tmp_path, capsys):
     argv, digests = GOLDEN_COMMANDS[name]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     assert {f: sha256(tmp_path / f) for f in digests} == digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIDECARS))
+def test_sidecars_match_golden_digests(name, tmp_path, capsys):
+    argv, digests = GOLDEN_SIDECARS[name]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert {f: sidecar_sha256(tmp_path / f) for f in digests} == digests
