@@ -67,14 +67,17 @@ class AnalysisConstants:
     def from_params(cls, params: MarketParams, commitments: CommitmentParams,
                     u: float = 1.0, total_cash: float = 1.0,
                     total_asset: float | None = None) -> "AnalysisConstants":
+        k = commitments
+        if 0.0 in (k.kv_buy, k.kv_sell, k.km_buy, k.km_sell):
+            raise DomainError("A and B must be positive: need kv_buy, kv_sell, km_buy "
+                              "and km_sell > 0")
         if total_asset is None:
             total_asset = params.rho * total_cash / u
         return cls(
-            a_const=commitments.km_sell * u * total_asset / (commitments.kv_buy * total_cash),
-            b_const=commitments.kv_sell * u * total_asset / (commitments.km_buy * total_cash),
+            a_const=k.km_sell * u * total_asset / (k.kv_buy * total_cash),
+            b_const=k.kv_sell * u * total_asset / (k.km_buy * total_cash),
             lam=params.lam, eta=params.eta, mu=params.mu,
-            kv_buy=commitments.kv_buy, kv_sell=commitments.kv_sell,
-            km_buy=commitments.km_buy, km_sell=commitments.km_sell,
+            kv_buy=k.kv_buy, kv_sell=k.kv_sell, km_buy=k.km_buy, km_sell=k.km_sell,
         )
 
 
@@ -400,20 +403,14 @@ def crash_sufficient(reduced: ReducedState, c: AnalysisConstants) -> bool:
     """
     if abs(reduced.pi) > c.eta or abs(reduced.m) > c.mu * c.eta:
         raise ContractError("crash_sufficient needs |pi| <= eta and |m| <= mu*eta")
-    if c.kv_buy >= c.km_sell:
-        return reduced.alpha < -c.eta
-    report = alpha_fixed_points(c)
-    return reduced.alpha < report.selected - c.eta
+    return reduced.alpha < alpha_fixed_points(c).selected - c.eta
 
 
 def boom_sufficient(reduced: ReducedState, c: AnalysisConstants) -> bool:
     """Mirror-image sufficient condition for a boom."""
     if abs(reduced.pi) > c.eta or abs(reduced.m) > c.mu * c.eta:
         raise ContractError("boom_sufficient needs |pi| <= eta and |m| <= mu*eta")
-    if c.km_buy <= c.kv_sell:
-        return reduced.beta > c.eta
-    report = beta_fixed_points(c)
-    return reduced.beta > report.selected + c.eta
+    return reduced.beta > beta_fixed_points(c).selected + c.eta
 
 
 def crash_threshold_formula(kv_buy: float, km_sell: float, rho: float,

@@ -15,10 +15,9 @@ from .experiments import ExperimentConfig
 #                field of that part; CLI flag, or None for --set only).
 # A key's default and type are its field's in ExperimentConfig(); the flag
 # is the option --<flag with '-' for '_'>. Order is serialize()'s order.
-# Three keys do not map one to one onto their field (see build_config):
-# population.val_frac and population.n_vals together make val_fracs,
-# market.rho is also the population's rho, and market.horizon is also the
-# crash predicate's horizon.
+# Two special keys do not map one to one onto their field (see
+# build_config): population.val_frac and population.n_vals together make
+# val_fracs, and market.rho is also the population's rho.
 KEYS: dict[str, tuple[str | None, str, str | None]] = {
     "market.lambda": ("market", "lam", "lambda"),
     "market.eta": ("market", "eta", "eta"),
@@ -95,7 +94,6 @@ def build_config(values: dict) -> ExperimentConfig:
     for key, (part, field, _) in KEYS.items():
         kwargs[part][field] = v[key]
     kwargs["population"]["rho"] = kwargs["market"]["rho"]
-    kwargs["crash"]["horizon"] = kwargs["market"]["horizon"]
     parts = {}
     for part, fields in kwargs.items():
         if part == "population":

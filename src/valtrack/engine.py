@@ -22,6 +22,9 @@ step checks only what a valid state does not guarantee: a finite order
 flow >= 0 and a finite new price > 0. Both engines raise
 InvalidInputError on the same inputs.
 
+A run crashes when its crash predicate fires at some step of it, the start
+included, or when the price floor aborts it.
+
 Two engines share these rules. The scalar one steps a private copy of
 its state in place, one step body for all its entry points: `step`
 returns a new state and leaves its input as it was, `run` records every
@@ -229,9 +232,8 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     .crash_step, from the same steps but keeping no history.
 
     The run stops at the first step where the predicate fires or the price
-    floor aborts it; a fire after the predicate's horizon stops the run but
-    is no crash, an abort is one. A start that already satisfies the
-    predicate is a crash at index 0, once the run has stopped.
+    floor aborts it, and either one is the crash. A start that already
+    satisfies the predicate is a crash at index 0, once the run has stopped.
     """
     check_state(initial)
     state = initial.copy()
@@ -241,10 +243,8 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     start = metrics.detect_crash((p0,), crash)
     for t in range(1, params.horizon + 1):
         _advance(state, params, commitments, rng, False)
-        if state.price < PRICE_FLOOR:
+        if state.price < PRICE_FLOOR or crash.crash_at(p0, state.price):
             return t if start is None else start
-        if crash.crash_at(p0, state.price):
-            return t if start is None and (crash.horizon is None or t <= crash.horizon) else start
     return start
 
 
@@ -263,10 +263,10 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 #     about 4 KiB more per run;
 #   - each expression keeps the scalar left-to-right order, and min/max
 #     become comparisons and np.where, which pick the same operand;
-#   - crash and boom come from the lowest and highest price up to the
-#     predicate's horizon: crash_at and boom_at compare the price, or
-#     price / p0 which rounds monotonically in it, so a predicate fires at
-#     some step iff it fires at that extreme.
+#   - crash and boom come from the lowest and highest price of the run:
+#     crash_at and boom_at compare the price, or price / p0 which rounds
+#     monotonically in it, so a predicate fires at some step iff it fires
+#     at that extreme.
 # Traders a run lacks are padded as zero-holding traders: they add exactly
 # 0.0 to every sum and never trade.
 #
@@ -284,9 +284,10 @@ class RunSummaries:
     """What a sweep reads of each run of a batch, indexed like the batch.
 
     min_price is the lowest price of the run, its initial price included.
-    crashed and boomed say whether run() would have set crash_step and
-    boom_step; a run stopped by the price floor is aborted and counts as
-    crashed. steps is the number of steps simulated.
+    crashed and boomed say whether the predicate, or its boom reading,
+    fires at some step of the run, as run() sets crash_step and boom_step;
+    a run stopped by the price floor is aborted and counts as crashed.
+    steps is the number of steps simulated.
     """
 
     min_price: np.ndarray
@@ -360,7 +361,7 @@ def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
 
 
 def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
-                  seeds, crash: "metrics.CrashPredicate | None" = None) -> RunSummaries:
+                  seeds, crash: "metrics.CrashPredicate") -> RunSummaries:
     """Run each initial state for params.horizon steps, in lockstep, and
     summarise each run as run(initial, params, commitments, seed, crash)
     would, bit for bit, for its seed.
@@ -383,11 +384,7 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     m = np.array([s.momentum for s in initials], dtype=float)
     p0 = p.copy()
     low = p.copy()
-    high = p.copy()  # up to the predicate's horizon
-    seen_low = low  # low up to the predicate's horizon
-    detect_until = -1
-    if crash is not None:
-        detect_until = horizon if crash.horizon is None else min(horizon, crash.horizon)
+    high = p.copy()
 
     out_low = np.empty(n_runs)
     out_crashed = np.zeros(n_runs, dtype=bool)
@@ -454,22 +451,19 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         m = mu * _libm(math.log, p_new / p) + one_minus_mu * m
         p = p_new
         low = np.where(p < low, p, low)
-        if t <= detect_until:
-            seen_low = low
-            high = np.where(p > high, p, high)
+        high = np.where(p > high, p, high)
 
         floored = p < PRICE_FLOOR
         if np.count_nonzero(floored):
             done = rows[floored]
             out_low[done] = low[floored]
             out_crashed[done] = True
-            if crash is not None:
-                out_boomed[done] = crash.boom_at(p0, high)[floored]
+            out_boomed[done] = crash.boom_at(p0, high)[floored]
             out_aborted[done] = True
             out_steps[done] = t
             keep = p >= PRICE_FLOOR
-            rows, p, m, p0, low = rows[keep], p[keep], m[keep], p0[keep], low[keep]
-            seen_low, high = seen_low[keep], high[keep]
+            rows, p, m, p0 = rows[keep], p[keep], m[keep], p0[keep]
+            low, high = low[keep], high[keep]
             cash, asset = cash[keep], asset[keep]
             valuations, critical = valuations[keep], critical[keep]
             flow = np.zeros((2 * len(rows), flow.shape[1]))
@@ -480,7 +474,6 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
                 break
 
     out_low[rows] = low
-    if crash is not None:
-        out_crashed[rows] = crash.crash_at(p0, seen_low)
-        out_boomed[rows] = crash.boom_at(p0, high)
+    out_crashed[rows] = crash.crash_at(p0, low)
+    out_boomed[rows] = crash.boom_at(p0, high)
     return RunSummaries(out_low, out_crashed, out_boomed, out_aborted, out_steps)

@@ -351,9 +351,10 @@ def multival_run(config: ExperimentConfig, n_vals: int = 10,
 
     The price-level histogram and the tracking error against the sample
     mean of the valuations come along for the plotting-oriented summaries.
+    The histogram needs a standard deviation, so n_vals must be >= 2.
     """
-    if n_vals < 1:
-        raise ConfigError("need at least one valuation trader")
+    if n_vals < 2:
+        raise ConfigError(f"need at least two valuation traders, got {n_vals}")
     population = replace(config.population, valuation=VALUATION_GAMMA)
     total_val = math.fsum(population.val_fracs)
     population = population.with_mix(total_val, population.mo_frac,

@@ -41,13 +41,13 @@ class CrashPredicate:
     relative_drop   price falls by a fraction of the start (value = fraction)
     deciblack_drop  price falls n deciblacks below the start (value = n)
 
-    horizon, when set, restricts detection to the first `horizon` steps.
-    The boom reading of each predicate is the reciprocal price rise.
+    A run crashes when the predicate fires at some step of it, its start
+    included. The boom reading of each predicate is the reciprocal price
+    rise.
     """
 
     kind: str
     value: float
-    horizon: int | None = None
 
     def __post_init__(self):
         if self.kind not in (CRASH_DROP_BELOW, CRASH_RELATIVE_DROP, CRASH_DECIBLACK_DROP):
@@ -58,20 +58,18 @@ class CrashPredicate:
             raise ConfigError("relative_drop fraction must lie in (0, 1)")
         if self.kind == CRASH_DECIBLACK_DROP and self.value <= 0:
             raise ConfigError("deciblack_drop count must be > 0")
-        if self.horizon is not None and self.horizon < 0:
-            raise ConfigError(f"crash horizon must be >= 0, got {self.horizon}")
 
     @classmethod
-    def drop_below(cls, level: float = 0.01, horizon: int | None = None):
-        return cls(CRASH_DROP_BELOW, level, horizon)
+    def drop_below(cls, level: float = 0.01):
+        return cls(CRASH_DROP_BELOW, level)
 
     @classmethod
-    def relative_drop(cls, fraction: float = 0.30, horizon: int | None = None):
-        return cls(CRASH_RELATIVE_DROP, fraction, horizon)
+    def relative_drop(cls, fraction: float = 0.30):
+        return cls(CRASH_RELATIVE_DROP, fraction)
 
     @classmethod
-    def deciblack_drop(cls, n: float = 5.0, horizon: int | None = None):
-        return cls(CRASH_DECIBLACK_DROP, n, horizon)
+    def deciblack_drop(cls, n: float = 5.0):
+        return cls(CRASH_DECIBLACK_DROP, n)
 
     def crash_at(self, p0: float, p: float) -> bool:
         if self.kind == CRASH_DROP_BELOW:
@@ -88,28 +86,26 @@ class CrashPredicate:
         return p / p0 >= 2.0 ** (self.value / 10.0)
 
 
-def _detect(series, predicate: CrashPredicate, test) -> int | None:
+def _detect(series, test) -> int | None:
     series = list(series)
     if not series:
         raise DomainError("empty price series")
     p0 = series[0]
-    last = len(series) if predicate.horizon is None else min(len(series),
-                                                             predicate.horizon + 1)
-    for i in range(last):
-        if test(p0, series[i]):
+    for i, p in enumerate(series):
+        if test(p0, p):
             return i
     return None
 
 
 def detect_crash(series, predicate: CrashPredicate) -> int | None:
     """Index of the first step where the crash predicate fires, or None."""
-    return _detect(series, predicate, predicate.crash_at)
+    return _detect(series, predicate.crash_at)
 
 
 def detect_boom(series, predicate: CrashPredicate) -> int | None:
     """Index of the first step where the price has risen by the reciprocal
     of the predicate's crash factor, or None."""
-    return _detect(series, predicate, predicate.boom_at)
+    return _detect(series, predicate.boom_at)
 
 
 def tau_hat(valuations, p: float) -> float:
@@ -154,10 +150,6 @@ class EstimatorReport:
     mean_ok: bool      # within 3 standard errors
     var_ok: bool
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError("need n >= 2")
-
 
 def estimator_mc(shape: float, rate: float, p: float, n: int, reps: int,
                  seed: int) -> EstimatorReport:
@@ -167,12 +159,15 @@ def estimator_mc(shape: float, rate: float, p: float, n: int, reps: int,
     the empirical spread with the delta-method prediction and checks the
     sample mean of valuations against the Gamma(n*shape, n*rate) moments
     implied by the gamma summation property (mean shape/rate, variance
-    shape/(n rate^2)), at 3 Monte-Carlo standard errors.
+    shape/(n rate^2)), at 3 Monte-Carlo standard errors. Raises ConfigError
+    unless n, reps >= 2, shape, rate and p are finite and > 0 and seed >= 0.
     """
-    if reps < 2 or n < 2:
-        raise DomainError("need reps >= 2 and n >= 2")
-    if shape <= 0 or rate <= 0 or p <= 0:
-        raise DomainError("need shape, rate, p > 0")
+    if n < 2 or reps < 2:
+        raise ConfigError(f"need n >= 2 and reps >= 2, got {n}, {reps}")
+    if not all(0.0 < x < math.inf for x in (shape, rate, p)):
+        raise ConfigError(f"need finite shape, rate, p > 0, got {shape}, {rate}, {p}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     u_true = shape / rate
     sigma = math.sqrt(shape) / rate

@@ -75,6 +75,12 @@ class TestReduce:
             reduce(state, default_constants())
 
 
+@pytest.mark.parametrize("name", ["kv_buy", "kv_sell", "km_buy", "km_sell"])
+def test_zero_commitment_has_no_constants(name):
+    with pytest.raises(DomainError, match="A and B must be positive"):
+        default_constants(**{name: 0.0})
+
+
 class TestClassify:
     @pytest.mark.parametrize("pi,m,expected", [
         (1e-3, -1e-3, CASE_1),
@@ -328,6 +334,15 @@ class TestSufficientConditions:
                          crash=CrashPredicate.drop_below(0.01))
             assert result.crash_step is not None or result.aborted
             consts_checked += 1
+
+    def test_trivial_regimes_compare_against_plus_minus_eta(self):
+        # kv_buy >= km_sell selects alpha_minus = 0, km_buy <= kv_sell beta_plus = 0
+        consts = default_constants(kv_buy=0.2, km_sell=0.1, km_buy=0.1, kv_sell=0.2)
+        eta = consts.eta
+        for x in (-eta - 1e-12, -eta, -eta + 1e-12, 0.0):
+            red = ReducedState(pi=0.0, m=0.0, alpha=x, beta=-x)
+            assert crash_sufficient(red, consts) == (x < -eta)
+            assert boom_sufficient(red, consts) == (-x > eta)
 
     def test_boom_mirror_with_cash_rich_market(self):
         # rho < 1 biases toward booms: beta at p = u is positive and large

@@ -159,6 +159,29 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "ternary.csv").exists()
 
+    # a config error exits 2 and any other package error 3, each with one
+    # stderr line, no traceback and no output file
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate", "--reps", "0"], 2),
+        (["estimate", "--reps", "1"], 2),
+        (["estimate", "--n", "1"], 2),
+        (["estimate", "--p", "0"], 2),
+        (["estimate", "--shape", "-1"], 2),
+        (["estimate", "--rate", "0"], 2),
+        (["estimate", "--seed", "-5"], 2),
+        (["analyze", "--kv-buy", "0"], 3),
+        (["analyze", "--km-buy", "0"], 3),
+        (["analyze", "--kv-sell", "0"], 3),
+        (["analyze", "--km-sell", "0"], 3),
+        (["multival", "--multival-n-vals", "1"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_out_of_range_inputs_exit_code(self, argv, code, tmp_path, capsys):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "error: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_rho_reaches_the_simulated_holdings(self, tmp_path, capsys):
         def first_wealth(name, *flags):
             assert cli.main(["run", "--horizon", "1", *flags,

@@ -381,8 +381,7 @@ def crash_probes(draw):
     commitments = CommitmentParams(*draw(st.lists(st.floats(0.02, 0.5),
                                                   min_size=6, max_size=6)))
     make, values = CRASH_KINDS[draw(st.sampled_from(sorted(CRASH_KINDS)))]
-    crash = make(draw(st.sampled_from(values)),
-                 horizon=draw(st.one_of(st.none(), st.integers(0, horizon - 1))))
+    crash = make(draw(st.sampled_from(values)))
     return state, params, commitments, seed, crash
 
 
@@ -415,7 +414,7 @@ class TestCrashStep:
         # a lone momentum seller at eta = 1 falls through the 1e-12 floor
         # at step 28, to e^-28 = 6.9e-13, before it falls below 1e-13
         state = init_population(PopulationSpec(val_fracs=(0.0,), mo_frac=1.0), m0=-0.001)
-        params, crash = MarketParams(eta=1.0, horizon=60), CrashPredicate.drop_below(1e-13, 3)
+        params, crash = MarketParams(eta=1.0, horizon=60), CrashPredicate.drop_below(1e-13)
         result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
         assert result.aborted
         assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
@@ -423,21 +422,8 @@ class TestCrashStep:
 
     def test_start_below_a_drop_below_level_is_a_crash_at_index_0(self):
         state = two_trader_state(theta=0.1, p0=0.005)
-        for horizon in (None, 0, 5):
-            crash = CrashPredicate.drop_below(0.01, horizon)
-            assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(),
-                                                 0, crash) == 0
-
-    def test_a_crash_after_the_predicate_horizon_stops_the_run_but_does_not_count(self):
-        state = two_trader_state(theta=0.3)
-        crash = CrashPredicate.deciblack_drop()
-        fired = engine.crash_step(state, MarketParams(), CommitmentParams(), 0, crash)
-        assert 0 < fired < MarketParams().horizon
-        late = CrashPredicate.deciblack_drop(horizon=fired - 1)
-        stopped = run(state, MarketParams(), CommitmentParams(), 0, late, stop_at_crash=True)
-        assert len(stopped.prices) - 1 == fired
-        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(),
-                                             0, late) is None
+        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
+                                             CrashPredicate.drop_below(0.01)) == 0
 
 
 def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2):
@@ -459,8 +445,15 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
         "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
         "negative asset"])
 def test_crash_step_raises_where_run_raises(state, params):
+    """step, run, crash_step and, next to a valid state, the batched
+    run_summaries all reject the state."""
     crash = CrashPredicate.relative_drop(0.3)
+    with pytest.raises(InvalidInputError):
+        step(state, params, CommitmentParams())
     with pytest.raises(InvalidInputError):
         engine.crash_step(state, params, CommitmentParams(), 0, crash)
     assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
                                          crash).startswith("InvalidInputError")
+    with pytest.raises(InvalidInputError):
+        engine.run_summaries([invalid_state(), state], params, CommitmentParams(), [0, 1],
+                             crash)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from valtrack import experiments
+from valtrack.config import parse_config
 from valtrack.errors import ConfigError
 from valtrack.experiments import (ExperimentConfig, commitment_grid,
                                   grid_csv_rows, impact_comparison,
@@ -207,6 +209,22 @@ class TestMultival:
                           crash=CrashPredicate.relative_drop(0.30))
         report = multival_run(cfg, n_vals=10, horizon=1000)
         assert report.result.crash_step is not None
+
+    def test_crash_is_decided_over_the_lengthened_run(self):
+        # the price first falls 30 % at step 296: past the config's 250-step
+        # horizon, inside the 1000 steps multival runs
+        cfg = parse_config(overrides={
+            "population.mo_frac": "0.1", "population.rand_frac": "0.2",
+            "population.rand_mode": "refined", "crash.kind": "relative_drop",
+            "crash.value": "0.3", "run.seed": "16"})
+        result = multival_run(cfg, n_vals=10, horizon=1000).result
+        assert result.crash_step == 296
+        assert result.prices[296] <= 0.7 * result.prices[0] < min(result.prices[:296])
+
+    def test_one_valuation_trader_is_rejected_before_the_run(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_once", lambda cfg: pytest.fail("simulated"))
+        with pytest.raises(ConfigError, match="two valuation traders"):
+            multival_run(base_config(), n_vals=1)
 
     def test_run_csv_includes_wealth_columns(self):
         cfg = base_config(population=PopulationSpec(val_fracs=(0.8,),

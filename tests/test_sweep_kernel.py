@@ -60,7 +60,6 @@ CRASH_VALUES = {"drop_below": 0.5, "relative_drop": 0.3, "deciblack_drop": 2.0}
 def sweep_configs(draw):
     horizon = draw(st.integers(20, 60))
     kind = draw(st.sampled_from(sorted(CRASHES)))
-    crash_horizon = draw(st.one_of(st.none(), st.integers(0, horizon)))
     impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
                                          ("powerlaw", 0.8)]))
     market = MarketParams(
@@ -76,7 +75,7 @@ def sweep_configs(draw):
         rand_mode=draw(st.sampled_from(["basic", "refined"])))
     return ExperimentConfig(
         market=market, population=population,
-        crash=CRASHES[kind](CRASH_VALUES[kind], horizon=crash_horizon),
+        crash=CRASHES[kind](CRASH_VALUES[kind]),
         m0=draw(st.sampled_from([-0.001, 0.0, 0.001])),
         seed=draw(st.integers(0, 2**32)))
 
@@ -92,11 +91,11 @@ def test_batched_sweep_matches_scalar_runs(config):
 
 def abort_config():
     # momentum sells from the first step, and at eta = 1 the pure-momentum
-    # point falls through the 1e-12 price floor after 28 steps; within the
-    # predicate's 3-step horizon it falls only to e^-3, short of a 99% drop
+    # point falls through the 1e-12 price floor after 28 steps; a drop
+    # below 1e-13 fires only after that abort, so the aborts decide a crash
     return ExperimentConfig(market=MarketParams(eta=1.0, horizon=60),
                             population=PopulationSpec(rand_mode="refined"),
-                            crash=CrashPredicate.relative_drop(0.99, horizon=3),
+                            crash=CrashPredicate.drop_below(1e-13),
                             m0=-0.001, seed=5)
 
 
@@ -201,20 +200,22 @@ def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3
         "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
         "negative asset"])
 def test_kernel_raises_where_the_scalar_engine_raises(state, params):
+    crash = CrashPredicate.relative_drop(0.3)
     with pytest.raises(InvalidInputError):
         engine.run(state, params, CommitmentParams(), seed=0)
     with pytest.raises(InvalidInputError):
         engine.step(state, params, CommitmentParams())
-    good = bad_state()
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([good, state], params, CommitmentParams(), [0, 1],
-                             crash=CrashPredicate.relative_drop(0.3))
+        engine.run_summaries([bad_state(), state], params, CommitmentParams(), [0, 1],
+                             crash)
 
 
 def test_kernel_rejects_layouts_it_cannot_batch():
+    crash = CrashPredicate.relative_drop(0.3)
     two_mo = bad_state()
     two_mo.traders.append(Trader(0.1, 0.1, "mo"))
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0])
+        engine.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([bad_state()], MarketParams(), CommitmentParams(), [0, 1])
+        engine.run_summaries([bad_state()], MarketParams(), CommitmentParams(), [0, 1],
+                             crash)
