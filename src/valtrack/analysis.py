@@ -16,6 +16,13 @@ case where the valuation trader buys and the momentum trader sells, the
 alpha update is self-contained and its fixed points decide between recovery
 and crash, which yields the analytic bound on the momentum trader's wealth
 share.
+
+Cases 3 and 4 are the mirror images of cases 1 and 2: the two traders swap
+buying for selling and cash for asset value. The mirror maps a state to
+(-pi, -m, -beta, -alpha) and the constants to kv_buy <-> kv_sell,
+km_buy <-> km_sell, A -> 1/B, B -> 1/A. Every Mo-buys/Val-sells rule (the
+case-3 and case-4 steps, the beta map, its fixed points and the boom
+condition) is its Val-buys/Mo-sells counterpart conjugated by the mirror.
 """
 
 import math
@@ -183,73 +190,63 @@ def alpha_map(alpha: float, c: AnalysisConstants) -> float:
     return alpha - phi + _log_or_raise(arg, "alpha map")
 
 
+def _mirror_state(s: ReducedState) -> ReducedState:
+    """The mirror image of a state: (pi, m, alpha, beta) -> (-pi, -m, -beta, -alpha)."""
+    return ReducedState(-s.pi, -s.m, -s.beta, -s.alpha)
+
+
+def _mirror_constants(c: AnalysisConstants) -> AnalysisConstants:
+    """The mirror image of the constants: each trader's buy and sell
+    commitments swap, and A -> 1/B, B -> 1/A as cash and asset value swap."""
+    return AnalysisConstants(a_const=1.0 / c.b_const, b_const=1.0 / c.a_const,
+                             lam=c.lam, eta=c.eta, mu=c.mu,
+                             kv_buy=c.kv_sell, kv_sell=c.kv_buy,
+                             km_buy=c.km_sell, km_sell=c.km_buy)
+
+
 def beta_map(beta: float, c: AnalysisConstants) -> float:
-    """Self-contained beta update in the Mo-buys/Val-sells case."""
-    if not math.isfinite(beta):
-        raise DomainError("beta must be finite")
-    psi = _clamp_impact(beta, c.lam, c.eta)
-    if beta > 0.0:
-        arg = (1.0 - c.km_buy * math.exp(-beta)) / (1.0 - c.kv_sell)
-    else:
-        arg = (1.0 - c.km_buy) / (1.0 - c.kv_sell * math.exp(beta))
-    return beta - psi + _log_or_raise(arg, "beta map")
+    """Self-contained beta update in the Mo-buys/Val-sells case: the mirror
+    of the alpha map, beta_map(b, c) = -alpha_map(-b, mirrored c)."""
+    return -alpha_map(-beta, _mirror_constants(c))
 
 
 def reduced_step(state: ReducedState, c: AnalysisConstants) -> ReducedState:
     """One step of the piecewise reduced dynamics.
 
-    Case 1 and case 3 (both traders on the same side) move the price at the
-    cap with no trades; case 2 and case 4 trade, with the self-contained
-    alpha (resp. beta) update and a cross update for the other ratio.
+    Case 1 (both traders sell) moves the price down at the cap with no
+    trades; case 2 trades, with the self-contained alpha update and a cross
+    update for beta. Cases 3 and 4 are cases 1 and 2 of the mirrored state
+    and constants, mirrored back.
     """
     region = classify_region(state.pi, state.m)
-    pi, m, alpha, beta = state.pi, state.m, state.alpha, state.beta
-    a_c, b_c = c.a_const, c.b_const
-
     if region == BOUNDARY:
         raise BoundaryError(f"reduced step undefined on the boundary: {state}")
+    if region in (CASE_3, CASE_4):
+        return _mirror_state(reduced_step(_mirror_state(state), _mirror_constants(c)))
 
+    pi, m, alpha, beta = state.pi, state.m, state.alpha, state.beta
     if region == CASE_1:
         return ReducedState(pi - c.eta, (1.0 - c.mu) * m - c.mu * c.eta,
                             alpha + c.eta, beta + c.eta)
-    if region == CASE_3:
-        return ReducedState(pi + c.eta, (1.0 - c.mu) * m + c.mu * c.eta,
-                            alpha - c.eta, beta - c.eta)
 
-    # The cross-update numerators and denominators below share a common
+    # CASE_2. The cross-update numerator and denominator share a common
     # factor of indefinite sign (it flips across the back-diagonal), so only
     # their ratio is meaningful; it is positive for any state with positive
     # holdings.
-    if region == CASE_2:
-        phi = _clamp_impact(alpha, c.lam, c.eta)
-        alpha_new = alpha_map(alpha, c)
-        cross = c.kv_buy * a_c * (math.exp(pi) - math.exp(-beta) / b_c)
-        if alpha < 0.0:
-            base = math.exp(-alpha) - a_c * math.exp(pi)
-        else:
-            base = 1.0 - a_c * math.exp(alpha + pi)
-        num = base + cross
-        den = base + c.km_sell * (b_c * math.exp(beta + pi) - 1.0)
-        if den == 0.0:
-            raise CrashDivergentError("beta cross update: zero denominator")
-        beta_new = beta - phi + _log_or_raise(num / den, "beta cross update ratio")
-        return ReducedState(pi + phi, (1.0 - c.mu) * m + c.mu * phi,
-                            alpha_new, beta_new)
-
-    # CASE_4: mirror of case 2 with the roles of the two traders swapped
-    psi = _clamp_impact(beta, c.lam, c.eta)
-    beta_new = beta_map(beta, c)
-    cross = c.km_buy * b_c * (math.exp(pi) - math.exp(-alpha) / a_c)
-    if beta > 0.0:
-        base = 1.0 - b_c * math.exp(beta + pi)
+    a_c, b_c = c.a_const, c.b_const
+    phi = _clamp_impact(alpha, c.lam, c.eta)
+    alpha_new = alpha_map(alpha, c)
+    cross = c.kv_buy * a_c * (math.exp(pi) - math.exp(-beta) / b_c)
+    if alpha < 0.0:
+        base = math.exp(-alpha) - a_c * math.exp(pi)
     else:
-        base = math.exp(-beta) - b_c * math.exp(pi)
+        base = 1.0 - a_c * math.exp(alpha + pi)
     num = base + cross
-    den = base + c.kv_sell * (a_c * math.exp(alpha + pi) - 1.0)
+    den = base + c.km_sell * (b_c * math.exp(beta + pi) - 1.0)
     if den == 0.0:
-        raise CrashDivergentError("alpha cross update: zero denominator")
-    alpha_new = alpha - psi + _log_or_raise(num / den, "alpha cross update ratio")
-    return ReducedState(pi + psi, (1.0 - c.mu) * m + c.mu * psi,
+        raise CrashDivergentError("beta cross update: zero denominator")
+    beta_new = beta - phi + _log_or_raise(num / den, "beta cross update ratio")
+    return ReducedState(pi + phi, (1.0 - c.mu) * m + c.mu * phi,
                         alpha_new, beta_new)
 
 
@@ -374,14 +371,6 @@ def alpha_fixed_points(c: AnalysisConstants) -> FixedPointReport:
                             selected=selected, trivial=False)
 
 
-def _mirror_constants(c: AnalysisConstants) -> AnalysisConstants:
-    """Parameter swap mapping the beta map onto the alpha map (negated)."""
-    return AnalysisConstants(a_const=c.b_const, b_const=c.a_const,
-                             lam=c.lam, eta=c.eta, mu=c.mu,
-                             kv_buy=c.kv_sell, kv_sell=c.kv_buy,
-                             km_buy=c.km_sell, km_sell=c.km_buy)
-
-
 def beta_fixed_points(c: AnalysisConstants) -> FixedPointReport:
     """Fixed points of the beta map; selected is the smallest positive one.
 
@@ -402,15 +391,15 @@ def crash_sufficient(reduced: ReducedState, c: AnalysisConstants) -> bool:
     derived for); violating that is a contract error.
     """
     if abs(reduced.pi) > c.eta or abs(reduced.m) > c.mu * c.eta:
-        raise ContractError("crash_sufficient needs |pi| <= eta and |m| <= mu*eta")
+        raise ContractError("the sufficient conditions need |pi| <= eta and "
+                            "|m| <= mu*eta")
     return reduced.alpha < alpha_fixed_points(c).selected - c.eta
 
 
 def boom_sufficient(reduced: ReducedState, c: AnalysisConstants) -> bool:
-    """Mirror-image sufficient condition for a boom."""
-    if abs(reduced.pi) > c.eta or abs(reduced.m) > c.mu * c.eta:
-        raise ContractError("boom_sufficient needs |pi| <= eta and |m| <= mu*eta")
-    return reduced.beta > beta_fixed_points(c).selected + c.eta
+    """Sufficient condition for a boom: the crash condition of the mirrored
+    state and constants, beta > beta_plus + eta, with the same precondition."""
+    return crash_sufficient(_mirror_state(reduced), _mirror_constants(c))
 
 
 def crash_threshold_formula(kv_buy: float, km_sell: float, rho: float,

@@ -2,7 +2,9 @@
 
 Subcommands: run, sweep, grid, impact, multival, estimate, analyze.
 Every output file gets a JSON sidecar (<name>.meta.json) carrying the full
-resolved configuration, the master seed, the package version and the RNG
+resolved configuration, the command's own sizes (sweep resolution and
+replicates, grid cells and k bounds, multival horizon and n_vals, estimator
+arguments), the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
 The sweep sidecar also has a "telemetry" key (runs, steps, aborted runs,
 engine batches and the widest batch's runs, wall time, steps/s) that
@@ -33,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with dotted keys")
     parser.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE", help="override any dotted config key")
     for key, (_, _, flag) in config_mod.KEYS.items():
@@ -51,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single seeded simulation")
     p_run.add_argument("--svg", help="also write an SVG price chart to this name")
     p_sweep = sub.add_parser("sweep", help="ternary sweep over trader mixes")
+    p_sweep.add_argument("--preset", choices=("desk", "paper"), default="desk")
     p_sweep.add_argument("--resolution", type=int, default=None)
     p_sweep.add_argument("--sweep-replicates", type=int, default=None)
     p_sweep.add_argument("--svg", help="also write an SVG ternary map to this name")
@@ -191,7 +193,9 @@ def cmd_grid(args, cfg) -> int:
         workers=args.workers)
     out = os.path.join(_outdir(args), "grid.csv")
     _write_csv(out, experiments.grid_csv_rows(grid))
-    _write_sidecar(out, cfg, args, {"cells": args.cells})
+    _write_sidecar(out, cfg, args, {
+        "cells": args.cells, "k_plus_min": args.k_plus_min, "k_plus_max": args.k_plus_max,
+        "k_minus_min": args.k_minus_min, "k_minus_max": args.k_minus_max})
     print(f"grid: {len(grid.cells)} cells ({cfg.market.settlement} settlement) -> {out}")
     return EXIT_OK
 
@@ -211,13 +215,14 @@ def cmd_multival(args, cfg) -> int:
     report = experiments.multival_run(cfg, n_vals=args.multival_n_vals,
                                       horizon=args.multival_horizon)
     outdir = _outdir(args)
+    sizes = {"horizon": args.multival_horizon, "n_vals": args.multival_n_vals}
     series_out = os.path.join(outdir, "multival_run.csv")
     _write_csv(series_out, experiments.run_csv_rows(report.result))
     _write_sidecar(series_out, cfg, args,
-                   {"valuations": list(report.valuations)})
+                   {"valuations": list(report.valuations), **sizes})
     hist_out = os.path.join(outdir, "multival_histogram.csv")
     _write_csv(hist_out, experiments.histogram_csv_rows(report.histogram))
-    _write_sidecar(hist_out, cfg, args)
+    _write_sidecar(hist_out, cfg, args, sizes)
     print(f"multival: max tracking error vs mean valuation "
           f"{report.max_tau_vs_mean:.4f} Blacks; wealth variance "
           f"{report.val_wealth_var_start:.3g} -> {report.val_wealth_var_end:.3g}; "

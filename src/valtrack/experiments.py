@@ -41,7 +41,7 @@ class ExperimentConfig:
     crash: CrashPredicate = field(default_factory=CrashPredicate.deciblack_drop)
     m0: float = -0.001
     seed: int = 0
-    replicates: int = 20
+    replicates: int = 20   # majority vote of a stochastic bisection probe
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -198,8 +198,7 @@ def _ternary_batch_task(args):
                          crash=config.crash)
 
 
-def ternary_sweep(config: ExperimentConfig, resolution: int,
-                  replicates: int | None = None,
+def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
                   workers: int | None = None) -> TernaryGrid:
     """Simulate every simplex point and aggregate drop/crash/boom statistics.
 
@@ -210,17 +209,16 @@ def ternary_sweep(config: ExperimentConfig, resolution: int,
     """
     if resolution < 1:
         raise ConfigError("resolution must be >= 1")
-    reps = config.replicates if replicates is None else replicates
-    if reps < 1:
-        raise ConfigError(f"replicates must be >= 1, got {reps}")
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     points = simplex_points(resolution)
-    n_runs = len(points) * reps
+    n_runs = len(points) * replicates
     size = min(_MAX_BATCH_RUNS, -(-n_runs // max(1, workers or 1)))
     tasks = []
     for start in range(0, n_runs, size):
         stop = min(start + size, n_runs)
-        tasks.append((config, reps, start, stop,
-                      points[start // reps:(stop - 1) // reps + 1]))
+        tasks.append((config, replicates, start, stop,
+                      points[start // replicates:(stop - 1) // replicates + 1]))
     batches = _run_tasks(_ternary_batch_task, tasks, workers)
     p0 = config.population.p0
     drops = [metrics.max_relative_drop((p0, low))
@@ -229,10 +227,11 @@ def ternary_sweep(config: ExperimentConfig, resolution: int,
     boomed = [flag for b in batches for flag in b.boomed.tolist()]
     results = []
     for i, (val, mo, rand) in enumerate(points):
-        runs = slice(i * reps, (i + 1) * reps)
-        results.append(TernaryPoint(val, mo, rand, math.fsum(drops[runs]) / reps,
-                                    sum(crashed[runs]) / reps, sum(boomed[runs]) / reps))
-    return TernaryGrid(resolution, reps, tuple(results),
+        runs = slice(i * replicates, (i + 1) * replicates)
+        results.append(TernaryPoint(
+            val, mo, rand, math.fsum(drops[runs]) / replicates,
+            sum(crashed[runs]) / replicates, sum(boomed[runs]) / replicates))
+    return TernaryGrid(resolution, replicates, tuple(results),
                        steps=sum(sum(b.steps.tolist()) for b in batches),
                        aborted_runs=sum(sum(b.aborted.tolist()) for b in batches),
                        batches=len(batches), batch_runs=max(len(b.steps) for b in batches))

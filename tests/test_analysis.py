@@ -277,7 +277,7 @@ class TestBetaFixedPoints:
     def test_mirror_identity_between_the_two_maps(self):
         # the beta map is the alpha map under negation with each trader's
         # buy and sell commitments exchanged; check the identity pointwise
-        # between the two independent implementations
+        # against constants built from the exchanged commitments
         rng = np.random.default_rng(31)
         for _ in range(20):
             kv_buy, kv_sell, km_buy, km_sell = rng.uniform(0.02, 0.4, size=4)
@@ -313,6 +313,8 @@ class TestSufficientConditions:
         red = reduce(state_for(0.25, m0=-0.01), consts)
         with pytest.raises(ContractError):
             crash_sufficient(red, consts)
+        with pytest.raises(ContractError):
+            boom_sufficient(red, consts)
 
     def test_crash_sufficient_states_crash_in_the_engine(self):
         rng = np.random.default_rng(55)
@@ -374,18 +376,24 @@ class TestAnalyticThreshold:
 
 
 class TestEngineEquivalence:
-    def test_short_trajectories_match_engine(self):
+    # cases 3 and 4 step through the mirror of cases 1 and 2, so the engine
+    # is checked from a start in each of the four cases
+    @pytest.mark.parametrize("pi_sign, m_sign, case", [
+        (1, -1, CASE_1), (-1, -1, CASE_2), (-1, 1, CASE_3), (1, 1, CASE_4)],
+        ids=[CASE_1, CASE_2, CASE_3, CASE_4])
+    def test_short_trajectories_match_engine(self, pi_sign, m_sign, case):
         rng = np.random.default_rng(777)
         for _ in range(10):
             theta = rng.uniform(0.1, 0.4)
             commitments = CommitmentParams(*rng.uniform(0.05, 0.25, size=6))
             params = MarketParams(settlement="current", horizon=50)
-            state = state_for(theta, p0=float(rng.uniform(0.9, 1.1)),
-                              m0=float(rng.choice([-1, 1]) * rng.uniform(1e-4, 1e-3)))
+            state = state_for(theta, p0=math.exp(pi_sign * rng.uniform(1e-3, 0.1)),
+                              m0=m_sign * float(rng.uniform(1e-4, 1e-3)))
             consts = AnalysisConstants.from_params(
                 params, commitments, total_cash=state.total_cash,
                 total_asset=state.total_asset)
             red = reduce(state, consts)
+            assert classify_region(red.pi, red.m) == case
             for _ in range(50):
                 state, _ = step(state, params, commitments)
                 red = reduced_step(red, consts)

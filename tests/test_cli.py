@@ -240,12 +240,12 @@ COMMON_OPTIONS = [
     "--cash", "--config", "--crash-kind", "--crash-value", "--critical-frac",
     "--eta", "--help", "--horizon", "--impact", "--km-buy", "--km-sell",
     "--kr-buy", "--kr-sell", "--kv-buy", "--kv-sell", "--lambda", "--liquidity",
-    "--m0", "--mo", "--mu", "--n-vals", "--out", "--p0", "--preset", "--rand",
+    "--m0", "--mo", "--mu", "--n-vals", "--out", "--p0", "--rand",
     "--rand-mode", "--replicates", "--rho", "--seed", "--set", "--settlement",
     "--u", "--val", "--valuation", "--workers", "--zeta", "-h"]
 SUBCOMMAND_OPTIONS = {
     "run": ["--svg"],
-    "sweep": ["--metric", "--resolution", "--svg", "--sweep-replicates"],
+    "sweep": ["--metric", "--preset", "--resolution", "--svg", "--sweep-replicates"],
     "grid": ["--cells", "--k-minus-max", "--k-minus-min", "--k-plus-max",
              "--k-plus-min"],
     "impact": [],
@@ -299,6 +299,29 @@ class TestCsvWriter:
             expected = io.StringIO(newline="")
             csv.writer(expected).writerows(rows)
             assert (tmp_path / file).read_bytes() == expected.getvalue().encode("utf-8")
+
+
+# command lines that differ only in a size of the command itself, with the
+# data files that size changes
+SIZE_PAIRS = {
+    "grid k bound": (["grid", "--cells", "2"], ["--k-plus-min", "0.1"], ["grid.csv"]),
+    "multival horizon": (["multival", "--multival-n-vals", "4", "--multival-horizon", "200"],
+                         ["--multival-horizon", "300"],
+                         ["multival_run.csv", "multival_histogram.csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_PAIRS))
+def test_sidecars_tell_apart_command_lines_that_write_different_files(name, tmp_path,
+                                                                      capsys):
+    argv, change, files = SIZE_PAIRS[name]
+    assert cli.main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*argv, *change, "--out", str(tmp_path / "b")]) == 0
+    for file in files:
+        a, b = tmp_path / "a" / file, tmp_path / "b" / file
+        assert a.read_bytes() != b.read_bytes(), file
+        meta = file + ".meta.json"
+        assert (tmp_path / "a" / meta).read_bytes() != (tmp_path / "b" / meta).read_bytes(), meta
 
 
 def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path, capsys):

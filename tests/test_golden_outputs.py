@@ -11,7 +11,10 @@ The sidecar digests cover everything a sidecar records but the sweep's
 timing telemetry and the RNG identification (it names the numpy version):
 the resolved configuration, command, output name, seed, code version and
 the command's own sizes. They were recorded before the configuration keys,
-defaults and flags were derived from one table.
+defaults and flags were derived from one table, except the grid and
+multival ones: those were re-recorded when the grid sidecar gained its four
+k bounds and the multival sidecars the run's horizon and n_vals, sizes
+without which two different data files had identical sidecars.
 """
 
 import hashlib
@@ -99,17 +102,17 @@ GOLDEN_SIDECARS = {
     "grid": (
         GOLDEN_COMMANDS["grid"][0],
         {"grid.csv.meta.json":
-             "dcf39131e84ade5e8bd682962e7b24a74a8ec2b2f595e16166522db363ec49a5"}),
+             "0aa608713aaeb81736b668651c1601907af188aedde489b4ce72d31d32e0788b"}),
     "grid, current settlement": (
         GOLDEN_COMMANDS["grid, current settlement"][0],
         {"grid.csv.meta.json":
-             "44f2db2105d1952cc8bafa5b1a7331cabde65100b31fc7642ee51a8da306a26b"}),
+             "87f72b65f038231e86b546485fe929b9613c1b309315981e3acd4ecc5d204c29"}),
     "multival": (
         GOLDEN_COMMANDS["multival"][0],
         {"multival_run.csv.meta.json":
-             "6941d21be34e34a2bbac96520304b23d6bbb31edb72c43314b638730f570cbe3",
+             "9362e86b7c548cec74c5b7f89e421a72e7c87c8ba25c2271f15cb9fe4071a79c",
          "multival_histogram.csv.meta.json":
-             "5572f3f7255c0c7b44a939f72dbc96be837be1b60e9dbbf74e79437062deebbd"}),
+             "8a8bb966fab482e1392d16587c60663d8b04931e212dfc7a0c1d70cb8eb7a379"}),
 }
 
 
