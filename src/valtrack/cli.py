@@ -6,7 +6,7 @@ resolved configuration, the command's own sizes (sweep resolution and
 replicates, grid cells and k bounds, multival horizon and n_vals, estimator
 arguments), the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
-The sweep sidecar also has a "telemetry" key (runs, steps, aborted runs,
+The sweep's CSV sidecar also has a "telemetry" key (runs, steps, aborted runs,
 engine batches and the widest batch's runs, wall time, steps/s) that
 changes between runs; it is not part of the reproducible output.
 
@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi.add_argument("--multival-n-vals", type=int, default=10)
     p_multi.add_argument("--multival-horizon", type=int, default=1000)
     p_est = sub.add_parser("estimate", help="tracking-error estimator Monte Carlo")
-    p_est.add_argument("--shape", type=float, default=8.0)
-    p_est.add_argument("--rate", type=float, default=8.0)
     p_est.add_argument("--p", type=float, default=1.3)
     p_est.add_argument("--n", type=int, default=100)
     p_est.add_argument("--reps", type=int, default=10000)
@@ -142,6 +140,14 @@ def _write_sidecar(path: str, cfg, args: argparse.Namespace, extra=None) -> None
     _write_json(path + ".meta.json", payload)
 
 
+def _write_svg(doc: str, cfg, args: argparse.Namespace, extra=None) -> None:
+    """Write an SVG document and its sidecar to the --svg name."""
+    path = os.path.join(_outdir(args), args.svg)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(doc)
+    _write_sidecar(path, cfg, args, extra)
+
+
 def cmd_run(args, cfg) -> int:
     result = experiments.run_once(cfg)
     out = os.path.join(_outdir(args), "run.csv")
@@ -149,9 +155,8 @@ def cmd_run(args, cfg) -> int:
     _write_sidecar(out, cfg, args)
     if args.svg:
         from . import svg  # only --svg needs it and its xml import
-        doc = svg.render_series_svg(result.prices, valuation=cfg.population.u)
-        with open(os.path.join(_outdir(args), args.svg), "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        _write_svg(svg.render_series_svg(result.prices, valuation=cfg.population.u),
+                   cfg, args)
     status = "crash at step %s" % result.crash_step if result.crash_step is not None \
         else "no crash"
     boom = " boom at step %s" % result.boom_step if result.boom_step is not None else ""
@@ -175,13 +180,11 @@ def cmd_sweep(args, cfg) -> int:
                  "aborted_runs": grid.aborted_runs, "batches": grid.batches,
                  "batch_runs": grid.batch_runs, "wall_s": wall,
                  "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
-    _write_sidecar(out, cfg, args, {"resolution": resolution, "replicates": replicates,
-                                    "telemetry": telemetry})
+    sizes = {"resolution": resolution, "replicates": replicates}
+    _write_sidecar(out, cfg, args, {**sizes, "telemetry": telemetry})
     if args.svg:
         from . import svg
-        doc = svg.render_ternary_svg(grid, metric=args.metric)
-        with open(os.path.join(_outdir(args), args.svg), "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        _write_svg(svg.render_ternary_svg(grid, metric=args.metric), cfg, args, sizes)
     print(f"sweep: {len(grid.points)} points x {replicates} replicates -> {out}")
     return EXIT_OK
 
@@ -231,13 +234,12 @@ def cmd_multival(args, cfg) -> int:
 
 
 def cmd_estimate(args, cfg) -> int:
-    report = metrics.estimator_mc(args.shape, args.rate, args.p, args.n,
-                                  args.reps, cfg.seed)
+    report = metrics.estimator_mc(cfg.population.gamma_shape, cfg.population.gamma_rate,
+                                  args.p, args.n, args.reps, cfg.seed)
     out = os.path.join(_outdir(args), "estimator.json")
     _write_json(out, asdict(report))
     _write_sidecar(out, cfg, args,
-                   {"estimator": {"shape": args.shape, "rate": args.rate,
-                                  "p": args.p, "n": args.n, "reps": args.reps}})
+                   {"estimator": {"p": args.p, "n": args.n, "reps": args.reps}})
     print(f"estimate: tau_true={report.tau_true:.5f} "
           f"tau_hat_mean={report.tau_hat_mean:.5f} bias={report.bias:.2e} "
           f"empirical std={report.empirical_std:.5f} "

@@ -202,7 +202,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     state = initial.copy()
     prices = [state.price]
     momenta = [state.momentum]
-    wealth = [[t.wealth(state.price) for t in state.traders]]
+    wealth = [[t.cash + t.asset * state.price for t in state.traders]]
     records = []
     aborted = False
     for _ in range(params.horizon):
@@ -210,7 +210,6 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
         p = state.price
         prices.append(p)
         momenta.append(state.momentum)
-        # Trader.wealth(p), without a method call per trader
         wealth.append([t.cash + t.asset * p for t in state.traders])
         if p < PRICE_FLOOR:
             aborted = True
@@ -240,7 +239,7 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     rand = any(t.kind == KIND_RAND for t in state.traders)
     rng = np.random.Generator(np.random.PCG64(seed)) if rand else None
     p0 = state.price
-    start = metrics.detect_crash((p0,), crash)
+    start = 0 if crash.crash_at(p0, p0) else None
     for t in range(1, params.horizon + 1):
         _advance(state, params, commitments, rng, False)
         if state.price < PRICE_FLOOR or crash.crash_at(p0, state.price):

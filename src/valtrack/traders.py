@@ -10,6 +10,9 @@ Three trader kinds share one record type:
 
 Exact ties (price equal to valuation, zero momentum) produce no order: the
 dynamics are discontinuous there and no-order is the neutral choice.
+
+`trader_orders` states these rules for one trader, `batch_orders` as arrays
+for the batched engine, with `trader_orders` as its oracle.
 """
 
 import math
@@ -47,9 +50,6 @@ class Trader:
         return Trader(self.cash, self.asset, self.kind, self.valuation,
                       self.rand_mode, self.critical_cash, self.critical_asset)
 
-    def wealth(self, price: float) -> float:
-        return self.cash + self.asset * price
-
 
 @dataclass(slots=True)
 class MarketState:
@@ -78,76 +78,43 @@ class MarketState:
         return sum(t.asset for t in self.traders)
 
 
-def val_orders(p: float, u: float, cash: float, asset: float,
-               kv_buy: float, kv_sell: float) -> tuple[float, float]:
-    """Valuation trader: bid kv_buy of cash below u, offer kv_sell of the
-    holding above u, nothing at the tie p = u. Returns (bid cash, offer asset)."""
-    if p > u:
-        return 0.0, kv_sell * asset
-    if p < u:
-        return kv_buy * cash, 0.0
-    return 0.0, 0.0
-
-
-def mo_orders(m: float, cash: float, asset: float,
-              km_buy: float, km_sell: float) -> tuple[float, float]:
-    """Momentum trader: buy on m > 0, sell on m < 0, nothing at m = 0."""
-    if m > 0.0:
-        return km_buy * cash, 0.0
-    if m < 0.0:
-        return 0.0, km_sell * asset
-    return 0.0, 0.0
-
-
-def rand_orders_basic(cash: float, asset: float, kr_buy: float, kr_sell: float,
-                      rng: np.random.Generator) -> tuple[float, float]:
-    """Random trader: independent uniform draws on [0, k] scale the cash bid
-    and the asset offer; both sides may be positive at once. k * random()
-    is rng.uniform(0.0, k) bit for bit, from the same draw."""
-    bid = kr_buy * rng.random() * cash
-    offer = kr_sell * rng.random() * asset
-    return bid, offer
-
-
-def rand_orders_refined(cash: float, asset: float, p: float,
-                        critical_cash: float, critical_asset: float,
-                        kr_buy: float, kr_sell: float,
-                        rng: np.random.Generator) -> tuple[float, float]:
-    """Wealth-proportional random trader with a critical-wealth floor.
-
-    Orders reference total marked-to-market wealth; once the cash holding or
-    the asset value dips below its critical level, both orders reference the
-    lower of the two holdings instead, which removes the systematic downward
-    price pressure of holding-proportional orders when assets outweigh cash.
-    """
-    asset_value = asset * p
-    reference = cash + asset_value
-    if cash < critical_cash or asset_value < critical_asset:
-        reference = min(cash, asset_value)
-    bid = min(kr_buy * rng.random() * reference, cash)
-    offer = min(kr_sell * rng.random() * reference / p, asset)
-    return bid, offer
-
-
 def trader_orders(trader: Trader, price: float, momentum: float,
                   commitments: CommitmentParams,
                   rng: np.random.Generator | None) -> tuple[float, float]:
-    """Dispatch to the strategy for one trader. Returns (bid cash, offer asset)."""
+    """One trader's orders at this price and momentum, as (bid cash, offer
+    asset), by the rule of its kind.
+
+    A random trader draws its bid first; k * rng.random() is
+    rng.uniform(0.0, k) bit for bit. The refined one references
+    marked-to-market wealth, or the lower of its cash and asset value once
+    either dips below its critical level: this removes the downward price
+    pressure of holding-proportional orders when assets outweigh cash.
+    """
+    cash, asset = trader.cash, trader.asset
     if trader.kind == KIND_VAL:
-        return val_orders(price, trader.valuation, trader.cash, trader.asset,
-                          commitments.kv_buy, commitments.kv_sell)
+        if price > trader.valuation:
+            return 0.0, commitments.kv_sell * asset
+        if price < trader.valuation:
+            return commitments.kv_buy * cash, 0.0
+        return 0.0, 0.0
     if trader.kind == KIND_MO:
-        return mo_orders(momentum, trader.cash, trader.asset,
-                         commitments.km_buy, commitments.km_sell)
+        if momentum > 0.0:
+            return commitments.km_buy * cash, 0.0
+        if momentum < 0.0:
+            return 0.0, commitments.km_sell * asset
+        return 0.0, 0.0
     if trader.kind == KIND_RAND:
         if rng is None:
             raise InvalidInputError("random trader present but no rng supplied")
         if trader.rand_mode == RAND_REFINED:
-            return rand_orders_refined(trader.cash, trader.asset, price,
-                                       trader.critical_cash, trader.critical_asset,
-                                       commitments.kr_buy, commitments.kr_sell, rng)
-        return rand_orders_basic(trader.cash, trader.asset,
-                                 commitments.kr_buy, commitments.kr_sell, rng)
+            asset_value = asset * price
+            reference = cash + asset_value
+            if cash < trader.critical_cash or asset_value < trader.critical_asset:
+                reference = min(cash, asset_value)
+            return (min(commitments.kr_buy * rng.random() * reference, cash),
+                    min(commitments.kr_sell * rng.random() * reference / price, asset))
+        return (commitments.kr_buy * rng.random() * cash,
+                commitments.kr_sell * rng.random() * asset)
     raise InvalidInputError(f"unknown trader kind {trader.kind!r}")
 
 
@@ -204,11 +171,10 @@ def batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mod
     like cash.
 
     uniforms[i] holds the two draws on [0, 1) that market i's random
-    trader takes this step, bid first. Each order equals what val_orders,
-    mo_orders, rand_orders_basic or rand_orders_refined returns for its
-    trader, bit for bit: the same expressions in the same order, with
-    np.where for the branches and for min. The random trader's column is
-    written only when rand_mode is set.
+    trader takes this step, bid first. Each order equals what trader_orders
+    returns for its trader, bit for bit: the same expressions in the same
+    order, with np.where for the branches and for min. The random trader's
+    column is written only when rand_mode is set.
     """
     c = commitments
     n_vals = valuations.shape[1]
@@ -235,13 +201,6 @@ def batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mod
     else:
         bids[:, rand] = u_bid * r_cash
         offers[:, rand] = u_offer * r_asset
-
-
-def sample_gamma(shape: float, rate: float, rng: np.random.Generator) -> float:
-    """One Gamma(shape, rate) draw, mean shape/rate."""
-    if shape <= 0 or rate <= 0:
-        raise ConfigError(f"gamma parameters must be > 0, got {shape}, {rate}")
-    return float(rng.gamma(shape, 1.0 / rate))
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,8 +280,8 @@ def init_population(spec: PopulationSpec, m0: float = 0.0,
 
     traders: list[Trader] = []
     for frac in spec.val_fracs:
-        u = spec.u if spec.valuation == VALUATION_FIXED else sample_gamma(
-            spec.gamma_shape, spec.gamma_rate, rng)
+        u = spec.u if spec.valuation == VALUATION_FIXED else float(
+            rng.gamma(spec.gamma_shape, 1.0 / spec.gamma_rate))
         traders.append(Trader(frac * cash_total, frac * asset_total, KIND_VAL,
                               valuation=u))
     if spec.mo_frac > 0.0:

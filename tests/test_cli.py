@@ -14,7 +14,7 @@ from valtrack import cli
 from valtrack.config import KEYS, config_values, parse_config, serialize
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
-from valtrack.metrics import CrashPredicate
+from valtrack.metrics import CrashPredicate, tau
 from valtrack.params import MarketParams
 from valtrack.svg import render_series_svg, render_ternary_svg
 from valtrack.traders import PopulationSpec
@@ -166,8 +166,8 @@ class TestCliCommands:
         (["estimate", "--reps", "1"], 2),
         (["estimate", "--n", "1"], 2),
         (["estimate", "--p", "0"], 2),
-        (["estimate", "--shape", "-1"], 2),
-        (["estimate", "--rate", "0"], 2),
+        (["estimate", "--set", "population.gamma_shape=-1"], 2),
+        (["estimate", "--set", "population.gamma_rate=0"], 2),
         (["estimate", "--seed", "-5"], 2),
         (["analyze", "--kv-buy", "0"], 3),
         (["analyze", "--km-buy", "0"], 3),
@@ -202,6 +202,15 @@ class TestCliCommands:
         report = json.loads((tmp_path / "estimator.json").read_text())
         assert report["n"] == 100
 
+    def test_estimate_reads_the_gamma_config_keys(self, tmp_path, capsys):
+        assert cli.main(["estimate", "--n", "10", "--reps", "20", "--set",
+                         "population.gamma_shape=4", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "estimator.json").read_text())
+        assert report["tau_true"] == tau(1.3, 4.0 / 8.0)
+        meta = json.loads((tmp_path / "estimator.json.meta.json").read_text())
+        assert meta["config"]["population.gamma_shape"] == 4.0
+        assert meta["estimator"] == {"p": 1.3, "n": 10, "reps": 20}
+
     def test_sweep_writes_points_and_sidecar(self, tmp_path, capsys):
         code = cli.main(["sweep", "--resolution", "2", "--sweep-replicates",
                          "2", "--m0", "0", "--out", str(tmp_path),
@@ -210,6 +219,8 @@ class TestCliCommands:
         lines = (tmp_path / "ternary.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + 6 simplex points
         ET.fromstring((tmp_path / "tern.svg").read_text())
+        svg_meta = json.loads((tmp_path / "tern.svg.meta.json").read_text())
+        assert (svg_meta["resolution"], svg_meta["replicates"]) == (2, 2)
         meta = json.loads((tmp_path / "ternary.csv.meta.json").read_text())
         telemetry = meta["telemetry"]
         assert set(telemetry) == {"runs", "steps", "aborted_runs", "batches",
@@ -250,7 +261,7 @@ SUBCOMMAND_OPTIONS = {
              "--k-plus-min"],
     "impact": [],
     "multival": ["--multival-horizon", "--multival-n-vals"],
-    "estimate": ["--n", "--p", "--rate", "--reps", "--shape"],
+    "estimate": ["--n", "--p", "--reps"],
     "analyze": ["--csv"],
 }
 
@@ -322,6 +333,20 @@ def test_sidecars_tell_apart_command_lines_that_write_different_files(name, tmp_
         assert a.read_bytes() != b.read_bytes(), file
         meta = file + ".meta.json"
         assert (tmp_path / "a" / meta).read_bytes() != (tmp_path / "b" / meta).read_bytes(), meta
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mo", "0.3", "--horizon", "20", "--svg", "series.svg"],
+    ["sweep", "--resolution", "2", "--sweep-replicates", "2", "--svg", "tern.svg"],
+], ids=["run", "sweep"])
+def test_every_output_file_has_a_sidecar(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    names = {f.name for f in tmp_path.iterdir()}
+    outputs = {n for n in names if not n.endswith(".meta.json")}
+    assert len(outputs) == 2
+    assert names == outputs | {n + ".meta.json" for n in outputs}
+    for name in outputs:
+        assert json.loads((tmp_path / (name + ".meta.json")).read_text())["output"] == name
 
 
 def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path, capsys):

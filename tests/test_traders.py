@@ -8,29 +8,40 @@ from hypothesis import strategies as st
 from valtrack import PopulationSpec, init_population
 from valtrack.errors import ConfigError
 from valtrack.params import CommitmentParams
-from valtrack.traders import (MarketState, Trader, batch_layout, batch_orders, mo_orders,
-                              rand_orders_basic, rand_orders_refined, sample_gamma,
-                              trader_orders, val_orders)
+from valtrack.traders import MarketState, Trader, batch_layout, batch_orders, trader_orders
+
+K = CommitmentParams()  # every commitment 0.1
+
+
+def val(cash, asset, u):
+    return Trader(cash, asset, "val", valuation=u)
+
+
+def refined(cash, asset, critical_cash=0.0, critical_asset=0.0):
+    return Trader(cash, asset, "rand", rand_mode="refined",
+                  critical_cash=critical_cash, critical_asset=critical_asset)
 
 
 class TestValOrders:
     def test_sells_above_valuation(self):
-        bid, offer = val_orders(2.0, 1.0, 5.0, 10.0, 0.1, 0.1)
+        bid, offer = trader_orders(val(5.0, 10.0, 1.0), 2.0, 0.0, K, None)
         assert (bid, offer) == (0.0, 1.0)
 
     def test_buys_below_valuation(self):
-        bid, offer = val_orders(0.5, 1.0, 10.0, 5.0, 0.1, 0.1)
+        bid, offer = trader_orders(val(10.0, 5.0, 1.0), 0.5, 0.0, K, None)
         assert (bid, offer) == (1.0, 0.0)
 
     def test_no_order_at_tie(self):
-        assert val_orders(1.0, 1.0, 10.0, 10.0, 0.1, 0.1) == (0.0, 0.0)
+        assert trader_orders(val(10.0, 10.0, 1.0), 1.0, 0.0, K, None) == (0.0, 0.0)
 
     @given(p=st.floats(0.01, 100), u=st.floats(0.01, 100),
            cash=st.floats(0, 1e6), asset=st.floats(0, 1e6),
-           kb=st.floats(0, 1), ks=st.floats(0, 1))
+           kb=st.floats(0, 1), ks=st.floats(0, 1), m=st.floats(-1, 1))
     @settings(max_examples=200, deadline=None)
-    def test_orders_never_exceed_holdings_and_signs(self, p, u, cash, asset, kb, ks):
-        bid, offer = val_orders(p, u, cash, asset, kb, ks)
+    def test_orders_never_exceed_holdings_and_signs(self, p, u, cash, asset, kb, ks, m):
+        # momentum plays no part in a valuation trader's rule
+        bid, offer = trader_orders(val(cash, asset, u), p, m,
+                                   CommitmentParams(kv_buy=kb, kv_sell=ks), None)
         assert 0.0 <= bid <= cash
         assert 0.0 <= offer <= asset
         if bid > 0:
@@ -41,44 +52,47 @@ class TestValOrders:
 
 class TestMoOrders:
     def test_sells_on_negative_momentum(self):
-        assert mo_orders(-0.001, 5.0, 10.0, 0.1, 0.1) == (0.0, 1.0)
+        assert trader_orders(Trader(5.0, 10.0, "mo"), 1.0, -0.001, K, None) == (0.0, 1.0)
 
     def test_buys_on_positive_momentum(self):
-        assert mo_orders(0.001, 10.0, 5.0, 0.1, 0.1) == (1.0, 0.0)
+        assert trader_orders(Trader(10.0, 5.0, "mo"), 1.0, 0.001, K, None) == (1.0, 0.0)
 
     def test_no_order_at_zero(self):
-        assert mo_orders(0.0, 10.0, 10.0, 0.1, 0.1) == (0.0, 0.0)
+        assert trader_orders(Trader(10.0, 10.0, "mo"), 1.0, 0.0, K, None) == (0.0, 0.0)
 
     def test_deterministic(self):
-        args = (-0.5, 3.0, 7.0, 0.2, 0.3)
-        assert mo_orders(*args) == mo_orders(*args)
+        args = (Trader(3.0, 7.0, "mo"), 2.5, -0.5, CommitmentParams(km_buy=0.2, km_sell=0.3),
+                None)
+        assert trader_orders(*args) == trader_orders(*args) == (0.0, 0.3 * 7.0)
 
 
 class TestRandBasic:
     def test_zero_ceilings_give_zero_orders(self):
         rng = np.random.default_rng(0)
-        assert rand_orders_basic(10.0, 10.0, 0.0, 0.0, rng) == (0.0, 0.0)
+        zero = CommitmentParams(kr_buy=0.0, kr_sell=0.0)
+        assert trader_orders(Trader(10.0, 10.0, "rand"), 1.0, 0.0, zero, rng) == (0.0, 0.0)
 
     def test_zero_holdings_give_zero_orders(self):
         rng = np.random.default_rng(0)
-        assert rand_orders_basic(0.0, 0.0, 0.1, 0.1, rng) == (0.0, 0.0)
+        assert trader_orders(Trader(0.0, 0.0, "rand"), 1.0, 0.0, K, rng) == (0.0, 0.0)
 
     def test_mean_offer_matches_uniform_mean(self):
         rng = np.random.default_rng(123)
-        offers = [rand_orders_basic(1.0, 1.0, 0.1, 0.1, rng)[1]
-                  for _ in range(100_000)]
+        trader = Trader(1.0, 1.0, "rand")
+        offers = [trader_orders(trader, 1.0, 0.0, K, rng)[1] for _ in range(100_000)]
         assert np.mean(offers) == pytest.approx(0.05, abs=1e-3)
 
     def test_both_sides_can_be_positive(self):
         rng = np.random.default_rng(7)
-        bid, offer = rand_orders_basic(10.0, 10.0, 0.5, 0.5, rng)
+        half = CommitmentParams(kr_buy=0.5, kr_sell=0.5)
+        bid, offer = trader_orders(Trader(10.0, 10.0, "rand"), 1.0, 0.0, half, rng)
         assert bid > 0 and offer > 0
 
 
 class TestRandRefined:
     def test_zero_cash_means_zero_reference(self):
         rng = np.random.default_rng(0)
-        bid, offer = rand_orders_refined(0.0, 10.0, 1.0, 1.0, 1.0, 0.1, 0.1, rng)
+        bid, offer = trader_orders(refined(0.0, 10.0, 1.0, 1.0), 1.0, 0.0, K, rng)
         assert bid == 0.0
         # reference = min(cash, asset value) = 0 when cash is below its floor
         assert offer == 0.0
@@ -87,7 +101,7 @@ class TestRandRefined:
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         cash, asset, p = 3.0, 8.0, 1.25
-        bid, offer = rand_orders_refined(cash, asset, p, 0.0, 0.0, 0.1, 0.1, rng_a)
+        bid, offer = trader_orders(refined(cash, asset), p, 0.0, K, rng_a)
         wealth = cash + asset * p
         bid_ref = min(rng_b.uniform(0, 0.1) * wealth, cash)
         offer_ref = min(rng_b.uniform(0, 0.1) * wealth / p, asset)
@@ -97,10 +111,10 @@ class TestRandRefined:
     def test_floor_constrains_to_lower_holding(self):
         rng = np.random.default_rng(5)
         # cash 1 below its floor 2: reference collapses to min(1, 40) = 1
+        trader = refined(1.0, 40.0, 2.0, 0.0)
         bids = []
         for _ in range(1000):
-            bid, offer = rand_orders_refined(1.0, 40.0, 1.0, 2.0, 0.0,
-                                             0.1, 0.1, rng)
+            bid, offer = trader_orders(trader, 1.0, 0.0, K, rng)
             bids.append(bid)
             assert offer <= 0.1 * 1.0  # offers now reference cash, not wealth
         assert max(bids) <= 0.1 * 1.0
@@ -110,19 +124,19 @@ class TestRandRefined:
     @settings(max_examples=200, deadline=None)
     def test_orders_respect_holdings(self, cash, asset, p):
         rng = np.random.default_rng(11)
-        bid, offer = rand_orders_refined(cash, asset, p, 0.2 * cash,
-                                         0.2 * asset * p, 0.1, 0.1, rng)
+        bid, offer = trader_orders(refined(cash, asset, 0.2 * cash, 0.2 * asset * p),
+                                   p, 0.0, K, rng)
         assert 0.0 <= bid <= cash
         assert 0.0 <= offer <= asset
 
 
 def uniform_basic(cash, asset, kr_buy, kr_sell, rng):
-    """rand_orders_basic as written with Generator.uniform."""
+    """The basic random rule of trader_orders as written with Generator.uniform."""
     return rng.uniform(0.0, kr_buy) * cash, rng.uniform(0.0, kr_sell) * asset
 
 
 def uniform_refined(cash, asset, p, critical_cash, critical_asset, kr_buy, kr_sell, rng):
-    """rand_orders_refined as written with Generator.uniform."""
+    """The refined random rule of trader_orders as written with Generator.uniform."""
     asset_value = asset * p
     reference = cash + asset_value
     if cash < critical_cash or asset_value < critical_asset:
@@ -140,11 +154,13 @@ class TestRandDraws:
                                                  asset_floor, kb, ks, calls):
         rng = np.random.Generator(np.random.PCG64(seed))
         oracle = np.random.Generator(np.random.PCG64(seed))
+        commitments = CommitmentParams(kr_buy=kb, kr_sell=ks)
         # floors up to twice the holding reach both reference branches
         floors = (cash_floor * cash, asset_floor * asset * p)
+        basic, refined_trader = Trader(cash, asset, "rand"), refined(cash, asset, *floors)
         for _ in range(calls):
-            got = (*rand_orders_basic(cash, asset, kb, ks, rng),
-                   *rand_orders_refined(cash, asset, p, *floors, kb, ks, rng))
+            got = (*trader_orders(basic, p, 0.0, commitments, rng),
+                   *trader_orders(refined_trader, p, 0.0, commitments, rng))
             want = (*uniform_basic(cash, asset, kb, ks, oracle),
                     *uniform_refined(cash, asset, p, *floors, kb, ks, oracle))
             assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -213,9 +229,13 @@ class TestBatchOrders:
 
 
 class TestSampleGamma:
+    """Gamma-distributed valuations, as init_population draws them."""
+
     def test_moments_of_gamma_8_8(self):
-        rng = np.random.default_rng(2024)
-        draws = np.array([sample_gamma(8.0, 8.0, rng) for _ in range(200_000)])
+        n = 200_000
+        spec = PopulationSpec(val_fracs=(1.0 / n,) * n, valuation="gamma")
+        state = init_population(spec, rng=np.random.default_rng(2024))
+        draws = np.array([t.valuation for t in state.traders])
         assert draws.mean() == pytest.approx(1.0, abs=2e-3)
         assert draws.var(ddof=1) == pytest.approx(0.125, abs=5e-3)
 
@@ -225,9 +245,10 @@ class TestSampleGamma:
         assert (draws > 1.0).mean() == pytest.approx(math.exp(-1), abs=5e-3)
 
     def test_rejects_bad_parameters(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            sample_gamma(0.0, 8.0, rng)
+            PopulationSpec(valuation="gamma", gamma_shape=0.0)
+        with pytest.raises(ConfigError):
+            PopulationSpec(valuation="gamma", gamma_rate=-1.0)
 
 
 class TestInitPopulation:
