@@ -290,29 +290,28 @@ def alpha_min_location(km_sell: float, lam: float) -> float:
     return math.log(lam / (km_sell * (1.0 + lam)))
 
 
-def newton_root(f, fprime, x0: float, tol: float = _NEWTON_TOL,
-                max_iter: int = _NEWTON_MAX_ITER) -> float:
+def newton_root(f, fprime, x0: float) -> float:
     """Plain Newton-Raphson; raises NumericError with diagnostics on failure."""
     x = x0
-    for i in range(max_iter):
+    for i in range(_NEWTON_MAX_ITER):
         fx = f(x)
         dfx = fprime(x)
         if dfx == 0.0:
             raise NumericError(f"zero derivative at {x} after {i} iterations")
         delta = fx / dfx
         x -= delta
-        if abs(delta) <= tol:
+        if abs(delta) <= _NEWTON_TOL:
             return x
-    raise NumericError(f"no convergence after {max_iter} iterations "
+    raise NumericError(f"no convergence after {_NEWTON_MAX_ITER} iterations "
                        f"(x={x}, f={f(x)}, start={x0})")
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = _NEWTON_TOL) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if fmid == 0.0 or hi - lo <= tol:
+        if fmid == 0.0 or hi - lo <= _NEWTON_TOL:
             return mid
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid

@@ -52,9 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single seeded simulation")
     p_run.add_argument("--svg", help="also write an SVG price chart to this name")
     p_sweep = sub.add_parser("sweep", help="ternary sweep over trader mixes")
-    p_sweep.add_argument("--preset", choices=("desk", "paper"), default="desk")
-    p_sweep.add_argument("--resolution", type=int, default=None)
-    p_sweep.add_argument("--sweep-replicates", type=int, default=None)
+    p_sweep.add_argument("--resolution", type=int, default=20)
+    p_sweep.add_argument("--sweep-replicates", type=int, default=20)
     p_sweep.add_argument("--svg", help="also write an SVG ternary map to this name")
     p_sweep.add_argument("--metric", default="crash_freq",
                          choices=("crash_freq", "boom_freq", "mean_drop"))
@@ -166,12 +165,8 @@ def cmd_run(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
-    preset = experiments.FULL_PRESET if args.preset == "paper" else experiments.DESK_PRESET
-    resolution = preset["resolution"] if args.resolution is None else args.resolution
-    replicates = (preset["replicates"] if args.sweep_replicates is None
-                  else args.sweep_replicates)
     start = time.perf_counter()
-    grid = experiments.ternary_sweep(cfg, resolution, replicates,
+    grid = experiments.ternary_sweep(cfg, args.resolution, args.sweep_replicates,
                                      workers=args.workers)
     wall = time.perf_counter() - start
     out = os.path.join(_outdir(args), "ternary.csv")
@@ -180,12 +175,12 @@ def cmd_sweep(args, cfg) -> int:
                  "aborted_runs": grid.aborted_runs, "batches": grid.batches,
                  "batch_runs": grid.batch_runs, "wall_s": wall,
                  "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
-    sizes = {"resolution": resolution, "replicates": replicates}
+    sizes = {"resolution": grid.resolution, "replicates": grid.replicates}
     _write_sidecar(out, cfg, args, {**sizes, "telemetry": telemetry})
     if args.svg:
         from . import svg
         _write_svg(svg.render_ternary_svg(grid, metric=args.metric), cfg, args, sizes)
-    print(f"sweep: {len(grid.points)} points x {replicates} replicates -> {out}")
+    print(f"sweep: {len(grid.points)} points x {grid.replicates} replicates -> {out}")
     return EXIT_OK
 
 

@@ -16,10 +16,10 @@ and sets cap_hit from the same uncapped value. One-sided order flow thus
 moves the price at the cap; zero flow on both sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
-check themselves when built, and `check_state` checks a state where it
-enters `run`, `step`, `crash_step` or `run_summaries`. Inside the loop a
-step checks only what a valid state does not guarantee: a finite order
-flow >= 0 and a finite new price > 0. Both engines raise
+check themselves when built, and `check_state` checks a state and its
+traders where it enters `run`, `step`, `crash_step` or `run_summaries`.
+Inside the loop a step checks only what a valid state does not guarantee:
+a finite order flow >= 0 and a finite new price > 0. Both engines raise
 InvalidInputError on the same inputs.
 
 A run crashes when its crash predicate fires at some step of it, the start
@@ -45,7 +45,8 @@ import numpy as np
 from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .traders import KIND_RAND, MarketState, batch_layout, batch_orders, trader_orders
+from .traders import (KIND_RAND, RAND_MODES, TRADER_KINDS, MarketState, batch_layout,
+                      batch_orders, trader_orders)
 
 PRICE_FLOOR = 1e-12
 
@@ -70,8 +71,9 @@ class RunResult:
 
     prices/momenta have length steps+1 (initial point included); wealth[t]
     holds each trader's marked-to-market wealth at step t. crash_step and
-    boom_step are indices into prices, set when a predicate was supplied.
-    aborted marks runs stopped by the price floor; they count as crashes.
+    boom_step are the first indices into prices where the crash predicate
+    and its boom reading fire, or None. aborted marks runs stopped by the
+    price floor; they count as crashes.
     """
 
     prices: list
@@ -79,20 +81,25 @@ class RunResult:
     wealth: list
     records: list
     final_state: MarketState
-    crash_step: int | None = None
-    boom_step: int | None = None
-    aborted: bool = False
+    crash_step: int | None
+    boom_step: int | None
+    aborted: bool
 
 
 def check_state(state: MarketState) -> None:
     """Raise InvalidInputError unless the state can be stepped: a finite
-    price > 0, a finite momentum and finite holdings >= 0."""
+    price > 0, a finite momentum, finite holdings >= 0, known trader kinds
+    and known random-trader modes."""
     if not (0.0 < state.price < math.inf and math.isfinite(state.momentum)):
         raise InvalidInputError("need a finite price > 0 and a finite momentum, "
                                 f"got {state.price}, {state.momentum}")
     for t in state.traders:
         if not (0.0 <= t.cash < math.inf and 0.0 <= t.asset < math.inf):
             raise InvalidInputError(f"holdings must be finite and >= 0, got {t.cash}, {t.asset}")
+        if t.kind not in TRADER_KINDS:
+            raise InvalidInputError(f"unknown trader kind {t.kind!r}")
+        if t.kind == KIND_RAND and t.rand_mode not in RAND_MODES:
+            raise InvalidInputError(f"unknown rand mode {t.rand_mode!r}")
 
 
 def log_impact(q_p: float, q_s: float, params: MarketParams) -> float:
@@ -179,14 +186,16 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
          rng: np.random.Generator | None = None) -> tuple[MarketState, StepRecord]:
     """Advance the market by one step; the price updates even when no trade
     executes. The input state is left as it was. Raises InvalidInputError
-    on a state check_state rejects."""
+    on a state check_state rejects or with a random trader but no rng."""
     check_state(state)
+    if rng is None and any(t.kind == KIND_RAND for t in state.traders):
+        raise InvalidInputError("random trader present but no rng supplied")
     new_state = state.copy()
     return new_state, _advance(new_state, params, commitments, rng)
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
-        seed: int, crash: "metrics.CrashPredicate | None" = None,
+        seed: int, crash: "metrics.CrashPredicate",
         stop_at_crash: bool = False) -> RunResult:
     """Run params.horizon steps from the initial state, stepping one private
     copy of it in place.
@@ -214,12 +223,10 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
         if p < PRICE_FLOOR:
             aborted = True
             break
-        if stop_at_crash and crash is not None and crash.crash_at(prices[0], p):
+        if stop_at_crash and crash.crash_at(prices[0], p):
             break
-    crash_step = boom_step = None
-    if crash is not None:
-        crash_step = metrics.detect_crash(prices, crash)
-        boom_step = metrics.detect_boom(prices, crash)
+    crash_step = metrics.detect_crash(prices, crash)
+    boom_step = metrics.detect_boom(prices, crash)
     if aborted and crash_step is None:
         crash_step = len(prices) - 1
     return RunResult(prices, momenta, wealth, records, state, crash_step, boom_step, aborted)

@@ -18,9 +18,6 @@ from .seeding import mix_seed, rng_for
 from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
 
-DESK_PRESET = {"resolution": 20, "replicates": 20}
-FULL_PRESET = {"resolution": 99, "replicates": 100}
-
 # Largest number of sweep runs stepped together by engine.run_summaries. It
 # bounds the batch's arrays and PCG64 streams in memory; results do not
 # depend on it. Wider batches spread numpy's per-call cost over more runs,
@@ -63,9 +60,9 @@ def _seeded_start(config: ExperimentConfig, task_seed: int, shared=None):
     return shared, mix_seed(task_seed, 1)
 
 
-def run_once(config: ExperimentConfig, seed: int | None = None) -> RunResult:
+def run_once(config: ExperimentConfig) -> RunResult:
     """One seeded run of the configured population."""
-    state, run_seed = _seeded_start(config, config.seed if seed is None else seed)
+    state, run_seed = _seeded_start(config, config.seed)
     return run(state, config.market, config.commitments, seed=run_seed, crash=config.crash)
 
 
@@ -97,24 +94,20 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     return 2 * crashes > reps
 
 
-def threshold_search(config: ExperimentConfig, lo: float = 0.0, hi: float = 1.0,
-                     tol: float = 5e-4) -> float:
+def threshold_search(config: ExperimentConfig, tol: float = 5e-4) -> float:
     """Smallest momentum-trader wealth share whose crash predicate fires,
-    found by bisection; returns the crashing end of the final bracket.
-
-    If the outcome is constant over [lo, hi] the threshold is reported at
-    the corresponding boundary (lo when even lo crashes, hi when even hi
-    does not). A configured random-trader share bounds hi by the wealth it
-    leaves available.
+    found by bisection to within tol; returns the crashing end of the final
+    bracket. The bracket is [0, 1 - rand_frac], the wealth the random-trader
+    share leaves. If the outcome is constant over it the threshold is
+    reported at the corresponding end (0 when even 0 crashes, 1 - rand_frac
+    when even that does not).
     """
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ConfigError(f"need 0 <= lo < hi <= 1, got {lo}, {hi}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    hi = min(hi, 1.0 - config.population.rand_frac)
+    lo, hi = 0.0, min(1.0, 1.0 - config.population.rand_frac)
     if hi <= lo:
         raise ConfigError(f"random-trader share {config.population.rand_frac} "
-                          f"leaves no room above lo={lo}")
+                          "leaves no room for momentum traders")
     if _crash_outcome(config, lo):
         return lo
     if not _crash_outcome(config, hi):
@@ -199,7 +192,7 @@ def _ternary_batch_task(args):
 
 
 def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
-                  workers: int | None = None) -> TernaryGrid:
+                  workers: int = 1) -> TernaryGrid:
     """Simulate every simplex point and aggregate drop/crash/boom statistics.
 
     Per-replicate seeds derive from (master seed, point index, replicate),
@@ -211,9 +204,11 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
         raise ConfigError("resolution must be >= 1")
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     points = simplex_points(resolution)
     n_runs = len(points) * replicates
-    size = min(_MAX_BATCH_RUNS, -(-n_runs // max(1, workers or 1)))
+    size = min(_MAX_BATCH_RUNS, -(-n_runs // workers))
     tasks = []
     for start in range(0, n_runs, size):
         stop = min(start + size, n_runs)
@@ -237,9 +232,9 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
                        batches=len(batches), batch_runs=max(len(b.steps) for b in batches))
 
 
-def _run_tasks(fn, tasks, workers: int | None):
+def _run_tasks(fn, tasks, workers: int):
     """Execute tasks preserving submission order; workers > 1 forks a pool."""
-    if workers is None or workers <= 1:
+    if workers == 1:
         return [fn(t) for t in tasks]
     # imported only here: the import takes ~20 ms, which a single worker never needs
     from concurrent.futures import ProcessPoolExecutor
@@ -265,7 +260,7 @@ class CommitmentGrid:
 
 
 def _grid_cell_task(args):
-    config, k_buy, k_sell, tol = args
+    config, k_buy, k_sell = args
     commitments = CommitmentParams(kv_buy=k_buy, kv_sell=k_sell,
                                    km_buy=k_buy, km_sell=k_sell,
                                    kr_buy=config.commitments.kr_buy,
@@ -275,14 +270,14 @@ def _grid_cell_task(args):
                   population=config.population.with_mix(1.0, 0.0, 0.0))
     constants = analysis.AnalysisConstants.from_params(cfg.market, commitments)
     theta_analytic = analysis.mo_crash_threshold_analytic(constants, cfg.market.rho)
-    theta_sim = threshold_search(cfg, tol=tol)
+    theta_sim = threshold_search(cfg)
     return GridCell(k_buy, k_sell, theta_analytic, theta_sim,
                     cfg.market.settlement)
 
 
 def commitment_grid(config: ExperimentConfig, k_plus_range=(0.02, 0.30),
                     k_minus_range=(0.02, 0.30), cells: int = 10,
-                    tol: float = 5e-4, workers: int | None = None) -> CommitmentGrid:
+                    workers: int = 1) -> CommitmentGrid:
     """Analytic versus simulated crash thresholds over a commitment grid.
 
     Buy and sell commitments are kept equal across the two traders, the
@@ -292,12 +287,14 @@ def commitment_grid(config: ExperimentConfig, k_plus_range=(0.02, 0.30),
     """
     if cells < 1:
         raise ConfigError("cells must be >= 1")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     for lo, hi in (k_plus_range, k_minus_range):
         if not (0.0 < lo <= hi <= 1.0):
             raise ConfigError("commitment ranges must lie within (0, 1]")
     k_plus = _linspace(k_plus_range[0], k_plus_range[1], cells)
     k_minus = _linspace(k_minus_range[0], k_minus_range[1], cells)
-    tasks = [(config, kp, km, tol) for kp in k_plus for km in k_minus]
+    tasks = [(config, kp, km) for kp in k_plus for km in k_minus]
     results = _run_tasks(_grid_cell_task, tasks, workers)
     return CommitmentGrid(tuple(results), config.market.settlement)
 
@@ -318,17 +315,17 @@ class ImpactReport:
     powerlaw_concave_threshold: float   # zeta = 0.8
 
 
-def impact_comparison(config: ExperimentConfig, tol: float = 5e-4) -> ImpactReport:
+def impact_comparison(config: ExperimentConfig) -> ImpactReport:
     """Crash thresholds under the ratio-power impact and the power-law
     impact with zeta = 1 and zeta = 0.8 (liquidity 1)."""
     def with_impact(**kw):
         return replace(config, market=replace(config.market, **kw))
     return ImpactReport(
-        ratio_threshold=threshold_search(with_impact(impact="ratio"), tol=tol),
+        ratio_threshold=threshold_search(with_impact(impact="ratio")),
         powerlaw_linear_threshold=threshold_search(
-            with_impact(impact="powerlaw", zeta=1.0, liquidity=1.0), tol=tol),
+            with_impact(impact="powerlaw", zeta=1.0, liquidity=1.0)),
         powerlaw_concave_threshold=threshold_search(
-            with_impact(impact="powerlaw", zeta=0.8, liquidity=1.0), tol=tol),
+            with_impact(impact="powerlaw", zeta=0.8, liquidity=1.0)),
     )
 
 

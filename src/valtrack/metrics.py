@@ -211,14 +211,17 @@ class Histogram:
     frequencies: tuple
 
 
-def price_level_histogram(series, valuations, bin_width: float = 0.25,
-                          half_range: float = 6.0) -> Histogram:
+HISTOGRAM_BIN_WIDTH = 0.25   # in valuation standard deviations
+HISTOGRAM_HALF_RANGE = 6.0
+
+
+def price_level_histogram(series, valuations) -> Histogram:
     """How much time the price spends at each level relative to the
     valuations, binned in units of their sample standard deviation.
 
-    Bins are centered on multiples of bin_width out to +-half_range;
-    observations beyond the range land in the edge bins, so the relative
-    frequencies always sum to 1.
+    Bins are centered on multiples of HISTOGRAM_BIN_WIDTH out to
+    +-HISTOGRAM_HALF_RANGE; observations beyond the range land in the edge
+    bins, so the relative frequencies always sum to 1.
     """
     prices = np.asarray(list(series), dtype=float)
     vals = np.asarray(list(valuations), dtype=float)
@@ -230,9 +233,9 @@ def price_level_histogram(series, valuations, bin_width: float = 0.25,
     if prices.size == 0:
         raise DomainError("empty price series")
     z = (prices - float(vals.mean())) / sd
-    k = int(round(half_range / bin_width))
-    centers = np.arange(-k, k + 1) * bin_width
-    edges = np.arange(-k - 0.5, k + 1.5) * bin_width
+    k = int(round(HISTOGRAM_HALF_RANGE / HISTOGRAM_BIN_WIDTH))
+    centers = np.arange(-k, k + 1) * HISTOGRAM_BIN_WIDTH
+    edges = np.arange(-k - 0.5, k + 1.5) * HISTOGRAM_BIN_WIDTH
     z = np.clip(z, edges[0] + 1e-12, edges[-1] - 1e-12)
     counts, _ = np.histogram(z, bins=edges)
     freqs = counts / counts.sum()

@@ -7,6 +7,7 @@ from .errors import DomainError
 from .experiments import TernaryGrid
 
 _SVG_NS = "http://www.w3.org/2000/svg"
+_SERIES_WIDTH, _SERIES_HEIGHT, _TERNARY_WIDTH = 640, 360, 480
 
 
 def _svg_root(width: int, height: int) -> ET.Element:
@@ -28,19 +29,17 @@ def _color(value: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def render_series_svg(prices, valuation: float | None = None,
-                      width: int = 640, height: int = 360) -> str:
+def render_series_svg(prices, valuation: float) -> str:
     """Log-scale price polyline with a valuation reference line and a
-    5-deciblack drop marker (both relative to the valuation, or to the first
-    price when no valuation is given)."""
+    5-deciblack drop marker below the valuation."""
     prices = [float(p) for p in prices]
     if not prices:
         raise DomainError("empty price series")
     if any(p <= 0 for p in prices):
         raise DomainError("prices must be positive")
-    ref = valuation if valuation is not None else prices[0]
-    marker = ref * 2.0 ** -0.5
-    logs = [math.log(p) for p in prices] + [math.log(ref), math.log(marker)]
+    width, height = _SERIES_WIDTH, _SERIES_HEIGHT
+    marker = valuation * 2.0 ** -0.5
+    logs = [math.log(p) for p in prices] + [math.log(valuation), math.log(marker)]
     lo, hi = min(logs), max(logs)
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
@@ -56,7 +55,7 @@ def render_series_svg(prices, valuation: float | None = None,
         return pad + (height - 2 * pad) * (hi - math.log(p)) / (hi - lo)
 
     root = _svg_root(width, height)
-    for level, color, dash in ((ref, "#555555", "4 3"), (marker, "#cc2222", "6 3")):
+    for level, color, dash in ((valuation, "#555555", "4 3"), (marker, "#cc2222", "6 3")):
         ET.SubElement(root, "line", {
             "x1": str(pad), "x2": str(width - pad),
             "y1": f"{y_of(level):.2f}", "y2": f"{y_of(level):.2f}",
@@ -73,8 +72,7 @@ def render_series_svg(prices, valuation: float | None = None,
     return ET.tostring(root, encoding="unicode")
 
 
-def render_ternary_svg(grid: TernaryGrid, metric: str = "crash_freq",
-                       width: int = 480) -> str:
+def render_ternary_svg(grid: TernaryGrid, metric: str = "crash_freq") -> str:
     """Color-mapped simplex: one cell per grid point.
 
     Top corner is 100% valuation traders, right corner 100% momentum,
@@ -84,6 +82,7 @@ def render_ternary_svg(grid: TernaryGrid, metric: str = "crash_freq",
         raise DomainError("empty ternary grid")
     if metric not in ("crash_freq", "boom_freq", "mean_drop"):
         raise DomainError(f"unknown ternary metric {metric!r}")
+    width = _TERNARY_WIDTH
     height = int(width * math.sqrt(3) / 2) + 20
     pad = 10.0
     top = (width / 2.0, pad)

@@ -26,9 +26,11 @@ from .params import CommitmentParams
 KIND_VAL = "val"
 KIND_MO = "mo"
 KIND_RAND = "rand"
+TRADER_KINDS = (KIND_VAL, KIND_MO, KIND_RAND)
 
 RAND_BASIC = "basic"
 RAND_REFINED = "refined"
+RAND_MODES = (RAND_BASIC, RAND_REFINED)
 
 VALUATION_FIXED = "fixed"
 VALUATION_GAMMA = "gamma"
@@ -82,7 +84,8 @@ def trader_orders(trader: Trader, price: float, momentum: float,
                   commitments: CommitmentParams,
                   rng: np.random.Generator | None) -> tuple[float, float]:
     """One trader's orders at this price and momentum, as (bid cash, offer
-    asset), by the rule of its kind.
+    asset), by the rule of its kind. The trader is one engine.check_state
+    accepts, and a random trader needs an rng.
 
     A random trader draws its bid first; k * rng.random() is
     rng.uniform(0.0, k) bit for bit. The refined one references
@@ -103,19 +106,15 @@ def trader_orders(trader: Trader, price: float, momentum: float,
         if momentum < 0.0:
             return 0.0, commitments.km_sell * asset
         return 0.0, 0.0
-    if trader.kind == KIND_RAND:
-        if rng is None:
-            raise InvalidInputError("random trader present but no rng supplied")
-        if trader.rand_mode == RAND_REFINED:
-            asset_value = asset * price
-            reference = cash + asset_value
-            if cash < trader.critical_cash or asset_value < trader.critical_asset:
-                reference = min(cash, asset_value)
-            return (min(commitments.kr_buy * rng.random() * reference, cash),
-                    min(commitments.kr_sell * rng.random() * reference / price, asset))
-        return (commitments.kr_buy * rng.random() * cash,
-                commitments.kr_sell * rng.random() * asset)
-    raise InvalidInputError(f"unknown trader kind {trader.kind!r}")
+    if trader.rand_mode == RAND_REFINED:
+        asset_value = asset * price
+        reference = cash + asset_value
+        if cash < trader.critical_cash or asset_value < trader.critical_asset:
+            reference = min(cash, asset_value)
+        return (min(commitments.kr_buy * rng.random() * reference, cash),
+                min(commitments.kr_sell * rng.random() * reference / price, asset))
+    return (commitments.kr_buy * rng.random() * cash,
+            commitments.kr_sell * rng.random() * asset)
 
 
 def batch_layout(states):
@@ -150,12 +149,10 @@ def batch_layout(states):
                 val_col += 1
             elif t.kind == KIND_MO:
                 col = n_vals
-            elif t.kind == KIND_RAND:
+            else:  # KIND_RAND, the only other kind check_state accepts
                 col = n_vals + 1
                 critical[row] = t.critical_cash, t.critical_asset
                 modes.add(t.rand_mode)
-            else:
-                raise InvalidInputError(f"unknown trader kind {t.kind!r}")
             cash[row, col] = t.cash
             asset[row, col] = t.asset
         rand_rows.append(KIND_RAND in kinds)
@@ -241,7 +238,7 @@ class PopulationSpec:
             raise ConfigError("gamma parameters must be > 0")
         if self.u <= 0 or self.cash <= 0 or self.p0 <= 0 or self.rho <= 0:
             raise ConfigError("u, cash, p0 and rho must all be > 0")
-        if self.rand_mode not in (RAND_BASIC, RAND_REFINED):
+        if self.rand_mode not in RAND_MODES:
             raise ConfigError(f"unknown rand mode {self.rand_mode!r}")
         if not (0.0 <= self.critical_frac <= 1.0):
             raise ConfigError(f"critical_frac must lie in [0, 1], got {self.critical_frac}")

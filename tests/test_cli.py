@@ -174,6 +174,9 @@ class TestCliCommands:
         (["analyze", "--kv-sell", "0"], 3),
         (["analyze", "--km-sell", "0"], 3),
         (["multival", "--multival-n-vals", "1"], 2),
+        (["sweep", "--workers", "0"], 2),
+        (["sweep", "--workers", "-3"], 2),
+        (["grid", "--workers", "0"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_out_of_range_inputs_exit_code(self, argv, code, tmp_path, capsys):
         assert cli.main([*argv, "--out", str(tmp_path)]) == code
@@ -256,7 +259,7 @@ COMMON_OPTIONS = [
     "--u", "--val", "--valuation", "--workers", "--zeta", "-h"]
 SUBCOMMAND_OPTIONS = {
     "run": ["--svg"],
-    "sweep": ["--metric", "--preset", "--resolution", "--svg", "--sweep-replicates"],
+    "sweep": ["--metric", "--resolution", "--svg", "--sweep-replicates"],
     "grid": ["--cells", "--k-minus-max", "--k-minus-min", "--k-plus-max",
              "--k-plus-min"],
     "impact": [],

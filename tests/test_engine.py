@@ -195,6 +195,11 @@ class TestStep:
         assert record.executed == pytest.approx(1.0)
         assert not record.cap_hit
 
+    def test_random_trader_without_an_rng_is_rejected(self):
+        state = init_population(PopulationSpec(val_fracs=(0.8,), rand_frac=0.2))
+        with pytest.raises(InvalidInputError, match="no rng"):
+            step(state, MarketParams(), CommitmentParams())
+
     def test_one_sided_step_caps_price_and_flags(self):
         state = two_trader_state(m0=-0.001)  # p = u: only the Mo sells
         out, record = step(state, MarketParams(), CommitmentParams())
@@ -252,17 +257,19 @@ class TestCapHit:
 class TestRun:
     def test_horizon_one_gives_two_points(self):
         state = two_trader_state()
-        result = run(state, MarketParams(horizon=1), CommitmentParams(), seed=0)
+        result = run(state, MarketParams(horizon=1), CommitmentParams(), seed=0,
+                     crash=CrashPredicate.deciblack_drop())
         assert len(result.prices) == 2
         assert len(result.momenta) == 2
         assert len(result.wealth) == 2
 
     def test_identical_seed_and_config_reproduce_bitwise(self):
         spec = PopulationSpec(val_fracs=(0.5,), mo_frac=0.2, rand_frac=0.3)
+        crash = CrashPredicate.relative_drop(0.3)
         a = run(init_population(spec, m0=-0.001), MarketParams(horizon=100),
-                CommitmentParams(), seed=99)
+                CommitmentParams(), seed=99, crash=crash)
         b = run(init_population(spec, m0=-0.001), MarketParams(horizon=100),
-                CommitmentParams(), seed=99)
+                CommitmentParams(), seed=99, crash=crash)
         assert a.prices == b.prices
         assert a.momenta == b.momenta
         assert a.wealth == b.wealth
@@ -271,14 +278,17 @@ class TestRun:
         # Mo holds everything: one-sided selling caps the price down forever
         spec = PopulationSpec(val_fracs=(0.0,), mo_frac=1.0)
         state = init_population(spec, m0=-0.001)
-        result = run(state, MarketParams(horizon=300), CommitmentParams(), seed=0)
+        # a fall below 1e-13 fires only after the 1e-12 floor has aborted the run
+        result = run(state, MarketParams(horizon=300), CommitmentParams(), seed=0,
+                     crash=CrashPredicate.drop_below(1e-13))
         assert result.aborted
-        assert result.crash_step is not None
+        assert result.crash_step == len(result.prices) - 1
         assert len(result.prices) < 301
 
     def test_wealth_is_marked_to_market(self):
         state = two_trader_state(theta=0.3)
-        result = run(state, MarketParams(horizon=5), CommitmentParams(), seed=1)
+        result = run(state, MarketParams(horizon=5), CommitmentParams(), seed=1,
+                     crash=CrashPredicate.deciblack_drop())
         for t, snapshot in enumerate(result.wealth):
             total = sum(snapshot)
             expected = (result.final_state.total_cash
@@ -336,7 +346,8 @@ class TestInputsStayUnchanged:
         before = copy.deepcopy(state)
         params = MarketParams(horizon=50)
         out, _ = step(state, params, CommitmentParams(), np.random.default_rng(2))
-        result = run(state, params, CommitmentParams(), seed=3)
+        result = run(state, params, CommitmentParams(), seed=3,
+                     crash=CrashPredicate.drop_below(1e-9))
         engine.crash_step(state, params, CommitmentParams(), 3, CrashPredicate.drop_below(1e-9))
         # the sweep passes one start object for every replicate of a point
         engine.run_summaries([state, state], params, CommitmentParams(), [3, 4],
@@ -426,8 +437,10 @@ class TestCrashStep:
                                              CrashPredicate.drop_below(0.01)) == 0
 
 
-def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2):
-    traders = [Trader(val_cash, val_asset, "val"), Trader(mo_cash, 0.8, "mo")]
+def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2,
+                  kind="mo", rand_mode="basic"):
+    traders = [Trader(val_cash, val_asset, "val"),
+               Trader(mo_cash, 0.8, kind, rand_mode=rand_mode)]
     return market_state(price, traders, momentum)
 
 
@@ -441,9 +454,11 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
     (invalid_state(price=0.0), MarketParams()),
     (invalid_state(val_cash=math.nan), MarketParams()),
     (invalid_state(val_asset=-1.0), MarketParams()),
+    (invalid_state(kind="momentum"), MarketParams()),
+    (invalid_state(kind="rand", rand_mode="fancy"), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
         "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
-        "negative asset"])
+        "negative asset", "unknown kind", "unknown rand mode"])
 def test_crash_step_raises_where_run_raises(state, params):
     """step, run, crash_step and, next to a valid state, the batched
     run_summaries all reject the state."""

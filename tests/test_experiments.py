@@ -55,8 +55,10 @@ class TestThresholdSearch:
         assert threshold_search(cfg) <= 5e-4
 
     def test_invalid_bracket_rejected(self):
-        with pytest.raises(ConfigError):
-            threshold_search(base_config(), lo=0.5, hi=0.2)
+        # the bracket is [0, 1 - rand_frac], empty when random traders hold everything
+        cfg = base_config(population=PopulationSpec(val_fracs=(0.0,), rand_frac=1.0))
+        with pytest.raises(ConfigError, match="no room"):
+            threshold_search(cfg)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -64,10 +66,6 @@ class TestThresholdSearch:
         cfg = base_config()
         with pytest.raises(ConfigError, match="tol"):
             threshold_search(cfg, tol=tol)
-        with pytest.raises(ConfigError, match="tol"):
-            commitment_grid(cfg, (0.1, 0.1), (0.1, 0.1), cells=1, tol=tol)
-        with pytest.raises(ConfigError, match="tol"):
-            impact_comparison(cfg, tol=tol)
 
     def test_replicate_majority_with_random_trader(self):
         pop = PopulationSpec(val_fracs=(0.8,), rand_frac=0.2)
@@ -146,8 +144,8 @@ class TestTernary:
             crashes = 0
             for rep in range(reps):
                 from valtrack.seeding import mix_seed
-                result = run_once(replace(cfg, population=pop),
-                                  seed=mix_seed(cfg.seed, int(mo * 100), rep))
+                result = run_once(replace(cfg, population=pop,
+                                          seed=mix_seed(cfg.seed, int(mo * 100), rep)))
                 if result.crash_step is not None:
                     crashes += 1
             freqs.append(crashes / reps)

@@ -32,7 +32,7 @@ def scalar_sweep(config, resolution, replicates):
         drops = []
         crashes = booms = 0
         for rep in range(replicates):
-            result = run_once(cfg, seed=mix_seed(config.seed, index, rep))
+            result = run_once(replace(cfg, seed=mix_seed(config.seed, index, rep)))
             drops.append(metrics.max_relative_drop(result.prices))
             crashes += result.crash_step is not None
             booms += result.boom_step is not None
@@ -42,8 +42,8 @@ def scalar_sweep(config, resolution, replicates):
 
 
 def scalar_aborts(config, resolution, replicates):
-    return sum(run_once(replace(config, population=config.population.with_mix(*pt)),
-                        seed=mix_seed(config.seed, index, rep)).aborted
+    return sum(run_once(replace(config, population=config.population.with_mix(*pt),
+                                seed=mix_seed(config.seed, index, rep))).aborted
                for index, pt in enumerate(simplex_points(resolution))
                for rep in range(replicates))
 
@@ -180,8 +180,10 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
     assert sums.tolist() == [math.fsum(row) for row in rows]
 
 
-def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2):
-    traders = [Trader(val_cash, val_asset, "val"), Trader(mo_cash, 0.8, "mo")]
+def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2,
+              kind="mo", rand_mode="basic"):
+    traders = [Trader(val_cash, val_asset, "val"),
+               Trader(mo_cash, 0.8, kind, rand_mode=rand_mode)]
     return MarketState(price=price, momentum=momentum, time=0, traders=traders,
                        total_cash=val_cash + mo_cash, total_asset=val_asset + 0.8)
 
@@ -196,13 +198,15 @@ def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3
     (bad_state(price=0.0), MarketParams()),
     (bad_state(val_cash=math.nan), MarketParams()),
     (bad_state(val_asset=-1.0), MarketParams()),
+    (bad_state(kind="momentum"), MarketParams()),
+    (bad_state(kind="rand", rand_mode="fancy"), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
         "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
-        "negative asset"])
+        "negative asset", "unknown kind", "unknown rand mode"])
 def test_kernel_raises_where_the_scalar_engine_raises(state, params):
     crash = CrashPredicate.relative_drop(0.3)
     with pytest.raises(InvalidInputError):
-        engine.run(state, params, CommitmentParams(), seed=0)
+        engine.run(state, params, CommitmentParams(), seed=0, crash=crash)
     with pytest.raises(InvalidInputError):
         engine.step(state, params, CommitmentParams())
     with pytest.raises(InvalidInputError):
