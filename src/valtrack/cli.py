@@ -284,6 +284,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # every subcommand takes --workers; only sweep and grid use a pool
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = config_mod.parse_config(path=args.config, overrides=_overrides(args))
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:

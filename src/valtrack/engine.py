@@ -9,11 +9,12 @@ purchase volume q_p used by the impact functions is total bid cash divided
 by the prevailing price, so q_p and q_s are both asset quantities and the
 ratio in the price update is dimensionless. Natural logarithms throughout.
 
-The impact rule exists once: `log_impact` returns the uncapped log move of
-the order flow (infinite for one-sided ratio-power flow, 0 for no flow),
-and a step caps that value at +-eta, moves the price by the capped value
-and sets cap_hit from the same uncapped value. One-sided order flow thus
-moves the price at the cap; zero flow on both sides leaves it unchanged.
+The scalar step is written once, in the body `_stepper` builds for a run
+with the run's constants bound. It takes the uncapped log move of the
+order flow (infinite for one-sided ratio-power flow, 0 for no flow), caps
+it at +-eta, moves the price by the capped value and sets cap_hit from the
+uncapped one. One-sided order flow thus moves the price at the cap; zero
+flow on both sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
@@ -102,84 +103,76 @@ def check_state(state: MarketState) -> None:
             raise InvalidInputError(f"unknown rand mode {t.rand_mode!r}")
 
 
-def log_impact(q_p: float, q_s: float, params: MarketParams) -> float:
-    """Uncapped log price move implied by order flow q_p, q_s >= 0.
+def _stepper(params: MarketParams, commitments: CommitmentParams):
+    """The step of a run with these constants: advance(state, rng, record)
+    steps a valid state in place (a checked state that nothing else holds,
+    or the output of a previous advance) and returns its record if asked.
 
-    Ratio-power impact: lam * log(q_p/q_s), +-inf for one-sided flow.
-    Power-law impact: |(q_p - q_s)/liquidity|^zeta, signed by the imbalance.
-    No flow moves nothing. The caller caps the move at +-eta.
+    Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
+    flow, or |(q_p - q_s)/liquidity|^zeta signed by the imbalance for
+    power-law flow. Settlement at the updated or the current price: bids
+    stay fixed in cash and convert to asset demand at that price, offers
+    stay fixed in asset units, and the larger side is scaled down pro-rata
+    to parity, so totals are conserved and no holding goes negative.
+    Momentum: the smoothed log return mu * log(p_new/p) + (1 - mu) * m.
     """
-    if params.impact == IMPACT_RATIO:
-        if q_p == 0.0 and q_s == 0.0:
-            return 0.0
-        if q_s == 0.0:
-            return math.inf
-        if q_p == 0.0:
-            return -math.inf
-        return params.lam * math.log(q_p / q_s)
-    imbalance = q_p - q_s
-    if imbalance == 0.0:
-        return 0.0
-    return math.copysign(abs(imbalance / params.liquidity) ** params.zeta, imbalance)
+    eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
+                                     params.liquidity)
+    one_minus_mu = 1.0 - mu
+    ratio = params.impact == IMPACT_RATIO
+    updated = params.settlement == SETTLE_UPDATED
+    orders = trader_orders
+    fsum, log, exp, copysign, inf = math.fsum, math.log, math.exp, math.copysign, math.inf
 
+    def advance(state, rng, record):
+        p, m, traders = state.price, state.momentum, state.traders
+        bids, offers = [], []
+        for trader in traders:
+            bid, offer = orders(trader, p, m, commitments, rng)
+            bids.append(bid)
+            offers.append(offer)
+        total_bid = fsum(bids)
+        q_p = total_bid / p
+        q_s = fsum(offers)
+        if not (0.0 <= q_p < inf and 0.0 <= q_s < inf):
+            raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
+        if not ratio:
+            # a zero imbalance moves nothing: 0.0 ** zeta == 0.0
+            imbalance = q_p - q_s
+            dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+        elif q_p > 0.0 and q_s > 0.0:
+            dlog = lam * log(q_p / q_s)
+        else:  # one-sided flow moves at the cap, no flow not at all
+            dlog = inf if q_p > q_s else -inf if q_p < q_s else 0.0
+        move = dlog if dlog < eta else eta
+        p_new = p * exp(move if move > -eta else -eta)
+        if not 0.0 < p_new < inf:
+            raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
+        p_settle = p_new if updated else p
+        demand = total_bid / p_settle
+        if demand > 0.0 and q_s > 0.0:
+            f_buy = q_s / demand
+            f_buy = f_buy if f_buy < 1.0 else 1.0
+            f_sell = demand / q_s
+            f_sell = f_sell if f_sell < 1.0 else 1.0
+            for trader, bid, offer in zip(traders, bids, offers):
+                if bid > 0.0:
+                    paid = bid * f_buy
+                    trader.cash -= paid
+                    trader.asset += paid / p_settle
+                if offer > 0.0:
+                    sold = offer * f_sell
+                    trader.asset -= sold
+                    trader.cash += sold * p_settle
+        state.price = p_new
+        state.momentum = mu * log(p_new / p) + one_minus_mu * m
+        state.time += 1
+        if record:
+            return StepRecord(state.time, p, p_new, q_p, q_s,
+                              q_s if q_s < demand else demand, m, state.momentum,
+                              abs(dlog) > eta)
 
-def update_momentum(m: float, p: float, p_new: float, mu: float) -> float:
-    """Exponentially smoothed log return: mu * log(p_new/p) + (1 - mu) * m."""
-    return mu * math.log(p_new / p) + (1.0 - mu) * m
-
-
-def settle(traders, bids, offers, total_bid, q_s, p_settle) -> None:
-    """Exchange cash and asset at p_settle, in place on the traders.
-
-    bids[i] is trader i's cash bid and offers[i] its asset offer; total_bid
-    and q_s are their exact (math.fsum) totals. Bids stay fixed in cash and
-    convert to asset demand at p_settle; offers stay fixed in asset units.
-    When demand and supply differ, the larger side is scaled down pro-rata
-    to parity. Totals are conserved and no holding goes negative. p_settle
-    must be finite and > 0.
-    """
-    demand = total_bid / p_settle
-    if demand <= 0.0 or q_s <= 0.0:
-        return
-    f_buy = min(1.0, q_s / demand)
-    f_sell = min(1.0, demand / q_s)
-    for trader, bid, offer in zip(traders, bids, offers):
-        if bid > 0.0:
-            paid = bid * f_buy
-            trader.cash -= paid
-            trader.asset += paid / p_settle
-        if offer > 0.0:
-            sold = offer * f_sell
-            trader.asset -= sold
-            trader.cash += sold * p_settle
-
-
-def _advance(state, params, commitments, rng, record=True):
-    """Step a valid state in place: a checked state that nothing else holds,
-    or the output of a previous step. Returns the step's record if asked."""
-    p, m = state.price, state.momentum
-    bids, offers = [], []
-    for trader in state.traders:
-        bid, offer = trader_orders(trader, p, m, commitments, rng)
-        bids.append(bid)
-        offers.append(offer)
-    total_bid = math.fsum(bids)
-    q_p = total_bid / p
-    q_s = math.fsum(offers)
-    if not (0.0 <= q_p < math.inf and 0.0 <= q_s < math.inf):
-        raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
-    dlog = log_impact(q_p, q_s, params)
-    p_new = p * math.exp(max(-params.eta, min(params.eta, dlog)))
-    if not 0.0 < p_new < math.inf:
-        raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
-    p_settle = p_new if params.settlement == SETTLE_UPDATED else p
-    settle(state.traders, bids, offers, total_bid, q_s, p_settle)
-    state.price = p_new
-    state.momentum = update_momentum(m, p, p_new, params.mu)
-    state.time += 1
-    if record:
-        return StepRecord(state.time, p, p_new, q_p, q_s, min(total_bid / p_settle, q_s),
-                          m, state.momentum, abs(dlog) > params.eta)
+    return advance
 
 
 def step(state: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -191,7 +184,7 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     if rng is None and any(t.kind == KIND_RAND for t in state.traders):
         raise InvalidInputError("random trader present but no rng supplied")
     new_state = state.copy()
-    return new_state, _advance(new_state, params, commitments, rng)
+    return new_state, _stepper(params, commitments)(new_state, rng, True)
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -214,8 +207,9 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     wealth = [[t.cash + t.asset * state.price for t in state.traders]]
     records = []
     aborted = False
+    advance = _stepper(params, commitments)
     for _ in range(params.horizon):
-        records.append(_advance(state, params, commitments, rng))
+        records.append(advance(state, rng, True))
         p = state.price
         prices.append(p)
         momenta.append(state.momentum)
@@ -245,11 +239,14 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     state = initial.copy()
     rand = any(t.kind == KIND_RAND for t in state.traders)
     rng = np.random.Generator(np.random.PCG64(seed)) if rand else None
+    advance = _stepper(params, commitments)
+    crash_at = crash.crash_at
     p0 = state.price
-    start = 0 if crash.crash_at(p0, p0) else None
+    start = 0 if crash_at(p0, p0) else None
     for t in range(1, params.horizon + 1):
-        _advance(state, params, commitments, rng, False)
-        if state.price < PRICE_FLOOR or crash.crash_at(p0, state.price):
+        advance(state, rng, False)
+        p = state.price
+        if p < PRICE_FLOOR or crash_at(p0, p):
             return t if start is None else start
     return start
 

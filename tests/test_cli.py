@@ -177,6 +177,11 @@ class TestCliCommands:
         (["sweep", "--workers", "0"], 2),
         (["sweep", "--workers", "-3"], 2),
         (["grid", "--workers", "0"], 2),
+        (["run", "--workers", "0"], 2),
+        (["impact", "--workers", "0"], 2),
+        (["multival", "--workers", "0"], 2),
+        (["estimate", "--workers", "0"], 2),
+        (["analyze", "--workers", "-1"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_out_of_range_inputs_exit_code(self, argv, code, tmp_path, capsys):
         assert cli.main([*argv, "--out", str(tmp_path)]) == code

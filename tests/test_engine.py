@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
 from valtrack import engine
-from valtrack.engine import log_impact, settle, update_momentum
 from valtrack.errors import InvalidInputError
 from valtrack.metrics import CrashPredicate
 
@@ -25,11 +24,23 @@ def market_state(price, traders, momentum=0.0):
                        total_asset=sum(t.asset for t in traders))
 
 
+# a Val trader bids all its cash and a Mo trader offers all its asset
+ALL_IN = CommitmentParams(kv_buy=1.0, km_sell=1.0)
+
+
+def flow_state(p, q_p, q_s, momentum=-0.001):
+    """A state at price p whose order flow under ALL_IN is q_p, q_s: a Val
+    trader bids q_p * p cash below its valuation, and on negative momentum
+    a Mo trader offers q_s."""
+    return market_state(p, [Trader(q_p * p, 0.0, "val", valuation=2.0 * p),
+                            Trader(0.0, q_s, "mo")], momentum)
+
+
 def capped_move(p, q_p, q_s, params):
-    """p moved by the uncapped log impact capped once at +-eta, as step
-    moves it."""
-    dlog = log_impact(q_p, q_s, params)
-    return p * math.exp(max(-params.eta, min(params.eta, dlog)))
+    """The price a step moves p to under order flow q_p, q_s."""
+    out, record = step(flow_state(p, q_p, q_s), params, ALL_IN)
+    assert (record.q_p, record.q_s) == (q_p, q_s)
+    return out.price
 
 
 def ratio_price(p, q_p, q_s, lam, eta):
@@ -106,41 +117,53 @@ class TestPowerlawImpact:
         assert up * down == pytest.approx(1.0, rel=1e-12)
 
 
+def momentum_after(m, q_p, mu):
+    """The momentum a step from m at price 1 leaves, under buy volume q_p
+    alone: none leaves the price as it is, any moves it up by the cap."""
+    _, record = step(flow_state(1.0, q_p, 0.0, momentum=m), MarketParams(mu=mu), ALL_IN)
+    return record.momentum_after
+
+
 class TestMomentum:
     def test_fixed_point_at_constant_price(self):
-        assert update_momentum(0.0, 1.0, 1.0, 0.002) == 0.0
+        assert momentum_after(0.0, 0.0, 0.002) == 0.0
 
     def test_decay_without_price_change(self):
-        assert update_momentum(-0.001, 1.0, 1.0, 0.002) == pytest.approx(
+        assert momentum_after(-0.001, 0.0, 0.002) == pytest.approx(
             -0.000998, rel=1e-12)
 
     def test_new_return_weighted_by_mu(self):
-        p_new = math.exp(0.1)
-        assert update_momentum(0.0, 1.0, p_new, 0.002) == pytest.approx(
+        # one-sided buying moves the price from 1 to e^0.1 at the cap
+        assert momentum_after(0.0, 1.0, 0.002) == pytest.approx(
             0.0002, rel=1e-9)
 
 
-def settle_orders(state, bids, offers, p):
-    """The state after settle exchanges these orders on its traders at p."""
-    settle(state.traders, bids, offers, math.fsum(bids), math.fsum(offers), p)
-    return state
+def settle_orders(state, bid, offer):
+    """The state after a step settles, at the state's price, a bid of `bid`
+    cash by its Val trader and an offer of `offer` asset by its Mo trader."""
+    val, mo = state.traders
+    commitments = CommitmentParams(kv_buy=bid / val.cash, km_sell=offer / mo.asset)
+    out, _ = step(state, MarketParams(settlement="current"), commitments)
+    return out
 
 
 class TestSettle:
-    def state(self):
-        traders = [Trader(10.0, 0.0, "val"), Trader(0.0, 40.0, "mo")]
-        return MarketState(price=1.0, momentum=0.0, time=0, traders=traders,
+    def state(self, price=1.0):
+        # below its valuation the Val trader bids; on negative momentum the
+        # Mo trader offers
+        traders = [Trader(10.0, 0.0, "val", valuation=100.0), Trader(0.0, 40.0, "mo")]
+        return MarketState(price=price, momentum=-0.001, time=0, traders=traders,
                            total_cash=10.0, total_asset=40.0)
 
     def test_no_orders_is_identity(self):
         s = self.state()
-        out = settle_orders(s, [0.0, 0.0], [0.0, 0.0], 1.0)
+        out = settle_orders(s, 0.0, 0.0)
         assert out.traders[0].cash == 10.0
         assert out.traders[1].asset == 40.0
 
     def test_exact_parity_fills_both_sides(self):
         s = self.state()
-        out = settle_orders(s, [10.0, 0.0], [0.0, 10.0], 1.0)
+        out = settle_orders(s, 10.0, 10.0)
         assert out.traders[0].cash == pytest.approx(0.0, abs=1e-15)
         assert out.traders[0].asset == pytest.approx(10.0)
         assert out.traders[1].cash == pytest.approx(10.0)
@@ -149,14 +172,14 @@ class TestSettle:
     def test_prorata_scales_larger_side(self):
         # 10 cash of demand vs 40 asset offered: sell side scaled by 1/4
         s = self.state()
-        out = settle_orders(s, [10.0, 0.0], [0.0, 40.0], 1.0)
+        out = settle_orders(s, 10.0, 40.0)
         assert out.traders[0].asset == pytest.approx(10.0)
         assert out.traders[1].asset == pytest.approx(30.0)
         assert out.traders[1].cash == pytest.approx(10.0)
 
     def test_rejects_bad_settlement_price(self):
-        # settle trusts its price: step rejects a state that would settle
-        # at a price that is not finite and > 0
+        # settlement trusts its price: step rejects a state that would
+        # settle at a price that is not finite and > 0
         for price in (0.0, math.inf, math.nan):
             s = self.state()
             s.price = price
@@ -167,8 +190,7 @@ class TestSettle:
            p=st.floats(0.1, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_nonnegativity(self, bid, offer, p):
-        s = self.state()
-        out = settle_orders(s, [bid, 0.0], [0.0, offer], p)
+        out = settle_orders(self.state(p), bid, offer)
         assert out.cash_sum() == pytest.approx(10.0, rel=1e-12)
         assert out.asset_sum() == pytest.approx(40.0, rel=1e-12)
         for t in out.traders:
@@ -435,6 +457,35 @@ class TestCrashStep:
         state = two_trader_state(theta=0.1, p0=0.005)
         assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
                                              CrashPredicate.drop_below(0.01)) == 0
+
+
+class TestRunIsChainedSteps:
+    """run builds its step body once per run, step once per call; both
+    step the same way."""
+
+    @given(probe=crash_probes())
+    @settings(max_examples=200, deadline=None)
+    def test_run_equals_horizon_chained_steps(self, probe):
+        state, params, commitments, seed, crash = probe
+
+        def chained():
+            rng = np.random.Generator(np.random.PCG64(seed))
+            current, prices, momenta, records = state, [state.price], [state.momentum], []
+            for _ in range(params.horizon):
+                current, record = step(current, params, commitments, rng)
+                prices.append(current.price)
+                momenta.append(current.momentum)
+                records.append(record)
+                if current.price < engine.PRICE_FLOOR:
+                    break
+            return prices, momenta, records, current
+
+        def whole():
+            result = run(state, params, commitments, seed, crash)
+            return result.prices, result.momenta, result.records, result.final_state
+
+        # repr tells floats apart bit for bit, -0.0 from 0.0 included
+        assert repr(outcome(whole)) == repr(outcome(chained))
 
 
 def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2,
