@@ -10,7 +10,7 @@ from .analysis import (AnalysisConstants, FixedPointReport, ReducedState,
                        alpha_fixed_points, beta_fixed_points,
                        mo_crash_threshold_analytic, reduce, reduced_step)
 from .metrics import (CrashPredicate, EstimatorReport, estimator_mc,
-                      detect_boom, detect_crash, max_relative_drop, tau, tau_hat)
+                      max_relative_drop, tau, tau_hat)
 
 __all__ = [
     "CommitmentParams", "MarketParams", "MarketState", "PopulationSpec",
@@ -18,6 +18,5 @@ __all__ = [
     "crash_step", "AnalysisConstants", "FixedPointReport", "ReducedState",
     "alpha_fixed_points", "beta_fixed_points", "mo_crash_threshold_analytic",
     "reduce", "reduced_step", "CrashPredicate", "EstimatorReport",
-    "estimator_mc", "detect_boom", "detect_crash", "max_relative_drop",
-    "tau", "tau_hat", "__version__",
+    "estimator_mc", "max_relative_drop", "tau", "tau_hat", "__version__",
 ]

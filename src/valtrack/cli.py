@@ -199,7 +199,7 @@ def cmd_grid(args, cfg) -> int:
 
 
 def cmd_impact(args, cfg) -> int:
-    report = experiments.impact_comparison(cfg)
+    report = experiments.impact_comparison(cfg, workers=args.workers)
     out = os.path.join(_outdir(args), "impact.json")
     _write_json(out, asdict(report))
     _write_sidecar(out, cfg, args)
@@ -284,7 +284,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # every subcommand takes --workers; only sweep and grid use a pool
+        # every subcommand takes --workers; sweep, grid and impact run on up
+        # to that many processes, no more than they have tasks or CPUs
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = config_mod.parse_config(path=args.config, overrides=_overrides(args))

@@ -24,7 +24,9 @@ a finite order flow >= 0 and a finite new price > 0. Both engines raise
 InvalidInputError on the same inputs.
 
 A run crashes when its crash predicate fires at some step of it, the start
-included, or when the price floor aborts it.
+included, or when the price floor aborts it. `run` and `crash_step`
+decide that as they step, the start first, and stop at the first crash
+when asked to (crash_step always is).
 
 Two engines share these rules. The scalar one steps a private copy of
 its state in place, one step body for all its entry points: `step`
@@ -73,8 +75,9 @@ class RunResult:
     prices/momenta have length steps+1 (initial point included); wealth[t]
     holds each trader's marked-to-market wealth at step t. crash_step and
     boom_step are the first indices into prices where the crash predicate
-    and its boom reading fire, or None. aborted marks runs stopped by the
-    price floor; they count as crashes.
+    and its boom reading fire, or None, found as the run steps. aborted
+    marks runs stopped by the price floor; one that had not crashed before
+    crashes at its last index.
     """
 
     prices: list
@@ -187,6 +190,14 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     return new_state, _stepper(params, commitments)(new_state, rng, True)
 
 
+def _start(initial: MarketState, seed: int):
+    """(a private copy of a checked initial state, the run's PCG64
+    generator), the generator built only for a state with a random trader."""
+    check_state(initial)
+    rand = any(t.kind == KIND_RAND for t in initial.traders)
+    return initial.copy(), np.random.Generator(np.random.PCG64(seed)) if rand else None
+
+
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
         seed: int, crash: "metrics.CrashPredicate",
         stop_at_crash: bool = False) -> RunResult:
@@ -194,36 +205,36 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     copy of it in place.
 
     Identical seed and configuration give a bit-identical result. A run
-    aborts (and counts as a crash) if the price falls below the 1e-12
-    floor. With stop_at_crash the loop ends as soon as the crash predicate
-    fires, which shortens the recorded series. Raises InvalidInputError on
-    an initial state check_state rejects.
+    aborts if the price falls below the 1e-12 floor. Crash and boom are
+    decided as the run steps, as RunResult says. With stop_at_crash the run
+    stops at its crash, the start included, which shortens the recorded
+    series. Raises InvalidInputError on an initial state check_state rejects.
     """
-    check_state(initial)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = initial.copy()
-    prices = [state.price]
+    state, rng = _start(initial, seed)
+    crash_at, boom_at = crash.crash_at, crash.boom_at
+    p0 = state.price
+    prices = [p0]
     momenta = [state.momentum]
-    wealth = [[t.cash + t.asset * state.price for t in state.traders]]
+    wealth = [[t.cash + t.asset * p0 for t in state.traders]]
     records = []
+    crashed = 0 if crash_at(p0, p0) else None
+    boomed = 0 if boom_at(p0, p0) else None
     aborted = False
     advance = _stepper(params, commitments)
-    for _ in range(params.horizon):
+    for i in range(1, params.horizon + 1):
+        if aborted or stop_at_crash and crashed is not None:
+            break
         records.append(advance(state, rng, True))
         p = state.price
         prices.append(p)
         momenta.append(state.momentum)
         wealth.append([t.cash + t.asset * p for t in state.traders])
-        if p < PRICE_FLOOR:
-            aborted = True
-            break
-        if stop_at_crash and crash.crash_at(prices[0], p):
-            break
-    crash_step = metrics.detect_crash(prices, crash)
-    boom_step = metrics.detect_boom(prices, crash)
-    if aborted and crash_step is None:
-        crash_step = len(prices) - 1
-    return RunResult(prices, momenta, wealth, records, state, crash_step, boom_step, aborted)
+        if boomed is None and boom_at(p0, p):
+            boomed = i
+        aborted = p < PRICE_FLOOR
+        if crashed is None and (aborted or crash_at(p0, p)):
+            crashed = i
+    return RunResult(prices, momenta, wealth, records, state, crashed, boomed, aborted)
 
 
 def crash_step(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -231,24 +242,22 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     """run(initial, params, commitments, seed, crash, stop_at_crash=True)
     .crash_step, from the same steps but keeping no history.
 
-    The run stops at the first step where the predicate fires or the price
-    floor aborts it, and either one is the crash. A start that already
-    satisfies the predicate is a crash at index 0, once the run has stopped.
+    The run stops at its crash: 0 for a start that already satisfies the
+    predicate, else the first step where the predicate fires or the price
+    floor aborts it.
     """
-    check_state(initial)
-    state = initial.copy()
-    rand = any(t.kind == KIND_RAND for t in state.traders)
-    rng = np.random.Generator(np.random.PCG64(seed)) if rand else None
-    advance = _stepper(params, commitments)
+    state, rng = _start(initial, seed)
     crash_at = crash.crash_at
     p0 = state.price
-    start = 0 if crash_at(p0, p0) else None
+    if crash_at(p0, p0):
+        return 0
+    advance = _stepper(params, commitments)
     for t in range(1, params.horizon + 1):
         advance(state, rng, False)
         p = state.price
         if p < PRICE_FLOOR or crash_at(p0, p):
-            return t if start is None else start
-    return start
+            return t
+    return None
 
 
 # --- replicate-batched summary kernel ------------------------------------------

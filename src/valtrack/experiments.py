@@ -7,6 +7,7 @@ of worker count or scheduling. Aggregation is keyed by task index.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from . import analysis, metrics
@@ -198,17 +199,15 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     Per-replicate seeds derive from (master seed, point index, replicate),
     so the grid is identical for any worker count. The runs go through the
     batched engine in batches of at most _MAX_BATCH_RUNS, split evenly
-    across workers.
+    across the processes _run_tasks starts.
     """
     if resolution < 1:
         raise ConfigError("resolution must be >= 1")
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     points = simplex_points(resolution)
     n_runs = len(points) * replicates
-    size = min(_MAX_BATCH_RUNS, -(-n_runs // workers))
+    size = min(_MAX_BATCH_RUNS, -(-n_runs // _pool_size(workers, n_runs)))
     tasks = []
     for start in range(0, n_runs, size):
         stop = min(start + size, n_runs)
@@ -232,8 +231,18 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
                        batches=len(batches), batch_runs=max(len(b.steps) for b in batches))
 
 
+def _pool_size(workers: int, n_tasks: int) -> int:
+    """The processes that run n_tasks tasks for a request of `workers`: no
+    more than there are tasks or CPUs. Raises ConfigError if workers < 1."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_tasks, os.cpu_count() or 1)
+
+
 def _run_tasks(fn, tasks, workers: int):
-    """Execute tasks preserving submission order; workers > 1 forks a pool."""
+    """Execute tasks preserving submission order, in this process or on a
+    pool of _pool_size(workers, len(tasks)) processes."""
+    workers = _pool_size(workers, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
     # imported only here: the import takes ~20 ms, which a single worker never needs
@@ -287,8 +296,6 @@ def commitment_grid(config: ExperimentConfig, k_plus_range=(0.02, 0.30),
     """
     if cells < 1:
         raise ConfigError("cells must be >= 1")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     for lo, hi in (k_plus_range, k_minus_range):
         if not (0.0 < lo <= hi <= 1.0):
             raise ConfigError("commitment ranges must lie within (0, 1]")
@@ -315,18 +322,16 @@ class ImpactReport:
     powerlaw_concave_threshold: float   # zeta = 0.8
 
 
-def impact_comparison(config: ExperimentConfig) -> ImpactReport:
+def impact_comparison(config: ExperimentConfig, workers: int = 1) -> ImpactReport:
     """Crash thresholds under the ratio-power impact and the power-law
-    impact with zeta = 1 and zeta = 0.8 (liquidity 1)."""
+    impact with zeta = 1 and zeta = 0.8 (liquidity 1), one threshold search
+    per task of _run_tasks."""
     def with_impact(**kw):
         return replace(config, market=replace(config.market, **kw))
-    return ImpactReport(
-        ratio_threshold=threshold_search(with_impact(impact="ratio")),
-        powerlaw_linear_threshold=threshold_search(
-            with_impact(impact="powerlaw", zeta=1.0, liquidity=1.0)),
-        powerlaw_concave_threshold=threshold_search(
-            with_impact(impact="powerlaw", zeta=0.8, liquidity=1.0)),
-    )
+    configs = [with_impact(impact="ratio"),
+               with_impact(impact="powerlaw", zeta=1.0, liquidity=1.0),
+               with_impact(impact="powerlaw", zeta=0.8, liquidity=1.0)]
+    return ImpactReport(*_run_tasks(threshold_search, configs, workers))
 
 
 # --- multi-valuation runs ----------------------------------------------------

@@ -1,5 +1,5 @@
-"""Value-tracking metrics, crash/boom detectors and the tracking-error
-estimator built from a sample of valuations.
+"""Value-tracking metrics, the crash predicate and its boom reading, and
+the tracking-error estimator built from a sample of valuations.
 
 Tracking error is measured in Blacks: tau = |log2 p - log2 u|, so 1 Black is
 a factor-of-two deviation and a deciblack (tau = 0.1) is roughly +-7%. This
@@ -35,7 +35,7 @@ def max_relative_drop(series) -> float:
 
 @dataclass(frozen=True, slots=True)
 class CrashPredicate:
-    """Configurable crash detector.
+    """Configurable crash predicate.
 
     drop_below      price falls below an absolute level (value = level)
     relative_drop   price falls by a fraction of the start (value = fraction)
@@ -84,28 +84,6 @@ class CrashPredicate:
         if self.kind == CRASH_RELATIVE_DROP:
             return p / p0 >= 1.0 / (1.0 - self.value)
         return p / p0 >= 2.0 ** (self.value / 10.0)
-
-
-def _detect(series, test) -> int | None:
-    series = list(series)
-    if not series:
-        raise DomainError("empty price series")
-    p0 = series[0]
-    for i, p in enumerate(series):
-        if test(p0, p):
-            return i
-    return None
-
-
-def detect_crash(series, predicate: CrashPredicate) -> int | None:
-    """Index of the first step where the crash predicate fires, or None."""
-    return _detect(series, predicate.crash_at)
-
-
-def detect_boom(series, predicate: CrashPredicate) -> int | None:
-    """Index of the first step where the price has risen by the reciprocal
-    of the predicate's crash factor, or None."""
-    return _detect(series, predicate.boom_at)
 
 
 def tau_hat(valuations, p: float) -> float:

@@ -190,6 +190,13 @@ class TestCliCommands:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    def test_impact_output_does_not_depend_on_workers(self, tmp_path, capsys):
+        for workers in ("1", "2"):
+            assert cli.main(["impact", "--horizon", "100", "--workers", workers,
+                             "--out", str(tmp_path / workers)]) == 0
+        assert (tmp_path / "1" / "impact.json").read_bytes() \
+            == (tmp_path / "2" / "impact.json").read_bytes()
+
     def test_rho_reaches_the_simulated_holdings(self, tmp_path, capsys):
         def first_wealth(name, *flags):
             assert cli.main(["run", "--horizon", "1", *flags,
@@ -272,6 +279,10 @@ SUBCOMMAND_OPTIONS = {
     "estimate": ["--n", "--p", "--reps"],
     "analyze": ["--csv"],
 }
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in valtrack.__all__ if not hasattr(valtrack, name)] == []
 
 
 def test_option_strings_of_every_subcommand():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valtrack import (CommitmentParams, MarketParams, MarketState,
@@ -457,6 +457,40 @@ class TestCrashStep:
         state = two_trader_state(theta=0.1, p0=0.005)
         assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
                                              CrashPredicate.drop_below(0.01)) == 0
+
+
+class TestRunFindsTheFirstCrashAndBoom:
+    """run's crash_step and boom_step are the first indices of its prices
+    where the predicate and its boom reading fire; a run the price floor
+    aborts crashes at its last index unless it crashed before."""
+
+    @given(probe=crash_probes(), stop_at_crash=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_steps_are_first_indices_of_the_recorded_prices(self, probe, stop_at_crash):
+        state, params, commitments, seed, crash = probe
+        result = outcome(lambda: run(state, params, commitments, seed, crash,
+                                     stop_at_crash=stop_at_crash))
+        assume(not isinstance(result, str))
+        prices = result.prices
+
+        def first(fires):
+            return next((i for i, p in enumerate(prices) if fires(prices[0], p)), None)
+
+        last = len(prices) - 1
+        crashed = first(crash.crash_at)
+        assert result.aborted == (prices[-1] < engine.PRICE_FLOOR)
+        assert result.crash_step == (last if result.aborted and crashed is None else crashed)
+        assert result.boom_step == first(crash.boom_at)
+        if stop_at_crash and result.crash_step is not None:
+            assert result.crash_step == last
+
+    def test_a_start_crash_stops_before_the_first_step(self):
+        # the first step would underflow the price to 0 and raise
+        state, params = invalid_state(), MarketParams(eta=1000.0)
+        crash = CrashPredicate.drop_below(2.0)
+        assert engine.crash_step(state, params, CommitmentParams(), 0, crash) == 0
+        result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
+        assert (result.prices, result.crash_step) == ([1.0], 0)
 
 
 class TestRunIsChainedSteps:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -184,6 +186,56 @@ class TestImpactComparison:
         assert 0.20 <= report.ratio_threshold <= 0.23
         assert 0.20 <= report.powerlaw_linear_threshold <= 0.23
         assert 0.20 <= report.powerlaw_concave_threshold <= 0.23
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            impact_comparison(base_config(), workers=0)
+
+
+class TestProcessPool:
+    """The harnesses start no more processes than they have tasks or the
+    machine has CPUs, whatever worker count they are asked for."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool started, on a 4-CPU machine whose
+        pools run their tasks in this process; no process is started."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_sweep_batches_for_the_processes_it_starts(self, pool_sizes):
+        cfg = base_config(m0=0.0, seed=13, crash=CrashPredicate.relative_drop(0.30))
+        serial = ternary_sweep(cfg, resolution=2, replicates=2)
+        assert pool_sizes == []
+        # 12 runs on 4 processes: 4 batches of 3 runs
+        grid = ternary_sweep(cfg, resolution=2, replicates=2, workers=100_000)
+        assert pool_sizes == [4]
+        assert (grid, grid.batches, grid.batch_runs) == (serial, 4, 3)
+
+    def test_no_more_processes_than_tasks(self, pool_sizes):
+        cfg = base_config(market=MarketParams(settlement="current", horizon=50))
+        serial = impact_comparison(cfg)
+        assert impact_comparison(cfg, workers=8) == serial
+        assert commitment_grid(cfg, (0.1, 0.1), (0.1, 0.1), cells=1, workers=8) \
+            == commitment_grid(cfg, (0.1, 0.1), (0.1, 0.1), cells=1)
+        # three threshold searches; one grid cell needs no pool
+        assert pool_sizes == [3]
 
 
 class TestMultival:

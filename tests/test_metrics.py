@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valtrack.errors import ConfigError, DomainError
-from valtrack.metrics import (CrashPredicate, detect_boom, detect_crash,
-                              estimator_mc, max_relative_drop,
+from valtrack.metrics import (CrashPredicate, estimator_mc, max_relative_drop,
                               price_level_histogram, tau, tau_hat,
                               tau_hat_predicted_std)
 
@@ -55,19 +54,27 @@ class TestMaxRelativeDrop:
         assert max_relative_drop([1.0, 0.01]) == pytest.approx(0.99)
 
 
+def firing(test, series):
+    """test(series[0], p) for each price p of the series."""
+    return [test(series[0], p) for p in series]
+
+
 class TestDetectors:
+    """The predicate's crash and boom readings, price by price, as the
+    engine scans a run with them."""
+
     def test_drop_below_fires_at_first_step_under_level(self):
         pred = CrashPredicate.drop_below(0.01)
-        assert detect_crash([1.0, 0.5, 0.005], pred) == 2
+        assert firing(pred.crash_at, [1.0, 0.5, 0.005]) == [False, False, True]
 
     def test_deciblack_drop_threshold(self):
         pred = CrashPredicate.deciblack_drop(5)
-        assert detect_crash([1.0, 0.71], pred) is None
-        assert detect_crash([1.0, 0.707], pred) == 1
+        assert firing(pred.crash_at, [1.0, 0.71]) == [False, False]
+        assert firing(pred.crash_at, [1.0, 0.707]) == [False, True]
 
     def test_stable_series_has_no_crash(self):
         pred = CrashPredicate.relative_drop(0.30)
-        assert detect_crash([1.0] * 20, pred) is None
+        assert not any(firing(pred.crash_at, [1.0] * 20))
 
     def test_deciblack_crash_iff_2929_percent_drop(self):
         pred = CrashPredicate.deciblack_drop(5)
@@ -75,15 +82,15 @@ class TestDetectors:
         rng = np.random.default_rng(6)
         for _ in range(200):
             series = [1.0] + list(rng.uniform(0.5, 1.5, size=10))
-            fired = detect_crash(series, pred) is not None
+            fired = any(firing(pred.crash_at, series))
             assert fired == (max_relative_drop(series) >= threshold - 1e-15)
 
     def test_boom_is_reciprocal_rise(self):
         pred = CrashPredicate.relative_drop(0.30)
-        assert detect_boom([1.0, 1.2, 1.0 / 0.7 + 1e-12], pred) == 2
-        assert detect_boom([1.0, 1.3], pred) is None
+        assert firing(pred.boom_at, [1.0, 1.2, 1.0 / 0.7 + 1e-12]) == [False, False, True]
+        assert firing(pred.boom_at, [1.0, 1.3]) == [False, False]
         pred2 = CrashPredicate.drop_below(0.01)
-        assert detect_boom([1.0, 150.0], pred2) == 1
+        assert firing(pred2.boom_at, [1.0, 150.0]) == [False, True]
 
     def test_predicate_validation(self):
         with pytest.raises(ConfigError):
