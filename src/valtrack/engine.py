@@ -34,8 +34,9 @@ returns a new state and leaves its input as it was, `run` records every
 step, and `crash_step` keeps no history and returns only what a threshold
 bisection reads, run(..., stop_at_crash=True).crash_step. `run_summaries`
 steps a batch of independent runs in lockstep as numpy arrays and keeps
-only what a sweep reads of each run. The batched kernel reproduces `run`
-bit for bit, and `run` is its test oracle.
+only what a sweep reads of each run; a run that falls below the price
+floor keeps its row and places no orders. The batched kernel reproduces
+`run` bit for bit, and `run` is its test oracle.
 """
 
 import math
@@ -92,10 +93,11 @@ class RunResult:
 
 def check_state(state: MarketState) -> None:
     """Raise InvalidInputError unless the state can be stepped: a finite
-    price > 0, a finite momentum, finite holdings >= 0, known trader kinds
-    and known random-trader modes."""
-    if not (0.0 < state.price < math.inf and math.isfinite(state.momentum)):
-        raise InvalidInputError("need a finite price > 0 and a finite momentum, "
+    price at or above the 1e-12 price floor (a run below it has aborted),
+    a finite momentum, finite holdings >= 0, known trader kinds and known
+    random-trader modes."""
+    if not (PRICE_FLOOR <= state.price < math.inf and math.isfinite(state.momentum)):
+        raise InvalidInputError(f"need a finite price >= {PRICE_FLOOR} and a finite momentum, "
                                 f"got {state.price}, {state.momentum}")
     for t in state.traders:
         if not (0.0 <= t.cash < math.inf and 0.0 <= t.asset < math.inf):
@@ -280,12 +282,16 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 #     monotonically in it, so a predicate fires at some step iff it fires
 #     at that extreme.
 # Traders a run lacks are padded as zero-holding traders: they add exactly
-# 0.0 to every sum and never trade.
+# 0.0 to every sum and never trade. For the same reason a run the price
+# floor aborts keeps its row: from the next step its bids and offers are
+# zeroed, so its price, lowest and highest price and holdings stay as they
+# were at its abort, and every array keeps its shape for the whole batch.
 #
 # The kernel keeps to a few numpy operations: arithmetic, comparisons,
-# np.where, isfinite and count_nonzero. Each further ufunc or reduction
-# faults in another 64-128 KiB of numpy's machine code, and peak RSS is one
-# of the sweep's end-to-end costs.
+# np.where, isfinite and count_nonzero, plus the boolean assignment that
+# zeroes aborted rows, which only a batch with an abort reaches. Each further
+# ufunc or reduction faults in another 64-128 KiB of numpy's machine code,
+# and peak RSS is one of the sweep's end-to-end costs.
 
 _RNG_BLOCK_STEPS = 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53: numpy's uint64 -> [0, 1) map
@@ -299,7 +305,7 @@ class RunSummaries:
     crashed and boomed say whether the predicate, or its boom reading,
     fires at some step of the run, as run() sets crash_step and boom_step;
     a run stopped by the price floor is aborted and counts as crashed.
-    steps is the number of steps simulated.
+    steps is the step the run stopped at: its abort or the horizon.
     """
 
     min_price: np.ndarray
@@ -380,8 +386,9 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
 
     A state may hold any number of valuation traders and at most one
     momentum and one random trader; the random traders of a batch share one
-    mode. Runs that fall below the price floor stop there, as in run().
-    Raises InvalidInputError wherever run() would.
+    mode. Runs that fall below the price floor keep their row and place no
+    orders, so they end where run() stops them. Raises InvalidInputError
+    wherever run() would.
     """
     if len(initials) != len(seeds):
         raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
@@ -397,51 +404,46 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     p0 = p.copy()
     low = p.copy()
     high = p.copy()
-
-    out_low = np.empty(n_runs)
-    out_crashed = np.zeros(n_runs, dtype=bool)
-    out_boomed = np.zeros(n_runs, dtype=bool)
-    out_aborted = np.zeros(n_runs, dtype=bool)
-    out_steps = np.full(n_runs, horizon)
-    rows = np.arange(n_runs)
+    aborted = np.zeros(n_runs, dtype=bool)
+    n_aborted = 0
+    steps = np.full(n_runs, horizon)
     bitgens = [np.random.PCG64(s) if r else None for s, r in zip(seeds, rand_rows)]
-    draws = uniforms = None
-    # order flow: row i holds run i's bids and row n + i its offers; only
-    # retiring runs changes its shape
+    uniforms = None
+    # order flow: row i holds run i's bids and row n_runs + i its offers
     flow = np.zeros((2 * n_runs, cash.shape[1]))
+    bids, offers = flow[:n_runs], flow[n_runs:]
 
     for t in range(1, horizon + 1):
-        n = len(p)
         if rand_mode is not None:
             k = (t - 1) % _RNG_BLOCK_STEPS
             if k == 0:
                 draws = _draw_uniforms(bitgens, min(_RNG_BLOCK_STEPS, horizon - t + 1))
             uniforms = draws[:, 2 * k:2 * k + 2]
-        bids, offers = flow[:n], flow[n:]
         batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mode,
                      uniforms, commitments)
+        if n_aborted:
+            bids[aborted] = 0.0
+            offers[aborted] = 0.0
         totals = _exact_row_sums(flow)
-        total_bid = totals[:n]
+        total_bid = totals[:n_runs]
         q = totals.copy()
-        q[:n] /= p
+        q[:n_runs] /= p
         _require_valid(q, False, "order flow")
-        q_p, q_s = q[:n], q[n:]
+        q_p, q_s = q[:n_runs], q[n_runs:]
 
-        # price impact, capped at eta; one-sided flow moves at the cap
+        # the uncapped log move, capped once at eta; one-sided ratio-power
+        # flow moves at the cap
         if params.impact == IMPACT_RATIO:
             two_sided = np.where(q_p > 0.0, q_s > 0.0, False)
             flow_ratio = np.where(two_sided, q_p, 1.0) / np.where(two_sided, q_s, 1.0)
-            dlog = params.lam * _libm(math.log, flow_ratio)
-            dlog = np.where(dlog < eta, dlog, eta)
-            dlog = np.where(dlog > -eta, dlog, -eta)
-            dlog = np.where(two_sided, dlog,
-                            np.where(q_p > q_s, eta, np.where(q_p < q_s, -eta, 0.0)))
+            dlog = np.where(two_sided, params.lam * _libm(math.log, flow_ratio),
+                            np.where(q_p > q_s, np.inf, np.where(q_p < q_s, -np.inf, 0.0)))
         else:
             imbalance = q_p - q_s
             dlog = _libm(pow, np.abs(imbalance / params.liquidity), params.zeta)
-            dlog = np.where(eta < dlog, eta, dlog)
             dlog = np.where(imbalance < 0.0, -dlog, dlog)
-        p_new = p * _libm(math.exp, dlog)
+        dlog = np.where(dlog < eta, dlog, eta)
+        p_new = p * _libm(math.exp, np.where(dlog > -eta, dlog, -eta))
         _require_valid(p_new, True, "price")
 
         # settlement: the larger side is scaled down pro-rata to parity
@@ -466,26 +468,14 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         high = np.where(p > high, p, high)
 
         floored = p < PRICE_FLOOR
-        if np.count_nonzero(floored):
-            done = rows[floored]
-            out_low[done] = low[floored]
-            out_crashed[done] = True
-            out_boomed[done] = crash.boom_at(p0, high)[floored]
-            out_aborted[done] = True
-            out_steps[done] = t
-            keep = p >= PRICE_FLOOR
-            rows, p, m, p0 = rows[keep], p[keep], m[keep], p0[keep]
-            low, high = low[keep], high[keep]
-            cash, asset = cash[keep], asset[keep]
-            valuations, critical = valuations[keep], critical[keep]
-            flow = np.zeros((2 * len(rows), flow.shape[1]))
-            bitgens = [b for b, kept in zip(bitgens, keep.tolist()) if kept]
-            if draws is not None:
-                draws = draws[keep]
-            if not len(rows):
+        n_floored = np.count_nonzero(floored)
+        if n_floored > n_aborted:
+            # a frozen row stays below the floor, so the rows that differ
+            # are the runs that abort at this step
+            steps = np.where(floored == aborted, steps, t)
+            aborted, n_aborted = floored, n_floored
+            if n_aborted == n_runs:
                 break
 
-    out_low[rows] = low
-    out_crashed[rows] = crash.crash_at(p0, low)
-    out_boomed[rows] = crash.boom_at(p0, high)
-    return RunSummaries(out_low, out_crashed, out_boomed, out_aborted, out_steps)
+    crashed = np.where(aborted, True, crash.crash_at(p0, low))
+    return RunSummaries(low, crashed, crash.boom_at(p0, high), aborted, steps)

@@ -76,11 +76,11 @@ class TestRatioImpact:
         assert ratio_price(3.5, 0.0, 0.0, 0.04, 0.1) == 3.5
 
     def test_rejects_non_finite(self):
-        # the order flow is checked on every step: here a bid of 1e9 cash at
-        # a price of 1e-300 is an infinite purchase volume
-        buyer = Trader(1e10, 1.0, "val", valuation=1.0)
+        # the order flow is checked on every step: here a bid of 1e307 cash
+        # at the 1e-12 price floor is an infinite purchase volume
+        buyer = Trader(1e308, 1.0, "val", valuation=1.0)
         with pytest.raises(InvalidInputError, match="order flow"):
-            step(market_state(1e-300, [buyer]), MarketParams(), CommitmentParams())
+            step(market_state(1e-12, [buyer]), MarketParams(), CommitmentParams())
         # the state is checked on entry
         with pytest.raises(InvalidInputError, match="price"):
             step(market_state(-1.0, [buyer]), MarketParams(), CommitmentParams())
@@ -459,6 +459,57 @@ class TestCrashStep:
                                              CrashPredicate.drop_below(0.01)) == 0
 
 
+def assert_rows_match_runs(states, params, commitments, seeds, crash):
+    def batched():
+        s = engine.run_summaries(states, params, commitments, seeds, crash)
+        return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
+                        s.aborted.tolist(), s.steps.tolist()))
+
+    def scalar():
+        runs = [run(state, params, commitments, seed, crash)
+                for state, seed in zip(states, seeds)]
+        return [(min(r.prices), r.crash_step is not None, r.boom_step is not None,
+                 r.aborted, len(r.prices) - 1) for r in runs]
+
+    def rows_or_error(fn):
+        # the two engines word their price message differently
+        try:
+            return fn()
+        except InvalidInputError:
+            return InvalidInputError
+
+    rows = rows_or_error(batched)
+    assert rows == rows_or_error(scalar)
+    return rows
+
+
+class TestRunSummaries:
+    """Each row of engine.run_summaries is what the scalar run of its state
+    and seed reads."""
+
+    @given(probe=crash_probes())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_matches_its_scalar_run(self, probe):
+        state, params, commitments, seed, crash = probe
+        assert_rows_match_runs([state] * 3, params, commitments, [seed, seed + 1, seed + 2],
+                               crash)
+
+    def test_runs_that_abort_at_different_steps_keep_their_own_rows(self):
+        # at eta = 30 momentum sellers fall through the 1e-12 floor at step
+        # 1 from p0 = 1 and at step 4 from p0 = 1e30; the first run's Val
+        # trader would bid below its valuation of 1 after the abort, and the
+        # pure-Val run never trades
+        def start(**spec):
+            return init_population(PopulationSpec(**spec), m0=-0.001)
+
+        states = [start(val_fracs=(0.5,), mo_frac=0.5), start(),
+                  start(val_fracs=(0.0,), mo_frac=1.0, p0=1e30)]
+        rows = assert_rows_match_runs(states, MarketParams(eta=30.0, horizon=10),
+                                      CommitmentParams(), [0, 1, 2],
+                                      CrashPredicate.drop_below(1e-13))
+        assert [row[3:] for row in rows] == [(True, 1), (False, 10), (True, 4)]
+
+
 class TestRunFindsTheFirstCrashAndBoom:
     """run's crash_step and boom_step are the first indices of its prices
     where the predicate and its boom reading fire; a run the price floor
@@ -537,13 +588,14 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
     (invalid_state(momentum=0.001, mo_cash=-1.0), MarketParams()),
     (invalid_state(), MarketParams(eta=1000.0)),
     (invalid_state(price=0.0), MarketParams()),
+    (invalid_state(price=1e-13), MarketParams()),
     (invalid_state(val_cash=math.nan), MarketParams()),
     (invalid_state(val_asset=-1.0), MarketParams()),
     (invalid_state(kind="momentum"), MarketParams()),
     (invalid_state(kind="rand", rand_mode="fancy"), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
-        "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
-        "negative asset", "unknown kind", "unknown rand mode"])
+        "negative bid", "price underflows to 0", "price 0.0", "price below the floor",
+        "NaN cash", "negative asset", "unknown kind", "unknown rand mode"])
 def test_crash_step_raises_where_run_raises(state, params):
     """step, run, crash_step and, next to a valid state, the batched
     run_summaries all reject the state."""

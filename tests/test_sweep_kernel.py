@@ -132,8 +132,8 @@ def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates):
 
 
 # the pure-momentum runs fall through the price floor at step 28, inside
-# a block of 5 or 32 steps, so the order-flow buffer and the drawn block
-# are cut down mid-block; 61 steps exceed the 60-step horizon
+# a block of 5 or 32 steps, so their rows stop placing orders mid-block;
+# 61 steps exceed the 60-step horizon
 @pytest.mark.parametrize("block", [1, 5, 61])
 def test_results_do_not_depend_on_rng_block_steps(monkeypatch, block):
     config = abort_config()
