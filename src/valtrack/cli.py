@@ -54,9 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="ternary sweep over trader mixes")
     p_sweep.add_argument("--resolution", type=int, default=20)
     p_sweep.add_argument("--sweep-replicates", type=int, default=20)
-    p_sweep.add_argument("--svg", help="also write an SVG ternary map to this name")
-    p_sweep.add_argument("--metric", default="crash_freq",
-                         choices=("crash_freq", "boom_freq", "mean_drop"))
+    p_sweep.add_argument("--svg", help="also write an SVG crash-frequency map to this name")
     p_grid = sub.add_parser("grid", help="commitment grid: analytic vs simulated")
     p_grid.add_argument("--k-plus-min", type=float, default=0.02)
     p_grid.add_argument("--k-plus-max", type=float, default=0.30)
@@ -71,10 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--p", type=float, default=1.3)
     p_est.add_argument("--n", type=int, default=100)
     p_est.add_argument("--reps", type=int, default=10000)
-    p_an = sub.add_parser("analyze",
-                          help="fixed-point report and analytic threshold")
-    p_an.add_argument("--csv", action="store_true",
-                      help="also write analysis.csv with the report row")
+    sub.add_parser("analyze", help="fixed-point report and analytic threshold")
     for p in sub.choices.values():
         _add_common(p)
     return parser
@@ -179,7 +174,7 @@ def cmd_sweep(args, cfg) -> int:
     _write_sidecar(out, cfg, args, {**sizes, "telemetry": telemetry})
     if args.svg:
         from . import svg
-        _write_svg(svg.render_ternary_svg(grid, metric=args.metric), cfg, args, sizes)
+        _write_svg(svg.render_ternary_svg(grid), cfg, args, sizes)
     print(f"sweep: {len(grid.points)} points x {grid.replicates} replicates -> {out}")
     return EXIT_OK
 
@@ -258,15 +253,11 @@ def cmd_analyze(args, cfg) -> int:
         for root in report.roots:
             print(f"  {name} root {root.value:.10f} [{root.region}] "
                   f"residual={root.residual:.2e}")
-    print(f"analytic momentum-wealth crash threshold: theta = {theta:.5f}")
-    if args.csv:
-        out = os.path.join(_outdir(args), "analysis.csv")
-        rows = experiments.fixed_point_csv_rows(
-            [(cfg.commitments.kv_buy, cfg.commitments.km_sell,
-              alpha_report, theta)])
-        _write_csv(out, rows)
-        _write_sidecar(out, cfg, args)
-        print(f"-> {out}")
+    out = os.path.join(_outdir(args), "analysis.csv")
+    _write_csv(out, experiments.fixed_point_csv_rows(
+        cfg.commitments.kv_buy, cfg.commitments.km_sell, alpha_report, theta))
+    _write_sidecar(out, cfg, args)
+    print(f"analytic momentum-wealth crash threshold: theta = {theta:.5f} -> {out}")
     return EXIT_OK
 
 

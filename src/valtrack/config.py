@@ -14,7 +14,7 @@ from .experiments import ExperimentConfig
 # dotted key -> (part of ExperimentConfig, or None for its own fields;
 #                field of that part; CLI flag, or None for --set only).
 # A key's default and type are its field's in ExperimentConfig(); the flag
-# is the option --<flag with '-' for '_'>. Order is serialize()'s order.
+# is the option --<flag with '-' for '_'>.
 # Two special keys do not map one to one onto their field (see
 # build_config): population.val_frac and population.n_vals together make
 # val_fracs, and market.rho is also the population's rho.
@@ -114,8 +114,7 @@ def _split_val_frac(fields: dict) -> None:
     fields["val_fracs"] = tuple([val / n_vals] * n_vals)
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None,
-                 text: str | None = None) -> ExperimentConfig:
+def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve file values (if any) plus overrides into an ExperimentConfig."""
     values: dict[str, object] = {}
     if path is not None:
@@ -124,9 +123,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        values.update(parse_keyvalues(text, source=path))
-    elif text is not None:
-        values.update(parse_keyvalues(text))
+        values = parse_keyvalues(text, source=path)
     if overrides:
         for key, raw in overrides.items():
             if key not in KEYS:
@@ -150,9 +147,3 @@ def config_values(config: ExperimentConfig) -> dict:
 
 _BASE = ExperimentConfig()
 _DEFAULTS = {**config_values(_BASE), "population.val_frac": -1.0}
-
-
-def serialize(config: ExperimentConfig) -> str:
-    """Canonical dotted-key text for a config; parse_config round-trips it."""
-    values = config_values(config)
-    return "\n".join(f"{key} = {values[key]}" for key in KEYS) + "\n"

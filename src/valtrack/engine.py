@@ -2,7 +2,7 @@
 
 One step: collect orders at the prevailing price, move the price by the
 configured impact function (capped at e^[+-eta]), settle the orders at the
-updated or the current price, update momentum, advance time.
+updated or the current price, update momentum.
 
 Unit conventions: bids are cash amounts, offers are asset quantities. The
 purchase volume q_p used by the impact functions is total bid cash divided
@@ -58,7 +58,6 @@ PRICE_FLOOR = 1e-12
 class StepRecord(NamedTuple):
     """Audit record of one step, used for tests and CSV output."""
 
-    time: int
     old_price: float
     new_price: float
     q_p: float
@@ -171,11 +170,9 @@ def _stepper(params: MarketParams, commitments: CommitmentParams):
                     trader.cash += sold * p_settle
         state.price = p_new
         state.momentum = mu * log(p_new / p) + one_minus_mu * m
-        state.time += 1
         if record:
-            return StepRecord(state.time, p, p_new, q_p, q_s,
-                              q_s if q_s < demand else demand, m, state.momentum,
-                              abs(dlog) > eta)
+            return StepRecord(p, p_new, q_p, q_s, q_s if q_s < demand else demand, m,
+                              state.momentum, abs(dlog) > eta)
 
     return advance
 
@@ -283,9 +280,11 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 #     at that extreme.
 # Traders a run lacks are padded as zero-holding traders: they add exactly
 # 0.0 to every sum and never trade. For the same reason a run the price
-# floor aborts keeps its row: from the next step its bids and offers are
-# zeroed, so its price, lowest and highest price and holdings stay as they
-# were at its abort, and every array keeps its shape for the whole batch.
+# floor aborts keeps its row: from the next step its orders are computed at
+# its start price, which check_state kept at or above the floor (a division
+# by its frozen price below it can overflow), and then zeroed, so its price,
+# lowest and highest price and holdings stay as they were at its abort, and
+# every array keeps its shape for the whole batch.
 #
 # The kernel keeps to a few numpy operations: arithmetic, comparisons,
 # np.where, isfinite and count_nonzero, plus the boolean assignment that
@@ -419,8 +418,8 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
             if k == 0:
                 draws = _draw_uniforms(bitgens, min(_RNG_BLOCK_STEPS, horizon - t + 1))
             uniforms = draws[:, 2 * k:2 * k + 2]
-        batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mode,
-                     uniforms, commitments)
+        batch_orders(bids, offers, np.where(aborted, p0, p) if n_aborted else p, m, cash,
+                     asset, valuations, critical, rand_mode, uniforms, commitments)
         if n_aborted:
             bids[aborted] = 0.0
             offers[aborted] = 0.0

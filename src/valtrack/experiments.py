@@ -265,7 +265,6 @@ class GridCell:
 @dataclass(frozen=True, slots=True)
 class CommitmentGrid:
     cells: tuple
-    settlement: str
 
 
 def _grid_cell_task(args):
@@ -303,7 +302,7 @@ def commitment_grid(config: ExperimentConfig, k_plus_range=(0.02, 0.30),
     k_minus = _linspace(k_minus_range[0], k_minus_range[1], cells)
     tasks = [(config, kp, km) for kp in k_plus for km in k_minus]
     results = _run_tasks(_grid_cell_task, tasks, workers)
-    return CommitmentGrid(tuple(results), config.market.settlement)
+    return CommitmentGrid(tuple(results))
 
 
 def _linspace(lo: float, hi: float, n: int):
@@ -415,12 +414,11 @@ def run_csv_rows(result: RunResult):
                + [repr(w) for w in result.wealth[t]])
 
 
-def fixed_point_csv_rows(reports):
-    """Rows of (kv_buy, km_sell, alpha_minus, exists, theta) tuples."""
+def fixed_point_csv_rows(kv_buy: float, km_sell: float, report, theta: float):
+    """The header and the one row (kv_buy, km_sell, alpha_minus, exists, theta)."""
     yield ["kv_buy", "km_sell", "alpha_minus", "exists", "theta"]
-    for kv_buy, km_sell, report, theta in reports:
-        yield [repr(kv_buy), repr(km_sell), repr(report.selected),
-               "1" if report.exists else "0", repr(theta)]
+    yield [repr(kv_buy), repr(km_sell), repr(report.selected),
+           "1" if report.exists else "0", repr(theta)]
 
 
 def histogram_csv_rows(hist: Histogram):

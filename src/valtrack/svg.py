@@ -72,16 +72,13 @@ def render_series_svg(prices, valuation: float) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def render_ternary_svg(grid: TernaryGrid, metric: str = "crash_freq") -> str:
-    """Color-mapped simplex: one cell per grid point.
+def render_ternary_svg(grid: TernaryGrid) -> str:
+    """Simplex colored by crash frequency: one cell per grid point.
 
     Top corner is 100% valuation traders, right corner 100% momentum,
-    left corner 100% random. metric picks the colored field
-    (crash_freq, boom_freq or mean_drop)."""
+    left corner 100% random."""
     if not grid.points:
         raise DomainError("empty ternary grid")
-    if metric not in ("crash_freq", "boom_freq", "mean_drop"):
-        raise DomainError(f"unknown ternary metric {metric!r}")
     width = _TERNARY_WIDTH
     height = int(width * math.sqrt(3) / 2) + 20
     pad = 10.0
@@ -99,8 +96,7 @@ def render_ternary_svg(grid: TernaryGrid, metric: str = "crash_freq") -> str:
              + point.rand_frac * left[0])
         y = (point.val_frac * top[1] + point.mo_frac * right[1]
              + point.rand_frac * left[1])
-        value = getattr(point, metric)
         ET.SubElement(root, "circle", {
             "cx": f"{x:.2f}", "cy": f"{y:.2f}", "r": f"{radius:.2f}",
-            "fill": _color(value)})
+            "fill": _color(point.crash_freq)})
     return ET.tostring(root, encoding="unicode")

@@ -55,7 +55,7 @@ class Trader:
 
 @dataclass(slots=True)
 class MarketState:
-    """Complete market snapshot: price, momentum, step index and traders.
+    """Complete market snapshot: price, momentum and traders.
 
     total_cash / total_asset are the conserved totals fixed at
     initialisation.
@@ -63,14 +63,12 @@ class MarketState:
 
     price: float
     momentum: float
-    time: int
     traders: list
     total_cash: float
     total_asset: float
 
     def copy(self) -> "MarketState":
-        return MarketState(self.price, self.momentum, self.time,
-                           [t.copy() for t in self.traders],
+        return MarketState(self.price, self.momentum, [t.copy() for t in self.traders],
                            self.total_cash, self.total_asset)
 
     def cash_sum(self) -> float:
@@ -295,5 +293,5 @@ def init_population(spec: PopulationSpec, m0: float = 0.0,
         raise ConfigError("population is empty")
     total_cash = math.fsum(t.cash for t in traders)
     total_asset = math.fsum(t.asset for t in traders)
-    return MarketState(price=spec.p0, momentum=m0, time=0, traders=traders,
+    return MarketState(price=spec.p0, momentum=m0, traders=traders,
                        total_cash=total_cash, total_asset=total_asset)

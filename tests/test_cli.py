@@ -11,7 +11,7 @@ import pytest
 
 import valtrack
 from valtrack import cli
-from valtrack.config import KEYS, config_values, parse_config, serialize
+from valtrack.config import KEYS, build_config, config_values, parse_config, parse_keyvalues
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
 from valtrack.metrics import CrashPredicate, tau
@@ -42,7 +42,7 @@ EVERY_KEY_TEXT = "".join(f"{key} = {raw}\n" for key, raw in EVERY_KEY.items())
 
 class TestConfigParsing:
     def test_empty_text_gives_defaults(self):
-        cfg = parse_config(text="")
+        cfg = build_config(parse_keyvalues(""))
         assert cfg.market.lam == 0.04
         assert cfg.market.eta == 0.1
         assert cfg.market.mu == 0.002
@@ -67,15 +67,15 @@ class TestConfigParsing:
 
     def test_unknown_key_is_line_precise(self):
         with pytest.raises(ConfigError, match=r"<config>:2.*market\.lambada"):
-            parse_config(text="market.lambda = 0.04\nmarket.lambada = 1\n")
+            build_config(parse_keyvalues("market.lambda = 0.04\nmarket.lambada = 1\n"))
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ConfigError, match="mu"):
-            parse_config(text="market.mu = 1.5\n")
+            build_config(parse_keyvalues("market.mu = 1.5\n"))
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match=":1"):
-            parse_config(text="market.lambda 0.04\n")
+            build_config(parse_keyvalues("market.lambda 0.04\n"))
 
     @pytest.mark.parametrize("text", [
         pytest.param(
@@ -87,12 +87,12 @@ class TestConfigParsing:
         for n_vals in (1, 10)
     ] + [pytest.param(EVERY_KEY_TEXT, id="every key")])
     def test_round_trip(self, text):
-        cfg = parse_config(text=text)
-        assert parse_config(text=serialize(cfg)) == cfg
+        cfg = build_config(parse_keyvalues(text))
+        assert build_config(config_values(cfg)) == cfg
 
     def test_every_key_is_set_to_a_non_default(self):
         assert list(EVERY_KEY) == list(KEYS)
-        values = config_values(parse_config(text=EVERY_KEY_TEXT))
+        values = config_values(build_config(parse_keyvalues(EVERY_KEY_TEXT)))
         defaults = config_values(ExperimentConfig())
         assert [key for key in KEYS if values[key] == defaults[key]] == []
 
@@ -103,13 +103,13 @@ class TestConfigParsing:
 
 
 class TestCliCommands:
-    def test_analyze_prints_analytic_threshold(self, capsys):
-        assert cli.main(["analyze"]) == 0
+    def test_analyze_prints_analytic_threshold(self, tmp_path, capsys):
+        assert cli.main(["analyze", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "0.21648" in out
 
     def test_analyze_csv_schema(self, tmp_path):
-        assert cli.main(["analyze", "--csv", "--kv-buy", "0.1",
+        assert cli.main(["analyze", "--kv-buy", "0.1",
                          "--km-sell", "0.12", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "analysis.csv").read_text().strip().splitlines()
         assert lines[0] == "kv_buy,km_sell,alpha_minus,exists,theta"
@@ -271,13 +271,13 @@ COMMON_OPTIONS = [
     "--u", "--val", "--valuation", "--workers", "--zeta", "-h"]
 SUBCOMMAND_OPTIONS = {
     "run": ["--svg"],
-    "sweep": ["--metric", "--resolution", "--svg", "--sweep-replicates"],
+    "sweep": ["--resolution", "--svg", "--sweep-replicates"],
     "grid": ["--cells", "--k-minus-max", "--k-minus-min", "--k-plus-max",
              "--k-plus-min"],
     "impact": [],
     "multival": ["--multival-horizon", "--multival-n-vals"],
     "estimate": ["--n", "--p", "--reps"],
-    "analyze": ["--csv"],
+    "analyze": [],
 }
 
 
@@ -303,7 +303,7 @@ CSV_COMMANDS = {
     "grid": (["grid", "--cells", "2", "--settlement", "current"], ["grid.csv"]),
     "multival": (["multival", "--multival-n-vals", "3", "--multival-horizon", "50"],
                  ["multival_histogram.csv", "multival_run.csv"]),
-    "analyze": (["analyze", "--csv"], ["analysis.csv"]),
+    "analyze": (["analyze"], ["analysis.csv"]),
 }
 
 

@@ -19,7 +19,7 @@ def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
 
 
 def market_state(price, traders, momentum=0.0):
-    return MarketState(price=price, momentum=momentum, time=0, traders=traders,
+    return MarketState(price=price, momentum=momentum, traders=traders,
                        total_cash=sum(t.cash for t in traders),
                        total_asset=sum(t.asset for t in traders))
 
@@ -152,7 +152,7 @@ class TestSettle:
         # below its valuation the Val trader bids; on negative momentum the
         # Mo trader offers
         traders = [Trader(10.0, 0.0, "val", valuation=100.0), Trader(0.0, 40.0, "mo")]
-        return MarketState(price=price, momentum=-0.001, time=0, traders=traders,
+        return MarketState(price=price, momentum=-0.001, traders=traders,
                            total_cash=10.0, total_asset=40.0)
 
     def test_no_orders_is_identity(self):
@@ -203,13 +203,12 @@ class TestStep:
         out, record = step(state, MarketParams(), CommitmentParams())
         assert out.price == state.price
         assert out.momentum == 0.0
-        assert out.time == 1
         assert record.q_p == 0.0 and record.q_s == 0.0
 
     def test_balanced_orders_execute_fully_without_price_move(self):
         traders = [Trader(10.0, 10.0, "val", valuation=2.0),
                    Trader(10.0, 10.0, "mo")]
-        state = MarketState(price=1.0, momentum=-0.5, time=0, traders=traders,
+        state = MarketState(price=1.0, momentum=-0.5, traders=traders,
                             total_cash=20.0, total_asset=20.0)
         # val buys 1.0 cash (p < u), mo offers 1.0 asset: exact parity
         out, record = step(state, MarketParams(), CommitmentParams())
@@ -509,6 +508,20 @@ class TestRunSummaries:
                                       CrashPredicate.drop_below(1e-13))
         assert [row[3:] for row in rows] == [(True, 1), (False, 10), (True, 4)]
 
+    def test_an_aborted_row_places_no_order_at_its_frozen_price(self):
+        # at eta = 705 the Mo seller takes the price from 1e-12 to about
+        # 6.6e-319 in one step; the refined random trader's offer divides
+        # its reference wealth by the price, which overflows at that price
+        refined = init_population(PopulationSpec(val_fracs=(0.0,), mo_frac=0.7,
+                                                 rand_frac=0.3, rand_mode="refined",
+                                                 critical_frac=0.0, p0=1e-12), m0=-0.001)
+        states = [refined, init_population(PopulationSpec(), m0=-0.001)]
+        rows = assert_rows_match_runs(states, MarketParams(eta=705.0, horizon=10),
+                                      CommitmentParams(kr_buy=0.0), [0, 1],
+                                      CrashPredicate.drop_below(1e-13))
+        assert rows[0][1:] == (True, False, True, 1)
+        assert rows[0][0] == pytest.approx(6.6434e-319, rel=1e-4)
+
 
 class TestRunFindsTheFirstCrashAndBoom:
     """run's crash_step and boom_step are the first indices of its prices
@@ -597,15 +610,28 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
         "negative bid", "price underflows to 0", "price 0.0", "price below the floor",
         "NaN cash", "negative asset", "unknown kind", "unknown rand mode"])
 def test_crash_step_raises_where_run_raises(state, params):
-    """step, run, crash_step and, next to a valid state, the batched
-    run_summaries all reject the state."""
+    """step, run with and without stop_at_crash, crash_step and, next to a
+    valid state, the batched run_summaries all reject the state."""
     crash = CrashPredicate.relative_drop(0.3)
     with pytest.raises(InvalidInputError):
         step(state, params, CommitmentParams())
+    with pytest.raises(InvalidInputError):
+        run(state, params, CommitmentParams(), 0, crash)
     with pytest.raises(InvalidInputError):
         engine.crash_step(state, params, CommitmentParams(), 0, crash)
     assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
                                          crash).startswith("InvalidInputError")
     with pytest.raises(InvalidInputError):
         engine.run_summaries([invalid_state(), state], params, CommitmentParams(), [0, 1],
+                             crash)
+
+
+def test_kernel_rejects_layouts_it_cannot_batch():
+    crash = CrashPredicate.relative_drop(0.3)
+    two_mo = invalid_state()
+    two_mo.traders.append(Trader(0.1, 0.1, "mo"))
+    with pytest.raises(InvalidInputError):
+        engine.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
+    with pytest.raises(InvalidInputError):
+        engine.run_summaries([invalid_state()], MarketParams(), CommitmentParams(), [0, 1],
                              crash)

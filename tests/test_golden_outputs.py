@@ -85,7 +85,7 @@ GOLDEN_COMMANDS = {
         ["estimate", "--n", "50", "--reps", "400", "--seed", "6"],
         {"estimator.json": "c8af77639b522213e98a4df78b496e50fdec4bf2540ebd98903f8d3541105ad4"}),
     "analyze": (
-        ["analyze", "--csv"],
+        ["analyze"],
         {"analysis.csv": "5a9c1abbf841f1cf40478a8b72d7ab0fa454f75ccd4f5d67f6acf07e8e44bda0"}),
 }
 

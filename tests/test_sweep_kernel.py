@@ -184,7 +184,7 @@ def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3
               kind="mo", rand_mode="basic"):
     traders = [Trader(val_cash, val_asset, "val"),
                Trader(mo_cash, 0.8, kind, rand_mode=rand_mode)]
-    return MarketState(price=price, momentum=momentum, time=0, traders=traders,
+    return MarketState(price=price, momentum=momentum, traders=traders,
                        total_cash=val_cash + mo_cash, total_asset=val_asset + 0.8)
 
 
@@ -211,15 +211,4 @@ def test_kernel_raises_where_the_scalar_engine_raises(state, params):
         engine.step(state, params, CommitmentParams())
     with pytest.raises(InvalidInputError):
         engine.run_summaries([bad_state(), state], params, CommitmentParams(), [0, 1],
-                             crash)
-
-
-def test_kernel_rejects_layouts_it_cannot_batch():
-    crash = CrashPredicate.relative_drop(0.3)
-    two_mo = bad_state()
-    two_mo.traders.append(Trader(0.1, 0.1, "mo"))
-    with pytest.raises(InvalidInputError):
-        engine.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
-    with pytest.raises(InvalidInputError):
-        engine.run_summaries([bad_state()], MarketParams(), CommitmentParams(), [0, 1],
                              crash)

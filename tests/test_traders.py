@@ -190,7 +190,7 @@ def batch_markets(draw):
             traders.append(Trader(cash, asset, "rand", rand_mode=rand_mode,
                                   critical_cash=draw(st.floats(0, 2)) * cash,
                                   critical_asset=draw(st.floats(0, 2)) * asset * p))
-        markets.append((MarketState(p, m, 0, traders, 0.0, 0.0), draw(st.integers(0, 2**64 - 1))))
+        markets.append((MarketState(p, m, traders, 0.0, 0.0), draw(st.integers(0, 2**64 - 1))))
     return markets
 
 
