@@ -9,12 +9,13 @@ purchase volume q_p used by the impact functions is total bid cash divided
 by the prevailing price, so q_p and q_s are both asset quantities and the
 ratio in the price update is dimensionless. Natural logarithms throughout.
 
-The scalar step is written once, in the body `_stepper` builds for a run
-with the run's constants bound. It takes the uncapped log move of the
-order flow (infinite for one-sided ratio-power flow, 0 for no flow), caps
-it at +-eta, moves the price by the capped value and sets cap_hit from the
-uncapped one. One-sided order flow thus moves the price at the cap; zero
-flow on both sides leaves it unchanged.
+The scalar step is written in the body `_stepper` builds for a run with
+the run's constants bound, and once more in crash_step's two-trader loop
+(below). It takes the uncapped log move of the order flow (infinite for
+one-sided ratio-power flow, 0 for no flow), caps it at +-eta, moves the
+price by the capped value and sets cap_hit from the uncapped one.
+One-sided order flow thus moves the price at the cap; zero flow on both
+sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
@@ -29,14 +30,22 @@ decide that as they step, the start first, and stop at the first crash
 when asked to (crash_step always is).
 
 Two engines share these rules. The scalar one steps a private copy of
-its state in place, one step body for all its entry points: `step`
-returns a new state and leaves its input as it was, `run` records every
-step, and `crash_step` keeps no history and returns only what a threshold
-bisection reads, run(..., stop_at_crash=True).crash_step. `run_summaries`
-steps a batch of independent runs in lockstep as numpy arrays and keeps
-only what a sweep reads of each run; a run that falls below the price
-floor keeps its row and places no orders. The batched kernel reproduces
-`run` bit for bit, and `run` is its test oracle.
+its state in place: `step` returns a new state and leaves its input as it
+was, `run` records every step, and `crash_step` keeps no history and
+returns only what a threshold bisection reads, run(..., stop_at_crash=True)
+.crash_step. A crash_step market of one Val trader and at most one Mo
+trader, the layout of the bisection probes of `grid` and `impact` at the
+reference setup, steps in `_val_mo_crash_step`, which keeps the price,
+momentum and four holdings in locals and inlines the two order rules: a
+general trader count cannot have locals, and they more than halve the
+cost of a step. `_stepper` stays the only body of `step`, `run` (the
+oracle of both loops) and every other crash_step market, with a Rand
+trader or more than one Val trader.
+
+`run_summaries` steps a batch of independent runs in lockstep as numpy
+arrays and keeps only what a sweep reads of each run; a run that falls
+below the price floor keeps its row and places no orders. The batched
+kernel reproduces `run` bit for bit, and `run` is its test oracle.
 """
 
 import math
@@ -49,8 +58,8 @@ import numpy as np
 from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .traders import (KIND_RAND, RAND_MODES, TRADER_KINDS, MarketState, batch_layout,
-                      batch_orders, trader_orders)
+from .traders import (KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES, TRADER_KINDS, MarketState,
+                      batch_layout, batch_orders, trader_orders)
 
 PRICE_FLOOR = 1e-12
 
@@ -93,11 +102,14 @@ class RunResult:
 def check_state(state: MarketState) -> None:
     """Raise InvalidInputError unless the state can be stepped: a finite
     price at or above the 1e-12 price floor (a run below it has aborted),
-    a finite momentum, finite holdings >= 0, known trader kinds and known
-    random-trader modes."""
+    a finite momentum, finite holdings >= 0 with finite totals, known
+    trader kinds and known random-trader modes. A bid is at most its
+    trader's cash and an offer at most its asset, so finite totals keep
+    every sum of orders finite."""
     if not (PRICE_FLOOR <= state.price < math.inf and math.isfinite(state.momentum)):
         raise InvalidInputError(f"need a finite price >= {PRICE_FLOOR} and a finite momentum, "
                                 f"got {state.price}, {state.momentum}")
+    cash = asset = 0.0
     for t in state.traders:
         if not (0.0 <= t.cash < math.inf and 0.0 <= t.asset < math.inf):
             raise InvalidInputError(f"holdings must be finite and >= 0, got {t.cash}, {t.asset}")
@@ -105,6 +117,10 @@ def check_state(state: MarketState) -> None:
             raise InvalidInputError(f"unknown trader kind {t.kind!r}")
         if t.kind == KIND_RAND and t.rand_mode not in RAND_MODES:
             raise InvalidInputError(f"unknown rand mode {t.rand_mode!r}")
+        cash += t.cash
+        asset += t.asset
+    if not (cash < math.inf and asset < math.inf):
+        raise InvalidInputError(f"total cash and asset must be finite, got {cash}, {asset}")
 
 
 def _stepper(params: MarketParams, commitments: CommitmentParams):
@@ -243,18 +259,97 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 
     The run stops at its crash: 0 for a start that already satisfies the
     predicate, else the first step where the predicate fires or the price
-    floor aborts it.
+    floor aborts it. A market of one Val trader and at most one Mo trader,
+    such as a bisection probe of the reference `grid` and `impact`, steps
+    in _val_mo_crash_step, which holds the holdings in locals; every other
+    market steps in the _stepper body.
     """
     state, rng = _start(initial, seed)
     crash_at = crash.crash_at
     p0 = state.price
     if crash_at(p0, p0):
         return 0
+    if sorted(t.kind for t in state.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
+        return _val_mo_crash_step(state, params, commitments, crash_at)
     advance = _stepper(params, commitments)
     for t in range(1, params.horizon + 1):
         advance(state, rng, False)
         p = state.price
         if p < PRICE_FLOOR or crash_at(p0, p):
+            return t
+    return None
+
+
+def _val_mo_crash_step(state, params, commitments, crash_at):
+    """crash_step's loop after the start for a checked state of one Val
+    trader and at most one Mo trader: the _stepper body with trader_orders'
+    Val and Mo rules inlined and the price, momentum and four holdings in
+    locals, a missing Mo trader holding 0.0. A sum of two orders is their
+    fsum but for the sign of a zero sum, which no later value reads, and
+    check_state's finite totals keep it finite."""
+    eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
+                                     params.liquidity)
+    one_minus_mu = 1.0 - mu
+    ratio = params.impact == IMPACT_RATIO
+    updated = params.settlement == SETTLE_UPDATED
+    c = commitments
+    kv_buy, kv_sell, km_buy, km_sell = c.kv_buy, c.kv_sell, c.km_buy, c.km_sell
+    log, exp, copysign, inf, floor = math.log, math.exp, math.copysign, math.inf, PRICE_FLOOR
+    cv = av = cm = am = 0.0
+    for trader in state.traders:
+        if trader.kind == KIND_VAL:
+            cv, av, u = trader.cash, trader.asset, trader.valuation
+        else:
+            cm, am = trader.cash, trader.asset
+    p0 = p = state.price
+    m = state.momentum
+    for t in range(1, params.horizon + 1):
+        bv = kv_buy * cv if p < u else 0.0
+        ov = kv_sell * av if p > u else 0.0
+        bm = km_buy * cm if m > 0.0 else 0.0
+        om = km_sell * am if m < 0.0 else 0.0
+        total_bid = bv + bm
+        q_p = total_bid / p
+        q_s = ov + om
+        if not (0.0 <= q_p < inf and 0.0 <= q_s < inf):
+            raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
+        if not ratio:
+            imbalance = q_p - q_s
+            dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+        elif q_p > 0.0 and q_s > 0.0:
+            dlog = lam * log(q_p / q_s)
+        else:
+            dlog = inf if q_p > q_s else -inf if q_p < q_s else 0.0
+        move = dlog if dlog < eta else eta
+        p_new = p * exp(move if move > -eta else -eta)
+        if not 0.0 < p_new < inf:
+            raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
+        p_settle = p_new if updated else p
+        demand = total_bid / p_settle
+        if demand > 0.0 and q_s > 0.0:
+            f_buy = q_s / demand
+            f_buy = f_buy if f_buy < 1.0 else 1.0
+            f_sell = demand / q_s
+            f_sell = f_sell if f_sell < 1.0 else 1.0
+            if bv > 0.0:
+                paid = bv * f_buy
+                cv -= paid
+                av += paid / p_settle
+            if ov > 0.0:
+                sold = ov * f_sell
+                av -= sold
+                cv += sold * p_settle
+            if bm > 0.0:
+                paid = bm * f_buy
+                cm -= paid
+                am += paid / p_settle
+            if om > 0.0:
+                sold = om * f_sell
+                am -= sold
+                cm += sold * p_settle
+        m = mu * log(p_new / p) + one_minus_mu * m
+        p = p_new
+        if p < floor or crash_at(p0, p):
             return t
     return None
 

@@ -1,5 +1,6 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
-from valtrack import engine
+from valtrack import cli, engine, experiments
 from valtrack.errors import InvalidInputError
 from valtrack.metrics import CrashPredicate
 
@@ -417,6 +418,55 @@ def crash_probes(draw):
     return state, params, commitments, seed, crash
 
 
+@st.composite
+def val_mo_probes(draw):
+    """A Val-only or Val+Mo start, the layout of every threshold_search
+    probe, with market and commitment params and a crash predicate: every
+    impact, settlement and crash kind, eta up to 2 (a lone momentum seller
+    falls through the price floor), m0 of each sign and 0, a start below,
+    at and above the valuation, a zero-holding Val trader at theta = 1 and
+    either trader order."""
+    theta = draw(st.sampled_from([0.0, 0.2164, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    u = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    spec = PopulationSpec(val_fracs=(1.0 - theta,), mo_frac=theta, u=u,
+                          p0=u * draw(st.sampled_from([0.005, 0.9, 1.0, 1.1, 300.0])),
+                          rho=draw(st.sampled_from([1.0, 4.0])))
+    state = init_population(spec, m0=draw(st.sampled_from([-0.001, 0.0, 0.001])))
+    if draw(st.booleans()):
+        state.traders.reverse()
+    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
+                                         ("powerlaw", 0.8)]))
+    params = MarketParams(horizon=draw(st.integers(1, 300)), impact=impact, zeta=zeta,
+                          eta=draw(st.sampled_from([0.1, 1.0, 2.0])),
+                          settlement=draw(st.sampled_from(["updated", "current"])))
+    commitments = CommitmentParams(*draw(st.lists(st.floats(0.0, 1.0),
+                                                  min_size=6, max_size=6)))
+    # half the runs can only crash through the price floor, or not at all
+    make, values = CRASH_KINDS[draw(st.sampled_from(sorted(CRASH_KINDS)))]
+    crash = draw(st.sampled_from([make(v) for v in values])
+                 | st.just(CrashPredicate.drop_below(1e-13)))
+    return state, params, commitments, draw(st.integers(0, 2**32)), crash
+
+
+def bench_grid_probes(tmp_path):
+    """The crash_step calls of one bench `grid` iteration: `grid --cells 3`
+    at both settlements and `impact`, with bench/configs/grid.conf."""
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid.conf"
+    common = ["--config", str(config), "--workers", "1", "--seed", "1", "--out", str(tmp_path)]
+    probes = []
+
+    def recording(*args):
+        probes.append(args)
+        return engine.crash_step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "crash_step", recording)
+        for settlement in ("current", "updated"):
+            assert cli.main(["grid", *common, "--settlement", settlement, "--cells", "3"]) == 0
+        assert cli.main(["impact", *common]) == 0
+    return probes
+
+
 def outcome(fn):
     """fn()'s value, or the message of the InvalidInputError it raises."""
     try:
@@ -425,11 +475,31 @@ def outcome(fn):
         return f"InvalidInputError: {error}"
 
 
+class PriceTrace:
+    """A crash predicate that fires where `crash` does and records every
+    price it is asked about, so that two runs can be compared step by step."""
+
+    def __init__(self, crash):
+        self.crash, self.prices = crash, []
+
+    def crash_at(self, p0, p):
+        self.prices.append(p)
+        return self.crash.crash_at(p0, p)
+
+    def boom_at(self, p0, p):
+        return self.crash.boom_at(p0, p)
+
+
 def assert_crash_step_matches_run(state, params, commitments, seed, crash):
-    summary = outcome(lambda: engine.crash_step(state, params, commitments, seed, crash))
-    full = outcome(lambda: run(state, params, commitments, seed, crash,
+    """crash_step's outcome, error message included, is run's, and both
+    test the predicate on the same prices, bit for bit."""
+    summary_trace, full_trace = PriceTrace(crash), PriceTrace(crash)
+    summary = outcome(lambda: engine.crash_step(state, params, commitments, seed,
+                                                summary_trace))
+    full = outcome(lambda: run(state, params, commitments, seed, full_trace,
                                stop_at_crash=True).crash_step)
     assert summary == full
+    assert repr(summary_trace.prices) == repr(full_trace.prices)
     return summary
 
 
@@ -456,6 +526,54 @@ class TestCrashStep:
         state = two_trader_state(theta=0.1, p0=0.005)
         assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
                                              CrashPredicate.drop_below(0.01)) == 0
+
+    @given(probe=val_mo_probes())
+    @settings(max_examples=300, deadline=None)
+    def test_val_mo_loop_matches_run_stopped_at_the_crash(self, probe):
+        assert_crash_step_matches_run(*probe)
+
+    def test_an_order_flow_overflow_raises_what_run_raises(self):
+        # a bid of 1e299 cash at the 1e-12 price floor buys more than 1e308
+        state = invalid_state(price=1e-12, val_cash=1e300)
+        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
+                                             CrashPredicate.relative_drop(0.3)).startswith(
+            "InvalidInputError: order flow must be finite")
+
+    def test_every_probe_of_a_bench_grid_iteration_matches_run(self, tmp_path):
+        probes = bench_grid_probes(tmp_path)
+        assert len(probes) == 273
+        outcomes = [assert_crash_step_matches_run(*probe) for probe in probes]
+        assert None in outcomes and sum(o is not None for o in outcomes) > 100
+
+    @given(probe=val_mo_probes())
+    @settings(max_examples=50, deadline=None)
+    def test_val_mo_markets_never_reach_the_generic_step_body(self, probe):
+        def generic(*args):
+            raise AssertionError("_stepper built for a Val/Mo market")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_stepper", generic)
+            outcome(lambda: engine.crash_step(*probe))
+
+    @pytest.mark.parametrize("spec", [
+        PopulationSpec(val_fracs=(0.7,), mo_frac=0.2, rand_frac=0.1),
+        PopulationSpec(val_fracs=(0.9,), rand_frac=0.1),
+        PopulationSpec(val_fracs=(0.4, 0.4), mo_frac=0.2),
+        PopulationSpec(val_fracs=(0.5, 0.5)),
+    ], ids=["val mo rand", "val rand", "two val and mo", "two val"])
+    def test_other_markets_step_in_the_generic_body(self, spec):
+        class Generic(Exception):
+            pass
+
+        def generic(*args):
+            raise Generic
+
+        state = init_population(spec, m0=-0.001)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_stepper", generic)
+            with pytest.raises(Generic):
+                engine.crash_step(state, MarketParams(), CommitmentParams(), 0,
+                                  CrashPredicate.drop_below(0.01))
 
 
 def assert_rows_match_runs(states, params, commitments, seeds, crash):
@@ -610,20 +728,32 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
         "negative bid", "price underflows to 0", "price 0.0", "price below the floor",
         "NaN cash", "negative asset", "unknown kind", "unknown rand mode"])
 def test_crash_step_raises_where_run_raises(state, params):
+    assert_every_entry_point_rejects(state, params, CommitmentParams())
+
+
+def assert_every_entry_point_rejects(state, params, commitments):
     """step, run with and without stop_at_crash, crash_step and, next to a
     valid state, the batched run_summaries all reject the state."""
     crash = CrashPredicate.relative_drop(0.3)
     with pytest.raises(InvalidInputError):
-        step(state, params, CommitmentParams())
+        step(state, params, commitments)
     with pytest.raises(InvalidInputError):
-        run(state, params, CommitmentParams(), 0, crash)
+        run(state, params, commitments, 0, crash)
     with pytest.raises(InvalidInputError):
-        engine.crash_step(state, params, CommitmentParams(), 0, crash)
-    assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
+        engine.crash_step(state, params, commitments, 0, crash)
+    assert assert_crash_step_matches_run(state, params, commitments, 0,
                                          crash).startswith("InvalidInputError")
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([invalid_state(), state], params, CommitmentParams(), [0, 1],
-                             crash)
+        engine.run_summaries([invalid_state(), state], params, commitments, [0, 1], crash)
+
+
+def test_holdings_whose_orders_can_overflow_are_rejected():
+    # each trader's bid of 1e308 cash is finite, their sum is not: the
+    # total cash overflows, which check_state rejects before any step
+    state = market_state(1.0, [Trader(1e308, 0.0, "val", valuation=2.0),
+                               Trader(1e308, 0.0, "mo")], momentum=0.001)
+    assert_every_entry_point_rejects(state, MarketParams(),
+                                     CommitmentParams(kv_buy=1.0, km_buy=1.0))
 
 
 def test_kernel_rejects_layouts_it_cannot_batch():
