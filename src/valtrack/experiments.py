@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import analysis, metrics
-from .engine import RunResult, crash_step, run, run_summaries
+from .engine import RunResult, crash_step, run
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
 from .params import CommitmentParams, MarketParams
@@ -19,7 +19,7 @@ from .seeding import mix_seed, rng_for
 from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
 
-# Largest number of sweep runs stepped together by engine.run_summaries. It
+# Largest number of sweep runs stepped together by batch.run_summaries. It
 # bounds the batch's arrays and PCG64 streams in memory; results do not
 # depend on it. Wider batches spread numpy's per-call cost over more runs,
 # at about 3.5 KiB per run: the desk sweep (4,620 runs) took a median of
@@ -177,6 +177,9 @@ def _ternary_batch_task(args):
     The replicates of a point share one start where they can, as
     run_summaries leaves its states unchanged.
     """
+    # imported here, not at the top: batch imports numpy, which importing
+    # valtrack should not
+    from .batch import run_summaries
     config, replicates, start, stop, points = args
     first = start // replicates
     states, seeds = [], []

@@ -9,8 +9,6 @@ is the one place the package uses base-2 logarithms.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 
 CRASH_DROP_BELOW = "drop_below"
@@ -89,6 +87,7 @@ class CrashPredicate:
 def tau_hat(valuations, p: float) -> float:
     """Tracking-error estimate from a sample of valuations: tau at their
     unweighted mean."""
+    import numpy as np
     vals = np.asarray(valuations, dtype=float)
     if vals.size == 0:
         raise DomainError("need at least one valuation")
@@ -146,6 +145,7 @@ def estimator_mc(shape: float, rate: float, p: float, n: int, reps: int,
         raise ConfigError(f"need finite shape, rate, p > 0, got {shape}, {rate}, {p}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(seed))
     u_true = shape / rate
     sigma = math.sqrt(shape) / rate
@@ -201,6 +201,7 @@ def price_level_histogram(series, valuations) -> Histogram:
     +-HISTOGRAM_HALF_RANGE; observations beyond the range land in the edge
     bins, so the relative frequencies always sum to 1.
     """
+    import numpy as np
     prices = np.asarray(list(series), dtype=float)
     vals = np.asarray(list(valuations), dtype=float)
     if vals.size < 2:

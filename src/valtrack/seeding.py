@@ -14,8 +14,6 @@ from another implementation additionally requires the same RNG algorithm,
 which is recorded in every output sidecar (numpy PCG64).
 """
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -35,13 +33,15 @@ def mix_seed(master_seed: int, *indices: int) -> int:
     return x
 
 
-def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
+def rng_for(master_seed: int, *indices: int) -> "np.random.Generator":
     """PCG64 generator seeded from mix_seed(master_seed, *indices)."""
+    import numpy as np
     return np.random.Generator(np.random.PCG64(mix_seed(master_seed, *indices)))
 
 
 def rng_info() -> dict:
     """RNG algorithm identification for output sidecars."""
+    import numpy as np
     return {
         "algorithm": "PCG64",
         "library": "numpy",

@@ -11,16 +11,15 @@ Three trader kinds share one record type:
 Exact ties (price equal to valuation, zero momentum) produce no order: the
 dynamics are discontinuous there and no-order is the neutral choice.
 
-`trader_orders` states these rules for one trader, `batch_orders` as arrays
-for the batched engine, with `trader_orders` as its oracle.
+`trader_orders` states these rules for one trader; `batch.batch_orders`
+states them as arrays for the batched kernel, with `trader_orders` as its
+oracle.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError
 from .params import CommitmentParams
 
 KIND_VAL = "val"
@@ -80,7 +79,7 @@ class MarketState:
 
 def trader_orders(trader: Trader, price: float, momentum: float,
                   commitments: CommitmentParams,
-                  rng: np.random.Generator | None) -> tuple[float, float]:
+                  rng: "np.random.Generator | None") -> tuple[float, float]:
     """One trader's orders at this price and momentum, as (bid cash, offer
     asset), by the rule of its kind. The trader is one engine.check_state
     accepts, and a random trader needs an rng.
@@ -113,89 +112,6 @@ def trader_orders(trader: Trader, price: float, momentum: float,
                 min(commitments.kr_sell * rng.random() * reference / price, asset))
     return (commitments.kr_buy * rng.random() * cash,
             commitments.kr_sell * rng.random() * asset)
-
-
-def batch_layout(states):
-    """Holdings and strategy fields of several markets as numpy arrays, one
-    row per market, for the batched engine.
-
-    Columns are n_vals valuation traders (the most any market has), then
-    one momentum and one random trader; a market lacking a trader holds
-    nothing in its column. Returns (cash, asset, valuations, critical,
-    rand_rows, rand_mode): critical holds the random trader's critical cash
-    and asset value, rand_rows[i] whether market i has a random trader, and
-    rand_mode the one random-trader mode of all markets (None without one).
-    Raises InvalidInputError for a layout the batched engine cannot step.
-    """
-    n_vals = max(sum(t.kind == KIND_VAL for t in s.traders) for s in states)
-    cash = np.zeros((len(states), n_vals + 2))
-    asset = np.zeros_like(cash)
-    valuations = np.ones((len(states), n_vals))
-    critical = np.zeros((len(states), 2))
-    rand_rows = []
-    modes = set()
-    for row, state in enumerate(states):
-        kinds = [t.kind for t in state.traders]
-        if kinds.count(KIND_MO) > 1 or kinds.count(KIND_RAND) > 1:
-            raise InvalidInputError("a batched market holds at most one momentum "
-                                    "and one random trader")
-        val_col = 0
-        for t in state.traders:
-            if t.kind == KIND_VAL:
-                col = val_col
-                valuations[row, col] = t.valuation
-                val_col += 1
-            elif t.kind == KIND_MO:
-                col = n_vals
-            else:  # KIND_RAND, the only other kind check_state accepts
-                col = n_vals + 1
-                critical[row] = t.critical_cash, t.critical_asset
-                modes.add(t.rand_mode)
-            cash[row, col] = t.cash
-            asset[row, col] = t.asset
-        rand_rows.append(KIND_RAND in kinds)
-    if len(modes) > 1:
-        raise InvalidInputError(f"batched markets need one random-trader mode, got {sorted(modes)}")
-    return cash, asset, valuations, critical, rand_rows, modes.pop() if modes else None
-
-
-def batch_orders(bids, offers, p, m, cash, asset, valuations, critical, rand_mode,
-                 uniforms, commitments: CommitmentParams) -> None:
-    """Orders of markets laid out by batch_layout at prices p and momenta m,
-    written in place into bids (cash) and offers (asset), arrays shaped
-    like cash.
-
-    uniforms[i] holds the two draws on [0, 1) that market i's random
-    trader takes this step, bid first. Each order equals what trader_orders
-    returns for its trader, bit for bit: the same expressions in the same
-    order, with np.where for the branches and for min. The random trader's
-    column is written only when rand_mode is set.
-    """
-    c = commitments
-    n_vals = valuations.shape[1]
-    mo, rand = n_vals, n_vals + 1
-    price = p[:, None]
-    bids[:, :n_vals] = np.where(price < valuations, c.kv_buy * cash[:, :n_vals], 0.0)
-    offers[:, :n_vals] = np.where(price > valuations, c.kv_sell * asset[:, :n_vals], 0.0)
-    bids[:, mo] = np.where(m > 0.0, c.km_buy * cash[:, mo], 0.0)
-    offers[:, mo] = np.where(m < 0.0, c.km_sell * asset[:, mo], 0.0)
-    if rand_mode is None:
-        return
-    u_bid = c.kr_buy * uniforms[:, 0]
-    u_offer = c.kr_sell * uniforms[:, 1]
-    r_cash, r_asset = cash[:, rand], asset[:, rand]
-    if rand_mode == RAND_REFINED:
-        r_value = r_asset * p
-        below = np.where(r_cash < critical[:, 0], True, r_value < critical[:, 1])
-        reference = np.where(below, np.where(r_value < r_cash, r_value, r_cash),
-                             r_cash + r_value)
-        bid = u_bid * reference
-        offer = u_offer * reference / p
-        bids[:, rand] = np.where(r_cash < bid, r_cash, bid)
-        offers[:, rand] = np.where(r_asset < offer, r_asset, offer)
-    else:
-        bids[:, rand] = u_bid * r_cash
-        offers[:, rand] = u_offer * r_asset
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +177,7 @@ class PopulationSpec:
 
 
 def init_population(spec: PopulationSpec, m0: float = 0.0,
-                    rng: np.random.Generator | None = None) -> MarketState:
+                    rng: "np.random.Generator | None" = None) -> MarketState:
     """Build the initial MarketState for a population spec.
 
     Gamma-distributed valuations consume one draw per valuation trader from

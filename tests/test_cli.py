@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -387,6 +388,32 @@ def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_pat
         assert files == sorted(f.name for f in fresh.iterdir()) == ["run.csv", "run.csv.meta.json"]
         for file in files:
             assert (in_process / file).read_bytes() == (fresh / file).read_bytes()
+
+
+def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
+    """numpy is about half of the package's start-up time. Only
+    valtrack.batch imports it at the top; the engine, seeding and metrics
+    import it inside the functions that draw numbers or build arrays, so
+    parsing a command line and a config, a Val/Mo run and crash probe and
+    the analytic threshold never load it."""
+    code = textwrap.dedent("""
+        import sys
+        import valtrack, valtrack.cli
+        from valtrack import analysis, cli
+        from valtrack.config import parse_config
+        cli.build_parser().parse_args(["grid", "--cells", "3"])
+        cfg = parse_config(overrides={"population.mo_frac": 0.25})
+        state = valtrack.init_population(cfg.population, m0=cfg.m0)
+        valtrack.crash_step(state, cfg.market, cfg.commitments, 0, cfg.crash)
+        valtrack.run(state, cfg.market, cfg.commitments, 0, cfg.crash)
+        constants = analysis.AnalysisConstants.from_params(cfg.market, cfg.commitments)
+        analysis.mo_crash_threshold_analytic(constants, cfg.market.rho)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(valtrack.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSvg:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
-from valtrack import cli, engine, experiments
+from valtrack import batch, cli, engine, experiments
 from valtrack.errors import InvalidInputError
 from valtrack.metrics import CrashPredicate
 
@@ -372,7 +372,7 @@ class TestInputsStayUnchanged:
                      crash=CrashPredicate.drop_below(1e-9))
         engine.crash_step(state, params, CommitmentParams(), 3, CrashPredicate.drop_below(1e-9))
         # the sweep passes one start object for every replicate of a point
-        engine.run_summaries([state, state], params, CommitmentParams(), [3, 4],
+        batch.run_summaries([state, state], params, CommitmentParams(), [3, 4],
                              CrashPredicate.drop_below(1e-9))
         assert state == before
         assert out.traders != before.traders != result.final_state.traders  # they traded
@@ -578,7 +578,7 @@ class TestCrashStep:
 
 def assert_rows_match_runs(states, params, commitments, seeds, crash):
     def batched():
-        s = engine.run_summaries(states, params, commitments, seeds, crash)
+        s = batch.run_summaries(states, params, commitments, seeds, crash)
         return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
                         s.aborted.tolist(), s.steps.tolist()))
 
@@ -601,7 +601,7 @@ def assert_rows_match_runs(states, params, commitments, seeds, crash):
 
 
 class TestRunSummaries:
-    """Each row of engine.run_summaries is what the scalar run of its state
+    """Each row of batch.run_summaries is what the scalar run of its state
     and seed reads."""
 
     @given(probe=crash_probes())
@@ -724,9 +724,12 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
     (invalid_state(val_asset=-1.0), MarketParams()),
     (invalid_state(kind="momentum"), MarketParams()),
     (invalid_state(kind="rand", rand_mode="fancy"), MarketParams()),
+    # a bid of 1e299 cash at the 1e-12 price floor buys more than 1e308
+    (invalid_state(price=1e-12, val_cash=1e300), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
         "negative bid", "price underflows to 0", "price 0.0", "price below the floor",
-        "NaN cash", "negative asset", "unknown kind", "unknown rand mode"])
+        "NaN cash", "negative asset", "unknown kind", "unknown rand mode",
+        "order flow overflows"])
 def test_crash_step_raises_where_run_raises(state, params):
     assert_every_entry_point_rejects(state, params, CommitmentParams())
 
@@ -744,7 +747,7 @@ def assert_every_entry_point_rejects(state, params, commitments):
     assert assert_crash_step_matches_run(state, params, commitments, 0,
                                          crash).startswith("InvalidInputError")
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([invalid_state(), state], params, commitments, [0, 1], crash)
+        batch.run_summaries([invalid_state(), state], params, commitments, [0, 1], crash)
 
 
 def test_holdings_whose_orders_can_overflow_are_rejected():
@@ -761,7 +764,7 @@ def test_kernel_rejects_layouts_it_cannot_batch():
     two_mo = invalid_state()
     two_mo.traders.append(Trader(0.1, 0.1, "mo"))
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
+        batch.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([invalid_state()], MarketParams(), CommitmentParams(), [0, 1],
+        batch.run_summaries([invalid_state()], MarketParams(), CommitmentParams(), [0, 1],
                              crash)

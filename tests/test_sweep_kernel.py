@@ -1,4 +1,4 @@
-"""The batched sweep kernel (engine.run_summaries) against the scalar engine.
+"""The batched sweep kernel (batch.run_summaries) against the scalar engine.
 
 ternary_sweep steps every (simplex point, replicate) run of a sweep in
 lockstep. The reference below is the per-point loop it replaced: one scalar
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from valtrack import engine, experiments, metrics
+from valtrack import batch, engine, experiments, metrics
 from valtrack.errors import InvalidInputError
 from valtrack.experiments import (ExperimentConfig, TernaryPoint, run_once,
                                   simplex_points, ternary_sweep)
@@ -138,7 +138,7 @@ def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates):
 def test_results_do_not_depend_on_rng_block_steps(monkeypatch, block):
     config = abort_config()
     expected = scalar_sweep(config, 2, 3)
-    monkeypatch.setattr(engine, "_RNG_BLOCK_STEPS", block)
+    monkeypatch.setattr(batch, "_RNG_BLOCK_STEPS", block)
     grid = ternary_sweep(config, resolution=2, replicates=3)
     assert grid.points == expected
     assert grid.aborted_runs == scalar_aborts(config, 2, 3) > 0
@@ -154,7 +154,7 @@ def test_results_do_not_depend_on_worker_count():
 def test_uniform_draws_match_generator_uniform():
     k = 0.1
     bitgens = [np.random.PCG64(seed) for seed in (0, 1, 2**63)]
-    draws = engine._draw_uniforms(bitgens + [None], steps=3)
+    draws = batch._draw_uniforms(bitgens + [None], steps=3)
     for seed, row in zip((0, 1, 2**63), draws):
         rng = np.random.Generator(np.random.PCG64(seed))
         assert (k * row).tolist() == [rng.uniform(0.0, k) for _ in range(6)]
@@ -167,7 +167,7 @@ finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=8)))
 def test_exact_row_sums_equal_fsum(rows):
-    sums = engine._exact_row_sums(np.array(rows, dtype=float))
+    sums = batch._exact_row_sums(np.array(rows, dtype=float))
     assert sums.tolist() == [math.fsum(row) for row in rows]
 
 
@@ -176,7 +176,7 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
     rows = [[-8.897103545586257e+23, -4.625128280207544e+21, 3.10521607160941e+22,
              1.0746473120468017e+22, -8.430287510477103e-23],
             [0.1, 0.2, 0.3, 0.4, 0.5]]
-    sums = engine._exact_row_sums(np.array(rows))
+    sums = batch._exact_row_sums(np.array(rows))
     assert sums.tolist() == [math.fsum(row) for row in rows]
 
 
@@ -210,5 +210,5 @@ def test_kernel_raises_where_the_scalar_engine_raises(state, params):
     with pytest.raises(InvalidInputError):
         engine.step(state, params, CommitmentParams())
     with pytest.raises(InvalidInputError):
-        engine.run_summaries([bad_state(), state], params, CommitmentParams(), [0, 1],
+        batch.run_summaries([bad_state(), state], params, CommitmentParams(), [0, 1],
                              crash)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from valtrack import PopulationSpec, init_population
 from valtrack.errors import ConfigError
 from valtrack.params import CommitmentParams
-from valtrack.traders import MarketState, Trader, batch_layout, batch_orders, trader_orders
+from valtrack.batch import batch_layout, batch_orders
+from valtrack.traders import MarketState, Trader, trader_orders
 
 K = CommitmentParams()  # every commitment 0.1
 
