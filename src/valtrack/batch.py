@@ -16,6 +16,7 @@ commands that never step a batch start without it.
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 #   - orders come from batch_orders, the scalar rules as arrays;
 #   - every row sum equals math.fsum of the row (_exact_row_sums);
 #   - exp, log and ** are the libm calls the scalar path makes, applied one
-#     element at a time (_libm); numpy's vectorised exp and log round
-#     differently from libm on a few percent of inputs;
+#     element at a time to Python floats (_libm, and the price move
+#     p * exp(d)); numpy's vectorised exp and log round differently from
+#     libm on a few percent of inputs;
 #   - each run draws from its own PCG64 stream the uniforms its scalar run
 #     would draw, _RNG_BLOCK_STEPS steps at a time: one random_raw call per
 #     stream per block, where drawing the whole horizon at once would hold
@@ -49,10 +51,16 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 # by its frozen price below it can overflow), and then zeroed, so its price,
 # lowest and highest price and holdings stay as they were at its abort, and
 # every array keeps its shape for the whole batch.
+# No step checks the order flow, which check_state's bounds keep finite, nor
+# a refined trader's asset value, which each row's price ceiling keeps
+# finite. The new price is multiplied out in Python floats, which overflow
+# to inf without numpy's warning, and checked against the ceiling; a demand
+# can overflow only below the floor, so only there is it checked, also in
+# Python floats.
 #
 # The kernel keeps to a few numpy operations: arithmetic, comparisons,
-# np.where, isfinite and count_nonzero, plus the boolean assignment that
-# zeroes aborted rows, which only a batch with an abort reaches. Each further
+# np.where and count_nonzero, plus boolean indexing of aborting and
+# aborted rows, which only a batch with an abort reaches. Each further
 # ufunc or reduction faults in another 64-128 KiB of numpy's machine code,
 # and peak RSS is one of the sweep's end-to-end costs.
 
@@ -204,16 +212,6 @@ def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, floats, *(repeat(a) for a in args)), float, len(floats))
 
 
-def _require_valid(values: np.ndarray, positive: bool, what: str) -> None:
-    """Raise InvalidInputError unless every value is finite and > 0
-    (positive) or >= 0; the scalar path's guards reject the same values."""
-    sign_ok = (values > 0.0) if positive else (values >= 0.0)
-    valid = np.where(np.isfinite(values), sign_ok, False)
-    if np.count_nonzero(valid) < len(values):
-        raise InvalidInputError(f"{what} must be finite and {'> 0' if positive else '>= 0'}"
-                                f", got {values[np.argmin(valid)]}")
-
-
 def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
     """The next 2 * steps uniforms on [0, 1) of each stream, one row per
     stream, as Generator.random() returns them; k * u is uniform(0, k).
@@ -234,15 +232,17 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     momentum and one random trader; the random traders of a batch share one
     mode. Runs that fall below the price floor keep their row and place no
     orders, so they end where run() stops them. Raises InvalidInputError
-    wherever run() would.
+    wherever run() would, with run()'s message where one row raises. The
+    bid totals over the price cannot overflow (check_state): a live row's
+    price is at or above the floor, and a frozen row bids 0.
     """
     if len(initials) != len(seeds):
         raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
-    for state in initials:
-        check_state(state)
+    ceiling = np.array([check_state(state) for state in initials])
     n_runs = len(initials)
     cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(initials)
     horizon, eta, mu = params.horizon, params.eta, params.mu
+    updated = params.settlement == SETTLE_UPDATED
     one_minus_mu = 1.0 - mu
 
     p = np.array([s.price for s in initials], dtype=float)
@@ -272,32 +272,40 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
             offers[aborted] = 0.0
         totals = _exact_row_sums(flow)
         total_bid = totals[:n_runs]
-        q = totals.copy()
-        # a bid total over a tiny price can overflow to inf, an order flow
-        # _require_valid rejects as the scalar guard does; only here is that
-        # overflow expected, so only here is numpy's warning of it silenced
-        with np.errstate(over="ignore"):
-            q[:n_runs] /= p
-        _require_valid(q, False, "order flow")
-        q_p, q_s = q[:n_runs], q[n_runs:]
+        q_p, q_s = total_bid / p, totals[n_runs:]
 
         # the uncapped log move, capped once at eta; one-sided ratio-power
         # flow moves at the cap
         if params.impact == IMPACT_RATIO:
             two_sided = np.where(q_p > 0.0, q_s > 0.0, False)
-            flow_ratio = np.where(two_sided, q_p, 1.0) / np.where(two_sided, q_s, 1.0)
-            dlog = np.where(two_sided, params.lam * _libm(math.log, flow_ratio),
+            bought, offered = np.where(two_sided, q_p, 1.0), np.where(two_sided, q_s, 1.0)
+            try:
+                log_ratio = _libm(math.log, bought / offered)
+            except ValueError:  # a ratio underflows to 0: run() logs each side
+                log_ratio = np.array([math.log(a / b) if a / b else math.log(a) - math.log(b)
+                                      for a, b in zip(bought.tolist(), offered.tolist())])
+            dlog = np.where(two_sided, params.lam * log_ratio,
                             np.where(q_p > q_s, np.inf, np.where(q_p < q_s, -np.inf, 0.0)))
         else:
             imbalance = q_p - q_s
             dlog = _libm(pow, np.abs(imbalance / params.liquidity), params.zeta)
             dlog = np.where(imbalance < 0.0, -dlog, dlog)
         dlog = np.where(dlog < eta, dlog, eta)
-        p_new = p * _libm(math.exp, np.where(dlog > -eta, dlog, -eta))
-        _require_valid(p_new, True, "price")
+        factors = map(math.exp, np.where(dlog > -eta, dlog, -eta).tolist())
+        p_new = np.fromiter(map(mul, p.tolist(), factors), float, n_runs)
+        above = p_new > ceiling
+        if np.count_nonzero(above):
+            i = above.tolist().index(True)
+            raise InvalidInputError(f"price must stay <= {ceiling[i]}, got {p_new[i]}")
+        floored = p_new < PRICE_FLOOR
+        n_floored = np.count_nonzero(floored)
 
         # settlement: the larger side is scaled down pro-rata to parity
-        p_settle = p_new if params.settlement == SETTLE_UPDATED else p
+        p_settle = p_new if updated else p
+        if updated and n_floored > n_aborted:  # in Python floats, without a warning
+            for bid, price in zip(total_bid[floored].tolist(), p_new[floored].tolist()):
+                if bid / price == math.inf:
+                    raise InvalidInputError(f"demand must stay finite, got inf at price {price}")
         demand = total_bid / p_settle
         trade = np.where(demand > 0.0, q_s > 0.0, False)
         # no trade leaves both factors 0, and a zero order times a finite
@@ -317,8 +325,6 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         low = np.where(p < low, p, low)
         high = np.where(p > high, p, high)
 
-        floored = p < PRICE_FLOOR
-        n_floored = np.count_nonzero(floored)
         if n_floored > n_aborted:
             # a frozen row stays below the floor, so the rows that differ
             # are the runs that abort at this step

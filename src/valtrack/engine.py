@@ -20,9 +20,10 @@ sides leaves it unchanged.
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
 traders where it enters `run`, `step`, `crash_step` or
-`batch.run_summaries`. Inside the loop a step checks only what a valid
-state does not guarantee: a finite order flow >= 0 and a finite new price
-> 0. Both engines raise InvalidInputError on the same inputs.
+`batch.run_summaries`, and bounds the totals so that every order flow and,
+up to the state's price ceiling, every asset value stays finite. So a step
+checks only its new price against the ceiling, and below the floor the
+demand at it. Both engines raise the same InvalidInputError.
 
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
@@ -45,6 +46,7 @@ kernel of `batch`, with `run` as its oracle.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +57,9 @@ from .traders import (KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES, TRADER_KINDS, Ma
                       trader_orders)
 
 PRICE_FLOOR = 1e-12
+MAX_TOTAL_CASH = PRICE_FLOOR * sys.float_info.max / 2.0
+MAX_TOTAL_ASSET = sys.float_info.max / 2.0
+MAX_ASSET_VALUE = sys.float_info.max / 2.0
 
 
 class StepRecord(NamedTuple):
@@ -92,34 +97,45 @@ class RunResult:
     aborted: bool
 
 
-def check_state(state: MarketState) -> None:
-    """Raise InvalidInputError unless the state can be stepped: a finite
-    price at or above the 1e-12 price floor (a run below it has aborted),
-    a finite momentum, finite holdings >= 0 with finite totals, known
-    trader kinds and known random-trader modes. A bid is at most its
-    trader's cash and an offer at most its asset, so finite totals keep
-    every sum of orders finite."""
-    if not (PRICE_FLOOR <= state.price < math.inf and math.isfinite(state.momentum)):
-        raise InvalidInputError(f"need a finite price >= {PRICE_FLOOR} and a finite momentum, "
+def check_state(state: MarketState) -> float:
+    """Return the state's price ceiling, or raise InvalidInputError unless
+    the state can be stepped: a price at or above the 1e-12 floor (a run
+    below it has aborted) and at or below the ceiling, a finite momentum,
+    holdings >= 0, known trader kinds and random-trader modes, and totals
+    that keep every order flow finite, cash <= MAX_TOTAL_CASH and asset <=
+    MAX_TOTAL_ASSET: a bid is at most its trader's cash, an offer at most
+    its asset, and a live price at least the floor. At or below the
+    ceiling, the price at which the total asset is worth MAX_ASSET_VALUE
+    (at most the largest float), every asset value, wealth and refined
+    random-trader reference stays finite, so no zero commitment times an
+    infinite reference makes a NaN order. Each factor 2 absorbs the
+    rounding drift of the totals; a run keeps its start's ceiling."""
+    if not (state.price >= PRICE_FLOOR and math.isfinite(state.momentum)):
+        raise InvalidInputError(f"need a price >= {PRICE_FLOOR} and a finite momentum, "
                                 f"got {state.price}, {state.momentum}")
     cash = asset = 0.0
     for t in state.traders:
-        if not (0.0 <= t.cash < math.inf and 0.0 <= t.asset < math.inf):
-            raise InvalidInputError(f"holdings must be finite and >= 0, got {t.cash}, {t.asset}")
+        if not (t.cash >= 0.0 and t.asset >= 0.0):  # an inf holding fails the totals
+            raise InvalidInputError(f"holdings must be >= 0, got {t.cash}, {t.asset}")
         if t.kind not in TRADER_KINDS:
             raise InvalidInputError(f"unknown trader kind {t.kind!r}")
         if t.kind == KIND_RAND and t.rand_mode not in RAND_MODES:
             raise InvalidInputError(f"unknown rand mode {t.rand_mode!r}")
         cash += t.cash
         asset += t.asset
-    if not (cash < math.inf and asset < math.inf):
-        raise InvalidInputError(f"total cash and asset must be finite, got {cash}, {asset}")
+    if not (cash <= MAX_TOTAL_CASH and asset <= MAX_TOTAL_ASSET):
+        raise InvalidInputError(f"total cash {cash} or asset {asset} is above its bound")
+    ceiling = MAX_ASSET_VALUE / max(asset, 0.5)
+    if not state.price <= ceiling:
+        raise InvalidInputError(f"price must stay <= {ceiling}, got {state.price}")
+    return ceiling
 
 
-def _stepper(params: MarketParams, commitments: CommitmentParams):
-    """The step of a run with these constants: advance(state, rng, record)
-    steps a valid state in place (a checked state that nothing else holds,
-    or the output of a previous advance) and returns its record if asked.
+def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float):
+    """The step of a run with these constants and check_state's price
+    ceiling: advance(state, rng, record) steps a valid state in place (a
+    checked state that nothing else holds, or the output of a previous
+    advance) and returns its record if asked.
 
     Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
     flow, or |(q_p - q_s)/liquidity|^zeta signed by the imbalance for
@@ -147,22 +163,25 @@ def _stepper(params: MarketParams, commitments: CommitmentParams):
         total_bid = fsum(bids)
         q_p = total_bid / p
         q_s = fsum(offers)
-        if not (0.0 <= q_p < inf and 0.0 <= q_s < inf):
-            raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
         if not ratio:
             # a zero imbalance moves nothing: 0.0 ** zeta == 0.0
             imbalance = q_p - q_s
             dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
         elif q_p > 0.0 and q_s > 0.0:
-            dlog = lam * log(q_p / q_s)
+            try:
+                dlog = lam * log(q_p / q_s)
+            except ValueError:  # the ratio underflows to 0
+                dlog = lam * (log(q_p) - log(q_s))
         else:  # one-sided flow moves at the cap, no flow not at all
             dlog = inf if q_p > q_s else -inf if q_p < q_s else 0.0
         move = dlog if dlog < eta else eta
         p_new = p * exp(move if move > -eta else -eta)
-        if not 0.0 < p_new < inf:
-            raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
+        if not p_new <= ceiling:
+            raise InvalidInputError(f"price must stay <= {ceiling}, got {p_new}")
         p_settle = p_new if updated else p
         demand = total_bid / p_settle
+        if demand == inf:  # only a settlement price below the floor gets here
+            raise InvalidInputError(f"demand must stay finite, got inf at price {p_new}")
         if demand > 0.0 and q_s > 0.0:
             f_buy = q_s / demand
             f_buy = f_buy if f_buy < 1.0 else 1.0
@@ -191,22 +210,23 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     """Advance the market by one step; the price updates even when no trade
     executes. The input state is left as it was. Raises InvalidInputError
     on a state check_state rejects or with a random trader but no rng."""
-    check_state(state)
+    ceiling = check_state(state)
     if rng is None and any(t.kind == KIND_RAND for t in state.traders):
         raise InvalidInputError("random trader present but no rng supplied")
     new_state = state.copy()
-    return new_state, _stepper(params, commitments)(new_state, rng, True)
+    return new_state, _stepper(params, commitments, ceiling)(new_state, rng, True)
 
 
 def _start(initial: MarketState, seed: int):
     """(a private copy of a checked initial state, the run's PCG64
-    generator), the generator built only for a state with a random trader.
-    Only then is numpy imported, so a deterministic run never loads it."""
-    check_state(initial)
+    generator, its price ceiling), the generator built only for a state
+    with a random trader. Only then is numpy imported, so a deterministic
+    run never loads it."""
+    ceiling = check_state(initial)
     if not any(t.kind == KIND_RAND for t in initial.traders):
-        return initial.copy(), None
+        return initial.copy(), None, ceiling
     import numpy as np
-    return initial.copy(), np.random.Generator(np.random.PCG64(seed))
+    return initial.copy(), np.random.Generator(np.random.PCG64(seed)), ceiling
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -221,7 +241,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     stops at its crash, the start included, which shortens the recorded
     series. Raises InvalidInputError on an initial state check_state rejects.
     """
-    state, rng = _start(initial, seed)
+    state, rng, ceiling = _start(initial, seed)
     crash_at, boom_at = crash.crash_at, crash.boom_at
     p0 = state.price
     prices = [p0]
@@ -231,7 +251,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     crashed = 0 if crash_at(p0, p0) else None
     boomed = 0 if boom_at(p0, p0) else None
     aborted = False
-    advance = _stepper(params, commitments)
+    advance = _stepper(params, commitments, ceiling)
     for i in range(1, params.horizon + 1):
         if aborted or stop_at_crash and crashed is not None:
             break
@@ -260,14 +280,14 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     in _val_mo_crash_step, which holds the holdings in locals; every other
     market steps in the _stepper body.
     """
-    state, rng = _start(initial, seed)
+    state, rng, ceiling = _start(initial, seed)
     crash_at = crash.crash_at
     p0 = state.price
     if crash_at(p0, p0):
         return 0
     if sorted(t.kind for t in state.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
-        return _val_mo_crash_step(state, params, commitments, crash_at)
-    advance = _stepper(params, commitments)
+        return _val_mo_crash_step(state, params, commitments, ceiling, crash_at)
+    advance = _stepper(params, commitments, ceiling)
     for t in range(1, params.horizon + 1):
         advance(state, rng, False)
         p = state.price
@@ -276,13 +296,12 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     return None
 
 
-def _val_mo_crash_step(state, params, commitments, crash_at):
+def _val_mo_crash_step(state, params, commitments, ceiling, crash_at):
     """crash_step's loop after the start for a checked state of one Val
     trader and at most one Mo trader: the _stepper body with trader_orders'
     Val and Mo rules inlined and the price, momentum and four holdings in
     locals, a missing Mo trader holding 0.0. A sum of two orders is their
-    fsum but for the sign of a zero sum, which no later value reads, and
-    check_state's finite totals keep it finite."""
+    fsum but for the sign of a zero sum, which no later value reads."""
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
                                      params.liquidity)
     one_minus_mu = 1.0 - mu
@@ -307,21 +326,24 @@ def _val_mo_crash_step(state, params, commitments, crash_at):
         total_bid = bv + bm
         q_p = total_bid / p
         q_s = ov + om
-        if not (0.0 <= q_p < inf and 0.0 <= q_s < inf):
-            raise InvalidInputError(f"order flow must be finite and >= 0, got {q_p}, {q_s}")
         if not ratio:
             imbalance = q_p - q_s
             dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
         elif q_p > 0.0 and q_s > 0.0:
-            dlog = lam * log(q_p / q_s)
+            try:
+                dlog = lam * log(q_p / q_s)
+            except ValueError:  # the ratio underflows to 0
+                dlog = lam * (log(q_p) - log(q_s))
         else:
             dlog = inf if q_p > q_s else -inf if q_p < q_s else 0.0
         move = dlog if dlog < eta else eta
         p_new = p * exp(move if move > -eta else -eta)
-        if not 0.0 < p_new < inf:
-            raise InvalidInputError(f"price must stay finite and > 0, got {p_new}")
+        if not p_new <= ceiling:
+            raise InvalidInputError(f"price must stay <= {ceiling}, got {p_new}")
         p_settle = p_new if updated else p
         demand = total_bid / p_settle
+        if demand == inf:  # only a settlement price below the floor gets here
+            raise InvalidInputError(f"demand must stay finite, got inf at price {p_new}")
         if demand > 0.0 and q_s > 0.0:
             f_buy = q_s / demand
             f_buy = f_buy if f_buy < 1.0 else 1.0

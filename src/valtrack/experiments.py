@@ -73,7 +73,8 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     """Does the crash predicate fire at momentum-trader wealth share theta?
 
     The valuation side receives the remaining wealth after the configured
-    random-trader share. Deterministic populations use a single run; with
+    random-trader share; threshold_search passes theta <= 1 - rand_frac,
+    so it is >= 0 up to rounding. Deterministic populations use one run; with
     a random trader or gamma valuations the majority outcome over
     config.replicates wins, and a tie (an even replicate count split
     evenly) counts as no crash. Each run is a summary-only
@@ -81,8 +82,6 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     """
     rand_frac = config.population.rand_frac
     val_frac = 1.0 - theta - rand_frac
-    if val_frac < -1e-12:
-        raise ConfigError(f"theta {theta} plus rand fraction {rand_frac} exceeds 1")
     population = config.population.with_mix(max(val_frac, 0.0), theta, rand_frac)
     cfg = replace(config, population=population)
     stochastic = rand_frac > 0.0 or population.valuation != VALUATION_FIXED

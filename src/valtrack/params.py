@@ -1,6 +1,7 @@
 """Model constants: market mechanism parameters and trader commitments."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -9,6 +10,7 @@ IMPACT_RATIO = "ratio"
 IMPACT_POWERLAW = "powerlaw"
 SETTLE_UPDATED = "updated"
 SETTLE_CURRENT = "current"
+MAX_ETA = math.log(sys.float_info.max)  # e^eta stays finite, a capped fall stays > 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -16,7 +18,7 @@ class MarketParams:
     """Constants of the market mechanism.
 
     lam      price-impact exponent of the ratio-power update
-    eta      cap on |d log price| per step (nats)
+    eta      cap on |d log price| per step (nats), at most MAX_ETA = ln(DBL_MAX)
     mu       momentum smoothing constant, in (0, 1)
     rho      asset-cash ratio used when initialising holdings
     impact   "ratio" (power of the order ratio) or "powerlaw" (power of the
@@ -40,8 +42,8 @@ class MarketParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lambda must be > 0, got {self.lam}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
+        if not 0 < self.eta <= MAX_ETA:
+            raise ConfigError(f"eta must lie in (0, {MAX_ETA}], got {self.eta}")
         if not (0.0 < self.mu < 1.0):
             raise ConfigError(f"mu must lie in (0, 1), got {self.mu}")
         if not (math.isfinite(self.rho) and self.rho > 0):

@@ -205,8 +205,6 @@ def init_population(spec: PopulationSpec, m0: float = 0.0,
                               critical_cash=spec.critical_frac * cash0,
                               critical_asset=spec.critical_frac * asset0 * spec.p0))
 
-    if not traders:
-        raise ConfigError("population is empty")
     total_cash = math.fsum(t.cash for t in traders)
     total_asset = math.fsum(t.asset for t in traders)
     return MarketState(price=spec.p0, momentum=m0, traders=traders,

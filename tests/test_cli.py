@@ -146,10 +146,12 @@ class TestCliCommands:
                          "--out", str(tmp_path)]) == 2
 
     def test_other_package_errors_exit_code_3(self, tmp_path, capsys):
-        # a move of e^-1000 underflows the price to 0: InvalidInputError
-        assert cli.main(["sweep", "--eta", "1000", "--resolution", "2",
-                         "--sweep-replicates", "2", "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("error: price must be finite and > 0")
+        # at the pure-Mo point a lone Mo bid moves the price from 10 by
+        # e^709, which overflows to inf: InvalidInputError
+        assert cli.main(["sweep", "--eta", "709", "--p0", "10", "--m0", "0.001",
+                         "--resolution", "2", "--sweep-replicates", "2",
+                         "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: price must stay <= ")
 
     @pytest.mark.parametrize("sizes", [["--resolution", "0"],
                                        ["--sweep-replicates", "0"],

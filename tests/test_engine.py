@@ -1,5 +1,7 @@
 import copy
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
 from valtrack import batch, cli, engine, experiments
-from valtrack.errors import InvalidInputError
+from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
 
 
@@ -77,10 +79,10 @@ class TestRatioImpact:
         assert ratio_price(3.5, 0.0, 0.0, 0.04, 0.1) == 3.5
 
     def test_rejects_non_finite(self):
-        # the order flow is checked on every step: here a bid of 1e307 cash
-        # at the 1e-12 price floor is an infinite purchase volume
+        # the state is rejected on entry: a bid of 1e307 cash at the 1e-12
+        # price floor would be an infinite purchase volume
         buyer = Trader(1e308, 1.0, "val", valuation=1.0)
-        with pytest.raises(InvalidInputError, match="order flow"):
+        with pytest.raises(InvalidInputError, match="total cash"):
             step(market_state(1e-12, [buyer]), MarketParams(), CommitmentParams())
         # the state is checked on entry
         with pytest.raises(InvalidInputError, match="price"):
@@ -533,11 +535,12 @@ class TestCrashStep:
         assert_crash_step_matches_run(*probe)
 
     def test_an_order_flow_overflow_raises_what_run_raises(self):
-        # a bid of 1e299 cash at the 1e-12 price floor buys more than 1e308
+        # the state is rejected on entry: a bid of 1e299 cash at the 1e-12
+        # price floor would buy more than 1e308
         state = invalid_state(price=1e-12, val_cash=1e300)
         assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
                                              CrashPredicate.relative_drop(0.3)).startswith(
-            "InvalidInputError: order flow must be finite")
+            "InvalidInputError: total cash")
 
     def test_every_probe_of_a_bench_grid_iteration_matches_run(self, tmp_path):
         probes = bench_grid_probes(tmp_path)
@@ -588,15 +591,8 @@ def assert_rows_match_runs(states, params, commitments, seeds, crash):
         return [(min(r.prices), r.crash_step is not None, r.boom_step is not None,
                  r.aborted, len(r.prices) - 1) for r in runs]
 
-    def rows_or_error(fn):
-        # the two engines word their price message differently
-        try:
-            return fn()
-        except InvalidInputError:
-            return InvalidInputError
-
-    rows = rows_or_error(batched)
-    assert rows == rows_or_error(scalar)
+    rows = outcome(batched)
+    assert rows == outcome(scalar)
     return rows
 
 
@@ -640,6 +636,21 @@ class TestRunSummaries:
         assert rows[0][1:] == (True, False, True, 1)
         assert rows[0][0] == pytest.approx(6.6434e-319, rel=1e-4)
 
+    def test_a_price_overflow_raises_what_run_raises(self):
+        # a lone Mo bid moves the price from 1 up by e^100 a step, to e^700
+        # at step 7 and past the largest float at step 8; the kernel
+        # multiplies prices out in Python floats, so no numpy warning comes first
+        state = invalid_state(momentum=0.001, val_asset=0.0)
+        crash = CrashPredicate.relative_drop(0.3)
+        with pytest.raises(InvalidInputError, match="got inf"):
+            run(state, MarketParams(eta=100.0, horizon=10), CommitmentParams(), 0, crash)
+        assert len(run(state, MarketParams(eta=100.0, horizon=7), CommitmentParams(), 0,
+                       crash).prices) == 8
+        assert assert_rows_match_runs([state, invalid_state()],
+                                      MarketParams(eta=100.0, horizon=10), CommitmentParams(),
+                                      [0, 1], crash).startswith(
+            "InvalidInputError: price must stay <= ")
+
 
 class TestRunFindsTheFirstCrashAndBoom:
     """run's crash_step and boom_step are the first indices of its prices
@@ -667,12 +678,12 @@ class TestRunFindsTheFirstCrashAndBoom:
             assert result.crash_step == last
 
     def test_a_start_crash_stops_before_the_first_step(self):
-        # the first step would underflow the price to 0 and raise
-        state, params = invalid_state(), MarketParams(eta=1000.0)
-        crash = CrashPredicate.drop_below(2.0)
+        # the first step would overflow the price to inf and raise
+        state, params = price_overflow_state(), MarketParams(eta=709.0)
+        crash = CrashPredicate.drop_below(20.0)
         assert engine.crash_step(state, params, CommitmentParams(), 0, crash) == 0
         result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
-        assert (result.prices, result.crash_step) == ([1.0], 0)
+        assert (result.prices, result.crash_step) == ([10.0], 0)
 
 
 class TestRunIsChainedSteps:
@@ -711,13 +722,19 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
     return market_state(price, traders, momentum)
 
 
+def price_overflow_state():
+    """A lone Mo bid at price 10: at eta 709 its capped move takes the price
+    to 10 * e^709, which overflows to inf at the first step."""
+    return invalid_state(price=10.0, momentum=0.001, val_asset=0.0)
+
+
 @pytest.mark.parametrize("state, params", [
     (invalid_state(price=math.nan), MarketParams()),
     (invalid_state(price=math.inf), MarketParams()),
     (invalid_state(momentum=math.nan), MarketParams()),
     (invalid_state(momentum=math.inf), MarketParams()),
     (invalid_state(momentum=0.001, mo_cash=-1.0), MarketParams()),
-    (invalid_state(), MarketParams(eta=1000.0)),
+    (price_overflow_state(), MarketParams(eta=709.0)),
     (invalid_state(price=0.0), MarketParams()),
     (invalid_state(price=1e-13), MarketParams()),
     (invalid_state(val_cash=math.nan), MarketParams()),
@@ -727,7 +744,7 @@ def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_ass
     # a bid of 1e299 cash at the 1e-12 price floor buys more than 1e308
     (invalid_state(price=1e-12, val_cash=1e300), MarketParams()),
 ], ids=["nan price", "inf price", "nan momentum", "inf momentum",
-        "negative bid", "price underflows to 0", "price 0.0", "price below the floor",
+        "negative bid", "price overflows to inf", "price 0.0", "price below the floor",
         "NaN cash", "negative asset", "unknown kind", "unknown rand mode",
         "order flow overflows"])
 def test_crash_step_raises_where_run_raises(state, params):
@@ -736,7 +753,8 @@ def test_crash_step_raises_where_run_raises(state, params):
 
 def assert_every_entry_point_rejects(state, params, commitments):
     """step, run with and without stop_at_crash, crash_step and, next to a
-    valid state, the batched run_summaries all reject the state."""
+    valid state, the batched run_summaries all reject the state, the last
+    three with run's message."""
     crash = CrashPredicate.relative_drop(0.3)
     with pytest.raises(InvalidInputError):
         step(state, params, commitments)
@@ -746,8 +764,9 @@ def assert_every_entry_point_rejects(state, params, commitments):
         engine.crash_step(state, params, commitments, 0, crash)
     assert assert_crash_step_matches_run(state, params, commitments, 0,
                                          crash).startswith("InvalidInputError")
-    with pytest.raises(InvalidInputError):
-        batch.run_summaries([invalid_state(), state], params, commitments, [0, 1], crash)
+    error = outcome(lambda: run(state, params, commitments, 1, crash))
+    assert outcome(lambda: batch.run_summaries([invalid_state(), state], params, commitments,
+                                               [0, 1], crash)) == error
 
 
 def test_holdings_whose_orders_can_overflow_are_rejected():
@@ -757,6 +776,121 @@ def test_holdings_whose_orders_can_overflow_are_rejected():
                                Trader(1e308, 0.0, "mo")], momentum=0.001)
     assert_every_entry_point_rejects(state, MarketParams(),
                                      CommitmentParams(kv_buy=1.0, km_buy=1.0))
+
+
+def test_holdings_at_the_bounds_step_with_finite_flows():
+    # every trader bids all its cash at the 1e-12 floor: the purchase volume
+    # is about sys.float_info.max / 2, and the one-sided flow moves the price
+    # up at the cap. One Val trader steps in the two-trader crash_step loop,
+    # two in the generic one.
+    cash = engine.MAX_TOTAL_CASH
+    one = market_state(engine.PRICE_FLOOR, [Trader(cash, 0.0, "val", valuation=1.0)])
+    two = market_state(engine.PRICE_FLOOR, [Trader(cash / 2, 0.0, "val", valuation=1.0),
+                                            Trader(cash / 2, 0.0, "val", valuation=1.0)])
+    assert one.cash_sum() == two.cash_sum() == cash
+    params, commitments = MarketParams(horizon=5), CommitmentParams(kv_buy=1.0)
+    crash = CrashPredicate.relative_drop(0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (one, two):
+            _, record = step(state, params, commitments)
+            assert record.q_p == pytest.approx(sys.float_info.max / 2, rel=1e-12)
+            result = run(state, params, commitments, 0, crash)
+            assert all(math.isfinite(r.q_p) for r in result.records)
+            assert len(result.prices) == 6 and result.prices[-1] > result.prices[0]
+            assert assert_crash_step_matches_run(state, params, commitments, 0, crash) is None
+        assert_rows_match_runs([one, two], params, commitments, [0, 1], crash)
+
+
+@pytest.mark.parametrize("traders", [
+    [Trader(math.nextafter(engine.MAX_TOTAL_CASH, math.inf), 0.0, "val", valuation=2.0)],
+    [Trader(0.0, math.nextafter(engine.MAX_TOTAL_ASSET, math.inf), "mo")],
+], ids=["cash", "asset"])
+def test_a_total_above_its_bound_is_rejected(traders):
+    assert_every_entry_point_rejects(market_state(1.0, traders, momentum=-0.001),
+                                     MarketParams(), CommitmentParams())
+
+
+def test_a_settlement_demand_overflow_is_rejected():
+    # the Mo offer moves the price from the floor to about 6.6e-319, where
+    # the Val bid of 10 cash is an infinite asset demand: settling it would
+    # sell the offer for nothing
+    state = MarketState(1e-12, -0.001, [Trader(100.0, 0.0, "val", valuation=1.0),
+                                        Trader(0.0, 2e14, "mo")], 100.0, 2e14)
+    assert_every_entry_point_rejects(state, MarketParams(eta=705, impact="powerlaw", horizon=3),
+                                     CommitmentParams())
+
+
+def refined_rich_state(price):
+    """A refined random trader holding 1e300 asset next to a Mo trader
+    holding 1 cash: its reference wealth overflows above price 1e8."""
+    return MarketState(price, 0.001, [Trader(1.0, 1e300, "rand", rand_mode="refined"),
+                                      Trader(1.0, 0.0, "mo")], 2.0, 1e300)
+
+
+@pytest.mark.parametrize("price, params, commitments", [
+    (1e10, MarketParams(horizon=3), CommitmentParams(kr_buy=0.0)),
+    (1e10, MarketParams(horizon=3, impact="powerlaw"), CommitmentParams(kr_sell=0.0)),
+    (1e7, MarketParams(eta=5.0, horizon=3), CommitmentParams(kr_sell=0.0)),
+], ids=["zero bid commitment", "zero offer commitment, power law", "price rises past it"])
+def test_a_price_above_the_ceiling_is_rejected(price, params, commitments):
+    # above the ceiling the refined trader's reference wealth is inf, and a
+    # zero commitment times it a NaN order: under ratio impact the price
+    # would stay put against a one-sided offer, under power-law impact rise
+    # at the cap against it. A start above the ceiling is rejected on entry;
+    # the one-sided Mo and Rand bids take the last start from 1e7 to 1.5e9
+    # in the first step, past the ceiling of about 9e7.
+    assert_every_entry_point_rejects(refined_rich_state(price), params, commitments)
+
+
+@pytest.mark.parametrize("impact", ["ratio", "powerlaw"])
+def test_a_state_at_its_price_ceiling_steps_with_finite_orders(impact):
+    # at the ceiling the refined trader's asset is worth MAX_ASSET_VALUE;
+    # with a zero bid commitment it only offers, so the price falls at the cap
+    ceiling = engine.MAX_ASSET_VALUE / 1e300
+    state = refined_rich_state(ceiling)
+    state.momentum = -0.001
+    assert engine.check_state(state) == ceiling
+    params, commitments = MarketParams(horizon=5, impact=impact), CommitmentParams(kr_buy=0.0)
+    crash = CrashPredicate.relative_drop(0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(state, params, commitments, 0, crash)
+        assert all(math.isfinite(r.q_p) and math.isfinite(r.q_s) for r in result.records)
+        assert all(math.isfinite(w) for row in result.wealth for w in row)
+        assert result.prices == sorted(result.prices, reverse=True)
+        assert result.prices[-1] < result.prices[0]
+        assert_rows_match_runs([state, state], params, commitments, [0, 1], crash)
+
+
+def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
+    # a Mo bid of the smallest subnormal cash against a Val offer of 4
+    # asset is a flow ratio that underflows to 0, whose log raised
+    # ValueError: the move is lam * (log q_p - log q_s), about -29.8, under
+    # the cap, and it takes the price through the floor
+    state = MarketState(1.0, 0.001, [Trader(0.0, 4.0, "val", valuation=0.5),
+                                     Trader(5e-324, 0.0, "mo")], 5e-324, 4.0)
+    params = MarketParams(eta=100.0, horizon=3)
+    commitments = CommitmentParams(kv_sell=1.0, km_buy=1.0)
+    _, record = step(state, params, commitments)
+    assert record.q_p > 0.0 and record.q_p / record.q_s == 0.0 and not record.cap_hit
+    assert record.new_price == math.exp(params.lam * (math.log(record.q_p) - math.log(record.q_s)))
+    crash = CrashPredicate.relative_drop(0.3)
+    assert assert_crash_step_matches_run(state, params, commitments, 0, crash) == 1
+    with warnings.catch_warnings():
+        # the kernel's settlement factor q_s / demand overflows to inf here,
+        # which caps at 1 as in run, but numpy warns of it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1],
+                                      crash)
+    assert rows[0][1:] == (True, False, True, 1)
+
+
+def test_eta_is_bounded_by_the_largest_finite_exponent():
+    eta = math.log(sys.float_info.max)
+    assert MarketParams(eta=eta).eta == eta
+    with pytest.raises(ConfigError, match="eta"):
+        MarketParams(eta=math.nextafter(eta, math.inf))
 
 
 def test_kernel_rejects_layouts_it_cannot_batch():

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from valtrack import batch, engine, experiments, metrics
-from valtrack.errors import InvalidInputError
+from valtrack import batch, experiments, metrics
 from valtrack.experiments import (ExperimentConfig, TernaryPoint, run_once,
                                   simplex_points, ternary_sweep)
 from valtrack.metrics import CrashPredicate
-from valtrack.params import CommitmentParams, MarketParams
+from valtrack.params import MarketParams
 from valtrack.seeding import mix_seed
-from valtrack.traders import MarketState, PopulationSpec, Trader
+from valtrack.traders import PopulationSpec
 
 
 def scalar_sweep(config, resolution, replicates):
@@ -178,37 +177,3 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
             [0.1, 0.2, 0.3, 0.4, 0.5]]
     sums = batch._exact_row_sums(np.array(rows))
     assert sums.tolist() == [math.fsum(row) for row in rows]
-
-
-def bad_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2,
-              kind="mo", rand_mode="basic"):
-    traders = [Trader(val_cash, val_asset, "val"),
-               Trader(mo_cash, 0.8, kind, rand_mode=rand_mode)]
-    return MarketState(price=price, momentum=momentum, traders=traders,
-                       total_cash=val_cash + mo_cash, total_asset=val_asset + 0.8)
-
-
-@pytest.mark.parametrize("state, params", [
-    (bad_state(price=math.nan), MarketParams()),
-    (bad_state(price=math.inf), MarketParams()),
-    (bad_state(momentum=math.nan), MarketParams()),
-    (bad_state(momentum=math.inf), MarketParams()),
-    (bad_state(momentum=0.001, mo_cash=-1.0), MarketParams()),
-    (bad_state(), MarketParams(eta=1000.0)),
-    (bad_state(price=0.0), MarketParams()),
-    (bad_state(val_cash=math.nan), MarketParams()),
-    (bad_state(val_asset=-1.0), MarketParams()),
-    (bad_state(kind="momentum"), MarketParams()),
-    (bad_state(kind="rand", rand_mode="fancy"), MarketParams()),
-], ids=["nan price", "inf price", "nan momentum", "inf momentum",
-        "negative bid", "price underflows to 0", "price 0.0", "NaN cash",
-        "negative asset", "unknown kind", "unknown rand mode"])
-def test_kernel_raises_where_the_scalar_engine_raises(state, params):
-    crash = CrashPredicate.relative_drop(0.3)
-    with pytest.raises(InvalidInputError):
-        engine.run(state, params, CommitmentParams(), seed=0, crash=crash)
-    with pytest.raises(InvalidInputError):
-        engine.step(state, params, CommitmentParams())
-    with pytest.raises(InvalidInputError):
-        batch.run_summaries([bad_state(), state], params, CommitmentParams(), [0, 1],
-                             crash)
