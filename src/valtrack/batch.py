@@ -16,7 +16,7 @@ commands that never step a batch start without it.
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul
+from operator import mul, truediv
 
 import numpy as np
 
@@ -53,10 +53,12 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 # every array keeps its shape for the whole batch.
 # No step checks the order flow, which check_state's bounds keep finite, nor
 # a refined trader's asset value, which each row's price ceiling keeps
-# finite. The new price is multiplied out in Python floats, which overflow
-# to inf without numpy's warning, and checked against the ceiling; a demand
-# can overflow only below the floor, so only there is it checked, also in
-# Python floats.
+# finite. Where run() lets a value overflow to inf, the kernel does not warn
+# of it either: the flow ratio, the power-law move and the new price are
+# computed in Python floats, which overflow to inf without numpy's warning,
+# and a settlement factor is divided out only where it is below 1. The new
+# price is checked against the ceiling; a demand can overflow only below
+# the floor, so only there is it checked, also in Python floats.
 #
 # The kernel keeps to a few numpy operations: arithmetic, comparisons,
 # np.where and count_nonzero, plus boolean indexing of aborting and
@@ -207,9 +209,18 @@ def _exact_row_sums(x: np.ndarray) -> np.ndarray:
 
 def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
     """fn(v, *args) for each element, on Python floats so that math.exp,
-    math.log and pow are the scalar path's calls."""
+    math.log and ** are the scalar path's calls."""
     floats = values.tolist()
     return np.fromiter(map(fn, floats, *(repeat(a) for a in args)), float, len(floats))
+
+
+def _powerlaw_move(imbalance: float, liquidity: float, zeta: float) -> float:
+    """The scalar path's uncapped power-law move of one run, in Python
+    floats, whose division overflows to inf without numpy's warning."""
+    try:
+        return math.copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+    except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
+        return math.copysign(math.inf, imbalance)
 
 
 def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
@@ -278,18 +289,18 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         # flow moves at the cap
         if params.impact == IMPACT_RATIO:
             two_sided = np.where(q_p > 0.0, q_s > 0.0, False)
-            bought, offered = np.where(two_sided, q_p, 1.0), np.where(two_sided, q_s, 1.0)
+            bought = np.where(two_sided, q_p, 1.0).tolist()
+            offered = np.where(two_sided, q_s, 1.0).tolist()
             try:
-                log_ratio = _libm(math.log, bought / offered)
+                log_ratio = np.fromiter(map(math.log, map(truediv, bought, offered)), float,
+                                        n_runs)
             except ValueError:  # a ratio underflows to 0: run() logs each side
                 log_ratio = np.array([math.log(a / b) if a / b else math.log(a) - math.log(b)
-                                      for a, b in zip(bought.tolist(), offered.tolist())])
+                                      for a, b in zip(bought, offered)])
             dlog = np.where(two_sided, params.lam * log_ratio,
                             np.where(q_p > q_s, np.inf, np.where(q_p < q_s, -np.inf, 0.0)))
         else:
-            imbalance = q_p - q_s
-            dlog = _libm(pow, np.abs(imbalance / params.liquidity), params.zeta)
-            dlog = np.where(imbalance < 0.0, -dlog, dlog)
+            dlog = _libm(_powerlaw_move, q_p - q_s, params.liquidity, params.zeta)
         dlog = np.where(dlog < eta, dlog, eta)
         factors = map(math.exp, np.where(dlog > -eta, dlog, -eta).tolist())
         p_new = np.fromiter(map(mul, p.tolist(), factors), float, n_runs)
@@ -308,12 +319,15 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
                     raise InvalidInputError(f"demand must stay finite, got inf at price {price}")
         demand = total_bid / p_settle
         trade = np.where(demand > 0.0, q_s > 0.0, False)
-        # no trade leaves both factors 0, and a zero order times a finite
-        # factor pays and sells exactly 0.0, so every row settles at once
-        f_buy = np.where(trade, q_s, 0.0) / np.where(trade, demand, 1.0)
-        f_sell = np.where(trade, demand, 0.0) / np.where(trade, q_s, 1.0)
-        paid = bids * np.where(f_buy < 1.0, f_buy, 1.0)[:, None]
-        sold = offers * np.where(f_sell < 1.0, f_sell, 1.0)[:, None]
+        # a factor is its quotient only where that is below 1 (where it would
+        # overflow, run() takes min(quotient, 1) = 1), else 1 for a trade and
+        # 0 for none; a zero order times a finite factor pays and sells
+        # exactly 0.0, so every row settles at once
+        buy, sell = q_s < demand, demand < q_s
+        f_buy = np.where(buy, q_s, trade) / np.where(buy, demand, 1.0)
+        f_sell = np.where(sell, demand, trade) / np.where(sell, q_s, 1.0)
+        paid = bids * f_buy[:, None]
+        sold = offers * f_sell[:, None]
         p_settle = p_settle[:, None]
         cash -= paid
         cash += sold * p_settle

@@ -139,10 +139,11 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
 
     Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
     flow, or |(q_p - q_s)/liquidity|^zeta signed by the imbalance for
-    power-law flow. Settlement at the updated or the current price: bids
-    stay fixed in cash and convert to asset demand at that price, offers
-    stay fixed in asset units, and the larger side is scaled down pro-rata
-    to parity, so totals are conserved and no holding goes negative.
+    power-law flow, infinite where that power overflows. Settlement at the
+    updated or the current price: bids stay fixed in cash and convert to
+    asset demand at that price, offers stay fixed in asset units, and the
+    larger side is scaled down pro-rata to parity, so totals are conserved
+    and no holding goes negative.
     Momentum: the smoothed log return mu * log(p_new/p) + (1 - mu) * m.
     """
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
@@ -166,7 +167,10 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
         if not ratio:
             # a zero imbalance moves nothing: 0.0 ** zeta == 0.0
             imbalance = q_p - q_s
-            dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+            try:
+                dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+            except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
+                dlog = copysign(inf, imbalance)
         elif q_p > 0.0 and q_s > 0.0:
             try:
                 dlog = lam * log(q_p / q_s)
@@ -328,7 +332,10 @@ def _val_mo_crash_step(state, params, commitments, ceiling, crash_at):
         q_s = ov + om
         if not ratio:
             imbalance = q_p - q_s
-            dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+            try:
+                dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+            except OverflowError:
+                dlog = copysign(inf, imbalance)
         elif q_p > 0.0 and q_s > 0.0:
             try:
                 dlog = lam * log(q_p / q_s)

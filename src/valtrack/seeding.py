@@ -14,6 +14,9 @@ from another implementation additionally requires the same RNG algorithm,
 which is recorded in every output sidecar (numpy PCG64).
 """
 
+import functools
+import sys
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -40,11 +43,24 @@ def rng_for(master_seed: int, *indices: int) -> "np.random.Generator":
 
 
 def rng_info() -> dict:
-    """RNG algorithm identification for output sidecars."""
-    import numpy as np
+    """RNG algorithm identification for output sidecars.
+
+    library_version is numpy.__version__ once numpy is loaded, and before
+    that the installed numpy distribution's version, which is the same
+    string; so a command that draws no random number writes its sidecars
+    without importing numpy."""
+    numpy = sys.modules.get("numpy")
     return {
         "algorithm": "PCG64",
         "library": "numpy",
-        "library_version": np.__version__,
+        "library_version": numpy.__version__ if numpy else _installed_numpy_version(),
         "seed_mixer": "splitmix64-fold-v1",
     }
+
+
+@functools.cache
+def _installed_numpy_version() -> str:
+    """The installed numpy distribution's version, looked up once per
+    process because each lookup reads and parses its metadata file."""
+    from importlib.metadata import version
+    return version("numpy")

@@ -130,6 +130,14 @@ class TestCliCommands:
         svg_doc = (tmp_path / "series.svg").read_text()
         ET.fromstring(svg_doc)  # well-formed XML
 
+    def test_a_power_law_move_that_overflows_runs_at_the_cap(self, tmp_path, capsys):
+        # |imbalance / liquidity| ** 2 overflows a double at every step,
+        # which used to exit with an OverflowError traceback
+        assert cli.main(["run", "--impact", "powerlaw", "--zeta", "2", "--liquidity", "1e-160",
+                         "--mo", "0.5", "--m0", "0.001", "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader((tmp_path / "run.csv").open()))
+        assert len(rows) == 251 and all(row["cap_hit"] == "1" for row in rows[1:])
+
     def test_run_output_is_reproducible_bytes(self, tmp_path):
         args = ["run", "--mo", "0.25", "--rand", "0.25", "--horizon", "30",
                 "--seed", "5"]
@@ -392,13 +400,22 @@ def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_pat
             assert (in_process / file).read_bytes() == (fresh / file).read_bytes()
 
 
+def fresh_interpreter(code: str) -> str:
+    """The last line that code prints when run in a fresh interpreter that
+    imports valtrack from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(valtrack.__file__)))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
     """numpy is about half of the package's start-up time. Only
     valtrack.batch imports it at the top; the engine, seeding and metrics
     import it inside the functions that draw numbers or build arrays, so
     parsing a command line and a config, a Val/Mo run and crash probe and
     the analytic threshold never load it."""
-    code = textwrap.dedent("""
+    assert fresh_interpreter("""
         import sys
         import valtrack, valtrack.cli
         from valtrack import analysis, cli
@@ -411,11 +428,38 @@ def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
         constants = analysis.AnalysisConstants.from_params(cfg.market, cfg.commitments)
         analysis.mo_crash_threshold_analytic(constants, cfg.market.rho)
         print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
-    """)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(valtrack.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    """) == "[]"
+
+
+def test_deterministic_commands_write_their_sidecars_without_numpy(tmp_path):
+    """rng_info reads numpy's version from the installed distribution while
+    numpy is unloaded, so the commands that draw no random number, grid,
+    impact, analyze and a Val/Mo run, never load it."""
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli
+        for argv in (["grid", "--cells", "1"], ["impact"], ["analyze"], ["run"]):
+            assert cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+    """) == "[]"
+    sidecars = sorted(path.name for path in tmp_path.glob("*.meta.json"))
+    assert sidecars == ["analysis.csv.meta.json", "grid.csv.meta.json",
+                        "impact.json.meta.json", "run.csv.meta.json"]
+
+
+def test_rng_info_does_not_change_when_numpy_loads():
+    """The installed distribution's version, which rng_info records before
+    numpy loads, is numpy.__version__, which it records after."""
+    before, after = json.loads(fresh_interpreter("""
+        import json
+        from valtrack.seeding import rng_info
+        before = rng_info()
+        import numpy
+        print(json.dumps([before, rng_info()]))
+    """))
+    import numpy
+    assert before == after
+    assert after["library_version"] == numpy.__version__
 
 
 class TestSvg:

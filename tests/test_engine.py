@@ -877,13 +877,44 @@ def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
     assert record.new_price == math.exp(params.lam * (math.log(record.q_p) - math.log(record.q_s)))
     crash = CrashPredicate.relative_drop(0.3)
     assert assert_crash_step_matches_run(state, params, commitments, 0, crash) == 1
-    with warnings.catch_warnings():
-        # the kernel's settlement factor q_s / demand overflows to inf here,
-        # which caps at 1 as in run, but numpy warns of it
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rows = assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1],
-                                      crash)
+    rows = assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1], crash)
     assert rows[0][1:] == (True, False, True, 1)
+
+
+def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
+    # a Val bid of 1e295 cash at the 1e-12 floor against a Mo offer of 1e-300
+    # asset: the flow ratio overflows to inf, and so would the kernel's
+    # settlement factor demand / q_s, where run() takes the 1 of its min;
+    # the suite turns numpy's overflow warning into an error
+    state = MarketState(1e-12, -0.001, [Trader(1e295, 0.0, "val", valuation=1.0),
+                                        Trader(0.0, 1e-300, "mo")], 1e295, 1e-300)
+    params, commitments = MarketParams(horizon=2), CommitmentParams(kv_buy=1.0)
+    crash = CrashPredicate.relative_drop(0.3)
+    result = run(state, params, commitments, 0, crash)
+    assert result.prices == [1e-12, 1e-12 * math.exp(0.1), 1e-12 * math.exp(0.1) * math.exp(0.1)]
+    assert all(r.cap_hit for r in result.records)
+    assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1], crash)
+
+
+@pytest.mark.parametrize("liquidity", [1e-160, 1e-310], ids=["power", "quotient"])
+def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
+    # at liquidity 1e-160 every imbalance of the reference Val/Mo market is
+    # above 1e150, whose square overflows a double and raised OverflowError;
+    # at 1e-310 the kernel's imbalance / liquidity overflowed with numpy's
+    # warning. A power above DBL_MAX is above eta <= ln(DBL_MAX), so each
+    # step moves at the cap. One Val trader steps in the two-trader
+    # crash_step loop, two in the generic one.
+    one = init_population(PopulationSpec(val_fracs=(0.5,), mo_frac=0.5), m0=0.001)
+    two = init_population(PopulationSpec(val_fracs=(0.25, 0.25), mo_frac=0.5), m0=0.001)
+    params = MarketParams(impact="powerlaw", zeta=2.0, liquidity=liquidity, horizon=6)
+    commitments, crash = CommitmentParams(), CrashPredicate.relative_drop(0.3)
+    for state in (one, two):
+        _, record = step(state, params, commitments)
+        assert record.cap_hit and record.new_price == math.exp(params.eta)
+        assert assert_crash_step_matches_run(state, params, commitments, 0, crash) is None
+    first, second = (run(state, params, commitments, 0, crash) for state in (one, two))
+    assert first.prices == second.prices and all(r.cap_hit for r in first.records)
+    assert_rows_match_runs([one, two], params, commitments, [0, 1], crash)
 
 
 def test_eta_is_bounded_by_the_largest_finite_exponent():
