@@ -54,11 +54,13 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 # No step checks the order flow, which check_state's bounds keep finite, nor
 # a refined trader's asset value, which each row's price ceiling keeps
 # finite. Where run() lets a value overflow to inf, the kernel does not warn
-# of it either: the flow ratio, the power-law move and the new price are
-# computed in Python floats, which overflow to inf without numpy's warning,
-# and a settlement factor is divided out only where it is below 1. The new
-# price is checked against the ceiling; a demand can overflow only below
-# the floor, so only there is it checked, also in Python floats.
+# of it either: the power-law move and the new price are computed in Python
+# floats, which overflow to inf without numpy's warning; the flow ratio is
+# divided in numpy unless a row of the step is within _RATIO_MARGIN of
+# overflowing, and then in Python floats; and a settlement factor is divided
+# out only where it is below 1. The new price is checked against the
+# ceiling; a demand can overflow only below the floor, so only there is it
+# checked, also in Python floats.
 #
 # The kernel keeps to a few numpy operations: arithmetic, comparisons,
 # np.where and count_nonzero, plus boolean indexing of aborting and
@@ -68,6 +70,7 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 
 _RNG_BLOCK_STEPS = 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53: numpy's uint64 -> [0, 1) map
+_RATIO_MARGIN = 2.0 ** -1000  # offered >= bought * margin keeps bought / offered finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,14 +292,23 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         # flow moves at the cap
         if params.impact == IMPACT_RATIO:
             two_sided = np.where(q_p > 0.0, q_s > 0.0, False)
-            bought = np.where(two_sided, q_p, 1.0).tolist()
-            offered = np.where(two_sided, q_s, 1.0).tolist()
+            bought = np.where(two_sided, q_p, 1.0)
+            offered = np.where(two_sided, q_s, 1.0)
+            # numpy rounds a quotient as Python does and underflows without a
+            # warning; a row that passes this test has a ratio below 2**1001,
+            # also where the product rounds as a subnormal, far below
+            # DBL_MAX ~ 2**1024; so only a step where some row fails it can
+            # overflow, and that step divides in Python floats
+            if np.count_nonzero(offered < bought * _RATIO_MARGIN):
+                ratios = list(map(truediv, bought.tolist(), offered.tolist()))
+            else:
+                ratios = (bought / offered).tolist()
             try:
-                log_ratio = np.fromiter(map(math.log, map(truediv, bought, offered)), float,
-                                        n_runs)
+                log_ratio = np.fromiter(map(math.log, ratios), float, n_runs)
             except ValueError:  # a ratio underflows to 0: run() logs each side
-                log_ratio = np.array([math.log(a / b) if a / b else math.log(a) - math.log(b)
-                                      for a, b in zip(bought, offered)])
+                log_ratio = np.array([math.log(r) if r else math.log(a) - math.log(b)
+                                      for r, a, b in zip(ratios, bought.tolist(),
+                                                         offered.tolist())])
             dlog = np.where(two_sided, params.lam * log_ratio,
                             np.where(q_p > q_s, np.inf, np.where(q_p < q_s, -np.inf, 0.0)))
         else:

@@ -6,9 +6,10 @@ resolved configuration, the command's own sizes (sweep resolution and
 replicates, grid cells and k bounds, multival horizon and n_vals, estimator
 arguments), the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
-The sweep's CSV sidecar also has a "telemetry" key (runs, steps, aborted runs,
-engine batches and the widest batch's runs, wall time, steps/s) that
-changes between runs; it is not part of the reproducible output.
+The sweep's CSV sidecar also has a "telemetry" key (runs, the steps the
+engine simulated, which count a repeated run once per batch, aborted runs,
+engine batches and the widest batch's runs, wall time, simulated steps/s)
+that changes between runs; it is not part of the reproducible output.
 
 Exit codes: 0 success, 2 configuration error, 3 any other valtrack error
 (numeric failure, invalid input, domain error).

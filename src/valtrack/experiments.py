@@ -46,6 +46,13 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
 
 
+def _draws_nothing(population: PopulationSpec) -> bool:
+    """Whether every run of this population is the same run: no random
+    trader draws from the engine stream and fixed valuations draw nothing
+    from the population stream, so the seed changes nothing."""
+    return population.rand_frac == 0.0 and population.valuation == VALUATION_FIXED
+
+
 def _seeded_start(config: ExperimentConfig, task_seed: int, shared=None):
     """(initial state, engine seed) of the run with this task seed. Only
     gamma valuations draw from the population stream, so only they build it.
@@ -84,8 +91,7 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     val_frac = 1.0 - theta - rand_frac
     population = config.population.with_mix(max(val_frac, 0.0), theta, rand_frac)
     cfg = replace(config, population=population)
-    stochastic = rand_frac > 0.0 or population.valuation != VALUATION_FIXED
-    reps = config.replicates if stochastic else 1
+    reps = 1 if _draws_nothing(population) else config.replicates
     crashes = 0
     for rep in range(reps):
         state, run_seed = _seeded_start(cfg, mix_seed(config.seed, int(round(theta * 1e8)), rep))
@@ -135,15 +141,17 @@ class TernaryPoint:
 
 @dataclass(frozen=True, slots=True)
 class TernaryGrid:
-    """Per-point statistics of a sweep, plus what the sweep simulated:
-    steps summed over all runs, the runs stopped by the price floor, and
-    the engine batches and the widest one's run count. The batching depends
-    on the worker count, so equality leaves it out."""
+    """Per-point statistics of a sweep, plus what the sweep did: the steps
+    the engine simulated, the runs stopped by the price floor, and the
+    engine batches and the widest one's run count. A run that repeats
+    another of its batch is not simulated again, so steps counts it once.
+    The batching depends on the worker count, so equality leaves it and
+    steps out."""
 
     resolution: int
     replicates: int
     points: tuple
-    steps: int
+    steps: int = field(compare=False)
     aborted_runs: int
     batches: int = field(compare=False)
     batch_runs: int = field(compare=False)
@@ -169,29 +177,37 @@ def simplex_points(resolution: int):
 
 
 def _ternary_batch_task(args):
-    """Summaries of sweep runs start..stop-1 in one engine batch.
+    """Summaries of the distinct runs among sweep runs start..stop-1, in
+    one engine batch, and the row of each run in them.
 
     Run j is replicate j % replicates of simplex point j // replicates;
-    points holds the simplex points from index start // replicates on.
-    The replicates of a point share one start where they can, as
-    run_summaries leaves its states unchanged.
+    points holds the simplex points from index start // replicates on. A
+    point whose population draws nothing has one run, so its replicates in
+    this batch share one row; the replicates of any other point share one
+    start where they can, as run_summaries leaves its states unchanged.
     """
     # imported here, not at the top: batch imports numpy, which importing
     # valtrack should not
     from .batch import run_summaries
     config, replicates, start, stop, points = args
     first = start // replicates
-    states, seeds = [], []
+    states, seeds, rows = [], [], []
     for j in range(start, stop):
         index, rep = divmod(j, replicates)
         if j == start or rep == 0:
             cfg = replace(config, population=config.population.with_mix(*points[index - first]))
             state = None
+            same_run = _draws_nothing(cfg.population)
+        elif same_run:
+            rows.append(rows[-1])
+            continue
         state, run_seed = _seeded_start(cfg, mix_seed(config.seed, index, rep), state)
+        rows.append(len(states))
         states.append(state)
         seeds.append(run_seed)
-    return run_summaries(states, config.market, config.commitments, seeds,
-                         crash=config.crash)
+    summaries = run_summaries(states, config.market, config.commitments, seeds,
+                              crash=config.crash)
+    return summaries, rows
 
 
 def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
@@ -200,8 +216,9 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
 
     Per-replicate seeds derive from (master seed, point index, replicate),
     so the grid is identical for any worker count. The runs go through the
-    batched engine in batches of at most _MAX_BATCH_RUNS, split evenly
-    across the processes _run_tasks starts.
+    batched engine in batches of at most _MAX_BATCH_RUNS, as many as a
+    multiple of the processes _run_tasks starts and of near-equal size; a
+    point whose runs are all the same is simulated once per batch it spans.
     """
     if resolution < 1:
         raise ConfigError("resolution must be >= 1")
@@ -209,18 +226,22 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     points = simplex_points(resolution)
     n_runs = len(points) * replicates
-    size = min(_MAX_BATCH_RUNS, -(-n_runs // _pool_size(workers, n_runs)))
-    tasks = []
-    for start in range(0, n_runs, size):
-        stop = min(start + size, n_runs)
-        tasks.append((config, replicates, start, stop,
-                      points[start // replicates:(stop - 1) // replicates + 1]))
+    pool = _pool_size(workers, n_runs)
+    n_batches = pool * -(-n_runs // (pool * _MAX_BATCH_RUNS))
+    bounds = [i * n_runs // n_batches for i in range(n_batches + 1)]
+    tasks = [(config, replicates, start, stop,
+              points[start // replicates:(stop - 1) // replicates + 1])
+             for start, stop in zip(bounds, bounds[1:])]
     batches = _run_tasks(_ternary_batch_task, tasks, workers)
     p0 = config.population.p0
-    drops = [metrics.max_relative_drop((p0, low))
-             for b in batches for low in b.min_price.tolist()]
-    crashed = [flag for b in batches for flag in b.crashed.tolist()]
-    boomed = [flag for b in batches for flag in b.boomed.tolist()]
+    drops, crashed, boomed, aborted = [], [], [], []
+    for summaries, rows in batches:
+        row_drops = [metrics.max_relative_drop((p0, low))
+                     for low in summaries.min_price.tolist()]
+        for per_run, per_row in ((drops, row_drops), (crashed, summaries.crashed.tolist()),
+                                 (boomed, summaries.boomed.tolist()),
+                                 (aborted, summaries.aborted.tolist())):
+            per_run += [per_row[r] for r in rows]
     results = []
     for i, (val, mo, rand) in enumerate(points):
         runs = slice(i * replicates, (i + 1) * replicates)
@@ -228,9 +249,9 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
             val, mo, rand, math.fsum(drops[runs]) / replicates,
             sum(crashed[runs]) / replicates, sum(boomed[runs]) / replicates))
     return TernaryGrid(resolution, replicates, tuple(results),
-                       steps=sum(sum(b.steps.tolist()) for b in batches),
-                       aborted_runs=sum(sum(b.aborted.tolist()) for b in batches),
-                       batches=len(batches), batch_runs=max(len(b.steps) for b in batches))
+                       steps=sum(sum(s.steps.tolist()) for s, _ in batches),
+                       aborted_runs=sum(aborted), batches=len(batches),
+                       batch_runs=max(len(rows) for _, rows in batches))
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:

@@ -896,6 +896,31 @@ def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
     assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1], crash)
 
 
+def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
+    # at price 1 one Val trader bids its cash and another offers its asset,
+    # so the flow ratio is cash / asset. The kernel divides in numpy where
+    # every row's ratio is at most 2**1000 and in Python floats otherwise:
+    # a ratio of exactly 2**1000 is inside that margin, its next float
+    # outside; 2**-30 / 5e-324 = 2**1044 overflows, with the margin's
+    # product 2**-1030 subnormal
+    def flow(cash, asset):
+        return market_state(1.0, [Trader(cash, 0.0, "val", valuation=2.0),
+                                  Trader(0.0, asset, "val", valuation=0.5)])
+
+    inside = flow(1.0, 2.0 ** -1000)
+    outside = flow(1.0, math.nextafter(2.0 ** -1000, 0.0))
+    overflowing = flow(2.0 ** -30, 5e-324)
+    params = MarketParams(horizon=3)
+    commitments = CommitmentParams(kv_buy=1.0, kv_sell=1.0)
+    crash = CrashPredicate.relative_drop(0.3)
+    for _, record in (step(s, params, commitments) for s in (inside, outside, overflowing)):
+        assert record.cap_hit and record.new_price == math.exp(params.eta)
+    ordinary = [invalid_state(), init_population(PopulationSpec(rand_mode="refined"), m0=-0.001)]
+    for states in ([inside] + ordinary, [outside] + ordinary,
+                   ordinary + [overflowing, inside]):
+        assert_rows_match_runs(states, params, commitments, range(len(states)), crash)
+
+
 @pytest.mark.parametrize("liquidity", [1e-160, 1e-310], ids=["power", "quotient"])
 def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
     # at liquidity 1e-160 every imbalance of the reference Val/Mo market is

@@ -115,19 +115,44 @@ CAP = experiments._MAX_BATCH_RUNS
 
 
 # at the cap and one run over it, the 10 points x (CAP // 10 + 2)
-# replicates split into a full-width batch and a short one
-@pytest.mark.parametrize("batch, replicates", [
-    pytest.param(batch, replicates, id=str(batch)) for batch, replicates in
-    [(1, 2), (7, 2), (10**6, 2), (CAP, CAP // 10 + 2), (CAP + 1, CAP // 10 + 2)]])
-def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates):
+# replicates split into two batches of equal width; with fixed valuations
+# the batches of 7 runs hold runs 0-5, 6-12 and 13-19, so the rand-free
+# point 6, runs 12 and 13, is simulated once in each of two batches
+@pytest.mark.parametrize("batch, replicates, valuation", [
+    pytest.param(batch, replicates, valuation,
+                 id=str(batch) if valuation == "gamma" else f"{batch}-{valuation}")
+    for batch, replicates, valuation in
+    [(1, 2, "gamma"), (7, 2, "gamma"), (10**6, 2, "gamma"), (CAP, CAP // 10 + 2, "gamma"),
+     (CAP + 1, CAP // 10 + 2, "gamma"), (7, 2, "fixed")]])
+def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates, valuation):
     config = replace(abort_config(), population=PopulationSpec(
-        val_fracs=(0.5, 0.5), valuation="gamma", rand_mode="refined"))
+        val_fracs=(0.5, 0.5), valuation=valuation, rand_mode="refined"))
     expected = scalar_sweep(config, 3, replicates)
     monkeypatch.setattr(experiments, "_MAX_BATCH_RUNS", batch)
     grid = ternary_sweep(config, resolution=3, replicates=replicates)
     assert grid.points == expected
     assert grid.aborted_runs == scalar_aborts(config, 3, replicates)
-    assert (grid.batches, grid.batch_runs) == (-(-grid.runs // batch), min(batch, grid.runs))
+    batches = -(-grid.runs // batch)
+    assert (grid.batches, grid.batch_runs) == (batches, -(-grid.runs // batches))
+
+
+@pytest.mark.parametrize("valuation, simulated", [("fixed", 12), ("gamma", 18)])
+def test_each_distinct_run_is_simulated_once(monkeypatch, valuation, simulated):
+    # at resolution 2 three of the six points have no random trader; with
+    # fixed valuations each of their three replicates is the same run
+    widths = []
+    run_summaries = batch.run_summaries
+
+    def recording(initials, *args, **kwargs):
+        widths.append(len(initials))
+        return run_summaries(initials, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "run_summaries", recording)
+    config = replace(abort_config(), population=PopulationSpec(valuation=valuation,
+                                                               rand_mode="refined"))
+    grid = ternary_sweep(config, resolution=2, replicates=3)
+    assert (widths, grid.runs, grid.batch_runs) == ([simulated], 18, 18)
+    assert grid.points == scalar_sweep(config, 2, 3)
 
 
 # the pure-momentum runs fall through the price floor at step 28, inside
