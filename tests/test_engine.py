@@ -1,7 +1,9 @@
 import copy
 import math
+from array import array
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crash_kinds import crash_predicates
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
 from valtrack import batch, cli, engine, experiments
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
+from valtrack.traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES
 
 
 def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
@@ -242,40 +246,6 @@ class TestStep:
         assert out.price == pytest.approx(expected, rel=1e-14)
 
 
-holdings = st.floats(0.0, 10.0)
-
-
-@st.composite
-def random_markets(draw):
-    """A state of 1-4 traders with random holdings, and market params with
-    either impact, eta 0.1 or 2 and either settlement."""
-    traders = []
-    for kind in draw(st.lists(st.sampled_from(["val", "mo", "rand"]), min_size=1, max_size=4)):
-        cash, asset = draw(holdings), draw(holdings)
-        traders.append(Trader(cash, asset, kind, valuation=draw(st.floats(0.5, 2.0)),
-                              rand_mode=draw(st.sampled_from(["basic", "refined"])),
-                              critical_cash=0.2 * cash, critical_asset=0.2 * asset))
-    state = market_state(draw(st.floats(0.05, 20.0)), traders,
-                         momentum=draw(st.floats(-0.01, 0.01)))
-    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
-                                         ("powerlaw", 0.8)]))
-    params = MarketParams(impact=impact, zeta=zeta, eta=draw(st.sampled_from([0.1, 2.0])),
-                          settlement=draw(st.sampled_from(["updated", "current"])))
-    return state, params
-
-
-class TestCapHit:
-    @given(market=random_markets(), seed=st.integers(0, 2**32))
-    @settings(max_examples=300, deadline=None)
-    def test_cap_hit_matches_the_price_move(self, market, seed):
-        state, params = market
-        _, record = step(state, params, CommitmentParams(), np.random.default_rng(seed))
-        old, new, eta = record.old_price, record.new_price, params.eta
-        if record.cap_hit:
-            assert new == old * math.exp(eta if record.q_p > record.q_s else -eta)
-        else:
-            # |log(new/old)| <= eta, without the rounding of a log
-            assert old * math.exp(-eta) <= new <= old * math.exp(eta)
 
 
 class TestRun:
@@ -320,45 +290,6 @@ class TestRun:
             assert total == pytest.approx(expected, rel=1e-9)
 
 
-def random_config(rng):
-    k = rng.uniform(0.02, 0.3, size=6)
-    commitments = CommitmentParams(*k)
-    mix = rng.dirichlet(np.ones(3))
-    n_vals = int(rng.integers(1, 4))
-    spec = PopulationSpec(
-        val_fracs=tuple([mix[0] / n_vals] * n_vals), mo_frac=mix[1],
-        rand_frac=mix[2],
-        valuation="gamma" if rng.random() < 0.3 else "fixed",
-        rand_mode="refined" if rng.random() < 0.5 else "basic",
-        rho=rng.uniform(0.5, 6.0), p0=rng.uniform(0.8, 1.2))
-    params = MarketParams(
-        impact="powerlaw" if rng.random() < 0.5 else "ratio",
-        zeta=rng.uniform(0.5, 1.5),
-        settlement="current" if rng.random() < 0.5 else "updated",
-        rho=spec.rho, horizon=100)
-    return params, commitments, spec
-
-
-class TestInvariantSweep:
-    def test_conservation_cap_and_nonnegativity_across_mixes(self):
-        rng = np.random.default_rng(20240917)
-        for case in range(20):
-            params, commitments, spec = random_config(rng)
-            state = init_population(spec, m0=rng.uniform(-0.002, 0.002),
-                                    rng=np.random.default_rng(case))
-            c0, q0 = state.total_cash, state.total_asset
-            step_rng = np.random.default_rng(1000 + case)
-            for _ in range(100):
-                state, record = step(state, params, commitments, step_rng)
-                assert abs(math.log(record.new_price / record.old_price)) \
-                    <= params.eta + 1e-12
-                assert abs(state.cash_sum() - c0) <= 1e-12 * max(c0, 1.0)
-                assert abs(state.asset_sum() - q0) <= 1e-12 * max(q0, 1.0)
-                for trader in state.traders:
-                    assert trader.cash >= 0.0
-                    assert trader.asset >= 0.0
-
-
 class TestInputsStayUnchanged:
     """Each entry point steps a private copy of its state in place; the
     state it was given, and that state's traders, stay as they were."""
@@ -382,92 +313,10 @@ class TestInputsStayUnchanged:
         assert not given & {id(t) for t in out.traders + result.final_state.traders}
 
 
-# a drop below 1e-13 fires only after the 1e-12 price floor has aborted the run
-CRASH_KINDS = {
-    "drop_below": (CrashPredicate.drop_below, [1e-13, 0.01, 0.5, 0.9]),
-    "relative_drop": (CrashPredicate.relative_drop, [0.05, 0.3]),
-    "deciblack_drop": (CrashPredicate.deciblack_drop, [0.5, 2.0, 5.0]),
-}
-
-
-@st.composite
-def crash_probes(draw):
-    """A seeded Val/Mo/Rand start, market and commitment params and a crash
-    predicate, over every population, impact, settlement and crash kind."""
-    horizon = draw(st.integers(1, 80))
-    mo = draw(st.sampled_from([0.0, 0.1, 0.22, 0.4, 1.0]))
-    rand = draw(st.sampled_from([0.0, 0.1, 0.3])) * (1.0 - mo)
-    n_vals = draw(st.integers(1, 3))
-    spec = PopulationSpec(val_fracs=(max(1.0 - mo - rand, 0.0) / n_vals,) * n_vals,
-                          mo_frac=mo, rand_frac=rand,
-                          valuation=draw(st.sampled_from(["fixed", "gamma"])),
-                          rand_mode=draw(st.sampled_from(["basic", "refined"])),
-                          p0=draw(st.sampled_from([0.005, 0.5, 0.95, 1.0, 1.05])),
-                          rho=draw(st.sampled_from([1.0, 4.0])))
-    seed = draw(st.integers(0, 2**32))
-    state = init_population(spec, m0=draw(st.sampled_from([-0.001, 0.0, 0.001])),
-                            rng=np.random.default_rng(seed))
-    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
-                                         ("powerlaw", 0.8)]))
-    # at eta = 2 a lone momentum seller falls through the price floor
-    params = MarketParams(horizon=horizon, impact=impact, zeta=zeta,
-                          eta=draw(st.sampled_from([0.1, 1.0, 2.0])),
-                          settlement=draw(st.sampled_from(["updated", "current"])))
-    commitments = CommitmentParams(*draw(st.lists(st.floats(0.02, 0.5),
-                                                  min_size=6, max_size=6)))
-    make, values = CRASH_KINDS[draw(st.sampled_from(sorted(CRASH_KINDS)))]
-    crash = make(draw(st.sampled_from(values)))
-    return state, params, commitments, seed, crash
-
-
-@st.composite
-def val_mo_probes(draw):
-    """A Val-only or Val+Mo start, the layout of every threshold_search
-    probe, with market and commitment params and a crash predicate: every
-    impact, settlement and crash kind, eta up to 2 (a lone momentum seller
-    falls through the price floor), m0 of each sign and 0, a start below,
-    at and above the valuation, a zero-holding Val trader at theta = 1 and
-    either trader order."""
-    theta = draw(st.sampled_from([0.0, 0.2164, 0.9, 1.0]) | st.floats(0.0, 1.0))
-    u = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    spec = PopulationSpec(val_fracs=(1.0 - theta,), mo_frac=theta, u=u,
-                          p0=u * draw(st.sampled_from([0.005, 0.9, 1.0, 1.1, 300.0])),
-                          rho=draw(st.sampled_from([1.0, 4.0])))
-    state = init_population(spec, m0=draw(st.sampled_from([-0.001, 0.0, 0.001])))
-    if draw(st.booleans()):
-        state.traders.reverse()
-    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
-                                         ("powerlaw", 0.8)]))
-    params = MarketParams(horizon=draw(st.integers(1, 300)), impact=impact, zeta=zeta,
-                          eta=draw(st.sampled_from([0.1, 1.0, 2.0])),
-                          settlement=draw(st.sampled_from(["updated", "current"])))
-    commitments = CommitmentParams(*draw(st.lists(st.floats(0.0, 1.0),
-                                                  min_size=6, max_size=6)))
-    # half the runs can only crash through the price floor, or not at all
-    make, values = CRASH_KINDS[draw(st.sampled_from(sorted(CRASH_KINDS)))]
-    crash = draw(st.sampled_from([make(v) for v in values])
-                 | st.just(CrashPredicate.drop_below(1e-13)))
-    return state, params, commitments, draw(st.integers(0, 2**32)), crash
-
-
-def bench_grid_probes(tmp_path):
-    """The crash_step calls of one bench `grid` iteration: `grid --cells 3`
-    at both settlements and `impact`, with bench/configs/grid.conf."""
-    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid.conf"
-    common = ["--config", str(config), "--workers", "1", "--seed", "1", "--out", str(tmp_path)]
-    probes = []
-
-    def recording(*args):
-        probes.append(args)
-        return engine.crash_step(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "crash_step", recording)
-        for settlement in ("current", "updated"):
-            assert cli.main(["grid", *common, "--settlement", settlement, "--cells", "3"]) == 0
-        assert cli.main(["impact", *common]) == 0
-    return probes
-
+# The three step loops, engine._stepper, engine._val_mo_crash_step and
+# batch.run_summaries, state one rule. assert_engines_agree is their one
+# differential oracle, and engine_cases draws its inputs; each edge input
+# below is one call of it, with the facts its case pins.
 
 def outcome(fn):
     """fn()'s value, or the message of the InvalidInputError it raises."""
@@ -492,71 +341,283 @@ class PriceTrace:
         return self.crash.boom_at(p0, p)
 
 
-def assert_crash_step_matches_run(state, params, commitments, seed, crash):
-    """crash_step's outcome, error message included, is run's, and both
-    test the predicate on the same prices, bit for bit."""
-    summary_trace, full_trace = PriceTrace(crash), PriceTrace(crash)
-    summary = outcome(lambda: engine.crash_step(state, params, commitments, seed,
-                                                summary_trace))
-    full = outcome(lambda: run(state, params, commitments, seed, full_trace,
-                               stop_at_crash=True).crash_step)
-    assert summary == full
-    assert repr(summary_trace.prices) == repr(full_trace.prices)
-    return summary
+def first_index(fires, prices):
+    """The first index of prices where fires(prices[0], price) holds, or None."""
+    return next((i for i, p in enumerate(prices) if fires(prices[0], p)), None)
+
+
+def bits(values):
+    """The values as packed doubles, equal for two lists only if the lists
+    are equal bit for bit: unlike ==, they tell -0.0 from 0.0, as repr does
+    at a tenth of its cost."""
+    return array("d", values).tobytes()
+
+
+def summary_row(result):
+    """The row batch.run_summaries gives the run of this RunResult."""
+    return (min(result.prices), result.crash_step is not None, result.boom_step is not None,
+            result.aborted, len(result.prices) - 1)
+
+
+def assert_engines_agree(states, params, commitments, seeds, crash, expect=None):
+    """Check that step, run, crash_step and batch.run_summaries step each
+    state from its seed alike, and return run's outcome for each state: its
+    RunResult, or the message of the InvalidInputError it raises.
+
+    - A chain of `step` calls records what `run` records, bit for bit, and
+      raises where `run` raises, with its message but for the price ceiling,
+      which `step` takes from the state it is given; run's crash_step,
+      boom_step and aborted are the first indices of the chain's prices
+      where they fire.
+    - crash_step, which steps a Val/Mo market in its own loop, returns the
+      chain's first crash, or else its error, and asks the predicate about
+      the prices that run asks it about.
+    - run_summaries gives each state the summary row of its run, alone and
+      beside two rows of another layout: one more Val trader, without and
+      with a Rand trader of the states' mode. Where rows raise, the batch
+      raises the error of the row that fails first.
+    - Every step of the chain keeps cash and asset to 1e-12 (relative
+      above 1) and holdings >= 0, and moves the price within e^+-eta, by
+      exactly e^+-eta where cap_hit is set.
+
+    Every warning is an error. expect, if given, is the start of the message
+    that every state's run, crash_step and both batches raise.
+    """
+    n_vals = 1 + max(sum(t.kind == KIND_VAL for t in s.traders) for s in states)
+    mode = next((t.rand_mode for s in states for t in s.traders
+                 if t.kind == KIND_RAND and t.rand_mode in RAND_MODES), "refined")
+    beside = PopulationSpec(val_fracs=(0.6 / n_vals,) * n_vals, mo_frac=0.4, rand_mode=mode)
+    all_states = [*states, init_population(beside, m0=-0.001),
+                  init_population(replace(beside, mo_frac=0.2, rand_frac=0.2), m0=-0.001)]
+    all_seeds = [*seeds, 0, 1]
+
+    def scalar(state, seed):
+        """(run's outcome, crash_step's, and None or (the step at which the
+        run raises, 0 at its start, and whether a demand check raises))"""
+        run_trace, step_trace = PriceTrace(crash), PriceTrace(crash)
+        result = outcome(lambda: run(state, params, commitments, seed, run_trace))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chain, records, error = [state], [], None
+        try:
+            for _ in range(params.horizon):
+                current, record = step(chain[-1], params, commitments, rng)
+                chain.append(current)
+                records.append(record)
+                if current.price < engine.PRICE_FLOOR:
+                    break
+        except InvalidInputError as e:
+            error = f"InvalidInputError: {e}"
+        prices = [s.price for s in chain]
+        raised = result if isinstance(result, str) else None
+        if raised:
+            # step checks each state it is given, so a chain's price ceiling
+            # follows the rounding drift of the asset total; run keeps its
+            # start's
+            assert error == raised or error == raised.replace(
+                repr(engine.check_state(state)), repr(engine.check_state(chain[-1])))
+        else:
+            assert not error and (
+                bits(result.prices), bits(result.momenta),
+                bits(v for r in result.records for v in r), repr(result.final_state)) == (
+                bits(prices), bits(s.momentum for s in chain),
+                bits(v for r in records for v in r), repr(chain[-1]))
+
+        up, down = math.exp(params.eta), math.exp(-params.eta)
+        cash, asset = state.cash_sum(), state.asset_sum()
+        for current, r in zip(chain[1:], records):
+            if r.cap_hit:
+                assert r.new_price == r.old_price * (up if r.q_p > r.q_s else down)
+            else:
+                assert r.old_price * down <= r.new_price <= r.old_price * up
+            assert abs(current.cash_sum() - cash) <= 1e-12 * max(cash, 1.0)
+            assert abs(current.asset_sum() - asset) <= 1e-12 * max(asset, 1.0)
+            assert all(t.cash >= 0.0 and t.asset >= 0.0 for t in current.traders)
+
+        rejected = isinstance(outcome(lambda: engine.check_state(state)), str)
+        stopped = outcome(lambda: engine.crash_step(state, params, commitments, seed, step_trace))
+        if rejected:
+            assert stopped == raised
+        else:
+            # a run the price floor aborts crashes at its last index unless
+            # it crashed before
+            aborted = prices[-1] < engine.PRICE_FLOOR
+            crashed = first_index(crash.crash_at, prices)
+            if aborted and crashed is None:
+                crashed = len(prices) - 1
+            if not raised:
+                assert (result.crash_step, result.boom_step, result.aborted) == (
+                    crashed, first_index(crash.boom_at, prices), aborted)
+            assert stopped == (raised if crashed is None else crashed)
+        assert bits(step_trace.prices) == bits(run_trace.prices) == bits(
+            prices[:len(run_trace.prices)])
+        fails_at = raised and (0 if rejected else len(records) + 1,
+                               raised.startswith("InvalidInputError: demand"))
+        return result, stopped, fails_at
+
+    def expected(n):
+        """What run_summaries returns or raises for the first n states."""
+        failures = sorted((fails_at, i) for i, (_, _, fails_at) in enumerate(checked[:n])
+                          if fails_at)
+        if failures and failures[0][0][0] == 0:  # every start is checked first
+            return checked[failures[0][1]][0]
+        kinds = [[t.kind for t in s.traders] for s in all_states[:n]]
+        if any(k.count(KIND_MO) > 1 or k.count(KIND_RAND) > 1 for k in kinds):
+            return ("InvalidInputError: a batched market holds at most one momentum "
+                    "and one random trader")
+        modes = sorted({t.rand_mode for s in all_states[:n] for t in s.traders
+                        if t.kind == KIND_RAND})
+        if len(modes) > 1:
+            return f"InvalidInputError: batched markets need one random-trader mode, got {modes}"
+        if failures:
+            return checked[failures[0][1]][0]
+        return [summary_row(result) for result, _, _ in checked[:n]]
+
+    def batched(n):
+        s = batch.run_summaries(all_states[:n], params, commitments, all_seeds[:n], crash)
+        return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
+                        s.aborted.tolist(), s.steps.tolist()))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = [scalar(state, seed) for state, seed in zip(all_states, all_seeds)]
+        widths = (len(states), len(all_states))
+        rows = [outcome(lambda: batched(n)) for n in widths]
+    assert [repr(r) for r in rows] == [repr(expected(n)) for n in widths]
+    results = [result for result, _, _ in checked[:len(states)]]
+    if expect is not None:
+        for message in [*results, *(stopped for _, stopped, _ in checked[:len(states)]), *rows]:
+            assert isinstance(message, str) and message.startswith(expect), message
+    return results
+
+
+@st.composite
+def engine_cases(draw, val_mo=False):
+    """The arguments of assert_engines_agree: 1-3 seeded replicates of one
+    start, market and commitment params and a crash predicate, over every
+    impact, settlement and crash kind and every commitment from 0 to 1. At
+    eta = 2 a lone momentum seller falls through the price floor; at eta =
+    30 a one-sided flow reaches the floor or the ceiling in a few steps.
+
+    Three starts in four are a population of 1-3 Val traders (fixed or
+    gamma valuations), a Mo and a Rand trader of either mode, in any order,
+    from a price near the floor, below, at and above the valuation; at a Mo
+    share of 1 the Val trader holds nothing. Half of these, and every start
+    with val_mo, are one Val trader and at most one Mo trader, the layout
+    of every threshold_search probe. The other starts are 1-4 traders of
+    any kinds and holdings, which the batch may reject."""
+    seed = draw(st.integers(0, 2**32))
+    if val_mo or draw(st.integers(0, 3)):
+        val_mo = val_mo or draw(st.booleans())
+        mo = draw(st.sampled_from([0.0, 0.1, 0.2164, 0.4, 0.9, 1.0]) | st.floats(0.0, 1.0))
+        rand = 0.0 if val_mo else draw(st.sampled_from([0.0, 0.1, 0.3])) * (1.0 - mo)
+        n_vals = 1 if val_mo else draw(st.integers(1, 3))
+        u = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        spec = PopulationSpec(
+            val_fracs=(max(1.0 - mo - rand, 0.0) / n_vals,) * n_vals, mo_frac=mo,
+            rand_frac=rand, u=u,
+            valuation="fixed" if val_mo else draw(st.sampled_from(["fixed", "gamma"])),
+            rand_mode=draw(st.sampled_from(["basic", "refined"])),
+            p0=u * draw(st.sampled_from([1e-9, 0.005, 0.5, 0.9, 0.95, 1.0, 1.05, 1.1, 300.0])),
+            rho=draw(st.sampled_from([1.0, 4.0]) | st.floats(0.5, 6.0)))
+        state = init_population(spec, m0=draw(st.sampled_from([-0.001, 0.0, 0.001])
+                                             | st.floats(-0.002, 0.002)),
+                                rng=np.random.default_rng(seed))
+        state.traders = draw(st.permutations(state.traders))
+    else:
+        traders = []
+        for kind in draw(st.lists(st.sampled_from(["val", "mo", "rand"]), min_size=1,
+                                  max_size=4)):
+            cash, asset = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+            traders.append(Trader(cash, asset, kind, valuation=draw(st.floats(0.5, 2.0)),
+                                  rand_mode=draw(st.sampled_from(["basic", "refined"])),
+                                  critical_cash=0.2 * cash, critical_asset=0.2 * asset))
+        state = market_state(draw(st.floats(0.05, 20.0)), traders,
+                             momentum=draw(st.floats(-0.01, 0.01)))
+    impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0), ("powerlaw", 0.8)])
+                        | st.tuples(st.just("powerlaw"), st.floats(0.5, 1.5)))
+    params = MarketParams(horizon=draw(st.integers(1, 80)), impact=impact, zeta=zeta,
+                          eta=draw(st.sampled_from([0.1, 1.0, 2.0, 30.0])),
+                          settlement=draw(st.sampled_from(["updated", "current"])))
+    commitments = CommitmentParams(*draw(st.lists(st.floats(0.0, 1.0), min_size=6,
+                                                  max_size=6)))
+    width = draw(st.integers(1, 3))
+    return [state] * width, params, commitments, [seed + i for i in range(width)], \
+        draw(crash_predicates)
+
+
+@given(case=engine_cases())
+@settings(max_examples=300, deadline=None)
+def test_engines_agree(case):
+    assert_engines_agree(*case)
+
+
+def bench_grid_probes(tmp_path):
+    """The crash_step calls of one bench `grid` iteration: `grid --cells 3`
+    at both settlements and `impact`, with bench/configs/grid.conf."""
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "grid.conf"
+    common = ["--config", str(config), "--workers", "1", "--seed", "1", "--out", str(tmp_path)]
+    probes = []
+
+    def recording(*args):
+        probes.append(args)
+        return engine.crash_step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "crash_step", recording)
+        for settlement in ("current", "updated"):
+            assert cli.main(["grid", *common, "--settlement", settlement, "--cells", "3"]) == 0
+        assert cli.main(["impact", *common]) == 0
+    return probes
 
 
 class TestCrashStep:
-    """engine.crash_step is run(..., stop_at_crash=True).crash_step without
-    the history."""
-
-    @given(probe=crash_probes())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_run_stopped_at_the_crash(self, probe):
-        assert_crash_step_matches_run(*probe)
+    """engine.crash_step is run's crash_step without the history: the run
+    stops at its crash."""
 
     def test_price_floor_abort_is_a_crash(self):
         # a lone momentum seller at eta = 1 falls through the 1e-12 floor
         # at step 28, to e^-28 = 6.9e-13, before it falls below 1e-13
         state = init_population(PopulationSpec(val_fracs=(0.0,), mo_frac=1.0), m0=-0.001)
-        params, crash = MarketParams(eta=1.0, horizon=60), CrashPredicate.drop_below(1e-13)
-        result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
-        assert result.aborted
-        assert assert_crash_step_matches_run(state, params, CommitmentParams(), 0,
-                                             crash) == len(result.prices) - 1 == 28
+        [result] = assert_engines_agree([state], MarketParams(eta=1.0, horizon=60),
+                                        CommitmentParams(), [0], CrashPredicate.drop_below(1e-13))
+        assert result.aborted and result.crash_step == len(result.prices) - 1 == 28
 
     def test_start_below_a_drop_below_level_is_a_crash_at_index_0(self):
-        state = two_trader_state(theta=0.1, p0=0.005)
-        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
-                                             CrashPredicate.drop_below(0.01)) == 0
-
-    @given(probe=val_mo_probes())
-    @settings(max_examples=300, deadline=None)
-    def test_val_mo_loop_matches_run_stopped_at_the_crash(self, probe):
-        assert_crash_step_matches_run(*probe)
+        [result] = assert_engines_agree([two_trader_state(theta=0.1, p0=0.005)], MarketParams(),
+                                        CommitmentParams(), [0], CrashPredicate.drop_below(0.01))
+        assert result.crash_step == 0
 
     def test_an_order_flow_overflow_raises_what_run_raises(self):
         # the state is rejected on entry: a bid of 1e299 cash at the 1e-12
         # price floor would buy more than 1e308
-        state = invalid_state(price=1e-12, val_cash=1e300)
-        assert assert_crash_step_matches_run(state, MarketParams(), CommitmentParams(), 0,
-                                             CrashPredicate.relative_drop(0.3)).startswith(
-            "InvalidInputError: total cash")
+        assert_engines_agree([invalid_state(price=1e-12, val_cash=1e300)], MarketParams(),
+                             CommitmentParams(), [0], CrashPredicate.relative_drop(0.3),
+                             expect="InvalidInputError: total cash")
 
     def test_every_probe_of_a_bench_grid_iteration_matches_run(self, tmp_path):
         probes = bench_grid_probes(tmp_path)
         assert len(probes) == 273
-        outcomes = [assert_crash_step_matches_run(*probe) for probe in probes]
+        # the probes of one cell share their params: batch them together
+        cells = {}
+        for state, params, commitments, seed, crash in probes:
+            cells.setdefault((params, commitments, crash), []).append((state, seed))
+        outcomes = []
+        for (params, commitments, crash), runs in cells.items():
+            states, seeds = zip(*runs)
+            outcomes += [result.crash_step for result in
+                         assert_engines_agree(states, params, commitments, seeds, crash)]
         assert None in outcomes and sum(o is not None for o in outcomes) > 100
 
-    @given(probe=val_mo_probes())
+    @given(case=engine_cases(val_mo=True))
     @settings(max_examples=50, deadline=None)
-    def test_val_mo_markets_never_reach_the_generic_step_body(self, probe):
+    def test_val_mo_markets_never_reach_the_generic_step_body(self, case):
         def generic(*args):
             raise AssertionError("_stepper built for a Val/Mo market")
 
+        states, params, commitments, seeds, crash = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_stepper", generic)
-            outcome(lambda: engine.crash_step(*probe))
+            outcome(lambda: engine.crash_step(states[0], params, commitments, seeds[0], crash))
 
     @pytest.mark.parametrize("spec", [
         PopulationSpec(val_fracs=(0.7,), mo_frac=0.2, rand_frac=0.1),
@@ -579,33 +640,9 @@ class TestCrashStep:
                                   CrashPredicate.drop_below(0.01))
 
 
-def assert_rows_match_runs(states, params, commitments, seeds, crash):
-    def batched():
-        s = batch.run_summaries(states, params, commitments, seeds, crash)
-        return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
-                        s.aborted.tolist(), s.steps.tolist()))
-
-    def scalar():
-        runs = [run(state, params, commitments, seed, crash)
-                for state, seed in zip(states, seeds)]
-        return [(min(r.prices), r.crash_step is not None, r.boom_step is not None,
-                 r.aborted, len(r.prices) - 1) for r in runs]
-
-    rows = outcome(batched)
-    assert rows == outcome(scalar)
-    return rows
-
-
 class TestRunSummaries:
     """Each row of batch.run_summaries is what the scalar run of its state
     and seed reads."""
-
-    @given(probe=crash_probes())
-    @settings(max_examples=300, deadline=None)
-    def test_each_row_matches_its_scalar_run(self, probe):
-        state, params, commitments, seed, crash = probe
-        assert_rows_match_runs([state] * 3, params, commitments, [seed, seed + 1, seed + 2],
-                               crash)
 
     def test_runs_that_abort_at_different_steps_keep_their_own_rows(self):
         # at eta = 30 momentum sellers fall through the 1e-12 floor at step
@@ -617,10 +654,10 @@ class TestRunSummaries:
 
         states = [start(val_fracs=(0.5,), mo_frac=0.5), start(),
                   start(val_fracs=(0.0,), mo_frac=1.0, p0=1e30)]
-        rows = assert_rows_match_runs(states, MarketParams(eta=30.0, horizon=10),
-                                      CommitmentParams(), [0, 1, 2],
-                                      CrashPredicate.drop_below(1e-13))
-        assert [row[3:] for row in rows] == [(True, 1), (False, 10), (True, 4)]
+        results = assert_engines_agree(states, MarketParams(eta=30.0, horizon=10),
+                                       CommitmentParams(), [0, 1, 2],
+                                       CrashPredicate.drop_below(1e-13))
+        assert [summary_row(r)[3:] for r in results] == [(True, 1), (False, 10), (True, 4)]
 
     def test_an_aborted_row_places_no_order_at_its_frozen_price(self):
         # at eta = 705 the Mo seller takes the price from 1e-12 to about
@@ -630,11 +667,11 @@ class TestRunSummaries:
                                                  rand_frac=0.3, rand_mode="refined",
                                                  critical_frac=0.0, p0=1e-12), m0=-0.001)
         states = [refined, init_population(PopulationSpec(), m0=-0.001)]
-        rows = assert_rows_match_runs(states, MarketParams(eta=705.0, horizon=10),
-                                      CommitmentParams(kr_buy=0.0), [0, 1],
-                                      CrashPredicate.drop_below(1e-13))
-        assert rows[0][1:] == (True, False, True, 1)
-        assert rows[0][0] == pytest.approx(6.6434e-319, rel=1e-4)
+        results = assert_engines_agree(states, MarketParams(eta=705.0, horizon=10),
+                                       CommitmentParams(kr_buy=0.0), [0, 1],
+                                       CrashPredicate.drop_below(1e-13))
+        assert summary_row(results[0])[1:] == (True, False, True, 1)
+        assert summary_row(results[0])[0] == pytest.approx(6.6434e-319, rel=1e-4)
 
     def test_a_price_overflow_raises_what_run_raises(self):
         # a lone Mo bid moves the price from 1 up by e^100 a step, to e^700
@@ -642,39 +679,36 @@ class TestRunSummaries:
         # multiplies prices out in Python floats, so no numpy warning comes first
         state = invalid_state(momentum=0.001, val_asset=0.0)
         crash = CrashPredicate.relative_drop(0.3)
-        with pytest.raises(InvalidInputError, match="got inf"):
-            run(state, MarketParams(eta=100.0, horizon=10), CommitmentParams(), 0, crash)
-        assert len(run(state, MarketParams(eta=100.0, horizon=7), CommitmentParams(), 0,
-                       crash).prices) == 8
-        assert assert_rows_match_runs([state, invalid_state()],
-                                      MarketParams(eta=100.0, horizon=10), CommitmentParams(),
-                                      [0, 1], crash).startswith(
-            "InvalidInputError: price must stay <= ")
+        [result] = assert_engines_agree([state], MarketParams(eta=100.0, horizon=7),
+                                        CommitmentParams(), [0], crash)
+        assert len(result.prices) == 8
+        [message] = assert_engines_agree([state], MarketParams(eta=100.0, horizon=10),
+                                         CommitmentParams(), [0], crash,
+                                         expect="InvalidInputError: price must stay <= ")
+        assert message.endswith("got inf")
 
 
 class TestRunFindsTheFirstCrashAndBoom:
     """run's crash_step and boom_step are the first indices of its prices
     where the predicate and its boom reading fire; a run the price floor
-    aborts crashes at its last index unless it crashed before."""
+    aborts crashes at its last index unless it crashed before. A run to the
+    horizon is checked by assert_engines_agree, one stopped at its crash
+    here."""
 
-    @given(probe=crash_probes(), stop_at_crash=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_steps_are_first_indices_of_the_recorded_prices(self, probe, stop_at_crash):
-        state, params, commitments, seed, crash = probe
-        result = outcome(lambda: run(state, params, commitments, seed, crash,
-                                     stop_at_crash=stop_at_crash))
+    @given(case=engine_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_steps_are_first_indices_of_the_recorded_prices(self, case):
+        states, params, commitments, seeds, crash = case
+        result = outcome(lambda: run(states[0], params, commitments, seeds[0], crash,
+                                     stop_at_crash=True))
         assume(not isinstance(result, str))
         prices = result.prices
-
-        def first(fires):
-            return next((i for i, p in enumerate(prices) if fires(prices[0], p)), None)
-
         last = len(prices) - 1
-        crashed = first(crash.crash_at)
+        crashed = first_index(crash.crash_at, prices)
         assert result.aborted == (prices[-1] < engine.PRICE_FLOOR)
         assert result.crash_step == (last if result.aborted and crashed is None else crashed)
-        assert result.boom_step == first(crash.boom_at)
-        if stop_at_crash and result.crash_step is not None:
+        assert result.boom_step == first_index(crash.boom_at, prices)
+        if result.crash_step is not None:
             assert result.crash_step == last
 
     def test_a_start_crash_stops_before_the_first_step(self):
@@ -684,35 +718,6 @@ class TestRunFindsTheFirstCrashAndBoom:
         assert engine.crash_step(state, params, CommitmentParams(), 0, crash) == 0
         result = run(state, params, CommitmentParams(), 0, crash, stop_at_crash=True)
         assert (result.prices, result.crash_step) == ([10.0], 0)
-
-
-class TestRunIsChainedSteps:
-    """run builds its step body once per run, step once per call; both
-    step the same way."""
-
-    @given(probe=crash_probes())
-    @settings(max_examples=200, deadline=None)
-    def test_run_equals_horizon_chained_steps(self, probe):
-        state, params, commitments, seed, crash = probe
-
-        def chained():
-            rng = np.random.Generator(np.random.PCG64(seed))
-            current, prices, momenta, records = state, [state.price], [state.momentum], []
-            for _ in range(params.horizon):
-                current, record = step(current, params, commitments, rng)
-                prices.append(current.price)
-                momenta.append(current.momentum)
-                records.append(record)
-                if current.price < engine.PRICE_FLOOR:
-                    break
-            return prices, momenta, records, current
-
-        def whole():
-            result = run(state, params, commitments, seed, crash)
-            return result.prices, result.momenta, result.records, result.final_state
-
-        # repr tells floats apart bit for bit, -0.0 from 0.0 included
-        assert repr(outcome(whole)) == repr(outcome(chained))
 
 
 def invalid_state(price=1.0, momentum=-0.001, mo_cash=0.2, val_cash=0.8, val_asset=3.2,
@@ -748,25 +753,8 @@ def price_overflow_state():
         "NaN cash", "negative asset", "unknown kind", "unknown rand mode",
         "order flow overflows"])
 def test_crash_step_raises_where_run_raises(state, params):
-    assert_every_entry_point_rejects(state, params, CommitmentParams())
-
-
-def assert_every_entry_point_rejects(state, params, commitments):
-    """step, run with and without stop_at_crash, crash_step and, next to a
-    valid state, the batched run_summaries all reject the state, the last
-    three with run's message."""
-    crash = CrashPredicate.relative_drop(0.3)
-    with pytest.raises(InvalidInputError):
-        step(state, params, commitments)
-    with pytest.raises(InvalidInputError):
-        run(state, params, commitments, 0, crash)
-    with pytest.raises(InvalidInputError):
-        engine.crash_step(state, params, commitments, 0, crash)
-    assert assert_crash_step_matches_run(state, params, commitments, 0,
-                                         crash).startswith("InvalidInputError")
-    error = outcome(lambda: run(state, params, commitments, 1, crash))
-    assert outcome(lambda: batch.run_summaries([invalid_state(), state], params, commitments,
-                                               [0, 1], crash)) == error
+    assert_engines_agree([state], params, CommitmentParams(), [0],
+                         CrashPredicate.relative_drop(0.3), expect="InvalidInputError")
 
 
 def test_holdings_whose_orders_can_overflow_are_rejected():
@@ -774,8 +762,8 @@ def test_holdings_whose_orders_can_overflow_are_rejected():
     # total cash overflows, which check_state rejects before any step
     state = market_state(1.0, [Trader(1e308, 0.0, "val", valuation=2.0),
                                Trader(1e308, 0.0, "mo")], momentum=0.001)
-    assert_every_entry_point_rejects(state, MarketParams(),
-                                     CommitmentParams(kv_buy=1.0, km_buy=1.0))
+    assert_engines_agree([state], MarketParams(), CommitmentParams(kv_buy=1.0, km_buy=1.0), [0],
+                         CrashPredicate.relative_drop(0.3), expect="InvalidInputError: total cash")
 
 
 def test_holdings_at_the_bounds_step_with_finite_flows():
@@ -788,18 +776,13 @@ def test_holdings_at_the_bounds_step_with_finite_flows():
     two = market_state(engine.PRICE_FLOOR, [Trader(cash / 2, 0.0, "val", valuation=1.0),
                                             Trader(cash / 2, 0.0, "val", valuation=1.0)])
     assert one.cash_sum() == two.cash_sum() == cash
-    params, commitments = MarketParams(horizon=5), CommitmentParams(kv_buy=1.0)
-    crash = CrashPredicate.relative_drop(0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for state in (one, two):
-            _, record = step(state, params, commitments)
-            assert record.q_p == pytest.approx(sys.float_info.max / 2, rel=1e-12)
-            result = run(state, params, commitments, 0, crash)
-            assert all(math.isfinite(r.q_p) for r in result.records)
-            assert len(result.prices) == 6 and result.prices[-1] > result.prices[0]
-            assert assert_crash_step_matches_run(state, params, commitments, 0, crash) is None
-        assert_rows_match_runs([one, two], params, commitments, [0, 1], crash)
+    for result in assert_engines_agree([one, two], MarketParams(horizon=5),
+                                       CommitmentParams(kv_buy=1.0), [0, 1],
+                                       CrashPredicate.relative_drop(0.3)):
+        assert result.records[0].q_p == pytest.approx(sys.float_info.max / 2, rel=1e-12)
+        assert all(math.isfinite(r.q_p) for r in result.records)
+        assert len(result.prices) == 6 and result.prices[-1] > result.prices[0]
+        assert result.crash_step is None
 
 
 @pytest.mark.parametrize("traders", [
@@ -807,8 +790,9 @@ def test_holdings_at_the_bounds_step_with_finite_flows():
     [Trader(0.0, math.nextafter(engine.MAX_TOTAL_ASSET, math.inf), "mo")],
 ], ids=["cash", "asset"])
 def test_a_total_above_its_bound_is_rejected(traders):
-    assert_every_entry_point_rejects(market_state(1.0, traders, momentum=-0.001),
-                                     MarketParams(), CommitmentParams())
+    assert_engines_agree([market_state(1.0, traders, momentum=-0.001)], MarketParams(),
+                         CommitmentParams(), [0], CrashPredicate.relative_drop(0.3),
+                         expect="InvalidInputError: total cash")
 
 
 def test_a_settlement_demand_overflow_is_rejected():
@@ -817,8 +801,9 @@ def test_a_settlement_demand_overflow_is_rejected():
     # sell the offer for nothing
     state = MarketState(1e-12, -0.001, [Trader(100.0, 0.0, "val", valuation=1.0),
                                         Trader(0.0, 2e14, "mo")], 100.0, 2e14)
-    assert_every_entry_point_rejects(state, MarketParams(eta=705, impact="powerlaw", horizon=3),
-                                     CommitmentParams())
+    assert_engines_agree([state], MarketParams(eta=705, impact="powerlaw", horizon=3),
+                         CommitmentParams(), [0], CrashPredicate.relative_drop(0.3),
+                         expect="InvalidInputError: demand must stay finite")
 
 
 def refined_rich_state(price):
@@ -840,7 +825,9 @@ def test_a_price_above_the_ceiling_is_rejected(price, params, commitments):
     # at the cap against it. A start above the ceiling is rejected on entry;
     # the one-sided Mo and Rand bids take the last start from 1e7 to 1.5e9
     # in the first step, past the ceiling of about 9e7.
-    assert_every_entry_point_rejects(refined_rich_state(price), params, commitments)
+    assert_engines_agree([refined_rich_state(price)], params, commitments, [0],
+                         CrashPredicate.relative_drop(0.3),
+                         expect="InvalidInputError: price must stay <= ")
 
 
 @pytest.mark.parametrize("impact", ["ratio", "powerlaw"])
@@ -851,16 +838,13 @@ def test_a_state_at_its_price_ceiling_steps_with_finite_orders(impact):
     state = refined_rich_state(ceiling)
     state.momentum = -0.001
     assert engine.check_state(state) == ceiling
-    params, commitments = MarketParams(horizon=5, impact=impact), CommitmentParams(kr_buy=0.0)
-    crash = CrashPredicate.relative_drop(0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = run(state, params, commitments, 0, crash)
+    for result in assert_engines_agree([state, state], MarketParams(horizon=5, impact=impact),
+                                       CommitmentParams(kr_buy=0.0), [0, 1],
+                                       CrashPredicate.relative_drop(0.3)):
         assert all(math.isfinite(r.q_p) and math.isfinite(r.q_s) for r in result.records)
         assert all(math.isfinite(w) for row in result.wealth for w in row)
         assert result.prices == sorted(result.prices, reverse=True)
         assert result.prices[-1] < result.prices[0]
-        assert_rows_match_runs([state, state], params, commitments, [0, 1], crash)
 
 
 def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
@@ -871,29 +855,25 @@ def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
     state = MarketState(1.0, 0.001, [Trader(0.0, 4.0, "val", valuation=0.5),
                                      Trader(5e-324, 0.0, "mo")], 5e-324, 4.0)
     params = MarketParams(eta=100.0, horizon=3)
-    commitments = CommitmentParams(kv_sell=1.0, km_buy=1.0)
-    _, record = step(state, params, commitments)
+    [result] = assert_engines_agree([state], params, CommitmentParams(kv_sell=1.0, km_buy=1.0),
+                                    [0], CrashPredicate.relative_drop(0.3))
+    record = result.records[0]
     assert record.q_p > 0.0 and record.q_p / record.q_s == 0.0 and not record.cap_hit
     assert record.new_price == math.exp(params.lam * (math.log(record.q_p) - math.log(record.q_s)))
-    crash = CrashPredicate.relative_drop(0.3)
-    assert assert_crash_step_matches_run(state, params, commitments, 0, crash) == 1
-    rows = assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1], crash)
-    assert rows[0][1:] == (True, False, True, 1)
+    assert result.crash_step == 1 and summary_row(result)[1:] == (True, False, True, 1)
 
 
 def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
     # a Val bid of 1e295 cash at the 1e-12 floor against a Mo offer of 1e-300
     # asset: the flow ratio overflows to inf, and so would the kernel's
     # settlement factor demand / q_s, where run() takes the 1 of its min;
-    # the suite turns numpy's overflow warning into an error
+    # assert_engines_agree turns numpy's overflow warning into an error
     state = MarketState(1e-12, -0.001, [Trader(1e295, 0.0, "val", valuation=1.0),
                                         Trader(0.0, 1e-300, "mo")], 1e295, 1e-300)
-    params, commitments = MarketParams(horizon=2), CommitmentParams(kv_buy=1.0)
-    crash = CrashPredicate.relative_drop(0.3)
-    result = run(state, params, commitments, 0, crash)
+    [result] = assert_engines_agree([state], MarketParams(horizon=2), CommitmentParams(kv_buy=1.0),
+                                    [0], CrashPredicate.relative_drop(0.3))
     assert result.prices == [1e-12, 1e-12 * math.exp(0.1), 1e-12 * math.exp(0.1) * math.exp(0.1)]
     assert all(r.cap_hit for r in result.records)
-    assert_rows_match_runs([state, invalid_state()], params, commitments, [0, 1], crash)
 
 
 def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
@@ -912,13 +892,13 @@ def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
     overflowing = flow(2.0 ** -30, 5e-324)
     params = MarketParams(horizon=3)
     commitments = CommitmentParams(kv_buy=1.0, kv_sell=1.0)
-    crash = CrashPredicate.relative_drop(0.3)
     for _, record in (step(s, params, commitments) for s in (inside, outside, overflowing)):
         assert record.cap_hit and record.new_price == math.exp(params.eta)
     ordinary = [invalid_state(), init_population(PopulationSpec(rand_mode="refined"), m0=-0.001)]
     for states in ([inside] + ordinary, [outside] + ordinary,
                    ordinary + [overflowing, inside]):
-        assert_rows_match_runs(states, params, commitments, range(len(states)), crash)
+        assert_engines_agree(states, params, commitments, list(range(len(states))),
+                             CrashPredicate.relative_drop(0.3))
 
 
 @pytest.mark.parametrize("liquidity", [1e-160, 1e-310], ids=["power", "quotient"])
@@ -932,14 +912,12 @@ def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
     one = init_population(PopulationSpec(val_fracs=(0.5,), mo_frac=0.5), m0=0.001)
     two = init_population(PopulationSpec(val_fracs=(0.25, 0.25), mo_frac=0.5), m0=0.001)
     params = MarketParams(impact="powerlaw", zeta=2.0, liquidity=liquidity, horizon=6)
-    commitments, crash = CommitmentParams(), CrashPredicate.relative_drop(0.3)
-    for state in (one, two):
-        _, record = step(state, params, commitments)
-        assert record.cap_hit and record.new_price == math.exp(params.eta)
-        assert assert_crash_step_matches_run(state, params, commitments, 0, crash) is None
-    first, second = (run(state, params, commitments, 0, crash) for state in (one, two))
+    first, second = assert_engines_agree([one, two], params, CommitmentParams(), [0, 1],
+                                         CrashPredicate.relative_drop(0.3))
+    for result in (first, second):
+        assert result.records[0].cap_hit and result.records[0].new_price == math.exp(params.eta)
+        assert result.crash_step is None
     assert first.prices == second.prices and all(r.cap_hit for r in first.records)
-    assert_rows_match_runs([one, two], params, commitments, [0, 1], crash)
 
 
 def test_eta_is_bounded_by_the_largest_finite_exponent():
@@ -957,4 +935,4 @@ def test_kernel_rejects_layouts_it_cannot_batch():
         batch.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
     with pytest.raises(InvalidInputError):
         batch.run_summaries([invalid_state()], MarketParams(), CommitmentParams(), [0, 1],
-                             crash)
+                            crash)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crash_kinds import crash_predicates
 from valtrack import batch, experiments, metrics
 from valtrack.experiments import (ExperimentConfig, TernaryPoint, run_once,
                                   simplex_points, ternary_sweep)
@@ -47,18 +48,9 @@ def scalar_aborts(config, resolution, replicates):
                for rep in range(replicates))
 
 
-CRASHES = {
-    "drop_below": CrashPredicate.drop_below,
-    "relative_drop": CrashPredicate.relative_drop,
-    "deciblack_drop": CrashPredicate.deciblack_drop,
-}
-CRASH_VALUES = {"drop_below": 0.5, "relative_drop": 0.3, "deciblack_drop": 2.0}
-
-
 @st.composite
 def sweep_configs(draw):
     horizon = draw(st.integers(20, 60))
-    kind = draw(st.sampled_from(sorted(CRASHES)))
     impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0),
                                          ("powerlaw", 0.8)]))
     market = MarketParams(
@@ -74,7 +66,7 @@ def sweep_configs(draw):
         rand_mode=draw(st.sampled_from(["basic", "refined"])))
     return ExperimentConfig(
         market=market, population=population,
-        crash=CRASHES[kind](CRASH_VALUES[kind]),
+        crash=draw(crash_predicates),
         m0=draw(st.sampled_from([-0.001, 0.0, 0.001])),
         seed=draw(st.integers(0, 2**32)))
 
