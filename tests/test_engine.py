@@ -491,23 +491,27 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
 
 
 @st.composite
-def engine_cases(draw, val_mo=False):
+def engine_cases(draw, layout=None, width=None):
     """The arguments of assert_engines_agree: 1-3 seeded replicates of one
     start, market and commitment params and a crash predicate, over every
     impact, settlement and crash kind and every commitment from 0 to 1. At
     eta = 2 a lone momentum seller falls through the price floor; at eta =
     30 a one-sided flow reaches the floor or the ceiling in a few steps.
 
-    Three starts in four are a population of 1-3 Val traders (fixed or
-    gamma valuations), a Mo and a Rand trader of either mode, in any order,
-    from a price near the floor, below, at and above the valuation; at a Mo
-    share of 1 the Val trader holds nothing. Half of these, and every start
-    with val_mo, are one Val trader and at most one Mo trader, the layout
-    of every threshold_search probe. The other starts are 1-4 traders of
-    any kinds and holdings, which the batch may reject."""
+    layout picks the kind of start, and each kind is drawn if it is None:
+    three in eight "population", 1-3 Val traders (fixed or gamma
+    valuations), a Mo and a Rand trader of either mode, in any order, from
+    a price near the floor, below, at and above the valuation, where at a
+    Mo share of 1 the Val trader holds nothing; three in eight "val_mo",
+    such a population of one Val trader and at most one Mo trader, the
+    layout of every threshold_search probe; two in eight "any", 1-4
+    traders of any kinds and holdings, which the batch may reject. width,
+    if given, is the number of replicates."""
     seed = draw(st.integers(0, 2**32))
-    if val_mo or draw(st.integers(0, 3)):
-        val_mo = val_mo or draw(st.booleans())
+    if layout is None:
+        layout = draw(st.sampled_from(["population"] * 3 + ["val_mo"] * 3 + ["any"] * 2))
+    if layout != "any":
+        val_mo = layout == "val_mo"
         mo = draw(st.sampled_from([0.0, 0.1, 0.2164, 0.4, 0.9, 1.0]) | st.floats(0.0, 1.0))
         rand = 0.0 if val_mo else draw(st.sampled_from([0.0, 0.1, 0.3])) * (1.0 - mo)
         n_vals = 1 if val_mo else draw(st.integers(1, 3))
@@ -540,15 +544,61 @@ def engine_cases(draw, val_mo=False):
                           settlement=draw(st.sampled_from(["updated", "current"])))
     commitments = CommitmentParams(*draw(st.lists(st.floats(0.0, 1.0), min_size=6,
                                                   max_size=6)))
-    width = draw(st.integers(1, 3))
+    width = width or draw(st.integers(1, 3))
     return [state] * width, params, commitments, [seed + i for i in range(width)], \
         draw(crash_predicates)
 
 
-@given(case=engine_cases())
-@settings(max_examples=300, deadline=None)
-def test_engines_agree(case):
-    assert_engines_agree(*case)
+class TestRunIsChainedSteps:
+    """run builds its step body once per run, step once per call; both
+    step the same way, over starts of every layout."""
+
+    @given(case=engine_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_run_equals_horizon_chained_steps(self, case):
+        assert_engines_agree(*case)
+
+
+class TestCapHit:
+    """Over markets of 1-4 traders of any kinds and holdings, each step
+    moves the price within e^+-eta, by exactly e^+-eta where cap_hit is set."""
+
+    @given(case=engine_cases(layout="any"))
+    @settings(max_examples=60, deadline=None)
+    def test_cap_hit_matches_the_price_move(self, case):
+        assert_engines_agree(*case)
+
+
+def sweep_config(rng):
+    """A population of every trader kind, with market and commitment
+    params, drawn from rng: the fixed configs of TestInvariantSweep."""
+    commitments = CommitmentParams(*rng.uniform(0.02, 0.3, size=6))
+    mix = rng.dirichlet(np.ones(3))
+    n_vals = int(rng.integers(1, 4))
+    spec = PopulationSpec(
+        val_fracs=tuple([mix[0] / n_vals] * n_vals), mo_frac=mix[1], rand_frac=mix[2],
+        valuation="gamma" if rng.random() < 0.3 else "fixed",
+        rand_mode="refined" if rng.random() < 0.5 else "basic",
+        rho=rng.uniform(0.5, 6.0), p0=rng.uniform(0.8, 1.2))
+    params = MarketParams(impact="powerlaw" if rng.random() < 0.5 else "ratio",
+                          zeta=rng.uniform(0.5, 1.5),
+                          settlement="current" if rng.random() < 0.5 else "updated",
+                          rho=spec.rho, horizon=100)
+    return params, commitments, spec
+
+
+class TestInvariantSweep:
+    """Conservation, the cap and non-negative holdings over 100 steps of
+    20 fixed mixes of every trader kind, impact and settlement."""
+
+    def test_conservation_cap_and_nonnegativity_across_mixes(self):
+        rng = np.random.default_rng(20240917)
+        for case in range(20):
+            params, commitments, spec = sweep_config(rng)
+            state = init_population(spec, m0=rng.uniform(-0.002, 0.002),
+                                    rng=np.random.default_rng(case))
+            assert_engines_agree([state], params, commitments, [1000 + case],
+                                 CrashPredicate.relative_drop(0.3))
 
 
 def bench_grid_probes(tmp_path):
@@ -608,7 +658,17 @@ class TestCrashStep:
                          assert_engines_agree(states, params, commitments, seeds, crash)]
         assert None in outcomes and sum(o is not None for o in outcomes) > 100
 
-    @given(case=engine_cases(val_mo=True))
+    @given(case=engine_cases(layout="population"))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_run_stopped_at_the_crash(self, case):
+        assert_engines_agree(*case)
+
+    @given(case=engine_cases(layout="val_mo"))
+    @settings(max_examples=60, deadline=None)
+    def test_val_mo_loop_matches_run_stopped_at_the_crash(self, case):
+        assert_engines_agree(*case)
+
+    @given(case=engine_cases(layout="val_mo"))
     @settings(max_examples=50, deadline=None)
     def test_val_mo_markets_never_reach_the_generic_step_body(self, case):
         def generic(*args):
@@ -643,6 +703,11 @@ class TestCrashStep:
 class TestRunSummaries:
     """Each row of batch.run_summaries is what the scalar run of its state
     and seed reads."""
+
+    @given(case=engine_cases(width=3))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_matches_its_scalar_run(self, case):
+        assert_engines_agree(*case)
 
     def test_runs_that_abort_at_different_steps_keep_their_own_rows(self):
         # at eta = 30 momentum sellers fall through the 1e-12 floor at step
