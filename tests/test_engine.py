@@ -17,7 +17,7 @@ from valtrack import (CommitmentParams, MarketParams, MarketState,
 from valtrack import batch, cli, engine, experiments
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
-from valtrack.traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES
+from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES
 
 
 def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
@@ -246,8 +246,6 @@ class TestStep:
         assert out.price == pytest.approx(expected, rel=1e-14)
 
 
-
-
 class TestRun:
     def test_horizon_one_gives_two_points(self):
         state = two_trader_state()
@@ -373,9 +371,11 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
       chain's first crash, or else its error, and asks the predicate about
       the prices that run asks it about.
     - run_summaries gives each state the summary row of its run, alone and
-      beside two rows of another layout: one more Val trader, without and
-      with a Rand trader of the states' mode. Where rows raise, the batch
-      raises the error of the row that fails first.
+      between two rows of another layout: one more Val trader, without a
+      Rand trader before the states and with one of their mode after them.
+      Where rows raise, the batch raises the error of the row that fails
+      first, a row behind a valid one included. The rows of another layout
+      are checked through their batch rows, and in full where they raise.
     - Every step of the chain keeps cash and asset to 1e-12 (relative
       above 1) and holdings >= 0, and moves the price within e^+-eta, by
       exactly e^+-eta where cap_hit is set.
@@ -386,16 +386,19 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
     n_vals = 1 + max(sum(t.kind == KIND_VAL for t in s.traders) for s in states)
     mode = next((t.rand_mode for s in states for t in s.traders
                  if t.kind == KIND_RAND and t.rand_mode in RAND_MODES), "refined")
-    beside = PopulationSpec(val_fracs=(0.6 / n_vals,) * n_vals, mo_frac=0.4, rand_mode=mode)
-    all_states = [*states, init_population(beside, m0=-0.001),
-                  init_population(replace(beside, mo_frac=0.2, rand_frac=0.2), m0=-0.001)]
-    all_seeds = [*seeds, 0, 1]
+    other = PopulationSpec(val_fracs=(0.6 / n_vals,) * n_vals, mo_frac=0.4, rand_mode=mode)
+    all_states = [init_population(other, m0=-0.001), *states,
+                  init_population(replace(other, mo_frac=0.2, rand_frac=0.2), m0=-0.001)]
+    all_seeds = [0, *seeds, 1]
 
-    def scalar(state, seed):
+    def scalar(state, seed, row_only=False):
         """(run's outcome, crash_step's, and None or (the step at which the
-        run raises, 0 at its start, and whether a demand check raises))"""
+        run raises, 0 at its start, and whether a demand check raises)); with
+        row_only, only run's outcome of a run that does not raise"""
         run_trace, step_trace = PriceTrace(crash), PriceTrace(crash)
         result = outcome(lambda: run(state, params, commitments, seed, run_trace))
+        if row_only and not isinstance(result, str):
+            return result, None, None
         rng = np.random.Generator(np.random.PCG64(seed))
         chain, records, error = [state], [], None
         try:
@@ -454,46 +457,42 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
                                raised.startswith("InvalidInputError: demand"))
         return result, stopped, fails_at
 
-    def expected(n):
-        """What run_summaries returns or raises for the first n states."""
-        failures = sorted((fails_at, i) for i, (_, _, fails_at) in enumerate(checked[:n])
-                          if fails_at)
+    def expected(rows):
+        """What run_summaries returns or raises for all_states[rows]."""
+        runs = checked[rows]
+        failures = sorted((fails_at, i) for i, (_, _, fails_at) in enumerate(runs) if fails_at)
         if failures and failures[0][0][0] == 0:  # every start is checked first
-            return checked[failures[0][1]][0]
-        kinds = [[t.kind for t in s.traders] for s in all_states[:n]]
-        if any(k.count(KIND_MO) > 1 or k.count(KIND_RAND) > 1 for k in kinds):
-            return ("InvalidInputError: a batched market holds at most one momentum "
-                    "and one random trader")
-        modes = sorted({t.rand_mode for s in all_states[:n] for t in s.traders
-                        if t.kind == KIND_RAND})
-        if len(modes) > 1:
-            return f"InvalidInputError: batched markets need one random-trader mode, got {modes}"
+            return runs[failures[0][1]][0]
+        layout = outcome(lambda: batch.batch_layout(all_states[rows]))
+        if isinstance(layout, str):
+            return layout
         if failures:
-            return checked[failures[0][1]][0]
-        return [summary_row(result) for result, _, _ in checked[:n]]
+            return runs[failures[0][1]][0]
+        return [summary_row(result) for result, _, _ in runs]
 
-    def batched(n):
-        s = batch.run_summaries(all_states[:n], params, commitments, all_seeds[:n], crash)
+    def batched(rows):
+        s = batch.run_summaries(all_states[rows], params, commitments, all_seeds[rows], crash)
         return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
                         s.aborted.tolist(), s.steps.tolist()))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checked = [scalar(state, seed) for state, seed in zip(all_states, all_seeds)]
-        widths = (len(states), len(all_states))
-        rows = [outcome(lambda: batched(n)) for n in widths]
-    assert [repr(r) for r in rows] == [repr(expected(n)) for n in widths]
-    results = [result for result, _, _ in checked[:len(states)]]
+        checked = [scalar(state, seed, row_only=i in (0, len(states) + 1))
+                   for i, (state, seed) in enumerate(zip(all_states, all_seeds))]
+        alone, beside = slice(1, -1), slice(None)
+        rows = [outcome(lambda: batched(r)) for r in (alone, beside)]
+    assert [repr(r) for r in rows] == [repr(expected(r)) for r in (alone, beside)]
+    results = [result for result, _, _ in checked[alone]]
     if expect is not None:
-        for message in [*results, *(stopped for _, stopped, _ in checked[:len(states)]), *rows]:
+        for message in [*results, *(stopped for _, stopped, _ in checked[alone]), *rows]:
             assert isinstance(message, str) and message.startswith(expect), message
     return results
 
 
 @st.composite
-def engine_cases(draw, layout=None, width=None):
-    """The arguments of assert_engines_agree: 1-3 seeded replicates of one
-    start, market and commitment params and a crash predicate, over every
+def engine_cases(draw, layout=None, width=1):
+    """The arguments of assert_engines_agree: `width` seeded replicates of
+    one start, market and commitment params and a crash predicate, over every
     impact, settlement and crash kind and every commitment from 0 to 1. At
     eta = 2 a lone momentum seller falls through the price floor; at eta =
     30 a one-sided flow reaches the floor or the ceiling in a few steps.
@@ -504,14 +503,16 @@ def engine_cases(draw, layout=None, width=None):
     a price near the floor, below, at and above the valuation, where at a
     Mo share of 1 the Val trader holds nothing; three in eight "val_mo",
     such a population of one Val trader and at most one Mo trader, the
-    layout of every threshold_search probe; two in eight "any", 1-4
-    traders of any kinds and holdings, which the batch may reject. width,
-    if given, is the number of replicates."""
+    layout of every threshold_search probe, where half the runs can only
+    crash through the price floor, or not at all; two in eight "any", 1-4
+    traders of any kinds and holdings, which the batch may reject. The
+    horizon is 1-80 steps; engine_cases(layout="val_mo") runs up to 300,
+    past the default 250 of a probe."""
     seed = draw(st.integers(0, 2**32))
-    if layout is None:
-        layout = draw(st.sampled_from(["population"] * 3 + ["val_mo"] * 3 + ["any"] * 2))
+    max_horizon = 300 if layout == "val_mo" else 80
+    layout = layout or draw(st.sampled_from(["population"] * 3 + ["val_mo"] * 3 + ["any"] * 2))
+    val_mo = layout == "val_mo"
     if layout != "any":
-        val_mo = layout == "val_mo"
         mo = draw(st.sampled_from([0.0, 0.1, 0.2164, 0.4, 0.9, 1.0]) | st.floats(0.0, 1.0))
         rand = 0.0 if val_mo else draw(st.sampled_from([0.0, 0.1, 0.3])) * (1.0 - mo)
         n_vals = 1 if val_mo else draw(st.integers(1, 3))
@@ -539,14 +540,14 @@ def engine_cases(draw, layout=None, width=None):
                              momentum=draw(st.floats(-0.01, 0.01)))
     impact, zeta = draw(st.sampled_from([("ratio", 1.0), ("powerlaw", 1.0), ("powerlaw", 0.8)])
                         | st.tuples(st.just("powerlaw"), st.floats(0.5, 1.5)))
-    params = MarketParams(horizon=draw(st.integers(1, 80)), impact=impact, zeta=zeta,
-                          eta=draw(st.sampled_from([0.1, 1.0, 2.0, 30.0])),
+    params = MarketParams(horizon=draw(st.integers(1, max_horizon)), impact=impact,
+                          zeta=zeta, eta=draw(st.sampled_from([0.1, 1.0, 2.0, 30.0])),
                           settlement=draw(st.sampled_from(["updated", "current"])))
     commitments = CommitmentParams(*draw(st.lists(st.floats(0.0, 1.0), min_size=6,
                                                   max_size=6)))
-    width = width or draw(st.integers(1, 3))
-    return [state] * width, params, commitments, [seed + i for i in range(width)], \
-        draw(crash_predicates)
+    crash = draw(crash_predicates | st.just(CrashPredicate.drop_below(1e-13))
+                 if val_mo else crash_predicates)
+    return [state] * width, params, commitments, [seed + i for i in range(width)], crash
 
 
 class TestRunIsChainedSteps:
