@@ -748,10 +748,15 @@ class TestRunSummaries:
         [result] = assert_engines_agree([state], MarketParams(eta=100.0, horizon=7),
                                         CommitmentParams(), [0], crash)
         assert len(result.prices) == 8
-        [message] = assert_engines_agree([state], MarketParams(eta=100.0, horizon=10),
-                                         CommitmentParams(), [0], crash,
-                                         expect="InvalidInputError: price must stay <= ")
-        assert message.endswith("got inf")
+        # beside it, a market whose Val trader also only bids, valuing the
+        # asset above e^700, crosses its lower ceiling (a larger asset total)
+        # at the same step: the batch raises the first row's error
+        lower = market_state(1.0, [Trader(0.8, 0.5, "val", valuation=1e306),
+                                   Trader(0.2, 0.8, "mo")], momentum=0.001)
+        for message in assert_engines_agree([state, lower], MarketParams(eta=100.0, horizon=10),
+                                            CommitmentParams(), [0, 1], crash,
+                                            expect="InvalidInputError: price must stay <= "):
+            assert message.endswith("got inf")
 
 
 class TestRunFindsTheFirstCrashAndBoom:
