@@ -20,7 +20,6 @@ from operator import mul, truediv
 
 import numpy as np
 
-from . import metrics
 from .engine import PRICE_FLOOR, check_state
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
@@ -237,7 +236,7 @@ def _draw_uniforms(bitgens, steps: int) -> np.ndarray:
 
 
 def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
-                  seeds, crash: "metrics.CrashPredicate") -> RunSummaries:
+                  seeds, crash: "CrashPredicate") -> RunSummaries:
     """Run each initial state for params.horizon steps, in lockstep, and
     summarise each run as run(initial, params, commitments, seed, crash)
     would, bit for bit, for its seed.

@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import __version__, analysis, config as config_mod, experiments, metrics
+from . import __version__, config as config_mod
 from .errors import ConfigError, NumericError, ValtrackError
 
 OUTDIR_ENV = "VALTRACK_OUTDIR"
@@ -32,7 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="config file with dotted keys")
     parser.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
     parser.add_argument("--workers", type=int, default=1)
@@ -42,6 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         if flag is not None:
             parser.add_argument("--" + flag.replace("_", "-"), default=None,
                                 metavar="V", help=f"override {key}")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,30 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.split("\n", 1)[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
-    p_run = sub.add_parser("run", help="single seeded simulation")
+    p_run = sub.add_parser("run", parents=common, help="single seeded simulation")
     p_run.add_argument("--svg", help="also write an SVG price chart to this name")
-    p_sweep = sub.add_parser("sweep", help="ternary sweep over trader mixes")
+    p_sweep = sub.add_parser("sweep", parents=common, help="ternary sweep over trader mixes")
     p_sweep.add_argument("--resolution", type=int, default=20)
     p_sweep.add_argument("--sweep-replicates", type=int, default=20)
     p_sweep.add_argument("--svg", help="also write an SVG crash-frequency map to this name")
-    p_grid = sub.add_parser("grid", help="commitment grid: analytic vs simulated")
+    p_grid = sub.add_parser("grid", parents=common, help="commitment grid: analytic vs simulated")
     p_grid.add_argument("--k-plus-min", type=float, default=0.02)
     p_grid.add_argument("--k-plus-max", type=float, default=0.30)
     p_grid.add_argument("--k-minus-min", type=float, default=0.02)
     p_grid.add_argument("--k-minus-max", type=float, default=0.30)
     p_grid.add_argument("--cells", type=int, default=10)
-    sub.add_parser("impact", help="threshold comparison across impact functions")
-    p_multi = sub.add_parser("multival", help="multi-valuation run with histogram")
+    sub.add_parser("impact", parents=common, help="threshold comparison across impact functions")
+    p_multi = sub.add_parser("multival", parents=common, help="multi-valuation run with histogram")
     p_multi.add_argument("--multival-n-vals", type=int, default=10)
     p_multi.add_argument("--multival-horizon", type=int, default=1000)
-    p_est = sub.add_parser("estimate", help="tracking-error estimator Monte Carlo")
+    p_est = sub.add_parser("estimate", parents=common, help="tracking-error estimator Monte Carlo")
     p_est.add_argument("--p", type=float, default=1.3)
     p_est.add_argument("--n", type=int, default=100)
     p_est.add_argument("--reps", type=int, default=10000)
-    sub.add_parser("analyze", help="fixed-point report and analytic threshold")
-    for p in sub.choices.values():
-        _add_common(p)
+    sub.add_parser("analyze", parents=common, help="fixed-point report and analytic threshold")
     return parser
 
 
@@ -143,7 +145,11 @@ def _write_svg(doc: str, cfg, args: argparse.Namespace, extra=None) -> None:
     _write_sidecar(path, cfg, args, extra)
 
 
+# Each command imports the modules it runs, so parsing a command line loads
+# none of them and a command loads only its own.
+
 def cmd_run(args, cfg) -> int:
+    from . import experiments
     result = experiments.run_once(cfg)
     out = os.path.join(_outdir(args), "run.csv")
     _write_csv(out, experiments.run_csv_rows(result))
@@ -161,6 +167,7 @@ def cmd_run(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
+    from . import experiments
     start = time.perf_counter()
     grid = experiments.ternary_sweep(cfg, args.resolution, args.sweep_replicates,
                                      workers=args.workers)
@@ -181,6 +188,7 @@ def cmd_sweep(args, cfg) -> int:
 
 
 def cmd_grid(args, cfg) -> int:
+    from . import experiments
     grid = experiments.commitment_grid(
         cfg, (args.k_plus_min, args.k_plus_max),
         (args.k_minus_min, args.k_minus_max), cells=args.cells,
@@ -195,6 +203,7 @@ def cmd_grid(args, cfg) -> int:
 
 
 def cmd_impact(args, cfg) -> int:
+    from . import experiments
     report = experiments.impact_comparison(cfg, workers=args.workers)
     out = os.path.join(_outdir(args), "impact.json")
     _write_json(out, asdict(report))
@@ -206,6 +215,7 @@ def cmd_impact(args, cfg) -> int:
 
 
 def cmd_multival(args, cfg) -> int:
+    from . import experiments
     report = experiments.multival_run(cfg, n_vals=args.multival_n_vals,
                                       horizon=args.multival_horizon)
     outdir = _outdir(args)
@@ -225,6 +235,7 @@ def cmd_multival(args, cfg) -> int:
 
 
 def cmd_estimate(args, cfg) -> int:
+    from . import metrics
     report = metrics.estimator_mc(cfg.population.gamma_shape, cfg.population.gamma_rate,
                                   args.p, args.n, args.reps, cfg.seed)
     out = os.path.join(_outdir(args), "estimator.json")
@@ -240,6 +251,7 @@ def cmd_estimate(args, cfg) -> int:
 
 
 def cmd_analyze(args, cfg) -> int:
+    from . import analysis, experiments
     constants = analysis.AnalysisConstants.from_params(cfg.market, cfg.commitments,
                                                        u=cfg.population.u)
     alpha_report = analysis.alpha_fixed_points(constants)

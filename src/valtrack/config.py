@@ -7,9 +7,30 @@ CLI flags) use the same dotted keys and win over file values.
 """
 
 import math
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig
+from .metrics import CrashPredicate
+from .params import CommitmentParams, MarketParams
+from .traders import PopulationSpec
+
+
+@dataclass(frozen=True, slots=True)
+class ExperimentConfig:
+    """Everything a seeded experiment needs."""
+
+    market: MarketParams = field(default_factory=MarketParams)
+    commitments: CommitmentParams = field(default_factory=CommitmentParams)
+    population: PopulationSpec = field(default_factory=PopulationSpec)
+    crash: CrashPredicate = field(default_factory=CrashPredicate.deciblack_drop)
+    m0: float = -0.001
+    seed: int = 0
+    replicates: int = 20   # majority vote of a stochastic bisection probe
+
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ConfigError("replicates must be >= 1")
+
 
 # dotted key -> (part of ExperimentConfig, or None for its own fields;
 #                field of that part; CLI flag, or None for --set only).

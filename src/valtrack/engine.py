@@ -50,7 +50,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import metrics
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
 from .traders import (KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES, TRADER_KINDS, MarketState,
@@ -234,7 +233,7 @@ def _start(initial: MarketState, seed: int):
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
-        seed: int, crash: "metrics.CrashPredicate",
+        seed: int, crash: "CrashPredicate",
         stop_at_crash: bool = False) -> RunResult:
     """Run params.horizon steps from the initial state, stepping one private
     copy of it in place.
@@ -273,7 +272,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
 
 
 def crash_step(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
-               seed: int, crash: "metrics.CrashPredicate") -> int | None:
+               seed: int, crash: "CrashPredicate") -> int | None:
     """run(initial, params, commitments, seed, crash, stop_at_crash=True)
     .crash_step, from the same steps but keeping no history.
 

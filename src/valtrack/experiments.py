@@ -10,11 +10,12 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
-from . import analysis, metrics
+from . import metrics
+from .config import ExperimentConfig
 from .engine import RunResult, crash_step, run
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
-from .params import CommitmentParams, MarketParams
+from .params import CommitmentParams
 from .seeding import mix_seed, rng_for
 from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
@@ -27,23 +28,6 @@ from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
 # 36.5, 37.0, 38.8, 42.3 and 49.7 MiB (BENCH_pr7.json). From 2,048 to
 # 4,096 each added MiB saves a third of what it saved from 1,024 to 2,048.
 _MAX_BATCH_RUNS = 2048
-
-
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
-    """Everything a seeded experiment needs."""
-
-    market: MarketParams = field(default_factory=MarketParams)
-    commitments: CommitmentParams = field(default_factory=CommitmentParams)
-    population: PopulationSpec = field(default_factory=PopulationSpec)
-    crash: CrashPredicate = field(default_factory=CrashPredicate.deciblack_drop)
-    m0: float = -0.001
-    seed: int = 0
-    replicates: int = 20   # majority vote of a stochastic bisection probe
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
 
 
 def _draws_nothing(population: PopulationSpec) -> bool:
@@ -291,6 +275,7 @@ class CommitmentGrid:
 
 
 def _grid_cell_task(args):
+    from . import analysis  # only the grid needs the analytic threshold
     config, k_buy, k_sell = args
     commitments = CommitmentParams(kv_buy=k_buy, kv_sell=k_sell,
                                    km_buy=k_buy, km_sell=k_sell,

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -298,6 +299,41 @@ def test_every_exported_name_resolves():
     assert [name for name in valtrack.__all__ if not hasattr(valtrack, name)] == []
 
 
+EXPORTS = [
+    "CommitmentParams", "MarketParams", "MarketState", "PopulationSpec",
+    "Trader", "init_population", "RunResult", "StepRecord", "run", "step",
+    "crash_step", "AnalysisConstants", "FixedPointReport", "ReducedState",
+    "alpha_fixed_points", "beta_fixed_points", "mo_crash_threshold_analytic",
+    "reduce", "reduced_step", "CrashPredicate", "EstimatorReport",
+    "estimator_mc", "max_relative_drop", "tau", "tau_hat", "__version__",
+]
+
+
+class TestLazyExports:
+    """The package resolves each public name on first use; what it resolves
+    to is the object its home module defines."""
+
+    def test_all_is_unchanged(self):
+        assert valtrack.__all__ == EXPORTS
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from valtrack import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTS)
+
+    def test_dir_lists_every_name(self):
+        assert set(EXPORTS) <= set(dir(valtrack))
+
+    @pytest.mark.parametrize("name", EXPORTS[:-1])
+    def test_each_name_is_its_home_modules_object(self, name):
+        value = getattr(valtrack, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            valtrack.no_such_name
+
+
 def test_option_strings_of_every_subcommand():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -402,6 +438,16 @@ def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_pat
             assert (in_process / file).read_bytes() == (fresh / file).read_bytes()
 
 
+def test_the_shared_set_option_starts_empty_on_every_parse():
+    """Every subcommand shares one --set action and its default list; a
+    parse must not see the values of an earlier one. (The test above checks
+    the same of whole main() calls.)"""
+    parser = cli._parser()
+    assert parser.parse_args(["run", "--set", "market.eta=0.2"]).sets == ["market.eta=0.2"]
+    assert parser.parse_args(["run"]).sets == []
+    assert parser.parse_args(["grid"]).sets == []
+
+
 def fresh_interpreter(code: str) -> str:
     """The last line that code prints when run in a fresh interpreter that
     imports valtrack from this checkout."""
@@ -447,6 +493,35 @@ def test_deterministic_commands_write_their_sidecars_without_numpy(tmp_path):
     sidecars = sorted(path.name for path in tmp_path.glob("*.meta.json"))
     assert sidecars == ["analysis.csv.meta.json", "grid.csv.meta.json",
                         "impact.json.meta.json", "run.csv.meta.json"]
+
+
+def test_set_up_loads_only_the_modules_it_runs():
+    """Importing the package and the CLI, building the parser and parsing a
+    config load no simulator, harness or analytic module."""
+    assert fresh_interpreter("""
+        import sys
+        import valtrack, valtrack.cli
+        from valtrack import cli
+        from valtrack.config import parse_config
+        args = cli.build_parser().parse_args(["grid", "--cells", "3"])
+        parse_config(path=args.config, overrides=cli._overrides(args))
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "valtrack"))
+    """) == str(["valtrack", "valtrack.cli", "valtrack.config", "valtrack.errors",
+                 "valtrack.metrics", "valtrack.params", "valtrack.traders"])
+
+
+@pytest.mark.parametrize("argv, loads_analysis", [
+    (["multival", "--multival-n-vals", "2", "--multival-horizon", "5"], False),
+    (["sweep", "--resolution", "1", "--sweep-replicates", "1", "--horizon", "5"], False),
+    (["grid", "--cells", "1"], True),
+], ids=["multival", "sweep", "grid"])
+def test_which_commands_load_the_analytic_module(argv, loads_analysis, tmp_path):
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli
+        assert cli.main([*{argv!r}, "--out", {str(tmp_path)!r}]) == 0
+        print("valtrack.analysis" in sys.modules)
+    """) == str(loads_analysis)
 
 
 def test_rng_info_does_not_change_when_numpy_loads():
