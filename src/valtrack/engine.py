@@ -28,7 +28,10 @@ demand at it. Both engines raise the same InvalidInputError.
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
 decide that as they step, the start first, and stop at the first crash
-when asked to (crash_step always is).
+when asked to (crash_step always is). `run` asks the predicate itself at
+every step. `crash_step` asks it only for `CrashPredicate.stop_price`,
+the largest price at which the predicate or the floor fires, once per
+run, and then compares each price with that stop price.
 
 Two engines share these rules. The scalar one steps a private copy of
 its state in place: `step` returns a new state and leaves its input as it
@@ -278,33 +281,33 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 
     The run stops at its crash: 0 for a start that already satisfies the
     predicate, else the first step where the predicate fires or the price
-    floor aborts it. A market of one Val trader and at most one Mo trader,
-    such as a bisection probe of the reference `grid` and `impact`, steps
-    in _val_mo_crash_step, which holds the holdings in locals; every other
-    market steps in the _stepper body.
+    floor aborts it, found by one comparison per step with the predicate's
+    stop price, computed once from the start. A market of one Val trader
+    and at most one Mo trader, such as a bisection probe of the reference
+    `grid` and `impact`, steps in _val_mo_crash_step, which holds the
+    holdings in locals; every other market steps in the _stepper body.
     """
     state, rng, ceiling = _start(initial, seed)
-    crash_at = crash.crash_at
-    p0 = state.price
-    if crash_at(p0, p0):
+    stop = crash.stop_price(state.price, PRICE_FLOOR)
+    if state.price <= stop:
         return 0
     if sorted(t.kind for t in state.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
-        return _val_mo_crash_step(state, params, commitments, ceiling, crash_at)
+        return _val_mo_crash_step(state, params, commitments, ceiling, stop)
     advance = _stepper(params, commitments, ceiling)
     for t in range(1, params.horizon + 1):
         advance(state, rng, False)
-        p = state.price
-        if p < PRICE_FLOOR or crash_at(p0, p):
+        if state.price <= stop:
             return t
     return None
 
 
-def _val_mo_crash_step(state, params, commitments, ceiling, crash_at):
+def _val_mo_crash_step(state, params, commitments, ceiling, stop):
     """crash_step's loop after the start for a checked state of one Val
-    trader and at most one Mo trader: the _stepper body with trader_orders'
-    Val and Mo rules inlined and the price, momentum and four holdings in
-    locals, a missing Mo trader holding 0.0. A sum of two orders is their
-    fsum but for the sign of a zero sum, which no later value reads."""
+    trader and at most one Mo trader, stopping at the first price at or
+    below stop: the _stepper body with trader_orders' Val and Mo rules
+    inlined and the price, momentum and four holdings in locals, a missing
+    Mo trader holding 0.0. A sum of two orders is their fsum but for the
+    sign of a zero sum, which no later value reads."""
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
                                      params.liquidity)
     one_minus_mu = 1.0 - mu
@@ -312,14 +315,14 @@ def _val_mo_crash_step(state, params, commitments, ceiling, crash_at):
     updated = params.settlement == SETTLE_UPDATED
     c = commitments
     kv_buy, kv_sell, km_buy, km_sell = c.kv_buy, c.kv_sell, c.km_buy, c.km_sell
-    log, exp, copysign, inf, floor = math.log, math.exp, math.copysign, math.inf, PRICE_FLOOR
+    log, exp, copysign, inf = math.log, math.exp, math.copysign, math.inf
     cv = av = cm = am = 0.0
     for trader in state.traders:
         if trader.kind == KIND_VAL:
             cv, av, u = trader.cash, trader.asset, trader.valuation
         else:
             cm, am = trader.cash, trader.asset
-    p0 = p = state.price
+    p = state.price
     m = state.momentum
     for t in range(1, params.horizon + 1):
         bv = kv_buy * cv if p < u else 0.0
@@ -373,6 +376,6 @@ def _val_mo_crash_step(state, params, commitments, ceiling, crash_at):
                 cm += sold * p_settle
         m = mu * log(p_new / p) + one_minus_mu * m
         p = p_new
-        if p < floor or crash_at(p0, p):
+        if p <= stop:
             return t
     return None

@@ -37,24 +37,25 @@ def _draws_nothing(population: PopulationSpec) -> bool:
     return population.rand_frac == 0.0 and population.valuation == VALUATION_FIXED
 
 
-def _seeded_start(config: ExperimentConfig, task_seed: int, shared=None):
-    """(initial state, engine seed) of the run with this task seed. Only
-    gamma valuations draw from the population stream, so only they build it.
+def _seeded_start(population: PopulationSpec, m0: float, task_seed: int, shared=None):
+    """(initial state, engine seed) of the run of this population and
+    starting momentum with this task seed. Only gamma valuations draw from
+    the population stream, so only they build it.
 
-    shared is None or the start of another run of this config. Fixed
+    shared is None or the start of another run of this population. Fixed
     valuations start every run from the same state, so it is returned as
     is; only a caller that leaves its states unchanged may pass one.
     """
-    gamma = config.population.valuation == VALUATION_GAMMA
+    gamma = population.valuation == VALUATION_GAMMA
     if shared is None or gamma:
-        shared = init_population(config.population, m0=config.m0,
+        shared = init_population(population, m0=m0,
                                  rng=rng_for(task_seed, 0) if gamma else None)
     return shared, mix_seed(task_seed, 1)
 
 
 def run_once(config: ExperimentConfig) -> RunResult:
     """One seeded run of the configured population."""
-    state, run_seed = _seeded_start(config, config.seed)
+    state, run_seed = _seeded_start(config.population, config.m0, config.seed)
     return run(state, config.market, config.commitments, seed=run_seed, crash=config.crash)
 
 
@@ -74,12 +75,13 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     rand_frac = config.population.rand_frac
     val_frac = 1.0 - theta - rand_frac
     population = config.population.with_mix(max(val_frac, 0.0), theta, rand_frac)
-    cfg = replace(config, population=population)
     reps = 1 if _draws_nothing(population) else config.replicates
     crashes = 0
     for rep in range(reps):
-        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, int(round(theta * 1e8)), rep))
-        if crash_step(state, cfg.market, cfg.commitments, run_seed, cfg.crash) is not None:
+        state, run_seed = _seeded_start(population, config.m0,
+                                        mix_seed(config.seed, int(round(theta * 1e8)), rep))
+        if crash_step(state, config.market, config.commitments, run_seed,
+                      config.crash) is not None:
             crashes += 1
     return 2 * crashes > reps
 
@@ -179,13 +181,14 @@ def _ternary_batch_task(args):
     for j in range(start, stop):
         index, rep = divmod(j, replicates)
         if j == start or rep == 0:
-            cfg = replace(config, population=config.population.with_mix(*points[index - first]))
+            population = config.population.with_mix(*points[index - first])
             state = None
-            same_run = _draws_nothing(cfg.population)
+            same_run = _draws_nothing(population)
         elif same_run:
             rows.append(rows[-1])
             continue
-        state, run_seed = _seeded_start(cfg, mix_seed(config.seed, index, rep), state)
+        state, run_seed = _seeded_start(population, config.m0, mix_seed(config.seed, index, rep),
+                                        state)
         rows.append(len(states))
         states.append(state)
         seeds.append(run_seed)

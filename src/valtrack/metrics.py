@@ -50,11 +50,11 @@ class CrashPredicate:
     def __post_init__(self):
         if self.kind not in (CRASH_DROP_BELOW, CRASH_RELATIVE_DROP, CRASH_DECIBLACK_DROP):
             raise ConfigError(f"unknown crash predicate {self.kind!r}")
-        if self.kind == CRASH_DROP_BELOW and self.value <= 0:
+        if self.kind == CRASH_DROP_BELOW and not self.value > 0:
             raise ConfigError("drop_below level must be > 0")
         if self.kind == CRASH_RELATIVE_DROP and not (0.0 < self.value < 1.0):
             raise ConfigError("relative_drop fraction must lie in (0, 1)")
-        if self.kind == CRASH_DECIBLACK_DROP and self.value <= 0:
+        if self.kind == CRASH_DECIBLACK_DROP and not self.value > 0:
             raise ConfigError("deciblack_drop count must be > 0")
 
     @classmethod
@@ -75,6 +75,31 @@ class CrashPredicate:
         if self.kind == CRASH_RELATIVE_DROP:
             return p / p0 <= 1.0 - self.value
         return p / p0 <= 2.0 ** (-self.value / 10.0)
+
+    def stop_price(self, p0: float, floor: float) -> float:
+        """The largest float p for which p < floor or crash_at(p0, p)
+        holds, so that p <= stop_price is the same test for every positive
+        price: both hold at every price below one where they hold, as a
+        correctly rounded p / p0 is monotone in p.
+
+        The walk starts at the kind's own boundary raised to the floor. For
+        a ratio kind that is p0 times the midpoint of its threshold r and
+        the next float up, where the rounded ratio turns from r to above
+        it, scaled by 2^600 so that a subnormal or zero r keeps its bits.
+        So the walk stays a few floats long."""
+        if self.kind == CRASH_DROP_BELOW:
+            p = self.value
+        else:
+            r = (1.0 - self.value if self.kind == CRASH_RELATIVE_DROP
+                 else 2.0 ** (-self.value / 10.0))
+            s = 2.0 ** 600
+            p = (r * s + math.nextafter(r, math.inf) * s) / 2.0 * (p0 / s)
+        p = max(p, floor)
+        while not (p < floor or self.crash_at(p0, p)):
+            p = math.nextafter(p, 0.0)
+        while self.crash_at(p0, up := math.nextafter(p, math.inf)):
+            p = up
+        return p
 
     def boom_at(self, p0: float, p: float) -> bool:
         if self.kind == CRASH_DROP_BELOW:

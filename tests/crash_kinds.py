@@ -1,5 +1,6 @@
 """The crash predicates that the engine and sweep-kernel strategies draw
-from: every kind, each at the values drawn for it."""
+from, every kind at the values drawn for it, and PriceTrace, which records
+the prices a predicate is asked about."""
 
 from hypothesis import strategies as st
 
@@ -14,3 +15,21 @@ CRASH_KINDS = {
 
 crash_predicates = st.sampled_from([make(value) for make, values in CRASH_KINDS.values()
                                     for value in values])
+
+
+class PriceTrace:
+    """A crash predicate that fires where `crash` does and records every
+    price it is asked about, those of its stop price's walk included, so
+    that two runs can be compared step by step and calls counted."""
+
+    stop_price = CrashPredicate.stop_price
+
+    def __init__(self, crash):
+        self.kind, self.value, self.crash, self.prices = crash.kind, crash.value, crash, []
+
+    def crash_at(self, p0, p):
+        self.prices.append(p)
+        return self.crash.crash_at(p0, p)
+
+    def boom_at(self, p0, p):
+        return self.crash.boom_at(p0, p)

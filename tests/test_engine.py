@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crash_kinds import crash_predicates
+from crash_kinds import PriceTrace, crash_predicates
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
 from valtrack import batch, cli, engine, experiments
@@ -324,21 +324,6 @@ def outcome(fn):
         return f"InvalidInputError: {error}"
 
 
-class PriceTrace:
-    """A crash predicate that fires where `crash` does and records every
-    price it is asked about, so that two runs can be compared step by step."""
-
-    def __init__(self, crash):
-        self.crash, self.prices = crash, []
-
-    def crash_at(self, p0, p):
-        self.prices.append(p)
-        return self.crash.crash_at(p0, p)
-
-    def boom_at(self, p0, p):
-        return self.crash.boom_at(p0, p)
-
-
 def first_index(fires, prices):
     """The first index of prices where fires(prices[0], price) holds, or None."""
     return next((i for i, p in enumerate(prices) if fires(prices[0], p)), None)
@@ -368,8 +353,11 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
       boom_step and aborted are the first indices of the chain's prices
       where they fire.
     - crash_step, which steps a Val/Mo market in its own loop, returns the
-      chain's first crash, or else its error, and asks the predicate about
-      the prices that run asks it about.
+      chain's first crash, or else its error. Where the run neither raises
+      nor aborts, crash_step with a drop below the chain's lowest price
+      after the start, and with a drop below the next float up, returns
+      that predicate's first index over the chain's prices: this pins the
+      lowest price and its first step bit for bit.
     - run_summaries gives each state the summary row of its run, alone and
       between two rows of another layout: one more Val trader, without a
       Rand trader before the states and with one of their mode after them.
@@ -395,7 +383,7 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
         """(run's outcome, crash_step's, and None or (the step at which the
         run raises, 0 at its start, and whether a demand check raises)); with
         row_only, only run's outcome of a run that does not raise"""
-        run_trace, step_trace = PriceTrace(crash), PriceTrace(crash)
+        run_trace = PriceTrace(crash)
         result = outcome(lambda: run(state, params, commitments, seed, run_trace))
         if row_only and not isinstance(result, str):
             return result, None, None
@@ -437,7 +425,7 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
             assert all(t.cash >= 0.0 and t.asset >= 0.0 for t in current.traders)
 
         rejected = isinstance(outcome(lambda: engine.check_state(state)), str)
-        stopped = outcome(lambda: engine.crash_step(state, params, commitments, seed, step_trace))
+        stopped = outcome(lambda: engine.crash_step(state, params, commitments, seed, crash))
         if rejected:
             assert stopped == raised
         else:
@@ -451,8 +439,12 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
                 assert (result.crash_step, result.boom_step, result.aborted) == (
                     crashed, first_index(crash.boom_at, prices), aborted)
             assert stopped == (raised if crashed is None else crashed)
-        assert bits(step_trace.prices) == bits(run_trace.prices) == bits(
-            prices[:len(run_trace.prices)])
+            if not (raised or aborted):
+                low = min(prices[1:])
+                for pinned in map(CrashPredicate.drop_below, (low, math.nextafter(low, math.inf))):
+                    assert engine.crash_step(state, params, commitments, seed, pinned) == (
+                        first_index(pinned.crash_at, prices))
+        assert bits(run_trace.prices) == bits(prices[:len(run_trace.prices)])
         fails_at = raised and (0 if rejected else len(records) + 1,
                                raised.startswith("InvalidInputError: demand"))
         return result, stopped, fails_at
@@ -679,6 +671,21 @@ class TestCrashStep:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_stepper", generic)
             outcome(lambda: engine.crash_step(states[0], params, commitments, seeds[0], crash))
+
+    @pytest.mark.parametrize("spec", [
+        PopulationSpec(val_fracs=(0.9,), mo_frac=0.1),
+        PopulationSpec(val_fracs=(0.8,), mo_frac=0.1, rand_frac=0.1),
+    ], ids=["val mo", "val mo rand"])
+    def test_predicate_calls_do_not_grow_with_the_horizon(self, spec):
+        # both runs go the whole horizon without a crash, in the two-trader
+        # loop and in the generic one
+        state, calls = init_population(spec, m0=-0.001), []
+        for horizon in (250, 2500):
+            trace = PriceTrace(CrashPredicate.deciblack_drop())
+            assert engine.crash_step(state, MarketParams(horizon=horizon), CommitmentParams(), 0,
+                                     trace) is None
+            calls.append(len(trace.prices))
+        assert calls[0] == calls[1] <= 4
 
     @pytest.mark.parametrize("spec", [
         PopulationSpec(val_fracs=(0.7,), mo_frac=0.2, rand_frac=0.1),

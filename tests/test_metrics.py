@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crash_kinds import PriceTrace
 from valtrack.errors import ConfigError, DomainError
 from valtrack.metrics import (CrashPredicate, estimator_mc, max_relative_drop,
                               price_level_histogram, tau, tau_hat,
@@ -99,6 +100,42 @@ class TestDetectors:
             CrashPredicate.drop_below(-1.0)
         with pytest.raises(ConfigError):
             CrashPredicate("nonsense", 0.5)
+
+    @pytest.mark.parametrize("make", [CrashPredicate.drop_below, CrashPredicate.relative_drop,
+                                      CrashPredicate.deciblack_drop])
+    def test_a_nan_value_is_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make(math.nan)
+
+
+FLOOR = 1e-12  # engine.PRICE_FLOOR
+
+
+class TestStopPrice:
+    """stop_price(p0, floor) is the largest float at which the predicate or
+    the floor fires, found in at most 4 crash_at calls: the stop price fires
+    and the float above it does not."""
+
+    @given(crash=st.floats(5e-324, 1e300).map(CrashPredicate.drop_below)
+           | (st.floats(0.0, 1e-16, exclude_min=True)
+              | st.floats(1.0 - 1e-16, 1.0, exclude_max=True)
+              | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+              ).map(CrashPredicate.relative_drop)
+           | st.floats(5e-324, 1e5).map(CrashPredicate.deciblack_drop),
+           p0=st.floats(FLOOR, 1e300))
+    # a ratio threshold that is subnormal, 2^-1025.1, or 0 once the ratio underflows
+    @example(crash=CrashPredicate.deciblack_drop(10251.0), p0=1e300)
+    @example(crash=CrashPredicate.deciblack_drop(16000.0), p0=1e300)
+    @example(crash=CrashPredicate.relative_drop(math.nextafter(1.0, 0.0)), p0=1e300)
+    @example(crash=CrashPredicate.drop_below(5e-324), p0=FLOOR)
+    @example(crash=CrashPredicate.drop_below(1e300), p0=FLOOR)
+    @settings(max_examples=500, deadline=None)
+    def test_the_stop_price_fires_and_the_next_float_up_does_not(self, crash, p0):
+        trace = PriceTrace(crash)
+        stop = trace.stop_price(p0, FLOOR)
+        assert len(trace.prices) <= 4
+        above = math.nextafter(stop, math.inf)
+        assert [p < FLOOR or crash.crash_at(p0, p) for p in (stop, above)] == [True, False]
 
 
 class TestTauHat:
