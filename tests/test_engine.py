@@ -338,8 +338,8 @@ def bits(values):
 
 def summary_row(result):
     """The row batch.run_summaries gives the run of this RunResult."""
-    return (min(result.prices), result.crash_step is not None, result.boom_step is not None,
-            result.aborted, len(result.prices) - 1)
+    return (min(result.prices), max(result.prices), result.crash_step is not None,
+            result.boom_step is not None, result.aborted, len(result.prices) - 1)
 
 
 def assert_engines_agree(states, params, commitments, seeds, crash, expect=None):
@@ -464,8 +464,8 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
 
     def batched(rows):
         s = batch.run_summaries(all_states[rows], params, commitments, all_seeds[rows], crash)
-        return list(zip(s.min_price.tolist(), s.crashed.tolist(), s.boomed.tolist(),
-                        s.aborted.tolist(), s.steps.tolist()))
+        return list(zip(s.min_price.tolist(), s.max_price.tolist(), s.crashed.tolist(),
+                        s.boomed.tolist(), s.aborted.tolist(), s.steps.tolist()))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -730,7 +730,7 @@ class TestRunSummaries:
         results = assert_engines_agree(states, MarketParams(eta=30.0, horizon=10),
                                        CommitmentParams(), [0, 1, 2],
                                        CrashPredicate.drop_below(1e-13))
-        assert [summary_row(r)[3:] for r in results] == [(True, 1), (False, 10), (True, 4)]
+        assert [summary_row(r)[4:] for r in results] == [(True, 1), (False, 10), (True, 4)]
 
     def test_an_aborted_row_places_no_order_at_its_frozen_price(self):
         # at eta = 705 the Mo seller takes the price from 1e-12 to about
@@ -743,7 +743,7 @@ class TestRunSummaries:
         results = assert_engines_agree(states, MarketParams(eta=705.0, horizon=10),
                                        CommitmentParams(kr_buy=0.0), [0, 1],
                                        CrashPredicate.drop_below(1e-13))
-        assert summary_row(results[0])[1:] == (True, False, True, 1)
+        assert summary_row(results[0])[2:] == (True, False, True, 1)
         assert summary_row(results[0])[0] == pytest.approx(6.6434e-319, rel=1e-4)
 
     def test_a_price_overflow_raises_what_run_raises(self):
@@ -938,7 +938,7 @@ def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
     record = result.records[0]
     assert record.q_p > 0.0 and record.q_p / record.q_s == 0.0 and not record.cap_hit
     assert record.new_price == math.exp(params.lam * (math.log(record.q_p) - math.log(record.q_s)))
-    assert result.crash_step == 1 and summary_row(result)[1:] == (True, False, True, 1)
+    assert result.crash_step == 1 and summary_row(result)[2:] == (True, False, True, 1)
 
 
 def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():

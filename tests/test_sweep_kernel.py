@@ -6,8 +6,10 @@ run_once per replicate, aggregated per point. Every TernaryPoint must be
 identical, not merely close.
 """
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from crash_kinds import crash_predicates
 from valtrack import batch, experiments, metrics
+from valtrack.engine import run
 from valtrack.experiments import (ExperimentConfig, TernaryPoint, run_once,
                                   simplex_points, ternary_sweep)
 from valtrack.metrics import CrashPredicate
@@ -103,6 +106,21 @@ def test_price_floor_aborts_are_masked_and_count_as_crashes():
     assert grid.steps < grid.runs * config.market.horizon
 
 
+def recorded_batches(monkeypatch):
+    """A list that gets (initials, seeds, summaries) of each batch that
+    batch.run_summaries steps from now on."""
+    batches = []
+    run_summaries = batch.run_summaries
+
+    def recording(initials, params, commitments, seeds, crash):
+        summaries = run_summaries(initials, params, commitments, seeds, crash)
+        batches.append((initials, seeds, summaries))
+        return summaries
+
+    monkeypatch.setattr(batch, "run_summaries", recording)
+    return batches
+
+
 CAP = experiments._MAX_BATCH_RUNS
 
 
@@ -121,28 +139,28 @@ def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates, val
         val_fracs=(0.5, 0.5), valuation=valuation, rand_mode="refined"))
     expected = scalar_sweep(config, 3, replicates)
     monkeypatch.setattr(experiments, "_MAX_BATCH_RUNS", batch)
+    batches_run = recorded_batches(monkeypatch)
     grid = ternary_sweep(config, resolution=3, replicates=replicates)
     assert grid.points == expected
     assert grid.aborted_runs == scalar_aborts(config, 3, replicates)
     batches = -(-grid.runs // batch)
     assert (grid.batches, grid.batch_runs) == (batches, -(-grid.runs // batches))
+    # the highest price of each run, which no TernaryPoint reads
+    for initials, seeds, summaries in batches_run:
+        assert summaries.max_price.tolist() == [
+            max(run(state, config.market, config.commitments, seed, config.crash).prices)
+            for state, seed in zip(initials, seeds)]
 
 
 @pytest.mark.parametrize("valuation, simulated", [("fixed", 12), ("gamma", 18)])
 def test_each_distinct_run_is_simulated_once(monkeypatch, valuation, simulated):
     # at resolution 2 three of the six points have no random trader; with
     # fixed valuations each of their three replicates is the same run
-    widths = []
-    run_summaries = batch.run_summaries
-
-    def recording(initials, *args, **kwargs):
-        widths.append(len(initials))
-        return run_summaries(initials, *args, **kwargs)
-
-    monkeypatch.setattr(batch, "run_summaries", recording)
+    batches = recorded_batches(monkeypatch)
     config = replace(abort_config(), population=PopulationSpec(valuation=valuation,
                                                                rand_mode="refined"))
     grid = ternary_sweep(config, resolution=2, replicates=3)
+    widths = [len(initials) for initials, _, _ in batches]
     assert (widths, grid.runs, grid.batch_runs) == ([simulated], 18, 18)
     assert grid.points == scalar_sweep(config, 2, 3)
 
@@ -169,8 +187,9 @@ def test_results_do_not_depend_on_worker_count():
 
 def test_uniform_draws_match_generator_uniform():
     k = 0.1
-    bitgens = [np.random.PCG64(seed) for seed in (0, 1, 2**63)]
-    draws = batch._draw_uniforms(bitgens + [None], steps=3)
+    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in (0, 1, 2**63)]
+    draws = np.zeros((4, 6))
+    batch._draw_uniforms(generators + [None], draws)
     for seed, row in zip((0, 1, 2**63), draws):
         rng = np.random.Generator(np.random.PCG64(seed))
         assert (k * row).tolist() == [rng.uniform(0.0, k) for _ in range(6)]
@@ -183,8 +202,9 @@ finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=8)))
 def test_exact_row_sums_equal_fsum(rows):
-    sums = batch._exact_row_sums(np.array(rows, dtype=float))
-    assert sums.tolist() == [math.fsum(row) for row in rows]
+    x, sums = batch._exact_row_sums(len(rows), len(rows[0]))
+    x[...] = rows
+    assert sums().tolist() == [math.fsum(row) for row in rows]
 
 
 def test_exact_row_sums_fall_back_where_the_error_terms_round():
@@ -192,5 +212,23 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
     rows = [[-8.897103545586257e+23, -4.625128280207544e+21, 3.10521607160941e+22,
              1.0746473120468017e+22, -8.430287510477103e-23],
             [0.1, 0.2, 0.3, 0.4, 0.5]]
-    sums = batch._exact_row_sums(np.array(rows))
-    assert sums.tolist() == [math.fsum(row) for row in rows]
+    x, sums = batch._exact_row_sums(2, 5)
+    x[...] = rows
+    assert sums().tolist() == [math.fsum(row) for row in rows]
+
+
+# the numpy names the kernel may use; each further ufunc or reduction
+# faults in another 64-128 KiB of numpy's machine code (batch.py), and peak
+# RSS is one of the sweep's end-to-end costs, so a new name is a reviewed
+# change of this list
+KERNEL_NUMPY_NAMES = {
+    "add", "array", "count_nonzero", "divide", "empty", "empty_like", "equal", "errstate",
+    "flatnonzero", "fromiter", "full", "greater", "less", "maximum", "minimum", "multiply",
+    "ndarray", "ones", "random", "where", "zeros"}
+
+
+def test_the_kernel_uses_only_its_listed_numpy_names():
+    tree = ast.parse(Path(batch.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert used == KERNEL_NUMPY_NAMES

@@ -202,14 +202,17 @@ class TestBatchOrders:
     def test_equals_the_scalar_rules_kind_by_kind(self, markets, k):
         commitments = CommitmentParams(*k)
         states = [state for state, _ in markets]
-        cash, asset, valuations, critical, rand_rows, rand_mode = batch_layout(states)
-        uniforms = np.zeros((len(states), 2))
-        for row, (_, seed) in zip(uniforms, markets):
-            row[:] = np.random.Generator(np.random.PCG64(seed)).random(2)
-        bids, offers = np.full_like(cash, np.nan), np.full_like(cash, np.nan)
-        batch_orders(bids, offers, np.array([s.price for s in states]),
-                     np.array([s.momentum for s in states]), cash, asset, valuations,
-                     critical, rand_mode, uniforms, commitments)
+        hold, valuations, critical, rand_rows, rand_mode = batch_layout(states)
+        n = len(states)
+        uniforms = np.zeros((2, n))  # bid draws above offer draws
+        for i, (_, seed) in enumerate(markets):
+            uniforms[:, i] = np.random.Generator(np.random.PCG64(seed)).random(2)
+        flow = np.full_like(hold, np.nan)
+        bids, offers = flow[:n], flow[n:]
+        p = np.array([s.price for s in states])
+        m = np.array([s.momentum for s in states])
+        orders = batch_orders(flow, hold, valuations, critical, rand_mode, commitments)
+        orders(np.array([np.ones(n), p, -p]), np.array([m, -m]), uniforms)
         n_vals = valuations.shape[1]
         for i, (state, seed) in enumerate(markets):
             want = {}
