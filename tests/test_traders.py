@@ -231,6 +231,13 @@ class TestBatchOrders:
                 bid, offer = want.get(col, (0.0, 0.0))
                 assert (bids[i, col].hex(), offers[i, col].hex()) == (bid.hex(), offer.hex())
 
+    @pytest.mark.parametrize("n", [1, 2, 126])
+    def test_np_minimum_returns_its_second_operand_on_a_tie(self, n):
+        # batch_orders writes Python's min(x, y), which returns x on a tie,
+        # as np.minimum(y, x); 0.0 and -0.0 tie and tell the operands apart
+        x, y = np.array([0.0, -0.0] * n), np.array([-0.0, 0.0] * n)
+        assert [math.copysign(1.0, v) for v in np.minimum(y, x).tolist()] == [1.0, -1.0] * n
+
 
 class TestSampleGamma:
     """Gamma-distributed valuations, as init_population draws them."""
