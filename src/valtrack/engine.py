@@ -21,9 +21,11 @@ Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
 traders where it enters `run`, `step`, `crash_step` or
 `batch.run_summaries`, and bounds the totals so that every order flow and,
-up to the state's price ceiling, every asset value stays finite. So a step
-checks only its new price against the ceiling, and below the floor the
-demand at it. Both engines raise the same InvalidInputError.
+up to the state's price ceiling, every asset value stays finite. The
+ceiling comes from the state's recorded total asset, which no step
+changes, so every entry point gives a run one ceiling. So a step checks
+only its new price against the ceiling, and below the floor the demand at
+it. Both engines raise the same InvalidInputError.
 
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
@@ -33,18 +35,23 @@ every step. `crash_step` asks it only for `CrashPredicate.stop_price`,
 the largest price at which the predicate or the floor fires, once per
 run, and then compares each price with that stop price.
 
+A crash_step probe thus stops in one of three ways: at its crash, at the
+horizon, or, in the two-trader loop below, at the first step that places
+no order, with the answer "no crash", which that step certifies exactly
+(see `_val_mo_crash_step`).
+
 Two engines share these rules. The scalar one steps a private copy of
 its state in place: `step` returns a new state and leaves its input as it
 was, `run` records every step, and `crash_step` keeps no history and
 returns only what a threshold bisection reads, run(..., stop_at_crash=True)
 .crash_step. A crash_step market of one Val trader and at most one Mo
 trader, the layout of the bisection probes of `grid` and `impact` at the
-reference setup, steps in `_val_mo_crash_step`, which keeps the price,
-momentum and four holdings in locals and inlines the two order rules: a
-general trader count cannot have locals, and they more than halve the
-cost of a step. `_stepper` stays the only body of `step`, `run` (the
-oracle of both loops) and every other crash_step market, with a Rand
-trader or more than one Val trader. The other engine is the batched
+reference setup, steps in `_val_mo_crash_step`, which reads its start
+without a copy, keeps the price, momentum and four holdings in locals and
+inlines the two order rules: a general trader count cannot have locals,
+and they more than halve the cost of a step. `_stepper` stays the only
+body of `step`, `run` (the oracle of both loops) and every other
+crash_step market, with a Rand trader or more than one Val trader. The other engine is the batched
 kernel of `batch`, with `run` as its oracle.
 """
 
@@ -106,12 +113,19 @@ def check_state(state: MarketState) -> float:
     holdings >= 0, known trader kinds and random-trader modes, and totals
     that keep every order flow finite, cash <= MAX_TOTAL_CASH and asset <=
     MAX_TOTAL_ASSET: a bid is at most its trader's cash, an offer at most
-    its asset, and a live price at least the floor. At or below the
-    ceiling, the price at which the total asset is worth MAX_ASSET_VALUE
-    (at most the largest float), every asset value, wealth and refined
-    random-trader reference stays finite, so no zero commitment times an
-    infinite reference makes a NaN order. Each factor 2 absorbs the
-    rounding drift of the totals; a run keeps its start's ceiling."""
+    its asset, and a live price at least the floor.
+
+    The ceiling is the price at which the state's recorded total_asset
+    (at least 0.5) is worth MAX_ASSET_VALUE, half the largest float. The
+    recorded total does not drift, so every state of a run has its start's
+    ceiling, whichever entry point checks it. The holdings must sum to at
+    most 1.5 times that total, so at or below the ceiling they are worth
+    at most 3/4 of the largest float: with the cash, bounded by a 1e-12
+    share of it, every asset value, wealth and refined random-trader
+    reference stays finite, and no zero commitment times an infinite
+    reference makes a NaN order. At twice the total a reference can
+    overflow. The margins absorb the rounding drift of the holdings, as
+    each factor 2 of the bounds does that of the totals."""
     if not (state.price >= PRICE_FLOOR and math.isfinite(state.momentum)):
         raise InvalidInputError(f"need a price >= {PRICE_FLOOR} and a finite momentum, "
                                 f"got {state.price}, {state.momentum}")
@@ -127,7 +141,11 @@ def check_state(state: MarketState) -> float:
         asset += t.asset
     if not (cash <= MAX_TOTAL_CASH and asset <= MAX_TOTAL_ASSET):
         raise InvalidInputError(f"total cash {cash} or asset {asset} is above its bound")
-    ceiling = MAX_ASSET_VALUE / max(asset, 0.5)
+    recorded = max(state.total_asset, 0.5)
+    if not asset <= 1.5 * recorded:  # a NaN total fails here too
+        raise InvalidInputError(f"asset holdings {asset} exceed 1.5 times the recorded "
+                                f"total {state.total_asset}")
+    ceiling = MAX_ASSET_VALUE / recorded
     if not state.price <= ceiling:
         raise InvalidInputError(f"price must stay <= {ceiling}, got {state.price}")
     return ceiling
@@ -223,16 +241,14 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     return new_state, _stepper(params, commitments, ceiling)(new_state, rng, True)
 
 
-def _start(initial: MarketState, seed: int):
-    """(a private copy of a checked initial state, the run's PCG64
-    generator, its price ceiling), the generator built only for a state
-    with a random trader. Only then is numpy imported, so a deterministic
-    run never loads it."""
-    ceiling = check_state(initial)
-    if not any(t.kind == KIND_RAND for t in initial.traders):
-        return initial.copy(), None, ceiling
+def _generator(state: MarketState, seed: int):
+    """The run's PCG64 generator, built only for a state with a random
+    trader. Only then is numpy imported, so a deterministic run never
+    loads it."""
+    if not any(t.kind == KIND_RAND for t in state.traders):
+        return None
     import numpy as np
-    return initial.copy(), np.random.Generator(np.random.PCG64(seed)), ceiling
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -247,7 +263,8 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     stops at its crash, the start included, which shortens the recorded
     series. Raises InvalidInputError on an initial state check_state rejects.
     """
-    state, rng, ceiling = _start(initial, seed)
+    ceiling = check_state(initial)
+    state, rng = initial.copy(), _generator(initial, seed)
     crash_at, boom_at = crash.crash_at, crash.boom_at
     p0 = state.price
     prices = [p0]
@@ -284,15 +301,19 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     floor aborts it, found by one comparison per step with the predicate's
     stop price, computed once from the start. A market of one Val trader
     and at most one Mo trader, such as a bisection probe of the reference
-    `grid` and `impact`, steps in _val_mo_crash_step, which holds the
-    holdings in locals; every other market steps in the _stepper body.
+    `grid` and `impact`, steps in _val_mo_crash_step, which reads the
+    checked start without copying it and holds the holdings in locals; it
+    also stops, with None, at the first step that places no order, from
+    which nothing changes again. Every other market steps a copy of the
+    start in the _stepper body until its crash or the horizon.
     """
-    state, rng, ceiling = _start(initial, seed)
-    stop = crash.stop_price(state.price, PRICE_FLOOR)
-    if state.price <= stop:
+    ceiling = check_state(initial)
+    stop = crash.stop_price(initial.price, PRICE_FLOOR)
+    if initial.price <= stop:
         return 0
-    if sorted(t.kind for t in state.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
-        return _val_mo_crash_step(state, params, commitments, ceiling, stop)
+    if sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
+        return _val_mo_crash_step(initial, params, commitments, ceiling, stop)
+    state, rng = initial.copy(), _generator(initial, seed)
     advance = _stepper(params, commitments, ceiling)
     for t in range(1, params.horizon + 1):
         advance(state, rng, False)
@@ -303,11 +324,25 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 
 def _val_mo_crash_step(state, params, commitments, ceiling, stop):
     """crash_step's loop after the start for a checked state of one Val
-    trader and at most one Mo trader, stopping at the first price at or
-    below stop: the _stepper body with trader_orders' Val and Mo rules
-    inlined and the price, momentum and four holdings in locals, a missing
-    Mo trader holding 0.0. A sum of two orders is their fsum but for the
-    sign of a zero sum, which no later value reads."""
+    trader and at most one Mo trader, which it reads and leaves as it was,
+    stopping at the first price at or below stop: the _stepper body with
+    trader_orders' Val and Mo rules inlined and the price, momentum and
+    four holdings in locals, a missing Mo trader holding 0.0. A sum of two
+    orders is their fsum but for the sign of a zero sum, which no later
+    value reads.
+
+    It also stops, with None, at the first step whose four orders are all
+    zero: total_bid and q_s are 0.0, tested on total_bid rather than on
+    q_p, which can underflow to 0 for a positive bid. From such a step on
+    nothing changes that an order reads, so no order is ever placed again
+    and the run never crashes:
+    - no flow moves the price by exp(0.0) == 1.0, so p stays above stop;
+    - no order settles, so no holding moves;
+    - m becomes mu * log(1.0) + (1 - mu) * m, of m's sign or 0: the Mo
+      trader, silent at m with its holdings, stays silent, and so does the
+      Val trader, which reads only the unchanged p and holdings;
+    - the price stays at or below the ceiling, and a zero bid makes a zero
+      demand, so no step raises either."""
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
                                      params.liquidity)
     one_minus_mu = 1.0 - mu
@@ -330,8 +365,10 @@ def _val_mo_crash_step(state, params, commitments, ceiling, stop):
         bm = km_buy * cm if m > 0.0 else 0.0
         om = km_sell * am if m < 0.0 else 0.0
         total_bid = bv + bm
-        q_p = total_bid / p
         q_s = ov + om
+        if total_bid == 0.0 and q_s == 0.0:
+            return None
+        q_p = total_bid / p
         if not ratio:
             imbalance = q_p - q_s
             try:

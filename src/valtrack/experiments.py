@@ -37,25 +37,30 @@ def _draws_nothing(population: PopulationSpec) -> bool:
     return population.rand_frac == 0.0 and population.valuation == VALUATION_FIXED
 
 
-def _seeded_start(population: PopulationSpec, m0: float, task_seed: int, shared=None):
+def _seeded_start(population: PopulationSpec, m0: float, shared, seed: int, *indices: int):
     """(initial state, engine seed) of the run of this population and
-    starting momentum with this task seed. Only gamma valuations draw from
-    the population stream, so only they build it.
+    starting momentum with task seed mix_seed(seed, *indices). A population
+    that draws nothing derives no seed: its engine seed is 0, which the
+    engine never reads. Only gamma valuations draw from the population
+    stream, so only they build it.
 
     shared is None or the start of another run of this population. Fixed
     valuations start every run from the same state, so it is returned as
     is; only a caller that leaves its states unchanged may pass one.
     """
-    gamma = population.valuation == VALUATION_GAMMA
-    if shared is None or gamma:
-        shared = init_population(population, m0=m0,
-                                 rng=rng_for(task_seed, 0) if gamma else None)
+    if _draws_nothing(population):
+        return (init_population(population, m0=m0) if shared is None else shared), 0
+    task_seed = mix_seed(seed, *indices)
+    if population.valuation == VALUATION_GAMMA:
+        shared = init_population(population, m0=m0, rng=rng_for(task_seed, 0))
+    elif shared is None:
+        shared = init_population(population, m0=m0)
     return shared, mix_seed(task_seed, 1)
 
 
 def run_once(config: ExperimentConfig) -> RunResult:
     """One seeded run of the configured population."""
-    state, run_seed = _seeded_start(config.population, config.m0, config.seed)
+    state, run_seed = _seeded_start(config.population, config.m0, None, config.seed)
     return run(state, config.market, config.commitments, seed=run_seed, crash=config.crash)
 
 
@@ -70,7 +75,10 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     a random trader or gamma valuations the majority outcome over
     config.replicates wins, and a tie (an even replicate count split
     evenly) counts as no crash. Each run is a summary-only
-    engine.crash_step that stops at the crash.
+    engine.crash_step, which stops at the crash, at the horizon, or, for
+    one Val and at most one Mo trader, at the first step that places no
+    order. A deterministic probe builds its population and start and
+    nothing else: no seed, no generator and no copy of the start.
     """
     rand_frac = config.population.rand_frac
     val_frac = 1.0 - theta - rand_frac
@@ -78,8 +86,8 @@ def _crash_outcome(config: ExperimentConfig, theta: float) -> bool:
     reps = 1 if _draws_nothing(population) else config.replicates
     crashes = 0
     for rep in range(reps):
-        state, run_seed = _seeded_start(population, config.m0,
-                                        mix_seed(config.seed, int(round(theta * 1e8)), rep))
+        state, run_seed = _seeded_start(population, config.m0, None, config.seed,
+                                        int(round(theta * 1e8)), rep)
         if crash_step(state, config.market, config.commitments, run_seed,
                       config.crash) is not None:
             crashes += 1
@@ -187,8 +195,7 @@ def _ternary_batch_task(args):
         elif same_run:
             rows.append(rows[-1])
             continue
-        state, run_seed = _seeded_start(population, config.m0, mix_seed(config.seed, index, rep),
-                                        state)
+        state, run_seed = _seeded_start(population, config.m0, state, config.seed, index, rep)
         rows.append(len(states))
         states.append(state)
         seeds.append(run_seed)

@@ -17,7 +17,8 @@ oracle.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import ConfigError
 from .params import CommitmentParams
@@ -170,10 +171,16 @@ class PopulationSpec:
     def with_mix(self, val_frac: float, mo_frac: float, rand_frac: float,
                  n_vals: int | None = None) -> "PopulationSpec":
         """Same spec with a new wealth split; val_frac is divided evenly
-        across n_vals valuation traders (default: keep the current count)."""
+        across n_vals valuation traders (default: keep the current count).
+        Built by the constructor, which checks it, at half the cost of
+        dataclasses.replace: a threshold bisection builds one per probe."""
         n = self.n_vals if n_vals is None else n_vals
-        return replace(self, val_fracs=tuple([val_frac / n] * n),
-                       mo_frac=mo_frac, rand_frac=rand_frac)
+        return PopulationSpec(tuple([val_frac / n] * n), mo_frac, rand_frac,
+                              *_unsplit_fields(self))
+
+
+# The fields of a PopulationSpec after its wealth split, in field order.
+_unsplit_fields = attrgetter(*[f.name for f in fields(PopulationSpec)][3:])
 
 
 def init_population(spec: PopulationSpec, m0: float = 0.0,

@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from valtrack import (CommitmentParams, MarketParams, MarketState,
 from valtrack import batch, cli, engine, experiments
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
-from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES
+from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES, trader_orders
 
 
 def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
@@ -348,10 +349,9 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
     RunResult, or the message of the InvalidInputError it raises.
 
     - A chain of `step` calls records what `run` records, bit for bit, and
-      raises where `run` raises, with its message but for the price ceiling,
-      which `step` takes from the state it is given; run's crash_step,
-      boom_step and aborted are the first indices of the chain's prices
-      where they fire.
+      raises where `run` raises, with its message: every state of a run
+      has its start's price ceiling. run's crash_step, boom_step and
+      aborted are the first indices of the chain's prices where they fire.
     - crash_step, which steps a Val/Mo market in its own loop, returns the
       chain's first crash, or else its error. Where the run neither raises
       nor aborts, crash_step with a drop below the chain's lowest price
@@ -401,11 +401,7 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
         prices = [s.price for s in chain]
         raised = result if isinstance(result, str) else None
         if raised:
-            # step checks each state it is given, so a chain's price ceiling
-            # follows the rounding drift of the asset total; run keeps its
-            # start's
-            assert error == raised or error == raised.replace(
-                repr(engine.check_state(state)), repr(engine.check_state(chain[-1])))
+            assert error == raised
         else:
             assert not error and (
                 bits(result.prices), bits(result.momenta),
@@ -594,6 +590,23 @@ class TestInvariantSweep:
                                  CrashPredicate.relative_drop(0.3))
 
 
+def counted_steps(fn, limit=1000):
+    """(fn(), the steps it took), counted as the calls of exp in engine:
+    each step of either scalar loop calls it once. A step past the limit
+    fails at once, so a loop that keeps stepping cannot hang the test."""
+    steps = 0
+
+    def exp(x):
+        nonlocal steps
+        steps += 1
+        assert steps <= limit, f"more than {limit} steps"
+        return math.exp(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
+        return fn(), steps
+
+
 def bench_grid_probes(tmp_path):
     """The crash_step calls of one bench `grid` iteration: `grid --cells 3`
     at both settlements and `impact`, with bench/configs/grid.conf."""
@@ -637,9 +650,42 @@ class TestCrashStep:
                              CommitmentParams(), [0], CrashPredicate.relative_drop(0.3),
                              expect="InvalidInputError: total cash")
 
+    @pytest.mark.parametrize("state", [
+        init_population(PopulationSpec(), m0=-0.001), two_trader_state(m0=0.0),
+    ], ids=["val at its valuation", "val mo at zero momentum"])
+    def test_an_order_free_start_stops_without_stepping(self, state):
+        # each step calls exp once; a start that places no order never
+        # places one, so even a horizon of 10**9 steps takes none
+        assert counted_steps(lambda: engine.crash_step(
+            state, MarketParams(horizon=10**9), CommitmentParams(), 0,
+            CrashPredicate.relative_drop(0.3))) == (None, 0)
+        assert counted_steps(lambda: engine.crash_step(
+            two_trader_state(), MarketParams(horizon=3), CommitmentParams(), 0,
+            CrashPredicate.relative_drop(0.3))) == (None, 3)
+
+    def test_a_market_that_empties_both_sides_stops_mid_run(self):
+        # the Val trader's whole cash buys the Mo trader's whole asset at
+        # an unmoved price: both sides fill at step 1, and from step 2 on
+        # neither holds what it would order
+        state = market_state(1.0, [Trader(1.0, 0.0, "val", valuation=2.0),
+                                   Trader(0.0, 1.0, "mo")], momentum=-0.001)
+        params = MarketParams(horizon=20)
+        [result] = assert_engines_agree([state], params, ALL_IN, [0],
+                                        CrashPredicate.drop_below(0.5))
+        assert [(r.q_p, r.q_s, r.executed) for r in result.records[:2]] == [
+            (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
+        assert counted_steps(lambda: engine.crash_step(
+            state, params, ALL_IN, 0, CrashPredicate.drop_below(0.5))) == (None, 1)
+
     def test_every_probe_of_a_bench_grid_iteration_matches_run(self, tmp_path):
         probes = bench_grid_probes(tmp_path)
         assert len(probes) == 273
+        # the theta = 0 end of each of the 21 bisections (18 cells and 3
+        # impact searches) is a Val trader alone at its valuation
+        assert sum(all(order == 0.0 for trader in state.traders
+                       for order in trader_orders(trader, state.price, state.momentum,
+                                                  commitments, None))
+                   for state, _, commitments, _, _ in probes) == 21
         # the probes of one cell share their params: batch them together
         cells = {}
         for state, params, commitments, seed, crash in probes:
@@ -842,6 +888,26 @@ def test_holdings_whose_orders_can_overflow_are_rejected():
                                Trader(1e308, 0.0, "mo")], momentum=0.001)
     assert_engines_agree([state], MarketParams(), CommitmentParams(kv_buy=1.0, km_buy=1.0), [0],
                          CrashPredicate.relative_drop(0.3), expect="InvalidInputError: total cash")
+
+
+def test_holdings_above_the_recorded_total_step_finitely_up_to_a_bound():
+    # at the ceiling, the largest float for a recorded total of 0.5, asset
+    # holdings of 1.5 times that total are worth 3/4 of it: with 1e295
+    # cash, the refined Rand trader's reference wealth stays finite, and
+    # its zero buy commitment times it bids 0. At twice the total the
+    # reference overflows to inf, and 0 * inf would bid NaN.
+    def state(asset):
+        trader = Trader(1e295, asset, "rand", rand_mode="refined")
+        return MarketState(sys.float_info.max, 0.0, [trader], total_cash=1e295, total_asset=0.5)
+
+    params, commitments = MarketParams(horizon=3), CommitmentParams(kr_buy=0.0, kr_sell=0.5)
+    [result] = assert_engines_agree([state(0.75)], params, commitments, [0],
+                                    CrashPredicate.relative_drop(0.3))
+    assert engine.check_state(state(0.75)) == sys.float_info.max
+    assert result.prices[-1] < result.prices[0] and all(map(math.isfinite, result.prices))
+    assert_engines_agree([state(math.nextafter(0.75, math.inf))], params, commitments, [0],
+                         CrashPredicate.relative_drop(0.3),
+                         expect="InvalidInputError: asset holdings 0.75")
 
 
 def test_holdings_at_the_bounds_step_with_finite_flows():

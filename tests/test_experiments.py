@@ -15,7 +15,7 @@ from valtrack.experiments import (ExperimentConfig, commitment_grid,
                                   ternary_sweep, threshold_search)
 from valtrack.metrics import CrashPredicate
 from valtrack.params import MarketParams
-from valtrack.traders import PopulationSpec
+from valtrack.traders import MarketState, PopulationSpec
 
 
 def base_config(**kw):
@@ -68,6 +68,29 @@ class TestThresholdSearch:
         cfg = base_config()
         with pytest.raises(ConfigError, match="tol"):
             threshold_search(cfg, tol=tol)
+
+    def test_a_deterministic_probe_builds_only_what_it_steps(self, monkeypatch):
+        # no seed, no generator and no copy of the start; one crash_step
+        # call, through the module's global, per _crash_outcome call
+        def unused(*args):
+            raise AssertionError("a deterministic probe built what it never reads")
+
+        calls = {"probes": 0, "runs": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("mix_seed", "rng_for"):
+            monkeypatch.setattr(experiments, name, unused)
+        monkeypatch.setattr(MarketState, "copy", unused)
+        monkeypatch.setattr(experiments, "_crash_outcome",
+                            counted("probes", experiments._crash_outcome))
+        monkeypatch.setattr(experiments, "crash_step", counted("runs", experiments.crash_step))
+        assert 0.2160 < threshold_search(base_config()) <= 0.2170
+        assert calls["probes"] == calls["runs"] > 10
 
     def test_replicate_majority_with_random_trader(self):
         pop = PopulationSpec(val_fracs=(0.8,), rand_frac=0.2)
