@@ -6,7 +6,7 @@ below the price floor keeps its row and places no orders. The batched
 kernel reproduces `engine.run` bit for bit, and `run` is its test oracle.
 `batch_layout` lays the markets of a batch out as arrays and
 `batch_orders` states the Val, Mo and Rand rules over them, with
-`traders.trader_orders` as its oracle.
+`traders.population_orders` as its oracle.
 
 This is the only module of the package that imports numpy when it is
 imported; `experiments` imports it where a sweep runs its batches, so the
@@ -160,12 +160,12 @@ def batch_orders(flow, hold, valuations, critical, rand_mode, commitments: Commi
     prices stacks the rows 1, p and -p of the markets' prices p, momenta
     the rows m and -m of their momenta, and uniforms the two draws on
     [0, 1) that each market's random trader takes this step, bid draws
-    above offer draws. Each order equals what traders.trader_orders returns
-    for its trader, bit for bit: the same expressions in the same order,
-    with comparisons and np.where for the branches, and np.minimum(y, x) for
-    min(x, y): like min, it returns x where the two compare equal, as 0.0
-    and -0.0 do. The random trader's column is written only when rand_mode
-    is set.
+    above offer draws. Each order equals what traders.population_orders
+    returns for its trader, bit for bit: the same expressions in the same
+    order, with comparisons and np.where for the branches, and
+    np.minimum(y, x) for min(x, y): like min, it returns x where the two
+    compare equal, as 0.0 and -0.0 do. The random trader's column is
+    written only when rand_mode is set.
     """
     c = commitments
     n, n_vals = valuations.shape

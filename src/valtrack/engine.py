@@ -11,11 +11,15 @@ ratio in the price update is dimensionless. Natural logarithms throughout.
 
 The scalar step is written in the body `_stepper` builds for a run with
 the run's constants bound, and once more in crash_step's two-trader loop
-(below). It takes the uncapped log move of the order flow (infinite for
-one-sided ratio-power flow, 0 for no flow), caps it at +-eta, moves the
-price by the capped value and sets cap_hit from the uncapped one.
-One-sided order flow thus moves the price at the cap; zero flow on both
-sides leaves it unchanged.
+(below). The body takes a step's orders from one call of
+`traders.population_orders`, whose random traders call the draw it is
+given: `rng.random` in `step`, and in `run` and `crash_step` the run's
+`_draw`, which takes its generator's uniforms DRAW_BLOCK at a time, the
+same sequence. It takes the
+uncapped log move of the order flow (infinite for one-sided ratio-power
+flow, 0 for no flow), caps it at +-eta, moves the price by the capped
+value and sets cap_hit from the uncapped one. One-sided order flow thus
+moves the price at the cap; zero flow on both sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
@@ -58,17 +62,22 @@ kernel of `batch`, with `run` as its oracle.
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
 from .traders import (KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES, TRADER_KINDS, MarketState,
-                      trader_orders)
+                      population_orders)
 
 PRICE_FLOOR = 1e-12
 MAX_TOTAL_CASH = PRICE_FLOOR * sys.float_info.max / 2.0
 MAX_TOTAL_ASSET = sys.float_info.max / 2.0
 MAX_ASSET_VALUE = sys.float_info.max / 2.0
+# Uniforms a run takes from its generator per call. A block of them is the
+# sequence of single draws bit for bit; a fixed size keeps what a run draws
+# beyond its last step, and holds in memory, small whatever its horizon.
+DRAW_BLOCK = 256
 
 
 class StepRecord(NamedTuple):
@@ -153,9 +162,10 @@ def check_state(state: MarketState) -> float:
 
 def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float):
     """The step of a run with these constants and check_state's price
-    ceiling: advance(state, rng, record) steps a valid state in place (a
+    ceiling: advance(state, draw, record) steps a valid state in place (a
     checked state that nothing else holds, or the output of a previous
-    advance) and returns its record if asked.
+    advance) and returns its record if asked. The orders come from one
+    population_orders call, whose random traders call draw().
 
     Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
     flow, or |(q_p - q_s)/liquidity|^zeta signed by the imbalance for
@@ -171,16 +181,12 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
     one_minus_mu = 1.0 - mu
     ratio = params.impact == IMPACT_RATIO
     updated = params.settlement == SETTLE_UPDATED
-    orders = trader_orders
+    orders = population_orders(commitments)
     fsum, log, exp, copysign, inf = math.fsum, math.log, math.exp, math.copysign, math.inf
 
-    def advance(state, rng, record):
+    def advance(state, draw, record):
         p, m, traders = state.price, state.momentum, state.traders
-        bids, offers = [], []
-        for trader in traders:
-            bid, offer = orders(trader, p, m, commitments, rng)
-            bids.append(bid)
-            offers.append(offer)
+        bids, offers = orders(traders, p, m, draw)
         total_bid = fsum(bids)
         q_p = total_bid / p
         q_s = fsum(offers)
@@ -238,17 +244,21 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     if rng is None and any(t.kind == KIND_RAND for t in state.traders):
         raise InvalidInputError("random trader present but no rng supplied")
     new_state = state.copy()
-    return new_state, _stepper(params, commitments, ceiling)(new_state, rng, True)
+    draw = None if rng is None else rng.random
+    return new_state, _stepper(params, commitments, ceiling)(new_state, draw, True)
 
 
-def _generator(state: MarketState, seed: int):
-    """The run's PCG64 generator, built only for a state with a random
-    trader. Only then is numpy imported, so a deterministic run never
-    loads it."""
+def _draw(state: MarketState, seed: int):
+    """The run's draw(): the next uniform on [0, 1) of its PCG64 stream,
+    taken from the generator DRAW_BLOCK at a time as the run needs them, the
+    uniforms of Generator.random() calls bit for bit. Built only for a state
+    with a random trader; only then is numpy imported, so a deterministic
+    run never loads it."""
     if not any(t.kind == KIND_RAND for t in state.traders):
         return None
     import numpy as np
-    return np.random.Generator(np.random.PCG64(seed))
+    blocks = map(np.random.Generator(np.random.PCG64(seed)).random, repeat(DRAW_BLOCK))
+    return chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -264,7 +274,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     series. Raises InvalidInputError on an initial state check_state rejects.
     """
     ceiling = check_state(initial)
-    state, rng = initial.copy(), _generator(initial, seed)
+    state, draw = initial.copy(), _draw(initial, seed)
     crash_at, boom_at = crash.crash_at, crash.boom_at
     p0 = state.price
     prices = [p0]
@@ -278,7 +288,7 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     for i in range(1, params.horizon + 1):
         if aborted or stop_at_crash and crashed is not None:
             break
-        records.append(advance(state, rng, True))
+        records.append(advance(state, draw, True))
         p = state.price
         prices.append(p)
         momenta.append(state.momentum)
@@ -313,10 +323,10 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
         return 0
     if sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
         return _val_mo_crash_step(initial, params, commitments, ceiling, stop)
-    state, rng = initial.copy(), _generator(initial, seed)
+    state, draw = initial.copy(), _draw(initial, seed)
     advance = _stepper(params, commitments, ceiling)
     for t in range(1, params.horizon + 1):
-        advance(state, rng, False)
+        advance(state, draw, False)
         if state.price <= stop:
             return t
     return None
@@ -326,7 +336,7 @@ def _val_mo_crash_step(state, params, commitments, ceiling, stop):
     """crash_step's loop after the start for a checked state of one Val
     trader and at most one Mo trader, which it reads and leaves as it was,
     stopping at the first price at or below stop: the _stepper body with
-    trader_orders' Val and Mo rules inlined and the price, momentum and
+    population_orders' Val and Mo rules inlined and the price, momentum and
     four holdings in locals, a missing Mo trader holding 0.0. A sum of two
     orders is their fsum but for the sign of a zero sum, which no later
     value reads.

@@ -221,6 +221,10 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     points = simplex_points(resolution)
     n_runs = len(points) * replicates
     pool = _pool_size(workers, n_runs)
+    if pool > 1:
+        # loaded before the pool forks its workers, which then share numpy
+        # instead of each importing it
+        from . import batch  # noqa: F401
     n_batches = pool * -(-n_runs // (pool * _MAX_BATCH_RUNS))
     bounds = [i * n_runs // n_batches for i in range(n_batches + 1)]
     tasks = [(config, replicates, start, stop,
@@ -385,7 +389,7 @@ def multival_run(config: ExperimentConfig, n_vals: int = 10,
     valuations = tuple(t.valuation for t in state.traders if t.kind == KIND_VAL)
     hist = metrics.price_level_histogram(result.prices, valuations)
     mean_val = math.fsum(valuations) / len(valuations)
-    max_tau = max(metrics.tau(p, mean_val) for p in result.prices)
+    max_tau = _max_tau(result.prices, mean_val)
 
     val_idx = [i for i, t in enumerate(state.traders) if t.kind == KIND_VAL]
     w0 = [result.wealth[0][i] for i in val_idx]
@@ -394,6 +398,16 @@ def multival_run(config: ExperimentConfig, n_vals: int = 10,
                           max_tau_vs_mean=max_tau,
                           val_wealth_var_start=_variance(w0),
                           val_wealth_var_end=_variance(w1))
+
+
+def _max_tau(prices, u: float) -> float:
+    """max(metrics.tau(p, u) for p in prices) for the prices of a run, which
+    are positive and finite, in one pass: tau checks u and log2(u) is taken
+    once, so each price costs only tau's own arithmetic."""
+    metrics.tau(prices[0], u)
+    log2 = math.log2
+    log2_u = log2(u)
+    return max([abs(log2(p) - log2_u) for p in prices])
 
 
 def _variance(xs):
@@ -419,17 +433,14 @@ def grid_csv_rows(grid: CommitmentGrid):
 
 
 def run_csv_rows(result: RunResult):
-    n_traders = len(result.wealth[0])
+    prices, momenta, wealth = result.prices, result.momenta, result.wealth
     yield (["time", "price", "momentum", "q_p", "q_s", "executed", "cap_hit"]
-           + [f"wealth_{i}" for i in range(n_traders)])
-    yield ([repr(0), repr(result.prices[0]), repr(result.momenta[0]),
-            repr(0.0), repr(0.0), repr(0.0), "0"]
-           + [repr(w) for w in result.wealth[0]])
+           + [f"wealth_{i}" for i in range(len(wealth[0]))])
+    yield [repr(0), repr(prices[0]), repr(momenta[0]), repr(0.0), repr(0.0), repr(0.0), "0",
+           *map(repr, wealth[0])]
     for t, rec in enumerate(result.records, start=1):
-        yield ([repr(t), repr(result.prices[t]), repr(result.momenta[t]),
-                repr(rec.q_p), repr(rec.q_s), repr(rec.executed),
-                "1" if rec.cap_hit else "0"]
-               + [repr(w) for w in result.wealth[t]])
+        yield [repr(t), repr(prices[t]), repr(momenta[t]), repr(rec.q_p), repr(rec.q_s),
+               repr(rec.executed), "1" if rec.cap_hit else "0", *map(repr, wealth[t])]
 
 
 def fixed_point_csv_rows(kv_buy: float, km_sell: float, report, theta: float):

@@ -11,9 +11,9 @@ Three trader kinds share one record type:
 Exact ties (price equal to valuation, zero momentum) produce no order: the
 dynamics are discontinuous there and no-order is the neutral choice.
 
-`trader_orders` states these rules for one trader; `batch.batch_orders`
-states them as arrays for the batched kernel, with `trader_orders` as its
-oracle.
+`population_orders` states these rules for a list of traders, their one
+scalar statement; `batch.batch_orders` states them as arrays for the
+batched kernel, with `population_orders` as its oracle.
 """
 
 import math
@@ -78,41 +78,50 @@ class MarketState:
         return sum(t.asset for t in self.traders)
 
 
-def trader_orders(trader: Trader, price: float, momentum: float,
-                  commitments: CommitmentParams,
-                  rng: "np.random.Generator | None") -> tuple[float, float]:
-    """One trader's orders at this price and momentum, as (bid cash, offer
-    asset), by the rule of its kind. The trader is one engine.check_state
-    accepts, and a random trader needs an rng.
+def population_orders(commitments: CommitmentParams):
+    """The order rules with these commitments, as orders(traders, price,
+    momentum, draw): the bids (cash) and offers (asset) of a list of
+    traders at this price and momentum, each by the rule of its kind, as
+    two lists. The traders are ones engine.check_state accepts, and draw()
+    returns the next uniform on [0, 1); only a random trader calls it.
 
-    A random trader draws its bid first; k * rng.random() is
-    rng.uniform(0.0, k) bit for bit. The refined one references
-    marked-to-market wealth, or the lower of its cash and asset value once
-    either dips below its critical level: this removes the downward price
-    pressure of holding-proportional orders when assets outweigh cash.
+    A random trader draws its bid first; k * draw() is uniform(0.0, k) bit
+    for bit. The refined one references marked-to-market wealth, or the
+    lower of its cash and asset value once either dips below its critical
+    level: this removes the downward price pressure of holding-proportional
+    orders when assets outweigh cash.
     """
-    cash, asset = trader.cash, trader.asset
-    if trader.kind == KIND_VAL:
-        if price > trader.valuation:
-            return 0.0, commitments.kv_sell * asset
-        if price < trader.valuation:
-            return commitments.kv_buy * cash, 0.0
-        return 0.0, 0.0
-    if trader.kind == KIND_MO:
-        if momentum > 0.0:
-            return commitments.km_buy * cash, 0.0
-        if momentum < 0.0:
-            return 0.0, commitments.km_sell * asset
-        return 0.0, 0.0
-    if trader.rand_mode == RAND_REFINED:
-        asset_value = asset * price
-        reference = cash + asset_value
-        if cash < trader.critical_cash or asset_value < trader.critical_asset:
-            reference = min(cash, asset_value)
-        return (min(commitments.kr_buy * rng.random() * reference, cash),
-                min(commitments.kr_sell * rng.random() * reference / price, asset))
-    return (commitments.kr_buy * rng.random() * cash,
-            commitments.kr_sell * rng.random() * asset)
+    c = commitments
+    kv_buy, kv_sell, km_buy, km_sell, kr_buy, kr_sell = (
+        c.kv_buy, c.kv_sell, c.km_buy, c.km_sell, c.kr_buy, c.kr_sell)
+
+    def orders(traders, price, momentum, draw):
+        bids, offers = [], []
+        for trader in traders:
+            kind = trader.kind
+            if kind == KIND_VAL:
+                u = trader.valuation
+                bid = kv_buy * trader.cash if price < u else 0.0
+                offer = kv_sell * trader.asset if price > u else 0.0
+            elif kind == KIND_MO:
+                bid = km_buy * trader.cash if momentum > 0.0 else 0.0
+                offer = km_sell * trader.asset if momentum < 0.0 else 0.0
+            elif trader.rand_mode == RAND_REFINED:
+                cash, asset = trader.cash, trader.asset
+                asset_value = asset * price
+                reference = cash + asset_value
+                if cash < trader.critical_cash or asset_value < trader.critical_asset:
+                    reference = min(cash, asset_value)
+                bid = min(kr_buy * draw() * reference, cash)
+                offer = min(kr_sell * draw() * reference / price, asset)
+            else:
+                bid = kr_buy * draw() * trader.cash
+                offer = kr_sell * draw() * trader.asset
+            bids.append(bid)
+            offers.append(offer)
+        return bids, offers
+
+    return orders
 
 
 @dataclass(frozen=True, slots=True)

@@ -510,6 +510,34 @@ def test_set_up_loads_only_the_modules_it_runs():
                  "valtrack.metrics", "valtrack.params", "valtrack.traders"])
 
 
+def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
+    """A sweep on more than one process imports valtrack.batch, and so
+    numpy, in the parent before the pool forks its workers, which then do
+    not import them again."""
+    assert fresh_interpreter("""
+        import concurrent.futures, os, sys
+        from valtrack import experiments
+        from valtrack.config import parse_config
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                print(max_workers, "valtrack.batch" in sys.modules, "numpy" in sys.modules)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        concurrent.futures.ProcessPoolExecutor = SerialPool
+        os.cpu_count = lambda: 2
+        experiments.ternary_sweep(parse_config(), 1, 2, workers=2)
+    """) == "2 True True"
+
+
 @pytest.mark.parametrize("argv, loads_analysis", [
     (["multival", "--multival-n-vals", "2", "--multival-horizon", "5"], False),
     (["sweep", "--resolution", "1", "--sweep-replicates", "1", "--horizon", "5"], False),

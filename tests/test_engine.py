@@ -18,7 +18,7 @@ from valtrack import (CommitmentParams, MarketParams, MarketState,
 from valtrack import batch, cli, engine, experiments
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
-from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES, trader_orders
+from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES, population_orders
 
 
 def two_trader_state(theta=0.216, p0=1.0, m0=-0.001, rho=4.0):
@@ -405,9 +405,12 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
         else:
             assert not error and (
                 bits(result.prices), bits(result.momenta),
-                bits(v for r in result.records for v in r), repr(result.final_state)) == (
+                bits(v for r in result.records for v in r),
+                bits(w for row in result.wealth for w in row), repr(result.final_state)) == (
                 bits(prices), bits(s.momentum for s in chain),
-                bits(v for r in records for v in r), repr(chain[-1]))
+                bits(v for r in records for v in r),
+                bits(t.cash + t.asset * s.price for s in chain for t in s.traders),
+                repr(chain[-1]))
 
         up, down = math.exp(params.eta), math.exp(-params.eta)
         cash, asset = state.cash_sum(), state.asset_sum()
@@ -548,6 +551,44 @@ class TestRunIsChainedSteps:
         assert_engines_agree(*case)
 
 
+class TestDrawBlocks:
+    """run and crash_step take their uniforms from the generator
+    engine.DRAW_BLOCK at a time; a chain of step calls draws them one at a
+    time from rng.random. Three random traders of both modes draw six
+    uniforms a step, so 400 steps cross nine block boundaries, and the last
+    block is drawn in part."""
+
+    @staticmethod
+    def state():
+        traders = [Trader(0.3, 1.2, "val", valuation=0.5), Trader(0.2, 0.8, "mo"),
+                   Trader(0.2, 0.8, "rand"),
+                   Trader(0.2, 0.8, "rand", rand_mode="refined", critical_cash=0.04,
+                          critical_asset=0.16),
+                   Trader(0.1, 0.4, "rand")]
+        return market_state(1.0, traders, momentum=-0.001)
+
+    def test_run_and_crash_step_equal_chained_steps_across_blocks(self):
+        # the oracle pins crash_step at the run's lowest price, which this
+        # falling market reaches at step 396, 2,376 draws in
+        params = MarketParams(horizon=400)
+        [result] = assert_engines_agree([self.state()], params, CommitmentParams(), [0],
+                                        CrashPredicate.drop_below(1e-9))
+        assert not result.aborted
+        assert result.prices.index(min(result.prices)) * 6 > 3 * engine.DRAW_BLOCK
+
+    def test_an_early_crash_at_an_unbounded_horizon_returns_at_once(self):
+        # what a run draws does not grow with its horizon: a block of 2e12
+        # uniforms would not fit in memory
+        prices = run(self.state(), MarketParams(horizon=5), CommitmentParams(), 0,
+                     CrashPredicate.drop_below(1e-9)).prices
+        assert prices[3] < min(prices[:3])
+        crash = CrashPredicate.drop_below(math.nextafter(prices[3], math.inf))
+        params = MarketParams(horizon=10**12)
+        result = run(self.state(), params, CommitmentParams(), 0, crash, stop_at_crash=True)
+        assert (result.crash_step, result.prices) == (3, prices[:4])
+        assert engine.crash_step(self.state(), params, CommitmentParams(), 0, crash) == 3
+
+
 class TestCapHit:
     """Over markets of 1-4 traders of any kinds and holdings, each step
     moves the price within e^+-eta, by exactly e^+-eta where cap_hit is set."""
@@ -682,9 +723,8 @@ class TestCrashStep:
         assert len(probes) == 273
         # the theta = 0 end of each of the 21 bisections (18 cells and 3
         # impact searches) is a Val trader alone at its valuation
-        assert sum(all(order == 0.0 for trader in state.traders
-                       for order in trader_orders(trader, state.price, state.momentum,
-                                                  commitments, None))
+        assert sum(all(order == 0.0 for orders in population_orders(commitments)(
+                           state.traders, state.price, state.momentum, None) for order in orders)
                    for state, _, commitments, _, _ in probes) == 21
         # the probes of one cell share their params: batch them together
         cells = {}

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from valtrack import experiments
+from valtrack import experiments, metrics
 from valtrack.config import parse_config
-from valtrack.errors import ConfigError
+from valtrack.errors import ConfigError, DomainError
 from valtrack.experiments import (ExperimentConfig, commitment_grid,
                                   grid_csv_rows, impact_comparison,
                                   multival_run, run_csv_rows, run_once,
@@ -293,6 +293,25 @@ class TestMultival:
         result = multival_run(cfg, n_vals=10, horizon=1000).result
         assert result.crash_step == 296
         assert result.prices[296] <= 0.7 * result.prices[0] < min(result.prices[:296])
+
+    def test_max_tau_is_the_largest_tau_against_the_mean_valuation(self):
+        pop = PopulationSpec(val_fracs=(0.05,) * 10, mo_frac=0.3, rand_frac=0.2,
+                             valuation="gamma", rand_mode="refined")
+        for seed in range(10):
+            cfg = base_config(population=pop, m0=0.0, seed=seed,
+                              crash=CrashPredicate.relative_drop(0.30))
+            report = multival_run(cfg, n_vals=10, horizon=200)
+            mean = math.fsum(report.valuations) / len(report.valuations)
+            assert report.max_tau_vs_mean == max(metrics.tau(p, mean)
+                                                 for p in report.result.prices)
+
+    @pytest.mark.parametrize("mean", [0.0, -1.0, math.inf, math.nan])
+    def test_max_tau_rejects_a_mean_as_tau_does(self, mean):
+        with pytest.raises(DomainError) as tau_error:
+            metrics.tau(1.0, mean)
+        with pytest.raises(DomainError) as error:
+            experiments._max_tau([1.0, 0.5], mean)
+        assert str(error.value) == str(tau_error.value)
 
     def test_one_valuation_trader_is_rejected_before_the_run(self, monkeypatch):
         monkeypatch.setattr(experiments, "run_once", lambda cfg: pytest.fail("simulated"))

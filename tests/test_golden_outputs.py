@@ -62,6 +62,11 @@ GOLDEN_COMMANDS = {
     "run, power-law impact, current settlement": (
         [*RUN, "--impact", "powerlaw", "--zeta", "0.8", "--settlement", "current"],
         {"run.csv": "12be7f66c6f4933737265c7c89ea09ecfa081f6a22b04eb9fad91ca74551e611"}),
+    # 2,400 draws of the random trader: more than one of the engine's
+    # blocks of uniforms, recorded while it still drew them one at a time
+    "run, 1,200 steps of a refined random trader": (
+        [*RUN[:-4], "--horizon", "1200", "--seed", "4"],
+        {"run.csv": "e8d80f47cd3a312abaae5b0ab304f253be988e17403606ed615a3f3abaa72687"}),
     "grid": (
         ["grid", "--cells", "2", "--seed", "3"],
         {"grid.csv": "50c43c98366287150d98cd68f4cf9a73e7f182175082e8688400c64da37c7cd4"}),

@@ -9,9 +9,16 @@ from valtrack import PopulationSpec, init_population
 from valtrack.errors import ConfigError
 from valtrack.params import CommitmentParams
 from valtrack.batch import batch_layout, batch_orders
-from valtrack.traders import MarketState, Trader, trader_orders
+from valtrack.traders import MarketState, Trader, population_orders
 
 K = CommitmentParams()  # every commitment 0.1
+
+
+def trader_orders(trader, price, momentum, commitments, rng):
+    """population_orders for one trader, as (bid, offer), drawing from rng."""
+    (bid,), (offer,) = population_orders(commitments)(
+        [trader], price, momentum, None if rng is None else rng.random)
+    return bid, offer
 
 
 def val(cash, asset, u):
@@ -154,18 +161,26 @@ class TestRandDraws:
     def test_match_generator_uniform_bit_for_bit(self, seed, cash, asset, p, cash_floor,
                                                  asset_floor, kb, ks, calls):
         rng = np.random.Generator(np.random.PCG64(seed))
+        population_rng = np.random.Generator(np.random.PCG64(seed))
         oracle = np.random.Generator(np.random.PCG64(seed))
         commitments = CommitmentParams(kr_buy=kb, kr_sell=ks)
         # floors up to twice the holding reach both reference branches
         floors = (cash_floor * cash, asset_floor * asset * p)
         basic, refined_trader = Trader(cash, asset, "rand"), refined(cash, asset, *floors)
+        orders = population_orders(commitments)
         for _ in range(calls):
             got = (*trader_orders(basic, p, 0.0, commitments, rng),
                    *trader_orders(refined_trader, p, 0.0, commitments, rng))
+            # a population draws trader by trader, each bid before its offer
+            (bid, refined_bid), (offer, refined_offer) = orders(
+                [basic, refined_trader], p, 0.0, population_rng.random)
             want = (*uniform_basic(cash, asset, kb, ks, oracle),
                     *uniform_refined(cash, asset, p, *floors, kb, ks, oracle))
             assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert rng.bit_generator.state == oracle.bit_generator.state
+            assert [x.hex() for x in (bid, offer, refined_bid, refined_offer)] == [
+                x.hex() for x in want]
+        assert (rng.bit_generator.state == population_rng.bit_generator.state
+                == oracle.bit_generator.state)
 
 
 holding = st.one_of(st.just(0.0), st.floats(0, 1e6))
