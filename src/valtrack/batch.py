@@ -20,9 +20,10 @@ from operator import mul
 
 import numpy as np
 
-from .engine import PRICE_FLOOR, check_state
+from .engine import PRICE_FLOOR, _powerlaw_move, check_state
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
+from .seeding import generator
 from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_REFINED
 
 # run_summaries matches run bit for bit because it keeps the scalar path's
@@ -269,22 +270,13 @@ def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, floats, *(repeat(a) for a in args)), float, len(floats))
 
 
-def _powerlaw_move(imbalance: float, liquidity: float, zeta: float) -> float:
-    """The scalar path's uncapped power-law move of one run, in Python
-    floats, whose division overflows to inf without numpy's warning."""
-    try:
-        return math.copysign(abs(imbalance / liquidity) ** zeta, imbalance)
-    except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
-        return math.copysign(math.inf, imbalance)
-
-
 def _draw_uniforms(generators, block: np.ndarray) -> None:
     """Fill row i of block with the next uniforms on [0, 1) of generator i,
     as its scalar run draws them (k * u is uniform(0, k)); a run without a
     random trader has no generator (None) and keeps its row."""
-    for generator, row in zip(generators, block):
-        if generator is not None:
-            generator.random(out=row)
+    for stream, row in zip(generators, block):
+        if stream is not None:
+            stream.random(out=row)
 
 
 class _PriceRows:
@@ -361,8 +353,7 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     aborted = np.zeros(n, dtype=bool)
     n_aborted = 0
     steps = np.full(n, horizon)
-    generators = [np.random.Generator(np.random.PCG64(s)) if r else None
-                  for s, r in zip(seeds, rand_rows)]
+    generators = [generator(s) if r else None for s, r in zip(seeds, rand_rows)]
     block = np.zeros((n, 2 * _RNG_BLOCK_STEPS))
     uniforms = None
 
@@ -396,7 +387,7 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
                                      for r, a, b in zip(ratios, *sides.tolist())])
                 moves = np.where(empty, one_sided_moves, 0.0)
                 move = lam * logs + (moves[0] + moves[1])
-            else:
+            else:  # in Python floats, whose division overflows without a warning
                 move = _libm(_powerlaw_move, q[0] - q[1], params.liquidity, params.zeta)
             move = np.maximum(np.minimum(move, eta), -eta)
             p_new = list(map(mul, p, map(math.exp, move.tolist())))

@@ -1,6 +1,12 @@
 """Command-line interface.
 
 Subcommands: run, sweep, grid, impact, multival, estimate, analyze.
+This module writes every output file: the CSV schemas (the *_csv_rows
+generators) and one writer, `_write`, which puts a data file and its
+sidecar into the output directory. main() resolves and creates that
+directory before a command runs, so an unusable one is a configuration
+error before any work is done.
+
 Every output file gets a JSON sidecar (<name>.meta.json) carrying the full
 resolved configuration, the command's own sizes (sweep resolution and
 replicates, grid cells and k bounds, multival horizon and n_vals, estimator
@@ -11,8 +17,9 @@ engine simulated, which count a repeated run once per batch, aborted runs,
 engine batches and the widest batch's runs, wall time, simulated steps/s)
 that changes between runs; it is not part of the reproducible output.
 
-Exit codes: 0 success, 2 configuration error, 3 any other valtrack error
-(numeric failure, invalid input, domain error).
+Exit codes: 0 success, 2 configuration error (an unusable output directory
+included), 3 any other valtrack error (numeric failure, invalid input,
+domain error).
 """
 
 import argparse
@@ -98,51 +105,85 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _outdir(args: argparse.Namespace) -> str:
+    """The output directory, --out or else $VALTRACK_OUTDIR or else ., which
+    is created if it is missing; raises ConfigError if it cannot be."""
     out = args.out or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out!r}: {exc.strerror}") from None
     return out
 
 
-def _write_csv(path: str, rows) -> None:
-    """Write rows of strings as comma-separated lines ending in CRLF,
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(args: argparse.Namespace, cfg, name: str, content, extra=None) -> str:
+    """Write the output file `name` into the output directory and its
+    sidecar, and return its path. content is the file's text, or its CSV
+    rows: rows of strings, written as comma-separated lines ending in CRLF,
     streamed row by row.
 
     No field may contain ',', '"' or a line break, and no row may be one
-    empty field. Every producer yields repr() numbers and validated
+    empty field. The schemas below yield only repr() numbers and validated
     identifiers, so csv.writer's minimal quoting would never apply and the
     file is byte for byte what csv.writer writes.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_sidecar(path: str, cfg, args: argparse.Namespace, extra=None) -> None:
     from .seeding import rng_info
-    payload = {
-        "output": os.path.basename(path),
-        "command": args.command,
-        "config": config_mod.config_values(cfg),
-        "master_seed": cfg.seed,
-        "code_version": __version__,
-        "rng": rng_info(),
-    }
-    if extra:
-        payload.update(extra)
-    _write_json(path + ".meta.json", payload)
+    path = os.path.join(args.out, name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            fh.writelines(",".join(row) + "\r\n" for row in content)
+    sidecar = {"output": os.path.basename(path), "command": args.command,
+               "config": config_mod.config_values(cfg), "master_seed": cfg.seed,
+               "code_version": __version__, "rng": rng_info(), **(extra or {})}
+    with open(path + ".meta.json", "w", newline="", encoding="utf-8") as fh:
+        fh.write(_json(sidecar))
+    return path
 
 
-def _write_svg(doc: str, cfg, args: argparse.Namespace, extra=None) -> None:
-    """Write an SVG document and its sidecar to the --svg name."""
-    path = os.path.join(_outdir(args), args.svg)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    _write_sidecar(path, cfg, args, extra)
+# --- CSV schemas ---------------------------------------------------------------
+
+def ternary_csv_rows(grid):
+    yield ["val_frac", "mo_frac", "rand_frac", "mean_drop", "crash_freq", "boom_freq"]
+    for p in grid.points:
+        yield [repr(p.val_frac), repr(p.mo_frac), repr(p.rand_frac),
+               repr(p.mean_drop), repr(p.crash_freq), repr(p.boom_freq)]
+
+
+def grid_csv_rows(grid):
+    yield ["k_buy", "k_sell", "theta_analytic", "theta_sim", "settlement"]
+    for c in grid.cells:
+        yield [repr(c.k_buy), repr(c.k_sell), repr(c.theta_analytic),
+               repr(c.theta_sim), c.settlement]
+
+
+def run_csv_rows(result):
+    """The header, the start and one row per step of an engine.RunResult."""
+    prices, momenta, wealth = result.prices, result.momenta, result.wealth
+    yield (["time", "price", "momentum", "q_p", "q_s", "executed", "cap_hit"]
+           + [f"wealth_{i}" for i in range(len(wealth[0]))])
+    yield [repr(0), repr(prices[0]), repr(momenta[0]), repr(0.0), repr(0.0), repr(0.0), "0",
+           *map(repr, wealth[0])]
+    for t, rec in enumerate(result.records, start=1):
+        yield [repr(t), repr(prices[t]), repr(momenta[t]), repr(rec.q_p), repr(rec.q_s),
+               repr(rec.executed), "1" if rec.cap_hit else "0", *map(repr, wealth[t])]
+
+
+def fixed_point_csv_rows(kv_buy: float, km_sell: float, report, theta: float):
+    """The header and the one row (kv_buy, km_sell, alpha_minus, exists, theta)."""
+    yield ["kv_buy", "km_sell", "alpha_minus", "exists", "theta"]
+    yield [repr(kv_buy), repr(km_sell), repr(report.selected),
+           "1" if report.exists else "0", repr(theta)]
+
+
+def histogram_csv_rows(hist):
+    yield ["bin_center_sd", "relative_frequency"]
+    for c, f in zip(hist.bin_centers, hist.frequencies):
+        yield [repr(c), repr(f)]
 
 
 # Each command imports the modules it runs, so parsing a command line loads
@@ -151,13 +192,11 @@ def _write_svg(doc: str, cfg, args: argparse.Namespace, extra=None) -> None:
 def cmd_run(args, cfg) -> int:
     from . import experiments
     result = experiments.run_once(cfg)
-    out = os.path.join(_outdir(args), "run.csv")
-    _write_csv(out, experiments.run_csv_rows(result))
-    _write_sidecar(out, cfg, args)
+    out = _write(args, cfg, "run.csv", run_csv_rows(result))
     if args.svg:
         from . import svg  # only --svg needs it and its xml import
-        _write_svg(svg.render_series_svg(result.prices, valuation=cfg.population.u),
-                   cfg, args)
+        _write(args, cfg, args.svg,
+               svg.render_series_svg(result.prices, valuation=cfg.population.u_ref))
     status = "crash at step %s" % result.crash_step if result.crash_step is not None \
         else "no crash"
     boom = " boom at step %s" % result.boom_step if result.boom_step is not None else ""
@@ -172,17 +211,16 @@ def cmd_sweep(args, cfg) -> int:
     grid = experiments.ternary_sweep(cfg, args.resolution, args.sweep_replicates,
                                      workers=args.workers)
     wall = time.perf_counter() - start
-    out = os.path.join(_outdir(args), "ternary.csv")
-    _write_csv(out, experiments.ternary_csv_rows(grid))
     telemetry = {"runs": grid.runs, "steps": grid.steps,
                  "aborted_runs": grid.aborted_runs, "batches": grid.batches,
                  "batch_runs": grid.batch_runs, "wall_s": wall,
                  "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
     sizes = {"resolution": grid.resolution, "replicates": grid.replicates}
-    _write_sidecar(out, cfg, args, {**sizes, "telemetry": telemetry})
+    out = _write(args, cfg, "ternary.csv", ternary_csv_rows(grid),
+                 {**sizes, "telemetry": telemetry})
     if args.svg:
         from . import svg
-        _write_svg(svg.render_ternary_svg(grid), cfg, args, sizes)
+        _write(args, cfg, args.svg, svg.render_ternary_svg(grid), sizes)
     print(f"sweep: {len(grid.points)} points x {grid.replicates} replicates -> {out}")
     return EXIT_OK
 
@@ -193,11 +231,9 @@ def cmd_grid(args, cfg) -> int:
         cfg, (args.k_plus_min, args.k_plus_max),
         (args.k_minus_min, args.k_minus_max), cells=args.cells,
         workers=args.workers)
-    out = os.path.join(_outdir(args), "grid.csv")
-    _write_csv(out, experiments.grid_csv_rows(grid))
-    _write_sidecar(out, cfg, args, {
-        "cells": args.cells, "k_plus_min": args.k_plus_min, "k_plus_max": args.k_plus_max,
-        "k_minus_min": args.k_minus_min, "k_minus_max": args.k_minus_max})
+    sizes = ("cells", "k_plus_min", "k_plus_max", "k_minus_min", "k_minus_max")
+    out = _write(args, cfg, "grid.csv", grid_csv_rows(grid),
+                 {size: getattr(args, size) for size in sizes})
     print(f"grid: {len(grid.cells)} cells ({cfg.market.settlement} settlement) -> {out}")
     return EXIT_OK
 
@@ -205,9 +241,7 @@ def cmd_grid(args, cfg) -> int:
 def cmd_impact(args, cfg) -> int:
     from . import experiments
     report = experiments.impact_comparison(cfg, workers=args.workers)
-    out = os.path.join(_outdir(args), "impact.json")
-    _write_json(out, asdict(report))
-    _write_sidecar(out, cfg, args)
+    out = _write(args, cfg, "impact.json", _json(asdict(report)))
     print(f"impact thresholds: ratio={report.ratio_threshold:.5f} "
           f"powerlaw(zeta=1)={report.powerlaw_linear_threshold:.5f} "
           f"powerlaw(zeta=0.8)={report.powerlaw_concave_threshold:.5f} -> {out}")
@@ -218,15 +252,11 @@ def cmd_multival(args, cfg) -> int:
     from . import experiments
     report = experiments.multival_run(cfg, n_vals=args.multival_n_vals,
                                       horizon=args.multival_horizon)
-    outdir = _outdir(args)
     sizes = {"horizon": args.multival_horizon, "n_vals": args.multival_n_vals}
-    series_out = os.path.join(outdir, "multival_run.csv")
-    _write_csv(series_out, experiments.run_csv_rows(report.result))
-    _write_sidecar(series_out, cfg, args,
-                   {"valuations": list(report.valuations), **sizes})
-    hist_out = os.path.join(outdir, "multival_histogram.csv")
-    _write_csv(hist_out, experiments.histogram_csv_rows(report.histogram))
-    _write_sidecar(hist_out, cfg, args, sizes)
+    series_out = _write(args, cfg, "multival_run.csv", run_csv_rows(report.result),
+                        {"valuations": list(report.valuations), **sizes})
+    hist_out = _write(args, cfg, "multival_histogram.csv",
+                      histogram_csv_rows(report.histogram), sizes)
     print(f"multival: max tracking error vs mean valuation "
           f"{report.max_tau_vs_mean:.4f} Blacks; wealth variance "
           f"{report.val_wealth_var_start:.3g} -> {report.val_wealth_var_end:.3g}; "
@@ -238,10 +268,8 @@ def cmd_estimate(args, cfg) -> int:
     from . import metrics
     report = metrics.estimator_mc(cfg.population.gamma_shape, cfg.population.gamma_rate,
                                   args.p, args.n, args.reps, cfg.seed)
-    out = os.path.join(_outdir(args), "estimator.json")
-    _write_json(out, asdict(report))
-    _write_sidecar(out, cfg, args,
-                   {"estimator": {"p": args.p, "n": args.n, "reps": args.reps}})
+    out = _write(args, cfg, "estimator.json", _json(asdict(report)),
+                 {"estimator": {"p": args.p, "n": args.n, "reps": args.reps}})
     print(f"estimate: tau_true={report.tau_true:.5f} "
           f"tau_hat_mean={report.tau_hat_mean:.5f} bias={report.bias:.2e} "
           f"empirical std={report.empirical_std:.5f} "
@@ -251,7 +279,7 @@ def cmd_estimate(args, cfg) -> int:
 
 
 def cmd_analyze(args, cfg) -> int:
-    from . import analysis, experiments
+    from . import analysis
     constants = analysis.AnalysisConstants.from_params(cfg.market, cfg.commitments,
                                                        u=cfg.population.u)
     alpha_report = analysis.alpha_fixed_points(constants)
@@ -266,10 +294,8 @@ def cmd_analyze(args, cfg) -> int:
         for root in report.roots:
             print(f"  {name} root {root.value:.10f} [{root.region}] "
                   f"residual={root.residual:.2e}")
-    out = os.path.join(_outdir(args), "analysis.csv")
-    _write_csv(out, experiments.fixed_point_csv_rows(
+    out = _write(args, cfg, "analysis.csv", fixed_point_csv_rows(
         cfg.commitments.kv_buy, cfg.commitments.km_sell, alpha_report, theta))
-    _write_sidecar(out, cfg, args)
     print(f"analytic momentum-wealth crash threshold: theta = {theta:.5f} -> {out}")
     return EXIT_OK
 
@@ -293,6 +319,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = config_mod.parse_config(path=args.config, overrides=_overrides(args))
+        args.out = _outdir(args)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

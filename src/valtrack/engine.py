@@ -63,10 +63,12 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import methodcaller
 from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
+from .seeding import generator
 from .traders import (KIND_MO, KIND_RAND, KIND_VAL, RAND_MODES, TRADER_KINDS, MarketState,
                       population_orders)
 
@@ -160,6 +162,16 @@ def check_state(state: MarketState) -> float:
     return ceiling
 
 
+def _powerlaw_move(imbalance: float, liquidity: float, zeta: float) -> float:
+    """The uncapped power-law move |imbalance / liquidity|^zeta signed by
+    the imbalance, infinite where the power overflows; 0.0 ** zeta == 0.0.
+    Both scalar loops and, element by element, the batched kernel call it."""
+    try:
+        return math.copysign(abs(imbalance / liquidity) ** zeta, imbalance)
+    except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
+        return math.copysign(math.inf, imbalance)
+
+
 def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float):
     """The step of a run with these constants and check_state's price
     ceiling: advance(state, draw, record) steps a valid state in place (a
@@ -168,12 +180,11 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
     population_orders call, whose random traders call draw().
 
     Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
-    flow, or |(q_p - q_s)/liquidity|^zeta signed by the imbalance for
-    power-law flow, infinite where that power overflows. Settlement at the
-    updated or the current price: bids stay fixed in cash and convert to
-    asset demand at that price, offers stay fixed in asset units, and the
-    larger side is scaled down pro-rata to parity, so totals are conserved
-    and no holding goes negative.
+    flow, or _powerlaw_move(q_p - q_s, liquidity, zeta) for power-law
+    flow. Settlement at the updated or the current price: bids stay fixed
+    in cash and convert to asset demand at that price, offers stay fixed in
+    asset units, and the larger side is scaled down pro-rata to parity, so
+    totals are conserved and no holding goes negative.
     Momentum: the smoothed log return mu * log(p_new/p) + (1 - mu) * m.
     """
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
@@ -182,7 +193,7 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
     ratio = params.impact == IMPACT_RATIO
     updated = params.settlement == SETTLE_UPDATED
     orders = population_orders(commitments)
-    fsum, log, exp, copysign, inf = math.fsum, math.log, math.exp, math.copysign, math.inf
+    fsum, log, exp, inf = math.fsum, math.log, math.exp, math.inf
 
     def advance(state, draw, record):
         p, m, traders = state.price, state.momentum, state.traders
@@ -191,12 +202,7 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
         q_p = total_bid / p
         q_s = fsum(offers)
         if not ratio:
-            # a zero imbalance moves nothing: 0.0 ** zeta == 0.0
-            imbalance = q_p - q_s
-            try:
-                dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
-            except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
-                dlog = copysign(inf, imbalance)
+            dlog = _powerlaw_move(q_p - q_s, liquidity, zeta)
         elif q_p > 0.0 and q_s > 0.0:
             try:
                 dlog = lam * log(q_p / q_s)
@@ -249,16 +255,15 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
 
 
 def _draw(state: MarketState, seed: int):
-    """The run's draw(): the next uniform on [0, 1) of its PCG64 stream,
-    taken from the generator DRAW_BLOCK at a time as the run needs them, the
-    uniforms of Generator.random() calls bit for bit. Built only for a state
-    with a random trader; only then is numpy imported, so a deterministic
-    run never loads it."""
+    """The run's draw(): the next uniform on [0, 1) of its stream,
+    seeding.generator(seed), taken DRAW_BLOCK at a time as the run needs
+    them, the uniforms of Generator.random() calls bit for bit. Built only
+    for a state with a random trader; only then is numpy imported, so a
+    deterministic run never loads it."""
     if not any(t.kind == KIND_RAND for t in state.traders):
         return None
-    import numpy as np
-    blocks = map(np.random.Generator(np.random.PCG64(seed)).random, repeat(DRAW_BLOCK))
-    return chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
+    blocks = map(generator(seed).random, repeat(DRAW_BLOCK))
+    return chain.from_iterable(map(methodcaller("tolist"), blocks)).__next__
 
 
 def run(initial: MarketState, params: MarketParams, commitments: CommitmentParams,
@@ -360,7 +365,7 @@ def _val_mo_crash_step(state, params, commitments, ceiling, stop):
     updated = params.settlement == SETTLE_UPDATED
     c = commitments
     kv_buy, kv_sell, km_buy, km_sell = c.kv_buy, c.kv_sell, c.km_buy, c.km_sell
-    log, exp, copysign, inf = math.log, math.exp, math.copysign, math.inf
+    log, exp, inf = math.log, math.exp, math.inf
     cv = av = cm = am = 0.0
     for trader in state.traders:
         if trader.kind == KIND_VAL:
@@ -380,11 +385,7 @@ def _val_mo_crash_step(state, params, commitments, ceiling, stop):
             return None
         q_p = total_bid / p
         if not ratio:
-            imbalance = q_p - q_s
-            try:
-                dlog = copysign(abs(imbalance / liquidity) ** zeta, imbalance)
-            except OverflowError:
-                dlog = copysign(inf, imbalance)
+            dlog = _powerlaw_move(q_p - q_s, liquidity, zeta)
         elif q_p > 0.0 and q_s > 0.0:
             try:
                 dlog = lam * log(q_p / q_s)

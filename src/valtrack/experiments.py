@@ -1,5 +1,6 @@
 """Reproduction harnesses: threshold bisection, ternary sweeps over the
-trader simplex, commitment grids and multi-valuation runs.
+trader simplex, commitment grids, impact comparison and multi-valuation
+runs. They return results; `cli` writes them to files.
 
 Every run is seeded by folding its task indices into the master seed
 (seeding.mix_seed), so results are reproducible bit-for-bit and independent
@@ -415,42 +416,3 @@ def _variance(xs):
     mean = math.fsum(xs) / n
     return math.fsum((x - mean) ** 2 for x in xs) / n
 
-
-# --- CSV schemas ---------------------------------------------------------------
-
-def ternary_csv_rows(grid: TernaryGrid):
-    yield ["val_frac", "mo_frac", "rand_frac", "mean_drop", "crash_freq", "boom_freq"]
-    for p in grid.points:
-        yield [repr(p.val_frac), repr(p.mo_frac), repr(p.rand_frac),
-               repr(p.mean_drop), repr(p.crash_freq), repr(p.boom_freq)]
-
-
-def grid_csv_rows(grid: CommitmentGrid):
-    yield ["k_buy", "k_sell", "theta_analytic", "theta_sim", "settlement"]
-    for c in grid.cells:
-        yield [repr(c.k_buy), repr(c.k_sell), repr(c.theta_analytic),
-               repr(c.theta_sim), c.settlement]
-
-
-def run_csv_rows(result: RunResult):
-    prices, momenta, wealth = result.prices, result.momenta, result.wealth
-    yield (["time", "price", "momentum", "q_p", "q_s", "executed", "cap_hit"]
-           + [f"wealth_{i}" for i in range(len(wealth[0]))])
-    yield [repr(0), repr(prices[0]), repr(momenta[0]), repr(0.0), repr(0.0), repr(0.0), "0",
-           *map(repr, wealth[0])]
-    for t, rec in enumerate(result.records, start=1):
-        yield [repr(t), repr(prices[t]), repr(momenta[t]), repr(rec.q_p), repr(rec.q_s),
-               repr(rec.executed), "1" if rec.cap_hit else "0", *map(repr, wealth[t])]
-
-
-def fixed_point_csv_rows(kv_buy: float, km_sell: float, report, theta: float):
-    """The header and the one row (kv_buy, km_sell, alpha_minus, exists, theta)."""
-    yield ["kv_buy", "km_sell", "alpha_minus", "exists", "theta"]
-    yield [repr(kv_buy), repr(km_sell), repr(report.selected),
-           "1" if report.exists else "0", repr(theta)]
-
-
-def histogram_csv_rows(hist: Histogram):
-    yield ["bin_center_sd", "relative_frequency"]
-    for c, f in zip(hist.bin_centers, hist.frequencies):
-        yield [repr(c), repr(f)]

@@ -171,7 +171,9 @@ def estimator_mc(shape: float, rate: float, p: float, n: int, reps: int,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     import numpy as np
-    rng = np.random.Generator(np.random.PCG64(seed))
+
+    from .seeding import generator  # here, so that parsing a config loads no seeding
+    rng = generator(seed)
     u_true = shape / rate
     sigma = math.sqrt(shape) / rate
     tau_true = tau(p, u_true)

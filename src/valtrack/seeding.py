@@ -11,7 +11,8 @@ with M = 2^64 - 1 and splitmix64 the finalizer of Steele et al. (the usual
 constants 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB).
 Streams are reproducible across processes and worker counts; matching them
 from another implementation additionally requires the same RNG algorithm,
-which is recorded in every output sidecar (numpy PCG64).
+which is recorded in every output sidecar (numpy PCG64). `generator` builds
+every random stream of the package, so rng_info describes them all.
 """
 
 import functools
@@ -36,10 +37,16 @@ def mix_seed(master_seed: int, *indices: int) -> int:
     return x
 
 
-def rng_for(master_seed: int, *indices: int) -> "np.random.Generator":
-    """PCG64 generator seeded from mix_seed(master_seed, *indices)."""
+def generator(seed: int) -> "np.random.Generator":
+    """The PCG64 generator of a seed. numpy is imported here, not at the
+    top, so a command that draws nothing never loads it."""
     import numpy as np
-    return np.random.Generator(np.random.PCG64(mix_seed(master_seed, *indices)))
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def rng_for(master_seed: int, *indices: int) -> "np.random.Generator":
+    """generator(mix_seed(master_seed, *indices))."""
+    return generator(mix_seed(master_seed, *indices))
 
 
 def rng_info() -> dict:

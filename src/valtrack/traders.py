@@ -132,8 +132,8 @@ class PopulationSpec:
     rand_frac are single traders. Fractions must sum to 1. Every trader
     receives its fraction of both the cash total and the asset total, so all
     start with the same portfolio mix. The asset supply is rho * cash / u_ref
-    with u_ref = 1 for gamma-distributed valuations (their mean) and u for a
-    fixed valuation.
+    with u_ref = gamma_shape / gamma_rate for gamma-distributed valuations
+    (their mean) and u for a fixed valuation.
     """
 
     val_fracs: tuple = (1.0,)

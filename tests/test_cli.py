@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import importlib
 import io
@@ -7,12 +8,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
 
 import valtrack
-from valtrack import cli
+from valtrack import cli, experiments
 from valtrack.config import KEYS, build_config, config_values, parse_config, parse_keyvalues
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
@@ -131,6 +133,17 @@ class TestCliCommands:
         svg_doc = (tmp_path / "series.svg").read_text()
         ET.fromstring(svg_doc)  # well-formed XML
 
+    def test_run_svg_draws_the_mean_of_gamma_valuations(self, tmp_path, capsys):
+        # gamma(8, 2) valuations have mean 4; population.u, which they never
+        # read, stays at its default 1
+        assert cli.main(["run", "--valuation", "gamma", "--set", "population.gamma_shape=8",
+                         "--set", "population.gamma_rate=2", "--out", str(tmp_path),
+                         "--svg", "series.svg"]) == 0
+        with open(tmp_path / "run.csv", newline="", encoding="utf-8") as fh:
+            prices = [float(row["price"]) for row in csv.DictReader(fh)]
+        assert (tmp_path / "series.svg").read_text(encoding="utf-8") \
+            == render_series_svg(prices, valuation=4.0)
+
     def test_a_power_law_move_that_overflows_runs_at_the_cap(self, tmp_path, capsys):
         # |imbalance / liquidity| ** 2 overflows a double at every step,
         # which used to exit with an OverflowError traceback
@@ -201,6 +214,18 @@ class TestCliCommands:
         assert err.startswith("config error: " if code == 2 else "error: ")
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out", ["file", "file/out"], ids=["a file", "under a file"])
+    def test_an_unusable_output_directory_fails_before_the_command_runs(
+            self, out, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "ternary_sweep",
+                            lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = str(tmp_path / out)
+        assert cli.main(["sweep", "--resolution", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot use output directory {out!r}: ")
+        assert err.count("\n") == 1
 
     def test_impact_output_does_not_depend_on_workers(self, tmp_path, capsys):
         for workers in ("1", "2"):
@@ -362,14 +387,15 @@ class TestCsvWriter:
                                                                  monkeypatch, capsys):
         argv, files = CSV_COMMANDS[name]
         produced = {}
-        write_csv = cli._write_csv
+        write = cli._write
 
-        def recording_write_csv(path, rows):
-            rows = [list(row) for row in rows]
-            produced[os.path.basename(path)] = rows
-            write_csv(path, rows)
+        def recording_write(args, cfg, name, content, extra=None):
+            if not isinstance(content, str):  # CSV rows, not a document's text
+                content = [list(row) for row in content]
+                produced[name] = content
+            return write(args, cfg, name, content, extra)
 
-        monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
+        monkeypatch.setattr(cli, "_write", recording_write)
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         assert sorted(produced) == files
         for file, rows in produced.items():
@@ -510,6 +536,20 @@ def test_set_up_loads_only_the_modules_it_runs():
                  "valtrack.metrics", "valtrack.params", "valtrack.traders"])
 
 
+def test_analyze_loads_no_simulator_and_no_numpy(tmp_path):
+    """analyze runs the analytic module only; the CSV schema it writes is
+    in cli, so it loads neither the harnesses nor the engine."""
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli
+        assert cli.main(["analyze", "--out", {str(tmp_path)!r}]) == 0
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] in ("valtrack", "numpy")))
+    """) == str(["valtrack", "valtrack.analysis", "valtrack.cli", "valtrack.config",
+                 "valtrack.errors", "valtrack.metrics", "valtrack.params",
+                 "valtrack.seeding", "valtrack.traders"])
+
+
 def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
     """A sweep on more than one process imports valtrack.batch, and so
     numpy, in the parent before the pool forks its workers, which then do
@@ -565,6 +605,25 @@ def test_rng_info_does_not_change_when_numpy_loads():
     import numpy
     assert before == after
     assert after["library_version"] == numpy.__version__
+
+
+# numpy's names for building a random stream
+STREAM_BUILDERS = {"Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+                   "SeedSequence", "RandomState", "default_rng"}
+
+
+def test_only_seeding_builds_a_random_stream():
+    """seeding.generator builds every random stream, so the algorithm that
+    rng_info records in each sidecar is the one every stream uses."""
+    builders = {}
+    for path in sorted(Path(valtrack.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                 | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                 | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+        if names & STREAM_BUILDERS:
+            builders[path.name] = sorted(names & STREAM_BUILDERS)
+    assert builders == {"seeding.py": ["Generator", "PCG64"]}
 
 
 class TestSvg:

@@ -8,11 +8,10 @@ import pytest
 from valtrack import experiments, metrics
 from valtrack.config import parse_config
 from valtrack.errors import ConfigError, DomainError
+from valtrack.cli import grid_csv_rows, run_csv_rows, ternary_csv_rows
 from valtrack.experiments import (ExperimentConfig, commitment_grid,
-                                  grid_csv_rows, impact_comparison,
-                                  multival_run, run_csv_rows, run_once,
-                                  simplex_points, ternary_csv_rows,
-                                  ternary_sweep, threshold_search)
+                                  impact_comparison, multival_run, run_once,
+                                  simplex_points, ternary_sweep, threshold_search)
 from valtrack.metrics import CrashPredicate
 from valtrack.params import MarketParams
 from valtrack.traders import MarketState, PopulationSpec

@@ -224,7 +224,7 @@ def test_exact_row_sums_fall_back_where_the_error_terms_round():
 KERNEL_NUMPY_NAMES = {
     "add", "array", "count_nonzero", "divide", "empty", "empty_like", "equal", "errstate",
     "flatnonzero", "fromiter", "full", "greater", "less", "maximum", "minimum", "multiply",
-    "ndarray", "ones", "random", "where", "zeros"}
+    "ndarray", "ones", "where", "zeros"}
 
 
 def test_the_kernel_uses_only_its_listed_numpy_names():
