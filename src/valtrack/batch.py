@@ -228,9 +228,10 @@ def _cascade(rows: int, cols: int):
 
 
 def _exact_row_sums(rows: int, cols: int):
-    """(x, sums): x, a zeroed rows x cols array, and sums(), which returns
-    the row sums of x as x holds them at the call, each equal to math.fsum
-    of its row, in a vector that the next call overwrites.
+    """(x, sums): x, a zeroed rows x cols array, cols >= 2 as batch_layout
+    gives, and sums(), which returns the row sums of x as x holds them at
+    the call, each equal to math.fsum of its row, in a vector that the next
+    call overwrites.
 
     x is the first columns of a _cascade buffer, so the running sums of
     each row, and their TwoSum errors, take no copy: the last running sum s
@@ -240,9 +241,6 @@ def _exact_row_sums(rows: int, cols: int):
     fl(s + E) is the correctly rounded sum math.fsum returns. Rows where
     they are not exact fall back to math.fsum.
     """
-    if cols == 1:
-        x = np.zeros((rows, 1))
-        return x, lambda: x[:, 0].copy()
     terms, steps, two_sum = _cascade(rows, cols)
     errors, error_steps, error_two_sum = _cascade(rows, cols - 1)
     x, rounded = terms[:, :cols], np.empty((rows, cols - 2), order="F")

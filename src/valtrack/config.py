@@ -30,6 +30,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.market.rho != self.population.rho:
+            raise ConfigError(f"market.rho {self.market.rho} != population.rho {self.population.rho}")
 
 
 # dotted key -> (part of ExperimentConfig, or None for its own fields;
@@ -77,9 +79,11 @@ KEYS: dict[str, tuple[str | None, str, str | None]] = {
 }
 
 
-def _convert(key: str, raw: str, where: str):
+def _convert(key: str, raw, where: str):
+    if key not in KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     kind = type(_DEFAULTS[key])
-    raw = raw.strip()
+    raw = str(raw).strip()
     try:
         value = kind(raw)
         if kind is float and not math.isfinite(value):
@@ -101,8 +105,6 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw, f"{source}:{lineno}")
     return values
 
@@ -136,7 +138,11 @@ def _split_val_frac(fields: dict) -> None:
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Resolve file values (if any) plus overrides into an ExperimentConfig."""
+    """Resolve file values (if any) plus overrides into an ExperimentConfig.
+
+    An override value may be of any type: it is converted from its str(),
+    as a flag's string is, so 0.25 and "0.25" give the same config, and 3.0
+    or True for an int key is a ConfigError, as "3.0" and "True" are."""
     values: dict[str, object] = {}
     if path is not None:
         try:
@@ -145,14 +151,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values = parse_keyvalues(text, source=path)
-    if overrides:
-        for key, raw in overrides.items():
-            if key not in KEYS:
-                raise ConfigError(f"override: unknown key {key!r}")
-            if isinstance(raw, str):
-                values[key] = _convert(key, raw, "override")
-            else:
-                values[key] = raw
+    for key, raw in (overrides or {}).items():
+        values[key] = _convert(key, raw, "override")
     return build_config(values)
 
 

@@ -16,7 +16,6 @@ from .config import ExperimentConfig
 from .engine import RunResult, crash_step, run
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
-from .params import CommitmentParams
 from .seeding import mix_seed, rng_for
 from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
@@ -150,11 +149,6 @@ class TernaryGrid:
     aborted_runs: int
     batches: int = field(compare=False)
     batch_runs: int = field(compare=False)
-
-    def __post_init__(self):
-        expected = (self.resolution + 1) * (self.resolution + 2) // 2
-        if len(self.points) != expected:
-            raise ConfigError(f"expected {expected} simplex points, got {len(self.points)}")
 
     @property
     def runs(self) -> int:
@@ -292,10 +286,8 @@ class CommitmentGrid:
 def _grid_cell_task(args):
     from . import analysis  # only the grid needs the analytic threshold
     config, k_buy, k_sell = args
-    commitments = CommitmentParams(kv_buy=k_buy, kv_sell=k_sell,
-                                   km_buy=k_buy, km_sell=k_sell,
-                                   kr_buy=config.commitments.kr_buy,
-                                   kr_sell=config.commitments.kr_sell)
+    commitments = replace(config.commitments, kv_buy=k_buy, kv_sell=k_sell,
+                          km_buy=k_buy, km_sell=k_sell)
     cfg = replace(config, commitments=commitments,
                   crash=CrashPredicate.drop_below(0.01),
                   population=config.population.with_mix(1.0, 0.0, 0.0))

@@ -4,7 +4,6 @@ import math
 from xml.etree import ElementTree as ET
 
 from .errors import DomainError
-from .experiments import TernaryGrid
 
 _SVG_NS = "http://www.w3.org/2000/svg"
 _SERIES_WIDTH, _SERIES_HEIGHT, _TERNARY_WIDTH = 640, 360, 480
@@ -72,7 +71,7 @@ def render_series_svg(prices, valuation: float) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def render_ternary_svg(grid: TernaryGrid) -> str:
+def render_ternary_svg(grid: "TernaryGrid") -> str:
     """Simplex colored by crash frequency: one cell per grid point.
 
     Top corner is 100% valuation traders, right corner 100% momentum,

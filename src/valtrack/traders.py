@@ -133,7 +133,10 @@ class PopulationSpec:
     receives its fraction of both the cash total and the asset total, so all
     start with the same portfolio mix. The asset supply is rho * cash / u_ref
     with u_ref = gamma_shape / gamma_rate for gamma-distributed valuations
-    (their mean) and u for a fixed valuation.
+    (their mean) and u for a fixed valuation. Every numeric field must be
+    finite: the fractions lie in [0, 1], critical_frac too, and u, the gamma
+    parameters, cash, p0 and rho are > 0. Inside an ExperimentConfig, rho
+    must equal the market's.
     """
 
     val_fracs: tuple = (1.0,)
@@ -151,17 +154,17 @@ class PopulationSpec:
 
     def __post_init__(self):
         fracs = list(self.val_fracs) + [self.mo_frac, self.rand_frac]
-        if any(f < -1e-15 or f > 1.0 + 1e-12 for f in fracs):
+        if not all(-1e-15 <= f <= 1.0 + 1e-12 for f in fracs):
             raise ConfigError(f"wealth fractions must lie in [0, 1]: {fracs}")
         total = sum(fracs)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"wealth fractions must sum to 1, got {total!r}")
         if self.valuation not in (VALUATION_FIXED, VALUATION_GAMMA):
             raise ConfigError(f"unknown valuation source {self.valuation!r}")
-        if self.valuation == VALUATION_GAMMA and (self.gamma_shape <= 0 or self.gamma_rate <= 0):
-            raise ConfigError("gamma parameters must be > 0")
-        if self.u <= 0 or self.cash <= 0 or self.p0 <= 0 or self.rho <= 0:
-            raise ConfigError("u, cash, p0 and rho must all be > 0")
+        inf = math.inf
+        if not (0 < self.u < inf and 0 < self.gamma_shape < inf and 0 < self.gamma_rate < inf
+                and 0 < self.cash < inf and 0 < self.p0 < inf and 0 < self.rho < inf):
+            raise ConfigError("u, gamma parameters, cash, p0 and rho must be finite and > 0")
         if self.rand_mode not in RAND_MODES:
             raise ConfigError(f"unknown rand mode {self.rand_mode!r}")
         if not (0.0 <= self.critical_frac <= 1.0):

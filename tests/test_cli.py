@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -104,6 +105,27 @@ class TestConfigParsing:
         cfg = parse_config(overrides={"market.rho": "2"})
         assert cfg.market.rho == 2.0
         assert cfg.population.rho == 2.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("population.mo_frac", 0.25), ("market.lambda", 1), ("run.seed", 7)])
+    def test_an_override_of_any_type_is_converted_from_its_string(self, key, value):
+        typed, text = (parse_config(overrides={key: v}) for v in (value, str(value)))
+        assert typed == text
+        # the values the sidecar records, types included
+        assert repr(config_values(typed)) == repr(config_values(text))
+
+    @pytest.mark.parametrize("key, value", [
+        ("market.horizon", 250.0), ("run.seed", True), ("run.seed", 3.0)])
+    def test_an_override_its_key_cannot_parse_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"override: cannot parse '{value}' as int"):
+            parse_config(overrides={key: value})
+
+    def test_a_config_holds_one_rho(self):
+        cfg = parse_config()
+        with pytest.raises(ConfigError, match=r"market\.rho 1\.0 != population\.rho 4\.0"):
+            replace(cfg, market=replace(cfg.market, rho=1.0))
+        with pytest.raises(ConfigError, match=r"market\.rho 4\.0 != population\.rho 2\.0"):
+            ExperimentConfig(population=PopulationSpec(rho=2.0))
 
 
 class TestCliCommands:
@@ -536,6 +558,15 @@ def test_set_up_loads_only_the_modules_it_runs():
                  "valtrack.metrics", "valtrack.params", "valtrack.traders"])
 
 
+def test_the_svg_module_loads_no_harness_and_no_numpy():
+    assert fresh_interpreter("""
+        import sys
+        import valtrack.svg
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] in ("valtrack", "numpy")))
+    """) == str(["valtrack", "valtrack.errors", "valtrack.svg"])
+
+
 def test_analyze_loads_no_simulator_and_no_numpy(tmp_path):
     """analyze runs the analytic module only; the CSV schema it writes is
     in cli, so it loads neither the harnesses nor the engine."""
@@ -624,6 +655,23 @@ def test_only_seeding_builds_a_random_stream():
         if names & STREAM_BUILDERS:
             builders[path.name] = sorted(names & STREAM_BUILDERS)
     assert builders == {"seeding.py": ["Generator", "PCG64"]}
+
+
+def test_every_import_is_used():
+    """An import the code no longer uses is a dead dependency, and one of a
+    module costs its load time; only a line marked noqa: F401 imports for a
+    side effect."""
+    unused = []
+    for path in sorted(Path(valtrack.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" not in lines[node.lineno - 1]):
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 class TestSvg:

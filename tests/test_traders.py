@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -315,6 +316,13 @@ class TestInitPopulation:
     def test_fraction_sum_is_validated(self):
         with pytest.raises(ConfigError):
             PopulationSpec(val_fracs=(0.5,), mo_frac=0.6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(PopulationSpec)
+                                      if not isinstance(f.default, str)])
+    def test_a_non_finite_field_is_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            PopulationSpec(**{name: (value,) if name == "val_fracs" else value})
 
     def test_refined_rand_floors_from_initial_holdings(self):
         spec = PopulationSpec(val_fracs=(0.5,), rand_frac=0.5,
