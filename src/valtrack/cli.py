@@ -115,6 +115,20 @@ def _outdir(args: argparse.Namespace) -> str:
     return out
 
 
+# the data file of each command that takes --svg
+_DATA_FILES = {"run": "run.csv", "sweep": "ternary.csv"}
+
+
+def _check_svg(args: argparse.Namespace) -> None:
+    """Raise ConfigError unless --svg, if given, is a bare file name that is
+    neither the command's data file nor a sidecar's name."""
+    name = getattr(args, "svg", None)
+    if name and (os.path.basename(name) != name or name in (".", "..", _DATA_FILES[args.command])
+                 or name.endswith(".meta.json")):
+        raise ConfigError(f"--svg must be a bare file name, neither "
+                          f"{_DATA_FILES[args.command]!r} nor *.meta.json, got {name!r}")
+
+
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -192,7 +206,7 @@ def histogram_csv_rows(hist):
 def cmd_run(args, cfg) -> int:
     from . import experiments
     result = experiments.run_once(cfg)
-    out = _write(args, cfg, "run.csv", run_csv_rows(result))
+    out = _write(args, cfg, _DATA_FILES["run"], run_csv_rows(result))
     if args.svg:
         from . import svg  # only --svg needs it and its xml import
         _write(args, cfg, args.svg,
@@ -216,7 +230,7 @@ def cmd_sweep(args, cfg) -> int:
                  "batch_runs": grid.batch_runs, "wall_s": wall,
                  "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
     sizes = {"resolution": grid.resolution, "replicates": grid.replicates}
-    out = _write(args, cfg, "ternary.csv", ternary_csv_rows(grid),
+    out = _write(args, cfg, _DATA_FILES["sweep"], ternary_csv_rows(grid),
                  {**sizes, "telemetry": telemetry})
     if args.svg:
         from . import svg
@@ -319,6 +333,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = config_mod.parse_config(path=args.config, overrides=_overrides(args))
+        _check_svg(args)
         args.out = _outdir(args)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:

@@ -7,7 +7,7 @@ CLI flags) use the same dotted keys and win over file values.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .metrics import CrashPredicate
@@ -17,7 +17,9 @@ from .traders import PopulationSpec
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Everything a seeded experiment needs."""
+    """Everything a seeded experiment needs. Built in Python, it follows
+    parse_config's rule: m0, seed and replicates must equal what their keys
+    make of their str(), a finite float and two ints that are not bools."""
 
     market: MarketParams = field(default_factory=MarketParams)
     commitments: CommitmentParams = field(default_factory=CommitmentParams)
@@ -28,6 +30,11 @@ class ExperimentConfig:
     replicates: int = 20   # majority vote of a stochastic bisection probe
 
     def __post_init__(self):
+        for f in fields(self)[4:]:  # m0, seed and replicates
+            value = getattr(self, f.name)
+            if _convert(f"run.{f.name}", value, "ExperimentConfig") != value:
+                raise ConfigError(f"ExperimentConfig: run.{f.name} must be "
+                                  f"{f.type.__name__}, got {value!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.market.rho != self.population.rho:
@@ -39,7 +46,7 @@ class ExperimentConfig:
 # A key's default and type are its field's in ExperimentConfig(); the flag
 # is the option --<flag with '-' for '_'>.
 # Two special keys do not map one to one onto their field (see
-# build_config): population.val_frac and population.n_vals together make
+# parse_config): population.val_frac and population.n_vals together make
 # val_fracs, and market.rho is also the population's rho.
 KEYS: dict[str, tuple[str | None, str, str | None]] = {
     "market.lambda": ("market", "lam", "lambda"),
@@ -109,23 +116,6 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def build_config(values: dict) -> ExperimentConfig:
-    """Materialize an ExperimentConfig from a dotted-key mapping; missing
-    keys take their defaults."""
-    v = {**_DEFAULTS, **values}
-    kwargs: dict = {part: {} for part, _, _ in KEYS.values()}
-    for key, (part, field, _) in KEYS.items():
-        kwargs[part][field] = v[key]
-    kwargs["population"]["rho"] = kwargs["market"]["rho"]
-    parts = {}
-    for part, fields in kwargs.items():
-        if part == "population":
-            _split_val_frac(fields)
-        if part is not None:
-            parts[part] = type(getattr(_BASE, part))(**fields)
-    return ExperimentConfig(**parts, **kwargs[None])
-
-
 def _split_val_frac(fields: dict) -> None:
     """Replace val_frac and n_vals by val_fracs: the total valuation-trader
     share (-1: what the Mo and Rand traders leave) split evenly."""
@@ -138,26 +128,34 @@ def _split_val_frac(fields: dict) -> None:
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Resolve file values (if any) plus overrides into an ExperimentConfig.
+    """The one way from dotted keys to an ExperimentConfig: the file's
+    values (if any), then the overrides, over the defaults.
 
     An override value may be of any type: it is converted from its str(),
     as a flag's string is, so 0.25 and "0.25" give the same config, and 3.0
     or True for an int key is a ConfigError, as "3.0" and "True" are."""
-    values: dict[str, object] = {}
+    values = dict(_DEFAULTS)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        values = parse_keyvalues(text, source=path)
+        values.update(parse_keyvalues(text, source=path))
     for key, raw in (overrides or {}).items():
         values[key] = _convert(key, raw, "override")
-    return build_config(values)
+    kwargs: dict = {part: {} for part, _, _ in KEYS.values()}
+    for key, (part, name, _) in KEYS.items():
+        kwargs[part][name] = values[key]
+    kwargs["population"]["rho"] = kwargs["market"]["rho"]
+    _split_val_frac(kwargs["population"])
+    return ExperimentConfig(**kwargs.pop(None), **{
+        part: ExperimentConfig.__annotations__[part](**kw) for part, kw in kwargs.items()})
 
 
 def config_values(config: ExperimentConfig) -> dict:
-    """Dotted-key mapping equivalent to the config (inverse of build_config)."""
+    """Dotted-key mapping equivalent to the config: parse_config with these
+    as overrides gives the config back."""
     p = config.population
     # even splits reconstruct exactly: (x * n) / n == x for the splits we emit
     total_val = p.val_fracs[0] * p.n_vals if p.val_fracs else 0.0
@@ -166,5 +164,7 @@ def config_values(config: ExperimentConfig) -> dict:
             for key, (part, field, _) in KEYS.items()}
 
 
-_BASE = ExperimentConfig()
-_DEFAULTS = {**config_values(_BASE), "population.val_frac": -1.0}
+# A key's type is its default's. ExperimentConfig() checks its own fields
+# by theirs, so those are read from the class first.
+_DEFAULTS = {f"run.{f.name}": f.default for f in fields(ExperimentConfig)[4:]}
+_DEFAULTS = {**_DEFAULTS, **config_values(ExperimentConfig()), "population.val_frac": -1.0}

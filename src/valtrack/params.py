@@ -26,7 +26,7 @@ class MarketParams:
     zeta     power-law impact exponent (powerlaw variant only)
     liquidity  power-law impact scale (powerlaw variant only)
     settlement "updated" (trade at the post-impact price) or "current"
-    horizon  number of steps per run
+    horizon  number of steps per run, an int (not a bool)
     """
 
     lam: float = 0.04
@@ -56,8 +56,8 @@ class MarketParams:
             raise ConfigError(f"liquidity must be > 0, got {self.liquidity}")
         if self.settlement not in (SETTLE_UPDATED, SETTLE_CURRENT):
             raise ConfigError(f"unknown settlement variant {self.settlement!r}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ import pytest
 
 import valtrack
 from valtrack import cli, experiments
-from valtrack.config import KEYS, build_config, config_values, parse_config, parse_keyvalues
+from valtrack.config import KEYS, config_values, parse_config
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
 from valtrack.metrics import CrashPredicate, tau
@@ -45,9 +45,16 @@ EVERY_KEY = {
 EVERY_KEY_TEXT = "".join(f"{key} = {raw}\n" for key, raw in EVERY_KEY.items())
 
 
+def config_file(tmp_path, text: str) -> str:
+    """The path of a config file holding text."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestConfigParsing:
-    def test_empty_text_gives_defaults(self):
-        cfg = build_config(parse_keyvalues(""))
+    def test_empty_text_gives_defaults(self, tmp_path):
+        cfg = parse_config(path=config_file(tmp_path, ""))
         assert cfg.market.lam == 0.04
         assert cfg.market.eta == 0.1
         assert cfg.market.mu == 0.002
@@ -70,17 +77,17 @@ class TestConfigParsing:
         cfg = parse_config(path=str(path), overrides={"market.lambda": "0.05"})
         assert cfg.market.lam == 0.05
 
-    def test_unknown_key_is_line_precise(self):
-        with pytest.raises(ConfigError, match=r"<config>:2.*market\.lambada"):
-            build_config(parse_keyvalues("market.lambda = 0.04\nmarket.lambada = 1\n"))
+    def test_unknown_key_is_line_precise(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"exp\.cfg:2.*market\.lambada"):
+            parse_config(path=config_file(tmp_path, "market.lambda = 0.04\nmarket.lambada = 1\n"))
 
-    def test_out_of_range_value_rejected(self):
+    def test_out_of_range_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mu"):
-            build_config(parse_keyvalues("market.mu = 1.5\n"))
+            parse_config(path=config_file(tmp_path, "market.mu = 1.5\n"))
 
-    def test_malformed_line_rejected(self):
+    def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=":1"):
-            build_config(parse_keyvalues("market.lambda 0.04\n"))
+            parse_config(path=config_file(tmp_path, "market.lambda 0.04\n"))
 
     @pytest.mark.parametrize("text", [
         pytest.param(
@@ -91,13 +98,13 @@ class TestConfigParsing:
             id=str(n_vals))
         for n_vals in (1, 10)
     ] + [pytest.param(EVERY_KEY_TEXT, id="every key")])
-    def test_round_trip(self, text):
-        cfg = build_config(parse_keyvalues(text))
-        assert build_config(config_values(cfg)) == cfg
+    def test_round_trip(self, text, tmp_path):
+        cfg = parse_config(path=config_file(tmp_path, text))
+        assert parse_config(overrides=config_values(cfg)) == cfg
 
-    def test_every_key_is_set_to_a_non_default(self):
+    def test_every_key_is_set_to_a_non_default(self, tmp_path):
         assert list(EVERY_KEY) == list(KEYS)
-        values = config_values(build_config(parse_keyvalues(EVERY_KEY_TEXT)))
+        values = config_values(parse_config(path=config_file(tmp_path, EVERY_KEY_TEXT)))
         defaults = config_values(ExperimentConfig())
         assert [key for key in KEYS if values[key] == defaults[key]] == []
 
@@ -126,6 +133,40 @@ class TestConfigParsing:
             replace(cfg, market=replace(cfg.market, rho=1.0))
         with pytest.raises(ConfigError, match=r"market\.rho 4\.0 != population\.rho 2\.0"):
             ExperimentConfig(population=PopulationSpec(rho=2.0))
+
+
+def from_command_line(*argv) -> ExperimentConfig:
+    """The config main() resolves from a run command line."""
+    return parse_config(overrides=cli._overrides(cli._parser().parse_args(["run", *argv])))
+
+
+# every door into a configuration, as door(tmp_path, key, value)
+DOORS = {
+    "file line": lambda tmp_path, key, value: parse_config(
+        path=config_file(tmp_path, f"{key} = {value}\n")),
+    "flag": lambda tmp_path, key, value: from_command_line(
+        "--" + KEYS[key][2].replace("_", "-"), str(value)),
+    "--set": lambda tmp_path, key, value: from_command_line("--set", f"{key}={value}"),
+    "typed override": lambda tmp_path, key, value: parse_config(overrides={key: value}),
+    "ExperimentConfig": lambda tmp_path, key, value: ExperimentConfig(**{KEYS[key][1]: value}),
+    "replace": lambda tmp_path, key, value: replace(parse_config(), **{KEYS[key][1]: value}),
+    "MarketParams": lambda tmp_path, key, value: MarketParams(**{KEYS[key][1]: value}),
+}
+# the doors that build one part in Python, by the part of KEYS they take
+PART_DOORS = {"ExperimentConfig": None, "replace": None, "MarketParams": "market"}
+# a value no key of its type holds: a bool or a whole float for an int key,
+# a non-finite float for a float key
+BAD_VALUES = [(key, value) for key in ("run.seed", "run.replicates", "market.horizon")
+              for value in (True, 3.0)] + [("run.m0", float("nan")), ("run.m0", float("inf"))]
+
+
+@pytest.mark.parametrize("door, key, value", [
+    (door, key, value) for door in DOORS for key, value in BAD_VALUES
+    if PART_DOORS.get(door, KEYS[key][0]) == KEYS[key][0]])
+def test_every_door_rejects_a_value_its_key_cannot_hold(door, key, value, tmp_path):
+    """A config built in Python follows the rule a flag's string does."""
+    with pytest.raises(ConfigError):
+        DOORS[door](tmp_path, key, value)
 
 
 class TestCliCommands:
@@ -248,6 +289,15 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot use output directory {out!r}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--svg", "run.csv"], ["run", "--svg", "run.csv.meta.json"],
+        ["sweep", "--resolution", "1", "--svg", "ternary.csv"], ["run", "--svg", "sub/x.svg"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_an_svg_name_that_is_not_a_bare_new_file_name_exits_2(self, argv, tmp_path, capsys):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --svg must be a bare file name")
+        assert not list(tmp_path.iterdir())
 
     def test_impact_output_does_not_depend_on_workers(self, tmp_path, capsys):
         for workers in ("1", "2"):
@@ -673,6 +723,30 @@ def test_every_import_is_used():
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
 
+
+
+def test_every_private_module_name_is_used():
+    """A module-level name with one leading underscore is the package's own;
+    one that no module of the package loads is a leftover."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(valtrack.__file__).parent.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    loaded = ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+              | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+              | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+    unused = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            unused += [f"{file}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded]
+    assert unused == []
 
 class TestSvg:
     def test_single_point_series_renders_a_marker(self):
