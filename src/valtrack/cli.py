@@ -15,7 +15,10 @@ identification, which is sufficient to reproduce the file byte-for-byte.
 The sweep's CSV sidecar also has a "telemetry" key (runs, the steps the
 engine simulated, which count a repeated run once per batch, aborted runs,
 engine batches and the widest batch's runs, wall time, simulated steps/s)
-that changes between runs; it is not part of the reproducible output.
+that changes between runs; it is not part of the reproducible output. The
+grid and impact sidecars have one too: the loop that stepped their
+two-trader probes ("compiled", or "python" where the compiled loop cannot
+be built) and the wall time.
 
 Exit codes: 0 success, 2 configuration error (an unusable output directory
 included), 3 any other valtrack error (numeric failure, invalid input,
@@ -239,23 +242,35 @@ def cmd_sweep(args, cfg) -> int:
     return EXIT_OK
 
 
+def _probe_telemetry(start: float) -> dict:
+    """The telemetry of a threshold command started at start: the loop
+    that stepped its two-trader probes, and its wall time."""
+    from .engine import _crash_loop
+    wall = time.perf_counter() - start
+    return {"crash_loop": "python" if _crash_loop() is None else "compiled", "wall_s": wall}
+
+
 def cmd_grid(args, cfg) -> int:
     from . import experiments
+    start = time.perf_counter()
     grid = experiments.commitment_grid(
         cfg, (args.k_plus_min, args.k_plus_max),
         (args.k_minus_min, args.k_minus_max), cells=args.cells,
         workers=args.workers)
     sizes = ("cells", "k_plus_min", "k_plus_max", "k_minus_min", "k_minus_max")
     out = _write(args, cfg, "grid.csv", grid_csv_rows(grid),
-                 {size: getattr(args, size) for size in sizes})
+                 {**{size: getattr(args, size) for size in sizes},
+                  "telemetry": _probe_telemetry(start)})
     print(f"grid: {len(grid.cells)} cells ({cfg.market.settlement} settlement) -> {out}")
     return EXIT_OK
 
 
 def cmd_impact(args, cfg) -> int:
     from . import experiments
+    start = time.perf_counter()
     report = experiments.impact_comparison(cfg, workers=args.workers)
-    out = _write(args, cfg, "impact.json", _json(asdict(report)))
+    out = _write(args, cfg, "impact.json", _json(asdict(report)),
+                 {"telemetry": _probe_telemetry(start)})
     print(f"impact thresholds: ratio={report.ratio_threshold:.5f} "
           f"powerlaw(zeta=1)={report.powerlaw_linear_threshold:.5f} "
           f"powerlaw(zeta=0.8)={report.powerlaw_concave_threshold:.5f} -> {out}")

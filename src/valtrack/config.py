@@ -19,7 +19,8 @@ from .traders import PopulationSpec
 class ExperimentConfig:
     """Everything a seeded experiment needs. Built in Python, it follows
     parse_config's rule: m0, seed and replicates must equal what their keys
-    make of their str(), a finite float and two ints that are not bools."""
+    make of their str(), a finite float and two ints that are not bools,
+    and are stored as that."""
 
     market: MarketParams = field(default_factory=MarketParams)
     commitments: CommitmentParams = field(default_factory=CommitmentParams)
@@ -32,9 +33,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self)[4:]:  # m0, seed and replicates
             value = getattr(self, f.name)
-            if _convert(f"run.{f.name}", value, "ExperimentConfig") != value:
+            converted = _convert(f"run.{f.name}", value, "ExperimentConfig")
+            if converted != value:
                 raise ConfigError(f"ExperimentConfig: run.{f.name} must be "
                                   f"{f.type.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, converted)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.market.rho != self.population.rho:

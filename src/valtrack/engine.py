@@ -9,17 +9,16 @@ purchase volume q_p used by the impact functions is total bid cash divided
 by the prevailing price, so q_p and q_s are both asset quantities and the
 ratio in the price update is dimensionless. Natural logarithms throughout.
 
-The scalar step is written in the body `_stepper` builds for a run with
-the run's constants bound, and once more in crash_step's two-trader loop
-(below). The body takes a step's orders from one call of
-`traders.population_orders`, whose random traders call the draw it is
-given: `rng.random` in `step`, and in `run` and `crash_step` the run's
-`_draw`, which takes its generator's uniforms DRAW_BLOCK at a time, the
-same sequence. It takes the
-uncapped log move of the order flow (infinite for one-sided ratio-power
-flow, 0 for no flow), caps it at +-eta, moves the price by the capped
-value and sets cap_hit from the uncapped one. One-sided order flow thus
-moves the price at the cap; zero flow on both sides leaves it unchanged.
+The scalar step is written once in Python, in the body `_stepper` builds
+for a run with the run's constants bound. The body takes a step's orders
+from one call of `traders.population_orders`, whose random traders call
+the draw it is given: `rng.random` in `step`, and in `run` and
+`crash_step` the run's `_draw`, which takes its generator's uniforms
+DRAW_BLOCK at a time, the same sequence. It takes the uncapped log move
+of the order flow (infinite for one-sided ratio-power flow, 0 for no
+flow), caps it at +-eta, moves the price by the capped value and sets
+cap_hit from the uncapped one. One-sided order flow thus moves the price
+at the cap; zero flow on both sides leaves it unchanged.
 
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
@@ -39,28 +38,41 @@ every step. `crash_step` asks it only for `CrashPredicate.stop_price`,
 the largest price at which the predicate or the floor fires, once per
 run, and then compares each price with that stop price.
 
-A crash_step probe thus stops in one of three ways: at its crash, at the
-horizon, or, in the two-trader loop below, at the first step that places
-no order, with the answer "no crash", which that step certifies exactly
-(see `_val_mo_crash_step`).
-
 Two engines share these rules. The scalar one steps a private copy of
 its state in place: `step` returns a new state and leaves its input as it
 was, `run` records every step, and `crash_step` keeps no history and
 returns only what a threshold bisection reads, run(..., stop_at_crash=True)
-.crash_step. A crash_step market of one Val trader and at most one Mo
-trader, the layout of the bisection probes of `grid` and `impact` at the
-reference setup, steps in `_val_mo_crash_step`, which reads its start
-without a copy, keeps the price, momentum and four holdings in locals and
-inlines the two order rules: a general trader count cannot have locals,
-and they more than halve the cost of a step. `_stepper` stays the only
-body of `step`, `run` (the oracle of both loops) and every other
-crash_step market, with a Rand trader or more than one Val trader. The other engine is the batched
-kernel of `batch`, with `run` as its oracle.
+.crash_step. `_stepper` is the body of `step`, `run` (the oracle of every
+loop) and of crash_step's markets with a Rand trader or more than one Val
+trader. The other engine is the batched kernel of `batch`, with `run` as
+its oracle.
+
+The compiled two-trader loop. A crash_step market of one Val trader and
+at most one Mo trader, the layout of every bisection probe of `grid` and
+`impact`, steps in the C function of `_crashloop.c`: the `_stepper` body
+with the Val and Mo rules inlined and the state in C doubles, at about a
+tenth of the cost of a Python step. It is the scalar engine bit for bit:
+the same double operations in the same order, the exp, log and pow of the
+libm that math and float ** call, Python's branches where Python raises
+(a ratio q_p / q_s that underflows to 0, a power that overflows), and
+-ffp-contract=off, so that no a * b + c is fused into one rounding. It
+also stops, with None, at the first step that places no order, from which
+no order is placed again (the proof is in _crashloop.c). `_crash_loop`
+builds it at the first two-trader crash_step, never on import, with
+sysconfig's compiler and Python's headers into the user cache,
+$XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it cannot (no
+compiler, no Python.h, no writable cache) crash_step steps those markets
+in `_stepper` to the horizon, with the same answers, slower than the
+Python two-trader loop the C loop replaced (README gives the cost).
+The `grid` and `impact` sidecars name the loop that ran in their
+telemetry, "compiled" or "python".
 """
 
+import functools
 import math
+import os
 import sys
+import zlib
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import methodcaller
@@ -80,6 +92,10 @@ MAX_ASSET_VALUE = sys.float_info.max / 2.0
 # sequence of single draws bit for bit; a fixed size keeps what a run draws
 # beyond its last step, and holds in memory, small whatever its horizon.
 DRAW_BLOCK = 256
+# What a step raises where its new price passes the ceiling, or where the
+# demand at the settlement price is infinite: the same in every loop.
+_CEILING_ERROR = "price must stay <= {}, got {}"
+_DEMAND_ERROR = "demand must stay finite, got inf at price {}"
 
 
 class StepRecord(NamedTuple):
@@ -158,7 +174,7 @@ def check_state(state: MarketState) -> float:
                                 f"total {state.total_asset}")
     ceiling = MAX_ASSET_VALUE / recorded
     if not state.price <= ceiling:
-        raise InvalidInputError(f"price must stay <= {ceiling}, got {state.price}")
+        raise InvalidInputError(_CEILING_ERROR.format(ceiling, state.price))
     return ceiling
 
 
@@ -213,11 +229,11 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
         move = dlog if dlog < eta else eta
         p_new = p * exp(move if move > -eta else -eta)
         if not p_new <= ceiling:
-            raise InvalidInputError(f"price must stay <= {ceiling}, got {p_new}")
+            raise InvalidInputError(_CEILING_ERROR.format(ceiling, p_new))
         p_settle = p_new if updated else p
         demand = total_bid / p_settle
         if demand == inf:  # only a settlement price below the floor gets here
-            raise InvalidInputError(f"demand must stay finite, got inf at price {p_new}")
+            raise InvalidInputError(_DEMAND_ERROR.format(p_new))
         if demand > 0.0 and q_s > 0.0:
             f_buy = q_s / demand
             f_buy = f_buy if f_buy < 1.0 else 1.0
@@ -315,19 +331,35 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     predicate, else the first step where the predicate fires or the price
     floor aborts it, found by one comparison per step with the predicate's
     stop price, computed once from the start. A market of one Val trader
-    and at most one Mo trader, such as a bisection probe of the reference
-    `grid` and `impact`, steps in _val_mo_crash_step, which reads the
-    checked start without copying it and holds the holdings in locals; it
-    also stops, with None, at the first step that places no order, from
-    which nothing changes again. Every other market steps a copy of the
-    start in the _stepper body until its crash or the horizon.
+    and at most one Mo trader steps in the compiled loop where
+    _crash_loop() gives one, which also stops, with None, at the first step
+    that places no order; any other steps a copy of the start in _stepper.
     """
     ceiling = check_state(initial)
     stop = crash.stop_price(initial.price, PRICE_FLOOR)
     if initial.price <= stop:
         return 0
-    if sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL]):
-        return _val_mo_crash_step(initial, params, commitments, ceiling, stop)
+    two_traders = sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL])
+    loop = _crash_loop() if two_traders else None
+    if loop is not None:
+        cv = av = cm = am = 0.0
+        for trader in initial.traders:
+            if trader.kind == KIND_VAL:
+                cv, av, u = trader.cash, trader.asset, trader.valuation
+            else:
+                cm, am = trader.cash, trader.asset
+        c = commitments
+        code, steps, p_new = loop.crash_step(
+            initial.price, initial.momentum, cv, av, cm, am, u,
+            c.kv_buy, c.kv_sell, c.km_buy, c.km_sell,
+            params.eta, params.lam, params.mu, params.zeta, params.liquidity,
+            params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
+            min(params.horizon, 2**63 - 1), ceiling, stop)  # no run takes 2**63 steps
+        if code == _LOOP_CEILING:
+            raise InvalidInputError(_CEILING_ERROR.format(ceiling, p_new))
+        if code == _LOOP_DEMAND:
+            raise InvalidInputError(_DEMAND_ERROR.format(p_new))
+        return steps if code == _LOOP_CRASH else None
     state, draw = initial.copy(), _draw(initial, seed)
     advance = _stepper(params, commitments, ceiling)
     for t in range(1, params.horizon + 1):
@@ -337,93 +369,56 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     return None
 
 
-def _val_mo_crash_step(state, params, commitments, ceiling, stop):
-    """crash_step's loop after the start for a checked state of one Val
-    trader and at most one Mo trader, which it reads and leaves as it was,
-    stopping at the first price at or below stop: the _stepper body with
-    population_orders' Val and Mo rules inlined and the price, momentum and
-    four holdings in locals, a missing Mo trader holding 0.0. A sum of two
-    orders is their fsum but for the sign of a zero sum, which no later
-    value reads.
+# The compiled loop's C source and compile flags, and the codes it returns.
+_LOOP_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_crashloop.c")
+_LOOP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_LOOP_CRASH, _LOOP_CEILING, _LOOP_DEMAND = 1, 2, 3
 
-    It also stops, with None, at the first step whose four orders are all
-    zero: total_bid and q_s are 0.0, tested on total_bid rather than on
-    q_p, which can underflow to 0 for a positive bid. From such a step on
-    nothing changes that an order reads, so no order is ever placed again
-    and the run never crashes:
-    - no flow moves the price by exp(0.0) == 1.0, so p stays above stop;
-    - no order settles, so no holding moves;
-    - m becomes mu * log(1.0) + (1 - mu) * m, of m's sign or 0: the Mo
-      trader, silent at m with its holdings, stays silent, and so does the
-      Val trader, which reads only the unchanged p and holdings;
-    - the price stays at or below the ceiling, and a zero bid makes a zero
-      demand, so no step raises either."""
-    eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
-                                     params.liquidity)
-    one_minus_mu = 1.0 - mu
-    ratio = params.impact == IMPACT_RATIO
-    updated = params.settlement == SETTLE_UPDATED
-    c = commitments
-    kv_buy, kv_sell, km_buy, km_sell = c.kv_buy, c.kv_sell, c.km_buy, c.km_sell
-    log, exp, inf = math.log, math.exp, math.inf
-    cv = av = cm = am = 0.0
-    for trader in state.traders:
-        if trader.kind == KIND_VAL:
-            cv, av, u = trader.cash, trader.asset, trader.valuation
-        else:
-            cm, am = trader.cash, trader.asset
-    p = state.price
-    m = state.momentum
-    for t in range(1, params.horizon + 1):
-        bv = kv_buy * cv if p < u else 0.0
-        ov = kv_sell * av if p > u else 0.0
-        bm = km_buy * cm if m > 0.0 else 0.0
-        om = km_sell * am if m < 0.0 else 0.0
-        total_bid = bv + bm
-        q_s = ov + om
-        if total_bid == 0.0 and q_s == 0.0:
-            return None
-        q_p = total_bid / p
-        if not ratio:
-            dlog = _powerlaw_move(q_p - q_s, liquidity, zeta)
-        elif q_p > 0.0 and q_s > 0.0:
-            try:
-                dlog = lam * log(q_p / q_s)
-            except ValueError:  # the ratio underflows to 0
-                dlog = lam * (log(q_p) - log(q_s))
-        else:
-            dlog = inf if q_p > q_s else -inf if q_p < q_s else 0.0
-        move = dlog if dlog < eta else eta
-        p_new = p * exp(move if move > -eta else -eta)
-        if not p_new <= ceiling:
-            raise InvalidInputError(f"price must stay <= {ceiling}, got {p_new}")
-        p_settle = p_new if updated else p
-        demand = total_bid / p_settle
-        if demand == inf:  # only a settlement price below the floor gets here
-            raise InvalidInputError(f"demand must stay finite, got inf at price {p_new}")
-        if demand > 0.0 and q_s > 0.0:
-            f_buy = q_s / demand
-            f_buy = f_buy if f_buy < 1.0 else 1.0
-            f_sell = demand / q_s
-            f_sell = f_sell if f_sell < 1.0 else 1.0
-            if bv > 0.0:
-                paid = bv * f_buy
-                cv -= paid
-                av += paid / p_settle
-            if ov > 0.0:
-                sold = ov * f_sell
-                av -= sold
-                cv += sold * p_settle
-            if bm > 0.0:
-                paid = bm * f_buy
-                cm -= paid
-                am += paid / p_settle
-            if om > 0.0:
-                sold = om * f_sell
-                am -= sold
-                cm += sold * p_settle
-        m = mu * log(p_new / p) + one_minus_mu * m
-        p = p_new
-        if p <= stop:
-            return t
-    return None
+
+@functools.cache
+def _crash_loop():
+    """The compiled two-trader loop, or None where it cannot be built or
+    loaded. Its file in the user cache is named by the crc32 of its source
+    and flags and by the interpreter's extension suffix; loading a file
+    that is there imports nothing the CLI has not loaded already."""
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+    try:
+        with open(_LOOP_SOURCE, "rb") as fh:
+            key = zlib.crc32(" ".join(_LOOP_FLAGS).encode(), zlib.crc32(fh.read()))
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or
+                             os.path.join(os.path.expanduser("~"), ".cache"), "valtrack")
+        path = os.path.join(cache, f"crashloop-{key:08x}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(path):
+            _build_crash_loop(cache, path)
+        loader = ExtensionFileLoader("valtrack._crashloop", path)
+        module = loader.create_module(ModuleSpec(loader.name, loader, origin=path))
+        loader.exec_module(module)
+        return module
+    except (OSError, ImportError):  # crash_step falls back to _stepper
+        return None
+
+
+def _build_crash_loop(cache: str, path: str) -> None:
+    """Compile _LOOP_SOURCE to path with sysconfig's compiler and headers,
+    through a temporary name in the cache directory (made with mode 0700)
+    that os.replace moves into place, so that processes building it at
+    once each move a whole file. Raises OSError where it cannot."""
+    import subprocess
+    import sysconfig
+    import tempfile
+    include = sysconfig.get_paths()["include"]
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    if not cc or not os.path.exists(os.path.join(include, "Python.h")):
+        raise OSError("no C compiler or no Python.h")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=os.path.basename(path), dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run([*cc, *_LOOP_FLAGS, "-I", include, _LOOP_SOURCE, "-o", tmp,
+                               "-lm"], capture_output=True)
+        if done.returncode != 0:
+            raise OSError(f"{cc[0]} exited with {done.returncode}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -13,6 +13,26 @@ SETTLE_CURRENT = "current"
 MAX_ETA = math.log(sys.float_info.max)  # e^eta stays finite, a capped fall stays > 0
 
 
+def as_float(value, name: str) -> float:
+    """value as a float, as parse_config makes a float field's: an int or
+    a float (a numpy float is one) becomes that float; a bool or anything
+    else is a ConfigError."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
+
+
+def set_floats(obj, names) -> None:
+    """Store each named field of the frozen dataclass obj as_float."""
+    for name in names:
+        object.__setattr__(obj, name, as_float(getattr(obj, name), name))
+
+
 @dataclass(frozen=True, slots=True)
 class MarketParams:
     """Constants of the market mechanism.
@@ -27,6 +47,8 @@ class MarketParams:
     liquidity  power-law impact scale (powerlaw variant only)
     settlement "updated" (trade at the post-impact price) or "current"
     horizon  number of steps per run, an int (not a bool)
+
+    lam, eta, mu, rho, zeta and liquidity are stored as floats.
     """
 
     lam: float = 0.04
@@ -40,6 +62,7 @@ class MarketParams:
     horizon: int = 250
 
     def __post_init__(self):
+        set_floats(self, ("lam", "eta", "mu", "rho", "zeta", "liquidity"))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lambda must be > 0, got {self.lam}")
         if not 0 < self.eta <= MAX_ETA:
@@ -64,7 +87,8 @@ class MarketParams:
 class CommitmentParams:
     """Per-step commitment proportions: fraction of cash placed on a buy
     order (k*_buy) and fraction of the asset holding offered on a sell
-    order (k*_sell), for the valuation, momentum and random traders."""
+    order (k*_sell), for the valuation, momentum and random traders, each
+    stored as a float."""
 
     kv_buy: float = 0.10
     kv_sell: float = 0.10
@@ -74,7 +98,9 @@ class CommitmentParams:
     kr_sell: float = 0.10
 
     def __post_init__(self):
-        for name in ("kv_buy", "kv_sell", "km_buy", "km_sell", "kr_buy", "kr_sell"):
+        names = ("kv_buy", "kv_sell", "km_buy", "km_sell", "kr_buy", "kr_sell")
+        set_floats(self, names)
+        for name in names:
             k = getattr(self, name)
             if not (math.isfinite(k) and 0.0 <= k <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {k}")

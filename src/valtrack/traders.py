@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import ConfigError
-from .params import CommitmentParams
+from .params import CommitmentParams, as_float, set_floats
 
 KIND_VAL = "val"
 KIND_MO = "mo"
@@ -135,8 +135,8 @@ class PopulationSpec:
     with u_ref = gamma_shape / gamma_rate for gamma-distributed valuations
     (their mean) and u for a fixed valuation. Every numeric field must be
     finite: the fractions lie in [0, 1], critical_frac too, and u, the gamma
-    parameters, cash, p0 and rho are > 0. Inside an ExperimentConfig, rho
-    must equal the market's.
+    parameters, cash, p0 and rho are > 0, and each is stored as a float.
+    Inside an ExperimentConfig, rho must equal the market's.
     """
 
     val_fracs: tuple = (1.0,)
@@ -153,6 +153,14 @@ class PopulationSpec:
     critical_frac: float = 0.2
 
     def __post_init__(self):
+        # one type test per field while they are floats, as with_mix's are
+        if not (type(self.mo_frac) is type(self.rand_frac) is type(self.u)
+                is type(self.gamma_shape) is type(self.gamma_rate) is type(self.cash)
+                is type(self.p0) is type(self.rho) is type(self.critical_frac) is float
+                and all(type(f) is float for f in self.val_fracs)):
+            set_floats(self, _FLOAT_FIELDS)
+            object.__setattr__(self, "val_fracs",
+                               tuple(as_float(f, "val_fracs") for f in self.val_fracs))
         fracs = list(self.val_fracs) + [self.mo_frac, self.rand_frac]
         if not all(-1e-15 <= f <= 1.0 + 1e-12 for f in fracs):
             raise ConfigError(f"wealth fractions must lie in [0, 1]: {fracs}")
@@ -191,6 +199,9 @@ class PopulationSpec:
                               *_unsplit_fields(self))
 
 
+# The float fields of a PopulationSpec but val_fracs.
+_FLOAT_FIELDS = ("mo_frac", "rand_frac", "u", "gamma_shape", "gamma_rate", "cash", "p0", "rho",
+                 "critical_frac")
 # The fields of a PopulationSpec after its wealth split, in field order.
 _unsplit_fields = attrgetter(*[f.name for f in fields(PopulationSpec)][3:])
 

@@ -15,12 +15,12 @@ from xml.etree import ElementTree as ET
 import pytest
 
 import valtrack
-from valtrack import cli, experiments
+from valtrack import cli, engine, experiments
 from valtrack.config import KEYS, config_values, parse_config
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
 from valtrack.metrics import CrashPredicate, tau
-from valtrack.params import MarketParams
+from valtrack.params import CommitmentParams, MarketParams
 from valtrack.svg import render_series_svg, render_ternary_svg
 from valtrack.traders import PopulationSpec
 
@@ -167,6 +167,28 @@ def test_every_door_rejects_a_value_its_key_cannot_hold(door, key, value, tmp_pa
     """A config built in Python follows the rule a flag's string does."""
     with pytest.raises(ConfigError):
         DOORS[door](tmp_path, key, value)
+
+
+def test_a_float_field_built_from_an_int_holds_what_parse_config_makes_of_it():
+    # ExperimentConfig(m0=0, commitments=CommitmentParams(kv_buy=1)) held
+    # 0 and 1, which a sidecar writes as 0 and 1, where parse_config of the
+    # same values holds 0.0 and 1.0
+    built = ExperimentConfig(m0=0, commitments=CommitmentParams(kv_buy=1),
+                             market=MarketParams(eta=1), population=PopulationSpec(mo_frac=0))
+    parsed = parse_config(overrides={"run.m0": 0, "commit.kv_buy": 1, "market.eta": 1,
+                                     "population.mo_frac": 0})
+    assert json.dumps(config_values(built)) == json.dumps(config_values(parsed))
+    assert type(PopulationSpec(val_fracs=(1,)).val_fracs[0]) is float
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarketParams(eta=True), lambda: MarketParams(lam="0.04"),
+    lambda: CommitmentParams(kv_buy=True), lambda: PopulationSpec(val_fracs=(True,)),
+    lambda: PopulationSpec(val_fracs=(1.0,), mo_frac=False), lambda: PopulationSpec(u=None),
+], ids=["eta True", "lambda str", "kv_buy True", "val_fracs True", "mo_frac False", "u None"])
+def test_a_float_field_rejects_a_bool_and_a_non_number(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 class TestCliCommands:
@@ -365,6 +387,25 @@ class TestCliCommands:
         assert code == 0
         lines = (tmp_path / "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 5
+
+    def test_grid_and_impact_sidecars_name_the_crash_loop_that_ran(self, tmp_path, monkeypatch):
+        # the same data files from the compiled loop and from _stepper,
+        # where the loader gives None as it does with no compiler
+        if engine._crash_loop() is None:
+            pytest.skip("the compiled crash loop cannot be built here")
+        commands = {"grid.csv": ["grid", "--cells", "2"], "impact.json": ["impact"]}
+        data = {}
+        for loop in ("compiled", "python"):
+            if loop == "python":
+                monkeypatch.setattr(engine, "_crash_loop", lambda: None)
+            for name, argv in commands.items():
+                assert cli.main([*argv, "--horizon", "60", "--out", str(tmp_path / loop)]) == 0
+                sidecar = json.loads((tmp_path / loop / f"{name}.meta.json").read_text())
+                assert sidecar["telemetry"]["crash_loop"] == loop
+                assert set(sidecar["telemetry"]) == {"crash_loop", "wall_s"}
+                assert sidecar["telemetry"]["wall_s"] > 0
+                data.setdefault(name, set()).add((tmp_path / loop / name).read_bytes())
+        assert [len(files) for files in data.values()] == [1, 1]
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -606,6 +647,21 @@ def test_set_up_loads_only_the_modules_it_runs():
         print(sorted(name for name in sys.modules if name.split(".")[0] == "valtrack"))
     """) == str(["valtrack", "valtrack.cli", "valtrack.config", "valtrack.errors",
                  "valtrack.metrics", "valtrack.params", "valtrack.traders"])
+
+
+def test_a_grid_loads_the_cached_crash_loop_without_a_compiler_or_hash_module(tmp_path):
+    """Once the compiled crash loop is in the user cache, a grid loads it
+    without subprocess, sysconfig, ctypes or hashlib (whose OpenSSL alone
+    adds 3.6 MiB of resident memory)."""
+    if engine._crash_loop() is None:  # this also fills the cache
+        pytest.skip("the compiled crash loop cannot be built here")
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli, engine
+        assert cli.main(["grid", "--cells", "1", "--out", {str(tmp_path)!r}]) == 0
+        print(engine._crash_loop() is not None,
+              sorted({{"ctypes", "hashlib", "subprocess", "sysconfig"}} & set(sys.modules)))
+    """) == "True []"
 
 
 def test_the_svg_module_loads_no_harness_and_no_numpy():

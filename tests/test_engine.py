@@ -1,8 +1,16 @@
+import contextlib
 import copy
+import functools
+import importlib.machinery
 import math
-from array import array
+import os
+import shutil
+import signal
+import stat
 import sys
+import sysconfig
 import warnings
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -312,10 +320,11 @@ class TestInputsStayUnchanged:
         assert not given & {id(t) for t in out.traders + result.final_state.traders}
 
 
-# The three step loops, engine._stepper, engine._val_mo_crash_step and
-# batch.run_summaries, state one rule. assert_engines_agree is their one
-# differential oracle, and engine_cases draws its inputs; each edge input
-# below is one call of it, with the facts its case pins.
+# The three step loops, engine._stepper, the compiled two-trader loop of
+# engine.crash_step (_crashloop.c) and batch.run_summaries, state one
+# rule. assert_engines_agree is their one differential oracle, and
+# engine_cases draws its inputs; each edge input below is one call of it,
+# with the facts its case pins.
 
 def outcome(fn):
     """fn()'s value, or the message of the InvalidInputError it raises."""
@@ -633,7 +642,7 @@ class TestInvariantSweep:
 
 def counted_steps(fn, limit=1000):
     """(fn(), the steps it took), counted as the calls of exp in engine:
-    each step of either scalar loop calls it once. A step past the limit
+    each step of the _stepper body calls it once. A step past the limit
     fails at once, so a loop that keeps stepping cannot hang the test."""
     steps = 0
 
@@ -646,6 +655,62 @@ def counted_steps(fn, limit=1000):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
         return fn(), steps
+
+
+def compiled_loop():
+    """The compiled two-trader loop; the test skips where it cannot be
+    built, which test_the_compiled_loop_loads_where_it_can_be_built fails."""
+    loop = engine._crash_loop()
+    if loop is None:
+        pytest.skip("the compiled crash loop cannot be built here")
+    return loop
+
+
+@contextlib.contextmanager
+def crash_loop(kind):
+    """crash_step stepping its two-trader markets in the compiled loop
+    ("compiled"), or, with the loader returning None as it does where the
+    loop cannot be built, in the _stepper body ("python")."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kind == "python":
+            patch.setattr(engine, "_crash_loop", lambda: None)
+        else:
+            compiled_loop()
+        yield
+
+
+@contextlib.contextmanager
+def loop_results(seconds=10):
+    """Yield a list, and append to it each (code, steps, price) that the
+    compiled loop returns to crash_step meanwhile. The loop checks for
+    signals every 2**20 steps, so one that is still stepping after
+    `seconds` fails with TimeoutError and cannot hang the test."""
+    loop, results = compiled_loop(), []
+
+    def recording(*args):
+        results.append(loop.crash_step(*args))
+        return results[-1]
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the compiled loop still stepped after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_crash_loop", lambda: SimpleNamespace(crash_step=recording))
+            yield results
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def compiled_steps(fn):
+    """(fn(), the steps the compiled loop returns for fn's one crash_step)."""
+    with loop_results() as results:
+        value = fn()
+    [(_, steps, _)] = results
+    return value, steps
 
 
 def bench_grid_probes(tmp_path):
@@ -665,6 +730,30 @@ def bench_grid_probes(tmp_path):
             assert cli.main(["grid", *common, "--settlement", settlement, "--cells", "3"]) == 0
         assert cli.main(["impact", *common]) == 0
     return probes
+
+
+def assert_bench_grid_probes_match_run(loop, tmp_path):
+    """Every crash_step probe of a bench `grid` iteration, with crash_step
+    stepping two-trader markets in the given loop, is run's crash."""
+    with crash_loop(loop):
+        probes = bench_grid_probes(tmp_path)
+    assert len(probes) == 273
+    # the theta = 0 end of each of the 21 bisections (18 cells and 3
+    # impact searches) is a Val trader alone at its valuation
+    assert sum(all(order == 0.0 for orders in population_orders(commitments)(
+                   state.traders, state.price, state.momentum, None) for order in orders)
+               for state, _, commitments, _, _ in probes) == 21
+    # the probes of one cell share their params: batch them together
+    cells = {}
+    for state, params, commitments, seed, crash in probes:
+        cells.setdefault((params, commitments, crash), []).append((state, seed))
+    outcomes = []
+    with crash_loop(loop):
+        for (params, commitments, crash), runs in cells.items():
+            states, seeds = zip(*runs)
+            outcomes += [result.crash_step for result in
+                         assert_engines_agree(states, params, commitments, seeds, crash)]
+    assert None in outcomes and sum(o is not None for o in outcomes) > 100
 
 
 class TestCrashStep:
@@ -695,14 +784,27 @@ class TestCrashStep:
         init_population(PopulationSpec(), m0=-0.001), two_trader_state(m0=0.0),
     ], ids=["val at its valuation", "val mo at zero momentum"])
     def test_an_order_free_start_stops_without_stepping(self, state):
-        # each step calls exp once; a start that places no order never
-        # places one, so even a horizon of 10**9 steps takes none
-        assert counted_steps(lambda: engine.crash_step(
+        # a start that places no order never places one, so even a horizon
+        # of 10**9 steps takes none in the compiled loop; the _stepper body
+        # steps to the horizon
+        assert compiled_steps(lambda: engine.crash_step(
             state, MarketParams(horizon=10**9), CommitmentParams(), 0,
             CrashPredicate.relative_drop(0.3))) == (None, 0)
-        assert counted_steps(lambda: engine.crash_step(
+        assert compiled_steps(lambda: engine.crash_step(
             two_trader_state(), MarketParams(horizon=3), CommitmentParams(), 0,
             CrashPredicate.relative_drop(0.3))) == (None, 3)
+        with crash_loop("python"):
+            for start in (state, two_trader_state()):
+                assert counted_steps(lambda: engine.crash_step(
+                    start, MarketParams(horizon=3), CommitmentParams(), 0,
+                    CrashPredicate.relative_drop(0.3))) == (None, 3)
+
+    def test_a_horizon_past_2_63_with_an_order_free_start_returns_none_at_once(self):
+        # the horizon is clamped to the loop's 64-bit count, which no run reaches
+        state = init_population(PopulationSpec(), m0=-0.001)
+        assert compiled_steps(lambda: engine.crash_step(
+            state, MarketParams(horizon=2**70), CommitmentParams(), 0,
+            CrashPredicate.relative_drop(0.3))) == (None, 0)
 
     def test_a_market_that_empties_both_sides_stops_mid_run(self):
         # the Val trader's whole cash buys the Mo trader's whole asset at
@@ -715,37 +817,40 @@ class TestCrashStep:
                                         CrashPredicate.drop_below(0.5))
         assert [(r.q_p, r.q_s, r.executed) for r in result.records[:2]] == [
             (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
-        assert counted_steps(lambda: engine.crash_step(
+        assert compiled_steps(lambda: engine.crash_step(
             state, params, ALL_IN, 0, CrashPredicate.drop_below(0.5))) == (None, 1)
+        with crash_loop("python"):
+            assert counted_steps(lambda: engine.crash_step(
+                state, params, ALL_IN, 0, CrashPredicate.drop_below(0.5))) == (None, 20)
 
     def test_every_probe_of_a_bench_grid_iteration_matches_run(self, tmp_path):
-        probes = bench_grid_probes(tmp_path)
-        assert len(probes) == 273
-        # the theta = 0 end of each of the 21 bisections (18 cells and 3
-        # impact searches) is a Val trader alone at its valuation
-        assert sum(all(order == 0.0 for orders in population_orders(commitments)(
-                           state.traders, state.price, state.momentum, None) for order in orders)
-                   for state, _, commitments, _, _ in probes) == 21
-        # the probes of one cell share their params: batch them together
-        cells = {}
-        for state, params, commitments, seed, crash in probes:
-            cells.setdefault((params, commitments, crash), []).append((state, seed))
-        outcomes = []
-        for (params, commitments, crash), runs in cells.items():
-            states, seeds = zip(*runs)
-            outcomes += [result.crash_step for result in
-                         assert_engines_agree(states, params, commitments, seeds, crash)]
-        assert None in outcomes and sum(o is not None for o in outcomes) > 100
+        assert_bench_grid_probes_match_run("compiled", tmp_path)
+
+    def test_every_probe_of_a_bench_grid_iteration_matches_run_in_the_python_loop(self, tmp_path):
+        assert_bench_grid_probes_match_run("python", tmp_path)
 
     @given(case=engine_cases(layout="population"))
     @settings(max_examples=60, deadline=None)
     def test_matches_run_stopped_at_the_crash(self, case):
         assert_engines_agree(*case)
 
+    @given(case=engine_cases(layout="population"))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_run_stopped_at_the_crash_in_the_python_loop(self, case):
+        with crash_loop("python"):
+            assert_engines_agree(*case)
+
     @given(case=engine_cases(layout="val_mo"))
     @settings(max_examples=60, deadline=None)
     def test_val_mo_loop_matches_run_stopped_at_the_crash(self, case):
-        assert_engines_agree(*case)
+        with crash_loop("compiled"):
+            assert_engines_agree(*case)
+
+    @given(case=engine_cases(layout="val_mo"))
+    @settings(max_examples=60, deadline=None)
+    def test_val_mo_markets_match_run_stopped_at_the_crash_in_the_python_loop(self, case):
+        with crash_loop("python"):
+            assert_engines_agree(*case)
 
     @given(case=engine_cases(layout="val_mo"))
     @settings(max_examples=50, deadline=None)
@@ -753,6 +858,7 @@ class TestCrashStep:
         def generic(*args):
             raise AssertionError("_stepper built for a Val/Mo market")
 
+        compiled_loop()
         states, params, commitments, seeds, crash = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_stepper", generic)
@@ -792,6 +898,61 @@ class TestCrashStep:
             with pytest.raises(Generic):
                 engine.crash_step(state, MarketParams(), CommitmentParams(), 0,
                                   CrashPredicate.drop_below(0.01))
+
+
+@pytest.mark.parametrize("theta, commitments, settlement", [
+    (0.575, CommitmentParams(0.075, 0.219, 0.232, 0.264), "updated"),
+    (0.492, CommitmentParams(0.087, 0.2, 0.234, 0.259), "current"),
+], ids=["updated", "current"])
+def test_the_compiled_loop_rounds_each_product_on_its_own(theta, commitments, settlement):
+    # the price the compiled loop reaches at each horizon is run's price
+    # at that step, bit for bit. A build that fuses a * b + c into one
+    # rounding moves these two paths from step 110 and 111 on: gcc 12 with
+    # -march=native and without -ffp-contract=off, on an x86-64 Xeon with
+    # FMA, where the assert_engines_agree cases rarely see it
+    state = two_trader_state(theta=theta)
+    params = MarketParams(settlement=settlement, horizon=130)
+    prices = run(state, params, commitments, 0, CrashPredicate.drop_below(1e-9)).prices
+    with loop_results() as results:
+        for horizon in range(1, params.horizon + 1):
+            assert engine.crash_step(state, replace(params, horizon=horizon), commitments, 0,
+                                     CrashPredicate.drop_below(1e-9)) is None
+    assert bits(price for _, _, price in results) == bits(prices[1:])
+
+
+def test_the_compiled_loop_loads_where_it_can_be_built(tmp_path, monkeypatch):
+    """Where sysconfig's C compiler is installed and Python.h exists,
+    crash_step steps two-trader markets in the compiled loop: the loader
+    gives it, and a fresh loader builds it into an empty user cache
+    ($XDG_CACHE_HOME/valtrack, mode 0700), leaving the one extension there,
+    and loads it; a second fresh loader loads that file again."""
+    include = sysconfig.get_paths()["include"]
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    if not (cc and shutil.which(cc[0]) and os.path.exists(os.path.join(include, "Python.h"))):
+        pytest.skip("no C compiler or no Python.h: two-trader markets step in _stepper")
+    assert engine._crash_loop() is not None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "valtrack"
+    for _ in range(2):
+        loop = functools.cache(engine._crash_loop.__wrapped__)()
+        [built] = cache.iterdir()
+        assert loop is not None and loop.__file__ == str(built)
+        assert built.name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+
+def test_a_loop_that_cannot_be_built_leaves_nothing_and_falls_back(tmp_path, monkeypatch):
+    # with no compiler on the PATH the loader gives None, and crash_step
+    # steps two-trader markets in _stepper
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    loader = functools.cache(engine._crash_loop.__wrapped__)
+    assert loader() is None
+    assert list((tmp_path / "valtrack").iterdir()) == []
+    monkeypatch.setattr(engine, "_crash_loop", loader)
+    assert counted_steps(lambda: engine.crash_step(
+        two_trader_state(), MarketParams(horizon=3), CommitmentParams(), 0,
+        CrashPredicate.relative_drop(0.3))) == (None, 3)
 
 
 class TestRunSummaries:
@@ -953,8 +1114,8 @@ def test_holdings_above_the_recorded_total_step_finitely_up_to_a_bound():
 def test_holdings_at_the_bounds_step_with_finite_flows():
     # every trader bids all its cash at the 1e-12 floor: the purchase volume
     # is about sys.float_info.max / 2, and the one-sided flow moves the price
-    # up at the cap. One Val trader steps in the two-trader crash_step loop,
-    # two in the generic one.
+    # up at the cap. One Val trader steps in the compiled two-trader
+    # crash_step loop, two in the generic one.
     cash = engine.MAX_TOTAL_CASH
     one = market_state(engine.PRICE_FLOOR, [Trader(cash, 0.0, "val", valuation=1.0)])
     two = market_state(engine.PRICE_FLOOR, [Trader(cash / 2, 0.0, "val", valuation=1.0),
@@ -1047,6 +1208,21 @@ def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
     assert result.crash_step == 1 and summary_row(result)[2:] == (True, False, True, 1)
 
 
+def test_a_flow_ratio_that_underflows_above_the_floor_pins_its_price():
+    # the market above at lam = 0.01: the move, about -7.5, leaves the price
+    # near 5.7e-4, above the floor, so the oracle pins that price bit for
+    # bit through crash_step, which steps the market in the two-trader loop
+    state = MarketState(1.0, 0.001, [Trader(0.0, 4.0, "val", valuation=0.5),
+                                     Trader(5e-324, 0.0, "mo")], 5e-324, 4.0)
+    params = MarketParams(lam=0.01, eta=100.0, horizon=1)
+    [result] = assert_engines_agree([state], params, CommitmentParams(kv_sell=1.0, km_buy=1.0),
+                                    [0], CrashPredicate.relative_drop(0.3))
+    record = result.records[0]
+    assert record.q_p > 0.0 and record.q_p / record.q_s == 0.0 and not result.aborted
+    assert record.new_price == math.exp(params.lam * (math.log(record.q_p) - math.log(record.q_s)))
+    assert 1e-4 < record.new_price < 1e-3
+
+
 def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
     # a Val bid of 1e295 cash at the 1e-12 floor against a Mo offer of 1e-300
     # asset: the flow ratio overflows to inf, and so would the kernel's
@@ -1091,8 +1267,8 @@ def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
     # above 1e150, whose square overflows a double and raised OverflowError;
     # at 1e-310 the kernel's imbalance / liquidity overflowed with numpy's
     # warning. A power above DBL_MAX is above eta <= ln(DBL_MAX), so each
-    # step moves at the cap. One Val trader steps in the two-trader
-    # crash_step loop, two in the generic one.
+    # step moves at the cap. One Val trader steps in the compiled
+    # two-trader crash_step loop, two in the generic one.
     one = init_population(PopulationSpec(val_fracs=(0.5,), mo_frac=0.5), m0=0.001)
     two = init_population(PopulationSpec(val_fracs=(0.25, 0.25), mo_frac=0.5), m0=0.001)
     params = MarketParams(impact="powerlaw", zeta=2.0, liquidity=liquidity, horizon=6)
