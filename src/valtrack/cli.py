@@ -12,13 +12,13 @@ resolved configuration, the command's own sizes (sweep resolution and
 replicates, grid cells and k bounds, multival horizon and n_vals, estimator
 arguments), the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
-The sweep's CSV sidecar also has a "telemetry" key (runs, the steps the
-engine simulated, which count a repeated run once per batch, aborted runs,
-engine batches and the widest batch's runs, wall time, simulated steps/s)
-that changes between runs; it is not part of the reproducible output. The
-grid and impact sidecars have one too: the loop that stepped their
-two-trader probes ("compiled", or "python" where the compiled loop cannot
-be built) and the wall time.
+The sweep, grid and impact sidecars also have a "telemetry" key that
+changes between runs; it is not part of the reproducible output. It names
+the loop that stepped the command's runs or two-trader probes, "loop":
+"compiled", or "python" where the compiled loops cannot be built, and
+gives the wall time; the sweep's also counts runs, the steps the engine
+simulated, which count a repeated run once per batch, aborted runs,
+engine batches and the widest batch's runs, and simulated steps/s.
 
 Exit codes: 0 success, 2 configuration error (an unusable output directory
 included), 3 any other valtrack error (numeric failure, invalid input,
@@ -227,11 +227,11 @@ def cmd_sweep(args, cfg) -> int:
     start = time.perf_counter()
     grid = experiments.ternary_sweep(cfg, args.resolution, args.sweep_replicates,
                                      workers=args.workers)
-    wall = time.perf_counter() - start
-    telemetry = {"runs": grid.runs, "steps": grid.steps,
-                 "aborted_runs": grid.aborted_runs, "batches": grid.batches,
-                 "batch_runs": grid.batch_runs, "wall_s": wall,
-                 "steps_per_s": grid.steps / wall if wall > 0 else 0.0}
+    telemetry = _telemetry(start, runs=grid.runs, steps=grid.steps,
+                           aborted_runs=grid.aborted_runs, batches=grid.batches,
+                           batch_runs=grid.batch_runs)
+    wall = telemetry["wall_s"]
+    telemetry["steps_per_s"] = grid.steps / wall if wall > 0 else 0.0
     sizes = {"resolution": grid.resolution, "replicates": grid.replicates}
     out = _write(args, cfg, _DATA_FILES["sweep"], ternary_csv_rows(grid),
                  {**sizes, "telemetry": telemetry})
@@ -242,12 +242,13 @@ def cmd_sweep(args, cfg) -> int:
     return EXIT_OK
 
 
-def _probe_telemetry(start: float) -> dict:
-    """The telemetry of a threshold command started at start: the loop
-    that stepped its two-trader probes, and its wall time."""
+def _telemetry(start: float, **counts) -> dict:
+    """The telemetry of a command started at start: the loop that stepped
+    its runs or two-trader probes ("compiled", or "python" where the
+    compiled loops cannot be built), its counts and its wall time."""
     from .engine import _crash_loop
     wall = time.perf_counter() - start
-    return {"crash_loop": "python" if _crash_loop() is None else "compiled", "wall_s": wall}
+    return {"loop": "python" if _crash_loop() is None else "compiled", **counts, "wall_s": wall}
 
 
 def cmd_grid(args, cfg) -> int:
@@ -260,7 +261,7 @@ def cmd_grid(args, cfg) -> int:
     sizes = ("cells", "k_plus_min", "k_plus_max", "k_minus_min", "k_minus_max")
     out = _write(args, cfg, "grid.csv", grid_csv_rows(grid),
                  {**{size: getattr(args, size) for size in sizes},
-                  "telemetry": _probe_telemetry(start)})
+                  "telemetry": _telemetry(start)})
     print(f"grid: {len(grid.cells)} cells ({cfg.market.settlement} settlement) -> {out}")
     return EXIT_OK
 
@@ -270,7 +271,7 @@ def cmd_impact(args, cfg) -> int:
     start = time.perf_counter()
     report = experiments.impact_comparison(cfg, workers=args.workers)
     out = _write(args, cfg, "impact.json", _json(asdict(report)),
-                 {"telemetry": _probe_telemetry(start)})
+                 {"telemetry": _telemetry(start)})
     print(f"impact thresholds: ratio={report.ratio_threshold:.5f} "
           f"powerlaw(zeta=1)={report.powerlaw_linear_threshold:.5f} "
           f"powerlaw(zeta=0.8)={report.powerlaw_concave_threshold:.5f} -> {out}")

@@ -23,12 +23,12 @@ at the cap; zero flow on both sides leaves it unchanged.
 Inputs are validated at the boundary. MarketParams and CommitmentParams
 check themselves when built, and `check_state` checks a state and its
 traders where it enters `run`, `step`, `crash_step` or
-`batch.run_summaries`, and bounds the totals so that every order flow and,
-up to the state's price ceiling, every asset value stays finite. The
+`summaries.run_summaries`, and bounds the totals so that every order flow
+and, up to the state's price ceiling, every asset value stays finite. The
 ceiling comes from the state's recorded total asset, which no step
 changes, so every entry point gives a run one ceiling. So a step checks
 only its new price against the ceiling, and below the floor the demand at
-it. Both engines raise the same InvalidInputError.
+it. Every loop raises the same InvalidInputError.
 
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
@@ -37,35 +37,32 @@ when asked to (crash_step always is). `run` asks the predicate itself at
 every step. `crash_step` asks it only for `CrashPredicate.stop_price`,
 the largest price at which the predicate or the floor fires, once per
 run, and then compares each price with that stop price.
+`summaries.run_summaries` asks it once per run, at the run's lowest and
+highest price.
 
-Two engines share these rules. The scalar one steps a private copy of
-its state in place: `step` returns a new state and leaves its input as it
-was, `run` records every step, and `crash_step` keeps no history and
-returns only what a threshold bisection reads, run(..., stop_at_crash=True)
-.crash_step. `_stepper` is the body of `step`, `run` (the oracle of every
-loop) and of crash_step's markets with a Rand trader or more than one Val
-trader. The other engine is the batched kernel of `batch`, with `run` as
-its oracle.
+Each entry point steps a private copy of its state in place: `step`
+returns a new state and leaves its input as it was, `run` records every
+step, `crash_step` keeps no history and returns only what a threshold
+bisection reads, run(..., stop_at_crash=True).crash_step, and
+`summaries.run_summaries` only what a sweep reads of each run of a batch.
+`_stepper` is the body of `step`, of `run`, the oracle of every loop, and
+of crash_step's markets that the compiled two-trader loop does not step.
 
-The compiled two-trader loop. A crash_step market of one Val trader and
-at most one Mo trader, the layout of every bisection probe of `grid` and
-`impact`, steps in the C function of `_crashloop.c`: the `_stepper` body
-with the Val and Mo rules inlined and the state in C doubles, at about a
-tenth of the cost of a Python step. It is the scalar engine bit for bit:
-the same double operations in the same order, the exp, log and pow of the
-libm that math and float ** call, Python's branches where Python raises
-(a ratio q_p / q_s that underflows to 0, a power that overflows), and
--ffp-contract=off, so that no a * b + c is fused into one rounding. It
-also stops, with None, at the first step that places no order, from which
-no order is placed again (the proof is in _crashloop.c). `_crash_loop`
-builds it at the first two-trader crash_step, never on import, with
-sysconfig's compiler and Python's headers into the user cache,
-$XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it cannot (no
-compiler, no Python.h, no writable cache) crash_step steps those markets
-in `_stepper` to the horizon, with the same answers, slower than the
-Python two-trader loop the C loop replaced (README gives the cost).
-The `grid` and `impact` sidecars name the loop that ran in their
-telemetry, "compiled" or "python".
+The compiled loops. `_crashloop.c` holds two C functions, the `_stepper`
+body with the order rules inlined and the state in C doubles: the
+two-trader loop of crash_step, for a market of one Val trader and at most
+one Mo trader, the layout of every bisection probe of `grid` and
+`impact`, and the summary loop of summaries.run_summaries, for markets of
+any traders, one call per batch. Its header says why they are the scalar
+engine bit for bit. `_crash_loop` builds the module at the first call
+that needs it, never on import, with sysconfig's compiler and Python's
+headers into the user cache, $XDG_CACHE_HOME/valtrack or
+~/.cache/valtrack. Where it cannot (no compiler, no Python.h, no
+writable cache) crash_step steps those markets in `_stepper` to the
+horizon and run_summaries takes each row from `run`, with the same
+answers, slower (README gives the cost). The `sweep`, `grid` and
+`impact` sidecars name the loop that ran in their telemetry, "compiled"
+or "python".
 """
 
 import functools
@@ -178,16 +175,6 @@ def check_state(state: MarketState) -> float:
     return ceiling
 
 
-def _powerlaw_move(imbalance: float, liquidity: float, zeta: float) -> float:
-    """The uncapped power-law move |imbalance / liquidity|^zeta signed by
-    the imbalance, infinite where the power overflows; 0.0 ** zeta == 0.0.
-    Both scalar loops and, element by element, the batched kernel call it."""
-    try:
-        return math.copysign(abs(imbalance / liquidity) ** zeta, imbalance)
-    except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
-        return math.copysign(math.inf, imbalance)
-
-
 def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float):
     """The step of a run with these constants and check_state's price
     ceiling: advance(state, draw, record) steps a valid state in place (a
@@ -196,11 +183,12 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
     population_orders call, whose random traders call draw().
 
     Impact: the uncapped log move is lam * log(q_p/q_s) for ratio-power
-    flow, or _powerlaw_move(q_p - q_s, liquidity, zeta) for power-law
-    flow. Settlement at the updated or the current price: bids stay fixed
-    in cash and convert to asset demand at that price, offers stay fixed in
-    asset units, and the larger side is scaled down pro-rata to parity, so
-    totals are conserved and no holding goes negative.
+    flow, or |(q_p - q_s) / liquidity|^zeta signed by q_p - q_s for
+    power-law flow, infinite where the power overflows. Settlement at the
+    updated or the current price: bids stay fixed in cash and convert to
+    asset demand at that price, offers stay fixed in asset units, and the
+    larger side is scaled down pro-rata to parity, so totals are conserved
+    and no holding goes negative.
     Momentum: the smoothed log return mu * log(p_new/p) + (1 - mu) * m.
     """
     eta, lam, mu, zeta, liquidity = (params.eta, params.lam, params.mu, params.zeta,
@@ -209,7 +197,7 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
     ratio = params.impact == IMPACT_RATIO
     updated = params.settlement == SETTLE_UPDATED
     orders = population_orders(commitments)
-    fsum, log, exp, inf = math.fsum, math.log, math.exp, math.inf
+    fsum, log, exp, inf, copysign = math.fsum, math.log, math.exp, math.inf, math.copysign
 
     def advance(state, draw, record):
         p, m, traders = state.price, state.momentum, state.traders
@@ -218,7 +206,10 @@ def _stepper(params: MarketParams, commitments: CommitmentParams, ceiling: float
         q_p = total_bid / p
         q_s = fsum(offers)
         if not ratio:
-            dlog = _powerlaw_move(q_p - q_s, liquidity, zeta)
+            try:
+                dlog = copysign(abs((q_p - q_s) / liquidity) ** zeta, q_p - q_s)
+            except OverflowError:  # above DBL_MAX, so above eta <= ln(DBL_MAX)
+                dlog = copysign(inf, q_p - q_s)
         elif q_p > 0.0 and q_s > 0.0:
             try:
                 dlog = lam * log(q_p / q_s)
@@ -355,10 +346,7 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
             params.eta, params.lam, params.mu, params.zeta, params.liquidity,
             params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
             min(params.horizon, 2**63 - 1), ceiling, stop)  # no run takes 2**63 steps
-        if code == _LOOP_CEILING:
-            raise InvalidInputError(_CEILING_ERROR.format(ceiling, p_new))
-        if code == _LOOP_DEMAND:
-            raise InvalidInputError(_DEMAND_ERROR.format(p_new))
+        _raise_loop_failure(code, ceiling, p_new)
         return steps if code == _LOOP_CRASH else None
     state, draw = initial.copy(), _draw(initial, seed)
     advance = _stepper(params, commitments, ceiling)
@@ -369,7 +357,16 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     return None
 
 
-# The compiled loop's C source and compile flags, and the codes it returns.
+def _raise_loop_failure(code: int, ceiling: float, p_new: float) -> None:
+    """Raise the scalar step's InvalidInputError where a compiled loop
+    returns the ceiling or the demand failure at price p_new."""
+    if code == _LOOP_CEILING:
+        raise InvalidInputError(_CEILING_ERROR.format(ceiling, p_new))
+    if code == _LOOP_DEMAND:
+        raise InvalidInputError(_DEMAND_ERROR.format(p_new))
+
+
+# The compiled loops' C source and compile flags, and the codes they return.
 _LOOP_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_crashloop.c")
 _LOOP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _LOOP_CRASH, _LOOP_CEILING, _LOOP_DEMAND = 1, 2, 3
@@ -377,7 +374,7 @@ _LOOP_CRASH, _LOOP_CEILING, _LOOP_DEMAND = 1, 2, 3
 
 @functools.cache
 def _crash_loop():
-    """The compiled two-trader loop, or None where it cannot be built or
+    """The module of the compiled loops, or None where it cannot be built or
     loaded. Its file in the user cache is named by the crc32 of its source
     and flags and by the interpreter's extension suffix; loading a file
     that is there imports nothing the CLI has not loaded already."""
@@ -394,7 +391,7 @@ def _crash_loop():
         module = loader.create_module(ModuleSpec(loader.name, loader, origin=path))
         loader.exec_module(module)
         return module
-    except (OSError, ImportError):  # crash_step falls back to _stepper
+    except (OSError, ImportError):  # crash_step and run_summaries fall back to _stepper
         return None
 
 

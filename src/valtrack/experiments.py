@@ -10,23 +10,20 @@ of worker count or scheduling. Aggregation is keyed by task index.
 import math
 import os
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 
 from . import metrics
 from .config import ExperimentConfig
-from .engine import RunResult, crash_step, run
+from .engine import RunResult, _crash_loop, crash_step, run
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
 from .seeding import mix_seed, rng_for
 from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
 
-# Largest number of sweep runs stepped together by batch.run_summaries. It
-# bounds the batch's arrays and PCG64 streams in memory; results do not
-# depend on it. Wider batches spread numpy's per-call cost over more runs,
-# at about 3.5 KiB per run: the desk sweep (4,620 runs) took a median of
-# 2.56, 1.95, 1.72, 1.54 and 1.42 s at widths 256 to 4,096, with peak RSS
-# 36.5, 37.0, 38.8, 42.3 and 49.7 MiB (BENCH_pr7.json). From 2,048 to
-# 4,096 each added MiB saves a third of what it saved from 1,024 to 2,048.
+# Largest number of sweep runs summarised together by summaries.run_summaries.
+# It bounds what a batch holds in memory, its start states and the compiled
+# loop's buffers; results do not depend on it.
 _MAX_BATCH_RUNS = 2048
 
 
@@ -175,9 +172,9 @@ def _ternary_batch_task(args):
     this batch share one row; the replicates of any other point share one
     start where they can, as run_summaries leaves its states unchanged.
     """
-    # imported here, not at the top: batch imports numpy, which importing
-    # valtrack should not
-    from .batch import run_summaries
+    # imported here, not at the top: the commands that summarise no batch
+    # do not load the summaries module
+    from .summaries import run_summaries
     config, replicates, start, stop, points = args
     first = start // replicates
     states, seeds, rows = [], [], []
@@ -205,7 +202,7 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
 
     Per-replicate seeds derive from (master seed, point index, replicate),
     so the grid is identical for any worker count. The runs go through the
-    batched engine in batches of at most _MAX_BATCH_RUNS, as many as a
+    summary loop in batches of at most _MAX_BATCH_RUNS, as many as a
     multiple of the processes _run_tasks starts and of near-equal size; a
     point whose runs are all the same is simulated once per batch it spans.
     """
@@ -217,9 +214,11 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     n_runs = len(points) * replicates
     pool = _pool_size(workers, n_runs)
     if pool > 1:
-        # loaded before the pool forks its workers, which then share numpy
-        # instead of each importing it
-        from . import batch  # noqa: F401
+        # loaded before the pool forks its workers, which then share them
+        # instead of each loading them: the compiled loops, and numpy, which
+        # seeds the random traders
+        _crash_loop()
+        import_module("numpy")
     n_batches = pool * -(-n_runs // (pool * _MAX_BATCH_RUNS))
     bounds = [i * n_runs // n_batches for i in range(n_batches + 1)]
     tasks = [(config, replicates, start, stop,
@@ -229,11 +228,9 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     p0 = config.population.p0
     drops, crashed, boomed, aborted = [], [], [], []
     for summaries, rows in batches:
-        row_drops = [metrics.max_relative_drop((p0, low))
-                     for low in summaries.min_price.tolist()]
-        for per_run, per_row in ((drops, row_drops), (crashed, summaries.crashed.tolist()),
-                                 (boomed, summaries.boomed.tolist()),
-                                 (aborted, summaries.aborted.tolist())):
+        row_drops = [metrics.max_relative_drop((p0, low)) for low in summaries.min_price]
+        for per_run, per_row in ((drops, row_drops), (crashed, summaries.crashed),
+                                 (boomed, summaries.boomed), (aborted, summaries.aborted)):
             per_run += [per_row[r] for r in rows]
     results = []
     for i, (val, mo, rand) in enumerate(points):
@@ -242,7 +239,7 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
             val, mo, rand, math.fsum(drops[runs]) / replicates,
             sum(crashed[runs]) / replicates, sum(boomed[runs]) / replicates))
     return TernaryGrid(resolution, replicates, tuple(results),
-                       steps=sum(sum(s.steps.tolist()) for s, _ in batches),
+                       steps=sum(sum(s.steps) for s, _ in batches),
                        aborted_runs=sum(aborted), batches=len(batches),
                        batch_runs=max(len(rows) for _, rows in batches))
 

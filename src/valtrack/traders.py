@@ -12,8 +12,8 @@ Exact ties (price equal to valuation, zero momentum) produce no order: the
 dynamics are discontinuous there and no-order is the neutral choice.
 
 `population_orders` states these rules for a list of traders, their one
-scalar statement; `batch.batch_orders` states them as arrays for the
-batched kernel, with `population_orders` as its oracle.
+Python statement; the compiled loops of `_crashloop.c` state them in C,
+with `population_orders` as their oracle.
 """
 
 import math

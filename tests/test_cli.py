@@ -369,8 +369,9 @@ class TestCliCommands:
         assert (svg_meta["resolution"], svg_meta["replicates"]) == (2, 2)
         meta = json.loads((tmp_path / "ternary.csv.meta.json").read_text())
         telemetry = meta["telemetry"]
-        assert set(telemetry) == {"runs", "steps", "aborted_runs", "batches",
+        assert set(telemetry) == {"loop", "runs", "steps", "aborted_runs", "batches",
                                   "batch_runs", "wall_s", "steps_per_s"}
+        assert telemetry["loop"] == ("python" if engine._crash_loop() is None else "compiled")
         # 25 nats of capped moves in 250 steps cannot reach the price floor;
         # the three points without a random trader run once for both
         # replicates
@@ -401,8 +402,8 @@ class TestCliCommands:
             for name, argv in commands.items():
                 assert cli.main([*argv, "--horizon", "60", "--out", str(tmp_path / loop)]) == 0
                 sidecar = json.loads((tmp_path / loop / f"{name}.meta.json").read_text())
-                assert sidecar["telemetry"]["crash_loop"] == loop
-                assert set(sidecar["telemetry"]) == {"crash_loop", "wall_s"}
+                assert sidecar["telemetry"]["loop"] == loop
+                assert set(sidecar["telemetry"]) == {"loop", "wall_s"}
                 assert sidecar["telemetry"]["wall_s"] > 0
                 data.setdefault(name, set()).add((tmp_path / loop / name).read_bytes())
         assert [len(files) for files in data.values()] == [1, 1]
@@ -597,15 +598,15 @@ def fresh_interpreter(code: str) -> str:
 
 
 def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
-    """numpy is about half of the package's start-up time. Only
-    valtrack.batch imports it at the top; the engine, seeding and metrics
+    """numpy is about half of the package's start-up time. No module of
+    the package imports it at the top; the engine, seeding and metrics
     import it inside the functions that draw numbers or build arrays, so
-    parsing a command line and a config, a Val/Mo run and crash probe and
-    the analytic threshold never load it."""
+    importing the harnesses, parsing a command line and a config, a Val/Mo
+    run and crash probe and the analytic threshold never load it."""
     assert fresh_interpreter("""
         import sys
         import valtrack, valtrack.cli
-        from valtrack import analysis, cli
+        from valtrack import analysis, cli, experiments
         from valtrack.config import parse_config
         cli.build_parser().parse_args(["grid", "--cells", "3"])
         cfg = parse_config(overrides={"population.mo_frac": 0.25})
@@ -688,17 +689,18 @@ def test_analyze_loads_no_simulator_and_no_numpy(tmp_path):
 
 
 def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
-    """A sweep on more than one process imports valtrack.batch, and so
-    numpy, in the parent before the pool forks its workers, which then do
-    not import them again."""
+    """A sweep on more than one process loads the compiled loops and numpy
+    in the parent before the pool forks its workers, which then do not
+    load them again."""
     assert fresh_interpreter("""
         import concurrent.futures, os, sys
-        from valtrack import experiments
+        from valtrack import engine, experiments
         from valtrack.config import parse_config
 
         class SerialPool:
             def __init__(self, max_workers):
-                print(max_workers, "valtrack.batch" in sys.modules, "numpy" in sys.modules)
+                print(max_workers, engine._crash_loop.cache_info().currsize,
+                      "numpy" in sys.modules)
 
             def __enter__(self):
                 return self
@@ -712,7 +714,7 @@ def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
         concurrent.futures.ProcessPoolExecutor = SerialPool
         os.cpu_count = lambda: 2
         experiments.ternary_sweep(parse_config(), 1, 2, workers=2)
-    """) == "2 True True"
+    """) == "2 1 True"
 
 
 @pytest.mark.parametrize("argv, loads_analysis", [
@@ -765,16 +767,13 @@ def test_only_seeding_builds_a_random_stream():
 
 def test_every_import_is_used():
     """An import the code no longer uses is a dead dependency, and one of a
-    module costs its load time; only a line marked noqa: F401 imports for a
-    side effect."""
+    module costs its load time."""
     unused = []
     for path in sorted(Path(valtrack.__file__).parent.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        lines, tree = source.splitlines(), ast.parse(source)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
-            if (isinstance(node, (ast.Import, ast.ImportFrom))
-                    and "# noqa: F401" not in lines[node.lineno - 1]):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []

@@ -7,6 +7,7 @@ import os
 import shutil
 import signal
 import stat
+import subprocess
 import sys
 import sysconfig
 import warnings
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from crash_kinds import PriceTrace, crash_predicates
 from valtrack import (CommitmentParams, MarketParams, MarketState,
                       PopulationSpec, Trader, init_population, run, step)
-from valtrack import batch, cli, engine, experiments
+from valtrack import cli, engine, experiments, summaries
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
 from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES, population_orders
@@ -312,19 +313,19 @@ class TestInputsStayUnchanged:
                      crash=CrashPredicate.drop_below(1e-9))
         engine.crash_step(state, params, CommitmentParams(), 3, CrashPredicate.drop_below(1e-9))
         # the sweep passes one start object for every replicate of a point
-        batch.run_summaries([state, state], params, CommitmentParams(), [3, 4],
-                             CrashPredicate.drop_below(1e-9))
+        summaries.run_summaries([state, state], params, CommitmentParams(), [3, 4],
+                                CrashPredicate.drop_below(1e-9))
         assert state == before
         assert out.traders != before.traders != result.final_state.traders  # they traded
         given = {id(t) for t in state.traders}
         assert not given & {id(t) for t in out.traders + result.final_state.traders}
 
 
-# The three step loops, engine._stepper, the compiled two-trader loop of
-# engine.crash_step (_crashloop.c) and batch.run_summaries, state one
-# rule. assert_engines_agree is their one differential oracle, and
-# engine_cases draws its inputs; each edge input below is one call of it,
-# with the facts its case pins.
+# The step loops, engine._stepper and the two compiled loops of
+# _crashloop.c, the two-trader loop of engine.crash_step and the summary
+# loop of summaries.run_summaries, state one rule. assert_engines_agree is
+# their one differential oracle, and engine_cases draws its inputs; each
+# edge input below is one call of it, with the facts its case pins.
 
 def outcome(fn):
     """fn()'s value, or the message of the InvalidInputError it raises."""
@@ -347,13 +348,31 @@ def bits(values):
 
 
 def summary_row(result):
-    """The row batch.run_summaries gives the run of this RunResult."""
+    """The row summaries.run_summaries gives the run of this RunResult."""
     return (min(result.prices), max(result.prices), result.crash_step is not None,
             result.boom_step is not None, result.aborted, len(result.prices) - 1)
 
 
+def recorded_crash_step(*args):
+    """(crash_step(*args), or the message of the InvalidInputError it
+    raises, and the (code, steps, price) that the compiled two-trader loop
+    returned to it, or None where that loop did not step it)."""
+    loop, returned = engine._crash_loop(), []
+    if loop is None:
+        return outcome(lambda: engine.crash_step(*args)), None
+
+    def recording(*loop_args):
+        returned.append(loop.crash_step(*loop_args))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_crash_loop", lambda: SimpleNamespace(crash_step=recording))
+        value = outcome(lambda: engine.crash_step(*args))
+    return value, (returned[0] if returned else None)
+
+
 def assert_engines_agree(states, params, commitments, seeds, crash, expect=None):
-    """Check that step, run, crash_step and batch.run_summaries step each
+    """Check that step, run, crash_step and summaries.run_summaries step each
     state from its seed alike, and return run's outcome for each state: its
     RunResult, or the message of the InvalidInputError it raises.
 
@@ -361,24 +380,31 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
       raises where `run` raises, with its message: every state of a run
       has its start's price ceiling. run's crash_step, boom_step and
       aborted are the first indices of the chain's prices where they fire.
-    - crash_step, which steps a Val/Mo market in its own loop, returns the
-      chain's first crash, or else its error. Where the run neither raises
-      nor aborts, crash_step with a drop below the chain's lowest price
-      after the start, and with a drop below the next float up, returns
-      that predicate's first index over the chain's prices: this pins the
-      lowest price and its first step bit for bit.
-    - run_summaries gives each state the summary row of its run, alone and
-      between two rows of another layout: one more Val trader, without a
-      Rand trader before the states and with one of their mode after them.
-      Where rows raise, the batch raises the error of the row that fails
-      first, a row behind a valid one included. The rows of another layout
-      are checked through their batch rows, and in full where they raise.
+    - crash_step, which steps a Val/Mo market in the compiled two-trader
+      loop, returns the chain's first crash, or else its error. Where that
+      loop stops at a crash or an end, the price it returns is the chain's
+      price at the step count it returns, bit for bit. Where the run
+      neither raises nor aborts, crash_step with a drop below the chain's
+      lowest price after the start, and with a drop below the next float
+      up, returns that predicate's first index over the chain's prices:
+      this pins the lowest price and its first step bit for bit.
+    - run_summaries gives each state the summary row of its run, its
+      lowest and highest price bit for bit (repr tells every float apart),
+      alone and between two rows of another layout: one more Val trader,
+      without a Rand trader before the states and with one of their mode
+      after them. It does so in the compiled summary loop and with the
+      loader giving None, as where that loop cannot be built, so that
+      each row comes from run. Where rows raise, the batch raises the
+      error of its first row whose start check_state rejects, else of its
+      first row whose run raises, a row behind a valid one included. The
+      rows of another layout are checked through their batch rows, and in
+      full where they raise.
     - Every step of the chain keeps cash and asset to 1e-12 (relative
       above 1) and holdings >= 0, and moves the price within e^+-eta, by
       exactly e^+-eta where cap_hit is set.
 
     Every warning is an error. expect, if given, is the start of the message
-    that every state's run, crash_step and both batches raise.
+    that every state's run, crash_step and all four batches raise.
     """
     n_vals = 1 + max(sum(t.kind == KIND_VAL for t in s.traders) for s in states)
     mode = next((t.rand_mode for s in states for t in s.traders
@@ -389,8 +415,8 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
     all_seeds = [0, *seeds, 1]
 
     def scalar(state, seed, row_only=False):
-        """(run's outcome, crash_step's, and None or (the step at which the
-        run raises, 0 at its start, and whether a demand check raises)); with
+        """(run's outcome, crash_step's, and where the run raises, 1 if
+        check_state rejects its start and 2 if a step raises); with
         row_only, only run's outcome of a run that does not raise"""
         run_trace = PriceTrace(crash)
         result = outcome(lambda: run(state, params, commitments, seed, run_trace))
@@ -432,8 +458,15 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
             assert abs(current.asset_sum() - asset) <= 1e-12 * max(asset, 1.0)
             assert all(t.cash >= 0.0 and t.asset >= 0.0 for t in current.traders)
 
+        def stopped_at(predicate):
+            value, returned = recorded_crash_step(state, params, commitments, seed, predicate)
+            if returned and returned[0] not in (engine._LOOP_CEILING, engine._LOOP_DEMAND):
+                _, steps, price = returned
+                assert bits([price]) == bits([prices[steps]])
+            return value
+
         rejected = isinstance(outcome(lambda: engine.check_state(state)), str)
-        stopped = outcome(lambda: engine.crash_step(state, params, commitments, seed, crash))
+        stopped = stopped_at(crash)
         if rejected:
             assert stopped == raised
         else:
@@ -450,30 +483,21 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
             if not (raised or aborted):
                 low = min(prices[1:])
                 for pinned in map(CrashPredicate.drop_below, (low, math.nextafter(low, math.inf))):
-                    assert engine.crash_step(state, params, commitments, seed, pinned) == (
-                        first_index(pinned.crash_at, prices))
+                    assert stopped_at(pinned) == first_index(pinned.crash_at, prices)
         assert bits(run_trace.prices) == bits(prices[:len(run_trace.prices)])
-        fails_at = raised and (0 if rejected else len(records) + 1,
-                               raised.startswith("InvalidInputError: demand"))
-        return result, stopped, fails_at
+        return result, stopped, raised and (1 if rejected else 2)
 
     def expected(rows):
         """What run_summaries returns or raises for all_states[rows]."""
         runs = checked[rows]
-        failures = sorted((fails_at, i) for i, (_, _, fails_at) in enumerate(runs) if fails_at)
-        if failures and failures[0][0][0] == 0:  # every start is checked first
-            return runs[failures[0][1]][0]
-        layout = outcome(lambda: batch.batch_layout(all_states[rows]))
-        if isinstance(layout, str):
-            return layout
+        failures = sorted((failed, i) for i, (_, _, failed) in enumerate(runs) if failed)
         if failures:
             return runs[failures[0][1]][0]
         return [summary_row(result) for result, _, _ in runs]
 
     def batched(rows):
-        s = batch.run_summaries(all_states[rows], params, commitments, all_seeds[rows], crash)
-        return list(zip(s.min_price.tolist(), s.max_price.tolist(), s.crashed.tolist(),
-                        s.boomed.tolist(), s.aborted.tolist(), s.steps.tolist()))
+        s = summaries.run_summaries(all_states[rows], params, commitments, all_seeds[rows], crash)
+        return list(zip(s.min_price, s.max_price, s.crashed, s.boomed, s.aborted, s.steps))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -481,7 +505,10 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
                    for i, (state, seed) in enumerate(zip(all_states, all_seeds))]
         alone, beside = slice(1, -1), slice(None)
         rows = [outcome(lambda: batched(r)) for r in (alone, beside)]
-    assert [repr(r) for r in rows] == [repr(expected(r)) for r in (alone, beside)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_crash_loop", lambda: None)
+            rows += [outcome(lambda: batched(r)) for r in (alone, beside)]
+    assert [repr(r) for r in rows] == [repr(expected(r)) for r in (alone, beside)] * 2
     results = [result for result, _, _ in checked[alone]]
     if expect is not None:
         for message in [*results, *(stopped for _, stopped, _ in checked[alone]), *rows]:
@@ -505,9 +532,9 @@ def engine_cases(draw, layout=None, width=1):
     such a population of one Val trader and at most one Mo trader, the
     layout of every threshold_search probe, where half the runs can only
     crash through the price floor, or not at all; two in eight "any", 1-4
-    traders of any kinds and holdings, which the batch may reject. The
-    horizon is 1-80 steps; engine_cases(layout="val_mo") runs up to 300,
-    past the default 250 of a probe."""
+    traders of any kinds and holdings. The horizon is 1-80 steps;
+    engine_cases(layout="val_mo") runs up to 300, past the default 250 of
+    a probe."""
     seed = draw(st.integers(0, 2**32))
     max_horizon = 300 if layout == "val_mo" else 80
     layout = layout or draw(st.sampled_from(["population"] * 3 + ["val_mo"] * 3 + ["any"] * 2))
@@ -941,6 +968,16 @@ def test_the_compiled_loop_loads_where_it_can_be_built(tmp_path, monkeypatch):
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
+def test_the_compiled_loops_compile_without_warnings():
+    # gcc's -Wall and -Wextra warnings, with the loader's own flags
+    compiled_loop()
+    cc = sysconfig.get_config_var("CC").split()
+    done = subprocess.run([*cc, *engine._LOOP_FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", "-I", sysconfig.get_paths()["include"],
+                           engine._LOOP_SOURCE], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_loop_that_cannot_be_built_leaves_nothing_and_falls_back(tmp_path, monkeypatch):
     # with no compiler on the PATH the loader gives None, and crash_step
     # steps two-trader markets in _stepper
@@ -956,7 +993,7 @@ def test_a_loop_that_cannot_be_built_leaves_nothing_and_falls_back(tmp_path, mon
 
 
 class TestRunSummaries:
-    """Each row of batch.run_summaries is what the scalar run of its state
+    """Each row of summaries.run_summaries is what the scalar run of its state
     and seed reads."""
 
     @given(case=engine_cases(width=3))
@@ -995,8 +1032,7 @@ class TestRunSummaries:
 
     def test_a_price_overflow_raises_what_run_raises(self):
         # a lone Mo bid moves the price from 1 up by e^100 a step, to e^700
-        # at step 7 and past the largest float at step 8; the kernel
-        # multiplies prices out in Python floats, so no numpy warning comes first
+        # at step 7 and past the largest float at step 8
         state = invalid_state(momentum=0.001, val_asset=0.0)
         crash = CrashPredicate.relative_drop(0.3)
         [result] = assert_engines_agree([state], MarketParams(eta=100.0, horizon=7),
@@ -1225,9 +1261,8 @@ def test_a_flow_ratio_that_underflows_above_the_floor_pins_its_price():
 
 def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
     # a Val bid of 1e295 cash at the 1e-12 floor against a Mo offer of 1e-300
-    # asset: the flow ratio overflows to inf, and so would the kernel's
-    # settlement factor demand / q_s, where run() takes the 1 of its min;
-    # assert_engines_agree turns numpy's overflow warning into an error
+    # asset: the flow ratio overflows to inf, and so does the settlement
+    # factor demand / q_s, where run() takes the 1 of its min
     state = MarketState(1e-12, -0.001, [Trader(1e295, 0.0, "val", valuation=1.0),
                                         Trader(0.0, 1e-300, "mo")], 1e295, 1e-300)
     [result] = assert_engines_agree([state], MarketParams(horizon=2), CommitmentParams(kv_buy=1.0),
@@ -1238,11 +1273,8 @@ def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
 
 def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
     # at price 1 one Val trader bids its cash and another offers its asset,
-    # so the flow ratio is cash / asset. The kernel divides in numpy where
-    # every row's ratio is at most 2**1000 and in Python floats otherwise:
-    # a ratio of exactly 2**1000 is inside that margin, its next float
-    # outside; 2**-30 / 5e-324 = 2**1044 overflows, with the margin's
-    # product 2**-1030 subnormal
+    # so the flow ratio is cash / asset: exactly 2**1000, its next float
+    # up, and 2**-30 / 5e-324 = 2**1044, which overflows
     def flow(cash, asset):
         return market_state(1.0, [Trader(cash, 0.0, "val", valuation=2.0),
                                   Trader(0.0, asset, "val", valuation=0.5)])
@@ -1265,10 +1297,10 @@ def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
 def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
     # at liquidity 1e-160 every imbalance of the reference Val/Mo market is
     # above 1e150, whose square overflows a double and raised OverflowError;
-    # at 1e-310 the kernel's imbalance / liquidity overflowed with numpy's
-    # warning. A power above DBL_MAX is above eta <= ln(DBL_MAX), so each
-    # step moves at the cap. One Val trader steps in the compiled
-    # two-trader crash_step loop, two in the generic one.
+    # at 1e-310 the quotient imbalance / liquidity overflows. A power
+    # above DBL_MAX is above eta <= ln(DBL_MAX), so each step moves at the
+    # cap. One Val trader steps in the compiled two-trader crash_step
+    # loop, two in the generic one.
     one = init_population(PopulationSpec(val_fracs=(0.5,), mo_frac=0.5), m0=0.001)
     two = init_population(PopulationSpec(val_fracs=(0.25, 0.25), mo_frac=0.5), m0=0.001)
     params = MarketParams(impact="powerlaw", zeta=2.0, liquidity=liquidity, horizon=6)
@@ -1287,12 +1319,31 @@ def test_eta_is_bounded_by_the_largest_finite_exponent():
         MarketParams(eta=math.nextafter(eta, math.inf))
 
 
-def test_kernel_rejects_layouts_it_cannot_batch():
-    crash = CrashPredicate.relative_drop(0.3)
-    two_mo = invalid_state()
-    two_mo.traders.append(Trader(0.1, 0.1, "mo"))
-    with pytest.raises(InvalidInputError):
-        batch.run_summaries([two_mo], MarketParams(), CommitmentParams(), [0], crash)
-    with pytest.raises(InvalidInputError):
-        batch.run_summaries([invalid_state()], MarketParams(), CommitmentParams(), [0, 1],
-                            crash)
+def test_summaries_take_any_layout_that_run_takes():
+    # two Mo traders and two Rand traders of either mode in one market,
+    # and a batch whose Rand traders differ in mode from row to row
+    traders = [Trader(0.3, 1.2, "val", valuation=1.2), Trader(0.1, 0.4, "mo"),
+               Trader(0.2, 0.8, "mo"), Trader(0.2, 0.8, "rand"),
+               Trader(0.2, 0.8, "rand", rand_mode="refined", critical_cash=0.04,
+                      critical_asset=0.16)]
+    mixed = market_state(1.0, traders, momentum=-0.001)
+    basic = init_population(PopulationSpec(val_fracs=(0.7,), rand_frac=0.3), m0=0.001)
+    params, crash = MarketParams(horizon=60), CrashPredicate.relative_drop(0.3)
+    assert_engines_agree([mixed, basic, mixed], params, CommitmentParams(), [0, 1, 2], crash)
+    with pytest.raises(InvalidInputError, match="1 initial states but 2 seeds"):
+        summaries.run_summaries([mixed], params, CommitmentParams(), [0, 1], crash)
+
+
+def test_an_order_total_rounds_half_even_across_partials():
+    # the bids 1e16, 1 and 1e-16 sum to 1e16 + 1 + 1e-16, which fsum rounds
+    # up to 1e16 + 2; without its half-even correction across partials it
+    # rounds down to 1e16, the offer of the Mo trader. The power-law move
+    # reads their difference: 2 / 100 up, or no move at all.
+    traders = [Trader(cash, 0.0, "val", valuation=2.0) for cash in (1e16, 1.0, 1e-16)]
+    state = market_state(1.0, [*traders, Trader(0.0, 1e16, "mo")], momentum=-0.001)
+    [result] = assert_engines_agree([state], MarketParams(impact="powerlaw", liquidity=100.0,
+                                                          horizon=3),
+                                    CommitmentParams(kv_buy=1.0, km_sell=1.0), [0],
+                                    CrashPredicate.relative_drop(0.3))
+    assert (result.records[0].q_p, result.records[0].q_s) == (1e16 + 2, 1e16)
+    assert result.prices[1] == math.exp(0.02)

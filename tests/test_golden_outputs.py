@@ -1,7 +1,7 @@
 """Golden outputs: sha256 of seeded command outputs at small sizes.
 
 The sweep digests were recorded with the scalar per-replicate sweep that
-the batched kernel replaced; the digests of the other commands were
+the batched run summaries replaced; the digests of the other commands were
 recorded before the scalar step was reduced to one capped impact path,
 and the current-settlement grid and stochastic impact digests before the
 bisection probes became summary-only (engine.crash_step). Any change to a

@@ -1,23 +1,21 @@
-"""The batched sweep kernel (batch.run_summaries) against the scalar engine.
+"""The sweep's run summaries (summaries.run_summaries) against the scalar engine.
 
-ternary_sweep steps every (simplex point, replicate) run of a sweep in
-lockstep. The reference below is the per-point loop it replaced: one scalar
+ternary_sweep summarises every (simplex point, replicate) run of a sweep in
+batches, in the compiled summary loop or, where it cannot be built, from
+run. The reference below is the per-point loop it replaced: one scalar
 run_once per replicate, aggregated per point. Every TernaryPoint must be
-identical, not merely close.
+identical, not merely close, on both paths.
 """
 
-import ast
 import math
 from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crash_kinds import crash_predicates
-from valtrack import batch, experiments, metrics
+from valtrack import engine, experiments, metrics, summaries
 from valtrack.engine import run
 from valtrack.experiments import (ExperimentConfig, TernaryPoint, run_once,
                                   simplex_points, ternary_sweep)
@@ -28,8 +26,9 @@ from valtrack.traders import PopulationSpec
 
 
 def scalar_sweep(config, resolution, replicates):
-    """The sweep point by point through the scalar engine."""
-    points = []
+    """The sweep point by point through the scalar engine: its points and
+    its runs that the price floor aborted."""
+    points, aborts = [], 0
     for index, (val, mo, rand) in enumerate(simplex_points(resolution)):
         cfg = replace(config, population=config.population.with_mix(val, mo, rand))
         drops = []
@@ -39,16 +38,20 @@ def scalar_sweep(config, resolution, replicates):
             drops.append(metrics.max_relative_drop(result.prices))
             crashes += result.crash_step is not None
             booms += result.boom_step is not None
+            aborts += result.aborted
         points.append(TernaryPoint(val, mo, rand, math.fsum(drops) / replicates,
                                    crashes / replicates, booms / replicates))
-    return tuple(points)
+    return tuple(points), aborts
 
 
-def scalar_aborts(config, resolution, replicates):
-    return sum(run_once(replace(config, population=config.population.with_mix(*pt),
-                                seed=mix_seed(config.seed, index, rep))).aborted
-               for index, pt in enumerate(simplex_points(resolution))
-               for rep in range(replicates))
+def on_both_loops(check):
+    """check() with run_summaries stepping its runs in the compiled loop,
+    then with the loader giving None, as where the loop cannot be built,
+    so that each row comes from run."""
+    check()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_crash_loop", lambda: None)
+        check()
 
 
 @st.composite
@@ -78,9 +81,13 @@ def sweep_configs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=sweep_configs())
 def test_batched_sweep_matches_scalar_runs(config):
-    grid = ternary_sweep(config, resolution=2, replicates=2)
-    assert grid.points == scalar_sweep(config, 2, 2)
-    assert grid.aborted_runs == scalar_aborts(config, 2, 2)
+    points, aborts = scalar_sweep(config, 2, 2)
+
+    def check():
+        grid = ternary_sweep(config, resolution=2, replicates=2)
+        assert (grid.points, grid.aborted_runs) == (points, aborts)
+
+    on_both_loops(check)
 
 
 def abort_config():
@@ -95,29 +102,32 @@ def abort_config():
 
 def test_price_floor_aborts_are_masked_and_count_as_crashes():
     config = abort_config()
-    aborts = scalar_aborts(config, 2, 3)
+    points, aborts = scalar_sweep(config, 2, 3)
     assert aborts > 0
-    grid = ternary_sweep(config, resolution=2, replicates=3)
-    assert grid.points == scalar_sweep(config, 2, 3)
-    assert grid.aborted_runs == aborts
-    # the crash frequency of the pure-momentum point comes from the aborts
-    pure_mo = [p for p in grid.points if p.mo_frac == 1.0][0]
-    assert pure_mo.crash_freq == 1.0
-    assert grid.steps < grid.runs * config.market.horizon
+
+    def check():
+        grid = ternary_sweep(config, resolution=2, replicates=3)
+        assert (grid.points, grid.aborted_runs) == (points, aborts)
+        # the crash frequency of the pure-momentum point comes from the aborts
+        pure_mo = [p for p in grid.points if p.mo_frac == 1.0][0]
+        assert pure_mo.crash_freq == 1.0
+        assert grid.steps < grid.runs * config.market.horizon
+
+    on_both_loops(check)
 
 
 def recorded_batches(monkeypatch):
     """A list that gets (initials, seeds, summaries) of each batch that
-    batch.run_summaries steps from now on."""
+    the sweep's run_summaries summarises from now on."""
     batches = []
-    run_summaries = batch.run_summaries
+    run_summaries = summaries.run_summaries
 
     def recording(initials, params, commitments, seeds, crash):
-        summaries = run_summaries(initials, params, commitments, seeds, crash)
-        batches.append((initials, seeds, summaries))
-        return summaries
+        result = run_summaries(initials, params, commitments, seeds, crash)
+        batches.append((initials, seeds, result))
+        return result
 
-    monkeypatch.setattr(batch, "run_summaries", recording)
+    monkeypatch.setattr(summaries, "run_summaries", recording)
     return batches
 
 
@@ -137,17 +147,21 @@ CAP = experiments._MAX_BATCH_RUNS
 def test_results_do_not_depend_on_batch_size(monkeypatch, batch, replicates, valuation):
     config = replace(abort_config(), population=PopulationSpec(
         val_fracs=(0.5, 0.5), valuation=valuation, rand_mode="refined"))
-    expected = scalar_sweep(config, 3, replicates)
+    expected, aborts = scalar_sweep(config, 3, replicates)
     monkeypatch.setattr(experiments, "_MAX_BATCH_RUNS", batch)
     batches_run = recorded_batches(monkeypatch)
-    grid = ternary_sweep(config, resolution=3, replicates=replicates)
-    assert grid.points == expected
-    assert grid.aborted_runs == scalar_aborts(config, 3, replicates)
-    batches = -(-grid.runs // batch)
-    assert (grid.batches, grid.batch_runs) == (batches, -(-grid.runs // batches))
-    # the highest price of each run, which no TernaryPoint reads
-    for initials, seeds, summaries in batches_run:
-        assert summaries.max_price.tolist() == [
+
+    def check():
+        grid = ternary_sweep(config, resolution=3, replicates=replicates)
+        assert (grid.points, grid.aborted_runs) == (expected, aborts)
+        batches = -(-grid.runs // batch)
+        assert (grid.batches, grid.batch_runs) == (batches, -(-grid.runs // batches))
+
+    on_both_loops(check)
+    # the highest price of each run of the compiled loop's batches, which no
+    # TernaryPoint reads
+    for initials, seeds, result in batches_run[:len(batches_run) // 2]:
+        assert list(result.max_price) == [
             max(run(state, config.market, config.commitments, seed, config.crash).prices)
             for state, seed in zip(initials, seeds)]
 
@@ -162,73 +176,14 @@ def test_each_distinct_run_is_simulated_once(monkeypatch, valuation, simulated):
     grid = ternary_sweep(config, resolution=2, replicates=3)
     widths = [len(initials) for initials, _, _ in batches]
     assert (widths, grid.runs, grid.batch_runs) == ([simulated], 18, 18)
-    assert grid.points == scalar_sweep(config, 2, 3)
-
-
-# the pure-momentum runs fall through the price floor at step 28, inside
-# a block of 5 or 32 steps, so their rows stop placing orders mid-block;
-# 61 steps exceed the 60-step horizon
-@pytest.mark.parametrize("block", [1, 5, 61])
-def test_results_do_not_depend_on_rng_block_steps(monkeypatch, block):
-    config = abort_config()
-    expected = scalar_sweep(config, 2, 3)
-    monkeypatch.setattr(batch, "_RNG_BLOCK_STEPS", block)
-    grid = ternary_sweep(config, resolution=2, replicates=3)
-    assert grid.points == expected
-    assert grid.aborted_runs == scalar_aborts(config, 2, 3) > 0
+    assert grid.points == scalar_sweep(config, 2, 3)[0]
 
 
 def test_results_do_not_depend_on_worker_count():
     config = replace(abort_config(), seed=9)
     serial = ternary_sweep(config, resolution=3, replicates=3, workers=1)
-    parallel = ternary_sweep(config, resolution=3, replicates=3, workers=2)
-    assert serial == parallel
 
+    def check():
+        assert ternary_sweep(config, resolution=3, replicates=3, workers=2) == serial
 
-def test_uniform_draws_match_generator_uniform():
-    k = 0.1
-    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in (0, 1, 2**63)]
-    draws = np.zeros((4, 6))
-    batch._draw_uniforms(generators + [None], draws)
-    for seed, row in zip((0, 1, 2**63), draws):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        assert (k * row).tolist() == [rng.uniform(0.0, k) for _ in range(6)]
-    assert draws[3].tolist() == [0.0] * 6
-
-
-finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
-
-
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.lists(st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=8)))
-def test_exact_row_sums_equal_fsum(rows):
-    x, sums = batch._exact_row_sums(len(rows), len(rows[0]))
-    x[...] = rows
-    assert sums().tolist() == [math.fsum(row) for row in rows]
-
-
-def test_exact_row_sums_fall_back_where_the_error_terms_round():
-    # without the fallback the first row would come out one ulp off fsum
-    rows = [[-8.897103545586257e+23, -4.625128280207544e+21, 3.10521607160941e+22,
-             1.0746473120468017e+22, -8.430287510477103e-23],
-            [0.1, 0.2, 0.3, 0.4, 0.5]]
-    x, sums = batch._exact_row_sums(2, 5)
-    x[...] = rows
-    assert sums().tolist() == [math.fsum(row) for row in rows]
-
-
-# the numpy names the kernel may use; each further ufunc or reduction
-# faults in another 64-128 KiB of numpy's machine code (batch.py), and peak
-# RSS is one of the sweep's end-to-end costs, so a new name is a reviewed
-# change of this list
-KERNEL_NUMPY_NAMES = {
-    "add", "array", "count_nonzero", "divide", "empty", "empty_like", "equal", "errstate",
-    "flatnonzero", "fromiter", "full", "greater", "less", "maximum", "minimum", "multiply",
-    "ndarray", "ones", "where", "zeros"}
-
-
-def test_the_kernel_uses_only_its_listed_numpy_names():
-    tree = ast.parse(Path(batch.__file__).read_text(encoding="utf-8"))
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "np"}
-    assert used == KERNEL_NUMPY_NAMES
+    on_both_loops(check)

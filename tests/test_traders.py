@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from valtrack import PopulationSpec, init_population
 from valtrack.errors import ConfigError
 from valtrack.params import CommitmentParams
-from valtrack.batch import batch_layout, batch_orders
-from valtrack.traders import MarketState, Trader, population_orders
+from valtrack.traders import Trader, population_orders
 
 K = CommitmentParams()  # every commitment 0.1
 
@@ -182,77 +181,6 @@ class TestRandDraws:
                 x.hex() for x in want]
         assert (rng.bit_generator.state == population_rng.bit_generator.state
                 == oracle.bit_generator.state)
-
-
-holding = st.one_of(st.just(0.0), st.floats(0, 1e6))
-
-
-@st.composite
-def batch_markets(draw):
-    """Markets of one batch, with zero holdings, prices at a valuation
-    (the tie), zero momentum and missing traders among the cases."""
-    rand_mode = draw(st.sampled_from([None, "basic", "refined"]))
-    markets = []
-    for _ in range(draw(st.integers(1, 4))):
-        p = draw(st.floats(1e-6, 1e6))
-        m = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
-        traders = [Trader(draw(holding), draw(holding), "val",
-                          valuation=draw(st.one_of(st.just(p), st.floats(1e-6, 1e6))))
-                   for _ in range(draw(st.integers(0, 3)))]
-        if draw(st.booleans()):
-            traders.append(Trader(draw(holding), draw(holding), "mo"))
-        if rand_mode is not None and draw(st.booleans()):
-            cash, asset = draw(holding), draw(holding)
-            # floors up to twice the holding reach both reference branches
-            traders.append(Trader(cash, asset, "rand", rand_mode=rand_mode,
-                                  critical_cash=draw(st.floats(0, 2)) * cash,
-                                  critical_asset=draw(st.floats(0, 2)) * asset * p))
-        markets.append((MarketState(p, m, traders, 0.0, 0.0), draw(st.integers(0, 2**64 - 1))))
-    return markets
-
-
-class TestBatchOrders:
-    @given(markets=batch_markets(),
-           k=st.lists(st.floats(0, 1), min_size=6, max_size=6))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_scalar_rules_kind_by_kind(self, markets, k):
-        commitments = CommitmentParams(*k)
-        states = [state for state, _ in markets]
-        hold, valuations, critical, rand_rows, rand_mode = batch_layout(states)
-        n = len(states)
-        uniforms = np.zeros((2, n))  # bid draws above offer draws
-        for i, (_, seed) in enumerate(markets):
-            uniforms[:, i] = np.random.Generator(np.random.PCG64(seed)).random(2)
-        flow = np.full_like(hold, np.nan)
-        bids, offers = flow[:n], flow[n:]
-        p = np.array([s.price for s in states])
-        m = np.array([s.momentum for s in states])
-        orders = batch_orders(flow, hold, valuations, critical, rand_mode, commitments)
-        orders(np.array([np.ones(n), p, -p]), np.array([m, -m]), uniforms)
-        n_vals = valuations.shape[1]
-        for i, (state, seed) in enumerate(markets):
-            want = {}
-            val_cols = iter(range(n_vals))
-            for trader in state.traders:
-                col = {"val": None, "mo": n_vals, "rand": n_vals + 1}[trader.kind]
-                col = next(val_cols) if col is None else col
-                rng = np.random.Generator(np.random.PCG64(seed))
-                want[col] = trader_orders(trader, state.price, state.momentum, commitments, rng)
-            for col in range(n_vals + 2):
-                if col == n_vals + 1 and rand_mode is None:
-                    # no random trader in the batch: its column is left alone
-                    assert math.isnan(bids[i, col]) and math.isnan(offers[i, col])
-                    continue
-                # a column the market lacks holds nothing and orders nothing
-                bid, offer = want.get(col, (0.0, 0.0))
-                assert (bids[i, col].hex(), offers[i, col].hex()) == (bid.hex(), offer.hex())
-
-    @pytest.mark.parametrize("n", [1, 2, 126])
-    def test_np_minimum_returns_its_second_operand_on_a_tie(self, n):
-        # batch_orders writes Python's min(x, y), which returns x on a tie,
-        # as np.minimum(y, x); 0.0 and -0.0 tie and tell the operands apart
-        x, y = np.array([0.0, -0.0] * n), np.array([-0.0, 0.0] * n)
-        assert [math.copysign(1.0, v) for v in np.minimum(y, x).tolist()] == [1.0, -1.0] * n
 
 
 class TestSampleGamma:
