@@ -1,6 +1,8 @@
 /* The compiled step loops of valtrack: crash_step, the two-trader crash
    loop of engine.crash_step, and run_summaries, the summary loop of
-   summaries.run_summaries.
+   summaries.run_summaries and of engine.run, which it steps as a one-run
+   batch that writes each step's row (price, momentum, flow, executed
+   volume, cap_hit and each trader's wealth) into a series buffer.
 
    Both are the scalar step of engine._stepper with the order rules of
    traders.population_orders inlined: the same float operations in the
@@ -8,10 +10,10 @@
    and float ** call, math.fsum's algorithm for the order totals (fsum),
    numpy's PCG64 stream for the random traders' draws (uniform), and built
    with -ffp-contract=off so that no a * b + c is fused into one rounding,
-   every price is the scalar engine's bit for bit. The ceiling and demand
-   failures come back as codes, CEILING or DEMAND with the offending
-   price; Python raises the InvalidInputError of the scalar step for
-   those.
+   every price and every recorded value is the scalar engine's bit for
+   bit. The ceiling and demand failures come back as codes, CEILING or
+   DEMAND with the offending price; Python raises the InvalidInputError of
+   the scalar step for those.
 
    crash_step(p, m, cv, av, cm, am, u, kv_buy, kv_sell, km_buy, km_sell,
               eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
@@ -71,9 +73,9 @@ powerlaw_move(double imbalance, double liquidity, double zeta)
 }
 
 /* The price that the flow q_p, q_s moves p to: the uncapped log move,
-   capped at eta and then at -eta. */
+   which goes to *uncapped, capped at eta and then at -eta. */
 static inline double
-moved_price(const Market *mk, double p, double q_p, double q_s)
+moved_price(const Market *mk, double p, double q_p, double q_s, double *uncapped)
 {
     double dlog, move;
 
@@ -86,6 +88,7 @@ moved_price(const Market *mk, double p, double q_p, double q_s)
     }
     else  /* one-sided flow moves at the cap, no flow not at all */
         dlog = q_p > q_s ? INFINITY : q_p < q_s ? -INFINITY : 0.0;
+    *uncapped = dlog;
     move = dlog < mk->eta ? dlog : mk->eta;
     return p * exp(move > -mk->eta ? move : -mk->eta);
 }
@@ -136,7 +139,7 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
         double bm = m > 0.0 ? km_buy * mo.cash : 0.0;
         double om = m < 0.0 ? km_sell * mo.asset : 0.0;
         double total_bid = bv + bm, q_s = ov + om;
-        double p_new, p_settle, demand;
+        double dlog, p_new, p_settle, demand;
 
         /* tested on total_bid: q_p can underflow to 0 for a positive bid */
         if (total_bid == 0.0 && q_s == 0.0)
@@ -144,7 +147,7 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
         t++;
         if ((t & 0xfffff) == 0 && PyErr_CheckSignals() < 0)
             return NULL;
-        p_new = moved_price(&mk, p, total_bid / p, q_s);
+        p_new = moved_price(&mk, p, total_bid / p, q_s, &dlog);
         if (!(p_new <= ceiling)) {
             code = CEILING;
             p = p_new;
@@ -255,25 +258,53 @@ uniform(Stream *s)
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* One run of run_summaries from price p and momentum m to its abort, a
-   price below floor_price, or its horizon, as engine.run steps it: its nt
+/* Write a row of run_summaries' series and return the next: the price p,
+   the momentum m, the flow q_p and q_s, the executed volume, cap_hit (1.0
+   or 0.0) and each of the nt traders' wealth, cash + asset * p. */
+static inline double *
+record(double *row, double p, double m, double q_p, double q_s, double executed,
+       double cap_hit, const Trader *tr, Py_ssize_t nt)
+{
+    Py_ssize_t j;
+
+    row[0] = p;
+    row[1] = m;
+    row[2] = q_p;
+    row[3] = q_s;
+    row[4] = executed;
+    row[5] = cap_hit;
+    for (j = 0; j < nt; j++)
+        row[6 + j] = tr[j].cash + tr[j].asset * p;
+    return row + 6 + nt;
+}
+
+/* One run of run_summaries from start, its price, momentum, ceiling and
+   stop price, to its abort, a price below floor_price, its first price at
+   or below the stop price, or its horizon, as engine.run steps it: its nt
    traders, of codes kind, are stepped in place, and scratch holds 3 * nt
-   doubles. Returns the tuple (lowest price, highest price, aborted,
-   steps), the start's price among them; or Py_None, a borrowed
-   reference, with *code CEILING or DEMAND and the price in *failed; or
-   NULL with an exception set. */
-static PyObject *
-summarise(const Market *mk, const double *k, double p, double m, double ceiling,
-          double floor_price, long long horizon, const unsigned char *kind, Trader *tr,
-          Py_ssize_t nt, Stream *stream, double *scratch, int *code, double *failed)
+   doubles. Where series is not NULL it gets the start's row, with a zero
+   flow, and then each step's (see record). The last price and momentum
+   go back to start, so that another call goes on from there. Returns the
+   tuple (lowest price, highest price, aborted, steps), the start's price
+   among them; or Py_None, a borrowed reference, with *code CEILING or
+   DEMAND and the price in *failed; or NULL with an exception set.
+   Inlined at two call sites, so that the loop of a call without a series
+   carries none of its code. */
+static inline __attribute__((always_inline)) PyObject *
+summarise(const Market *mk, const double *k, double *start, double floor_price,
+          long long horizon, const unsigned char *kind, Trader *tr, Py_ssize_t nt,
+          Stream *stream, double *scratch, double *series, int *code, double *failed)
 {
     double *bids = scratch, *offers = scratch + nt, *partials = scratch + 2 * nt;
+    double p = start[0], m = start[1], ceiling = start[2], stop = start[3];
     double low = p, high = p;
     long long t = 0;
     Py_ssize_t j;
 
-    while (t < horizon && !(p < floor_price)) {
-        double total_bid, q_s, p_new, p_settle, demand;
+    if (series)
+        series = record(series, p, m, 0.0, 0.0, 0.0, 0.0, tr, nt);
+    while (t < horizon && !(p < floor_price) && !(p <= stop)) {
+        double total_bid, q_p, q_s, dlog, p_new, p_settle, demand;
 
         t++;
         if ((t & 0xfffff) == 0 && PyErr_CheckSignals() < 0)
@@ -310,7 +341,8 @@ summarise(const Market *mk, const double *k, double p, double m, double ceiling,
         }
         total_bid = fsum(bids, nt, partials);
         q_s = fsum(offers, nt, partials);
-        p_new = moved_price(mk, p, total_bid / p, q_s);
+        q_p = total_bid / p;
+        p_new = moved_price(mk, p, q_p, q_s, &dlog);
         if (!(p_new <= ceiling)) {
             *code = CEILING;
             *failed = p_new;
@@ -334,46 +366,58 @@ summarise(const Market *mk, const double *k, double p, double m, double ceiling,
         p = p_new;
         low = p < low ? p : low;
         high = p > high ? p : high;
+        if (series)
+            series = record(series, p, m, q_p, q_s, q_s < demand ? q_s : demand,
+                            fabs(dlog) > mk->eta, tr, nt);
     }
+    start[0] = p;
+    start[1] = m;
     return Py_BuildValue("(ddNL)", low, high, PyBool_FromLong(p < floor_price), t);
 }
 
 /* run_summaries(starts, first, kinds, holdings, streams, commitments,
                  eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
-                 floor_price) -> (code, row, price, rows)
+                 floor_price[, series]) -> (code, row, price, rows)
 
    steps each of n checked runs to its abort, a price below floor_price,
-   or its horizon, as engine.run does, run by run in row order. Run i
-   starts from price, momentum and ceiling starts[3i:3i+3] (doubles) with
-   traders first[i] to first[i+1] - 1 (first holds n + 1 int64). Trader j
-   has the code kinds[j] (bytes) and the cash, asset, valuation, critical
-   cash and critical asset holdings[5j:5j+5] (doubles, stepped in place).
-   streams[4i:4i+4] (uint64) are the high and low halves of the PCG64
-   state and increment of run i's random traders, if it has any.
-   commitments holds kv_buy, kv_sell, km_buy, km_sell, kr_buy and kr_sell.
-   rows holds summarise's tuple of each run that ended. code is NO_CRASH
-   when every run ended, else CEILING or DEMAND of run `row` at `price`,
-   which ends the call. */
+   its first price at or below its stop price, or its horizon, as
+   engine.run does, run by run in row order. Run i starts from price,
+   momentum, ceiling and stop price starts[4i:4i+4] (doubles; a stop price
+   of -inf never stops a run) with traders first[i] to first[i+1] - 1
+   (first holds n + 1 int64). Trader j has the code kinds[j] (bytes) and
+   the cash, asset, valuation, critical cash and critical asset
+   holdings[5j:5j+5] (doubles). streams[4i:4i+4] (uint64) are the high and
+   low halves of the PCG64 state and increment of run i's random traders,
+   if it has any. A run leaves its last price and momentum in starts, and
+   its holdings and its stream's state in holdings and streams, so that a
+   second call goes on from where it stopped. commitments holds kv_buy,
+   kv_sell, km_buy, km_sell, kr_buy and kr_sell. series, given for a call
+   of one run of nt traders, is a writable buffer of at least (horizon +
+   1) * (6 + nt) doubles, which gets the run's rows (summarise). rows
+   holds summarise's tuple of each run that ended. code is NO_CRASH when
+   every run ended, else CEILING or DEMAND of run `row` at `price`, which
+   ends the call. */
 static PyObject *
 run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_buffer starts, first, kinds, holdings, streams, commitments;
+    Py_buffer starts, first, kinds, holdings, streams, commitments, series = {0};
     long long horizon;
     double eta, lam, mu, zeta, liquidity, floor_price, failed = 0.0, *scratch = NULL;
     PyObject *result = NULL, *rows = NULL;
     Py_ssize_t n, i, j, most = 1;
     int ratio, updated, code = NO_CRASH;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*w*y*y*dddddppLd", &starts, &first, &kinds, &holdings,
-                          &streams, &commitments, &eta, &lam, &mu, &zeta, &liquidity, &ratio,
-                          &updated, &horizon, &floor_price))
+    if (!PyArg_ParseTuple(args, "w*y*y*w*w*y*dddddppLd|w*", &starts, &first, &kinds,
+                          &holdings, &streams, &commitments, &eta, &lam, &mu, &zeta,
+                          &liquidity, &ratio, &updated, &horizon, &floor_price, &series))
         return NULL;
     Market mk = {eta, lam, mu, 1.0 - mu, zeta, liquidity, ratio, updated};
-    const double *start = starts.buf, *k = commitments.buf;
+    double *start = starts.buf;
+    const double *k = commitments.buf;
     const int64_t *firsts = first.buf;
     const unsigned char *kind = kinds.buf;
-    const uint64_t *words = streams.buf;
-    n = starts.len / (3 * (Py_ssize_t)sizeof(double));
+    uint64_t *words = streams.buf;
+    n = starts.len / (4 * (Py_ssize_t)sizeof(double));
     int valid = first.len == (n + 1) * (Py_ssize_t)sizeof(int64_t) && firsts[0] == 0 &&
         firsts[n] == kinds.len && holdings.len == kinds.len * (Py_ssize_t)sizeof(Trader) &&
         streams.len == 4 * n * (Py_ssize_t)sizeof(uint64_t) &&
@@ -384,6 +428,8 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
     }
     for (j = 0; valid && j < kinds.len; j++)
         valid = kind[j] <= RAND_REFINED;
+    if (valid && series.buf)  /* rows of 6 + nt doubles, one more than the horizon */
+        valid = n == 1 && series.len / (Py_ssize_t)sizeof(double) / (6 + kinds.len) > horizon;
     if (!valid) {
         PyErr_SetString(PyExc_ValueError, "run_summaries: inconsistent buffers");
         goto done;
@@ -396,15 +442,20 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
     }
     for (i = 0; i < n; i++) {
         Py_ssize_t at = firsts[i], nt = firsts[i + 1] - at;
-        const uint64_t *w = words + 4 * i;
+        uint64_t *w = words + 4 * i;
         Stream stream = {(u128)w[0] << 64 | w[1], (u128)w[2] << 64 | w[3]};
-        PyObject *row = summarise(&mk, k, start[3 * i], start[3 * i + 1], start[3 * i + 2],
-                                  floor_price, horizon, kind + at, (Trader *)holdings.buf + at,
-                                  nt, &stream, scratch, &code, &failed);
+        PyObject *row = series.buf ?
+            summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
+                      (Trader *)holdings.buf + at, nt, &stream, scratch, series.buf, &code,
+                      &failed) :
+            summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
+                      (Trader *)holdings.buf + at, nt, &stream, scratch, NULL, &code, &failed);
         if (row == NULL)
             goto done;
         if (row == Py_None)
             break;
+        w[0] = (uint64_t)(stream.state >> 64);
+        w[1] = (uint64_t)stream.state;
         j = PyList_Append(rows, row);
         Py_DECREF(row);
         if (j < 0)
@@ -420,6 +471,8 @@ done:
     PyBuffer_Release(&holdings);
     PyBuffer_Release(&streams);
     PyBuffer_Release(&commitments);
+    if (series.obj)
+        PyBuffer_Release(&series);
     return result;
 }
 

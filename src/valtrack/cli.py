@@ -12,13 +12,15 @@ resolved configuration, the command's own sizes (sweep resolution and
 replicates, grid cells and k bounds, multival horizon and n_vals, estimator
 arguments), the master seed, the package version and the RNG
 identification, which is sufficient to reproduce the file byte-for-byte.
-The sweep, grid and impact sidecars also have a "telemetry" key that
-changes between runs; it is not part of the reproducible output. It names
-the loop that stepped the command's runs or two-trader probes, "loop":
-"compiled", or "python" where the compiled loops cannot be built, and
-gives the wall time; the sweep's also counts runs, the steps the engine
-simulated, which count a repeated run once per batch, aborted runs,
-engine batches and the widest batch's runs, and simulated steps/s.
+The data sidecars of run, sweep, grid, impact and multival (its run
+series) also have a "telemetry" key that changes between runs; it is not
+part of the reproducible output. It names the loop that stepped the
+command's runs or two-trader probes, "loop": "compiled", or "python"
+where the compiled loops cannot be built, and gives the wall time of the
+simulation; run's and multival's also count the steps of their run, and
+the sweep's counts runs, the steps the engine simulated, which count a
+repeated run once per batch, aborted runs, engine batches and the widest
+batch's runs, and simulated steps/s.
 
 Exit codes: 0 success, 2 configuration error (an unusable output directory
 included), 3 any other valtrack error (numeric failure, invalid input,
@@ -208,8 +210,10 @@ def histogram_csv_rows(hist):
 
 def cmd_run(args, cfg) -> int:
     from . import experiments
+    start = time.perf_counter()
     result = experiments.run_once(cfg)
-    out = _write(args, cfg, _DATA_FILES["run"], run_csv_rows(result))
+    out = _write(args, cfg, _DATA_FILES["run"], run_csv_rows(result),
+                 {"telemetry": _telemetry(start, steps=len(result.prices) - 1)})
     if args.svg:
         from . import svg  # only --svg needs it and its xml import
         _write(args, cfg, args.svg,
@@ -280,11 +284,14 @@ def cmd_impact(args, cfg) -> int:
 
 def cmd_multival(args, cfg) -> int:
     from . import experiments
+    start = time.perf_counter()
     report = experiments.multival_run(cfg, n_vals=args.multival_n_vals,
                                       horizon=args.multival_horizon)
     sizes = {"horizon": args.multival_horizon, "n_vals": args.multival_n_vals}
+    telemetry = _telemetry(start, steps=len(report.result.prices) - 1)
     series_out = _write(args, cfg, "multival_run.csv", run_csv_rows(report.result),
-                        {"valuations": list(report.valuations), **sizes})
+                        {"valuations": list(report.valuations), **sizes,
+                         "telemetry": telemetry})
     hist_out = _write(args, cfg, "multival_histogram.csv",
                       histogram_csv_rows(report.histogram), sizes)
     print(f"multival: max tracking error vs mean valuation "

@@ -33,36 +33,40 @@ it. Every loop raises the same InvalidInputError.
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
 decide that as they step, the start first, and stop at the first crash
-when asked to (crash_step always is). `run` asks the predicate itself at
-every step. `crash_step` asks it only for `CrashPredicate.stop_price`,
-the largest price at which the predicate or the floor fires, once per
-run, and then compares each price with that stop price.
-`summaries.run_summaries` asks it once per run, at the run's lowest and
-highest price.
+when asked to (crash_step always is). `run` in `_stepper` asks the
+predicate itself at every step. `crash_step` and the compiled `run` ask
+it only for `CrashPredicate.stop_price`, the largest price at which the
+predicate or the floor fires, once per run, and then compare each price
+with that stop price. `summaries.run_summaries` asks it once per run, at
+the run's lowest and highest price, and the compiled `run` asks the boom
+reading at the highest price first.
 
 Each entry point steps a private copy of its state in place: `step`
 returns a new state and leaves its input as it was, `run` records every
 step, `crash_step` keeps no history and returns only what a threshold
 bisection reads, run(..., stop_at_crash=True).crash_step, and
 `summaries.run_summaries` only what a sweep reads of each run of a batch.
-`_stepper` is the body of `step`, of `run`, the oracle of every loop, and
-of crash_step's markets that the compiled two-trader loop does not step.
+`_stepper` is the body of `step` and the oracle of every loop, and it
+steps `run`, `crash_step` and `run_summaries` where no compiled loop
+does.
 
 The compiled loops. `_crashloop.c` holds two C functions, the `_stepper`
 body with the order rules inlined and the state in C doubles: the
 two-trader loop of crash_step, for a market of one Val trader and at most
 one Mo trader, the layout of every bisection probe of `grid` and
-`impact`, and the summary loop of summaries.run_summaries, for markets of
-any traders, one call per batch. Its header says why they are the scalar
-engine bit for bit. `_crash_loop` builds the module at the first call
-that needs it, never on import, with sysconfig's compiler and Python's
-headers into the user cache, $XDG_CACHE_HOME/valtrack or
-~/.cache/valtrack. Where it cannot (no compiler, no Python.h, no
-writable cache) crash_step steps those markets in `_stepper` to the
-horizon and run_summaries takes each row from `run`, with the same
-answers, slower (README gives the cost). The `sweep`, `grid` and
-`impact` sidecars name the loop that ran in their telemetry, "compiled"
-or "python".
+`impact`, and the summary loop, for markets of any traders. The summary
+loop steps a batch of summaries.run_summaries in one call, and `run` as a
+one-run batch that also writes each step's row into a series buffer
+(summaries.recorded_run, which builds the RunResult from it). Its header
+says why they are the scalar engine bit for bit. `_crash_loop` builds the
+module at the first call that needs it, never on import, with
+sysconfig's compiler and Python's headers into the user cache,
+$XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it cannot (no
+compiler, no Python.h, no writable cache) `run`, crash_step and
+run_summaries step in `_stepper`, crash_step's two-trader markets to the
+horizon, with the same answers, slower (README gives the cost). The
+`run`, `sweep`, `grid`, `impact` and `multival` sidecars name the loop
+that ran in their telemetry, "compiled" or "python".
 """
 
 import functools
@@ -284,8 +288,16 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     decided as the run steps, as RunResult says. With stop_at_crash the run
     stops at its crash, the start included, which shortens the recorded
     series. Raises InvalidInputError on an initial state check_state rejects.
+
+    It steps in the compiled summary loop where _crash_loop() gives one
+    (summaries.recorded_run), and in _stepper where it does not.
     """
     ceiling = check_state(initial)
+    loop = _crash_loop()
+    if loop is not None:
+        from .summaries import recorded_run  # not loaded by the commands that run no full run
+        return recorded_run(loop, initial, ceiling, params, commitments, seed, crash,
+                            stop_at_crash)
     state, draw = initial.copy(), _draw(initial, seed)
     crash_at, boom_at = crash.crash_at, crash.boom_at
     p0 = state.price
@@ -391,7 +403,7 @@ def _crash_loop():
         module = loader.create_module(ModuleSpec(loader.name, loader, origin=path))
         loader.exec_module(module)
         return module
-    except (OSError, ImportError):  # crash_step and run_summaries fall back to _stepper
+    except (OSError, ImportError):  # every entry point falls back to _stepper
         return None
 
 

@@ -1,17 +1,24 @@
-"""What a sweep reads of each run of a batch.
+"""The compiled summary loop's Python side: a sweep's run summaries, and
+full runs.
 
 `run_summaries` summarises a batch of runs, bit for bit as `engine.run`
 would, in one call of the compiled summary loop of `_crashloop.c` where
-`engine._crash_loop()` gives it, and from `run` where it does not. `run`
-is its oracle as well as its fallback. Only `experiments` imports this
-module, where a sweep runs its batches, so the commands that never
-summarise a batch do not load it.
+`engine._crash_loop()` gives it, and in `engine._stepper` without records
+where it does not. `recorded_run` is `engine.run` in that loop, with a
+series buffer that the loop writes one row per step into. `run` is the
+oracle of both. `experiments` imports this module where a sweep runs its
+batches and before a full run builds its start (`run_once`), and
+`engine.run` where it has the compiled loop, so `grid`, `impact` and
+`analyze`, which run no full run, do not load it.
 """
 
+import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 from . import engine
+from .engine import PRICE_FLOOR, RunResult, StepRecord
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
 from .seeding import generator
@@ -19,6 +26,12 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_BASIC, RAND_REFINED
 
 # The compiled summary loop's codes of the trader kinds and random-trader modes.
 _LOOP_KINDS = {KIND_VAL: 0, KIND_MO: 1, RAND_BASIC: 2, RAND_REFINED: 3}
+# The most steps of a full run that one call of the summary loop writes into
+# its series; a longer run goes on in another call from where it stopped, so
+# the buffer stays small whatever the horizon.
+SERIES_BLOCK = 2**16
+# The leading columns of a series row; each trader's wealth follows them.
+_ROW_COLUMNS = 6  # price, momentum, q_p, q_s, executed, cap_hit
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +55,39 @@ class RunSummaries:
     steps: tuple
 
 
+def _loop_buffers(states, ceilings, stops, seeds):
+    """The buffers the summary loop steps these runs from: starts, first,
+    kinds, holdings and streams, as _crashloop.c's run_summaries lays them
+    out. A run's random draws come from the PCG64 state and increment of
+    its generator, seeding.generator(seed), in 64-bit halves; a run
+    without a random trader builds no generator and passes zeros."""
+    starts, first, kinds, holdings, streams = [], [0], bytearray(), [], []
+    for state, ceiling, stop, seed in zip(states, ceilings, stops, seeds):
+        starts += state.price, state.momentum, ceiling, stop
+        for t in state.traders:
+            kinds.append(_LOOP_KINDS[t.rand_mode if t.kind == KIND_RAND else t.kind])
+            holdings += t.cash, t.asset, t.valuation, t.critical_cash, t.critical_asset
+        first.append(len(kinds))
+        pcg = {"state": 0, "inc": 0}
+        if KIND_RAND in [t.kind for t in state.traders]:
+            pcg = generator(seed).bit_generator.state["state"]
+        streams += divmod(pcg["state"], 2**64) + divmod(pcg["inc"], 2**64)
+    return (array("d", starts), array("q", first), kinds, array("d", holdings),
+            array("Q", streams))
+
+
+def _step_loop(loop, buffers, params: MarketParams, commitments: CommitmentParams,
+               horizon: int, *series):
+    """One call of the summary loop on _loop_buffers' buffers, with a series
+    buffer if one is given: its (code, row, price, rows)."""
+    c = commitments
+    return loop.run_summaries(
+        *buffers, array("d", (c.kv_buy, c.kv_sell, c.km_buy, c.km_sell, c.kr_buy, c.kr_sell)),
+        params.eta, params.lam, params.mu, params.zeta, params.liquidity,
+        params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
+        min(horizon, 2**63 - 1), PRICE_FLOOR, *series)  # no run takes 2**63 steps
+
+
 def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
                   seeds, crash: "CrashPredicate") -> RunSummaries:
     """Summarise run(initial, params, commitments, seed, crash) for each
@@ -52,39 +98,18 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     price / p0, which rounds monotonically in it, so one fires at some step
     iff it fires at that extreme. Raises InvalidInputError where run()
     would: every start is checked first, and then the batch raises the
-    error of its first failing row. The compiled loop takes a run's random
-    draws from the PCG64 state and increment of its generator,
-    seeding.generator(seed), passed in 64-bit halves; a run without a
-    random trader builds no generator and passes zeros.
+    error of its first failing row.
     """
     if len(initials) != len(seeds):
         raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
     ceilings = [engine.check_state(state) for state in initials]
     loop = engine._crash_loop()
     if loop is None:
-        rows = [(min(p), max(p), p[-1] < engine.PRICE_FLOOR, len(p) - 1) for p in (
-            engine.run(state, params, commitments, seed, crash).prices
-            for state, seed in zip(initials, seeds))]
+        rows = [_stepped_row(state, ceiling, params, commitments, seed)
+                for state, ceiling, seed in zip(initials, ceilings, seeds)]
     else:
-        starts, first, kinds, holdings, streams = [], [0], bytearray(), [], []
-        for state, ceiling, seed in zip(initials, ceilings, seeds):
-            starts += state.price, state.momentum, ceiling
-            for t in state.traders:
-                kinds.append(_LOOP_KINDS[t.rand_mode if t.kind == KIND_RAND else t.kind])
-                holdings += t.cash, t.asset, t.valuation, t.critical_cash, t.critical_asset
-            first.append(len(kinds))
-            pcg = {"state": 0, "inc": 0}
-            if KIND_RAND in [t.kind for t in state.traders]:
-                pcg = generator(seed).bit_generator.state["state"]
-            streams += divmod(pcg["state"], 2**64) + divmod(pcg["inc"], 2**64)
-        c = commitments
-        code, row, p_new, rows = loop.run_summaries(
-            array("d", starts), array("q", first), kinds, array("d", holdings),
-            array("Q", streams),
-            array("d", (c.kv_buy, c.kv_sell, c.km_buy, c.km_sell, c.kr_buy, c.kr_sell)),
-            params.eta, params.lam, params.mu, params.zeta, params.liquidity,
-            params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
-            min(params.horizon, 2**63 - 1), engine.PRICE_FLOOR)  # no run takes 2**63 steps
+        buffers = _loop_buffers(initials, ceilings, repeat(-math.inf), seeds)
+        code, row, p_new, rows = _step_loop(loop, buffers, params, commitments, params.horizon)
         if code:
             engine._raise_loop_failure(code, ceilings[row], p_new)
     low, high, aborted, steps = zip(*rows) if rows else ((),) * 4
@@ -92,3 +117,77 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     crashed = tuple(a or crash.crash_at(p, lo) for a, p, lo in zip(aborted, p0, low))
     return RunSummaries(array("d", low), array("d", high), crashed,
                         tuple(map(crash.boom_at, p0, high)), aborted, steps)
+
+
+def _stepped_row(initial, ceiling: float, params: MarketParams, commitments: CommitmentParams,
+                 seed: int) -> tuple:
+    """The summary loop's row of one checked run, (lowest price, highest
+    price, aborted, steps), from a copy of its start stepped in
+    engine._stepper without records, as crash_step steps where it has no
+    compiled loop."""
+    state, draw = initial.copy(), engine._draw(initial, seed)
+    advance = engine._stepper(params, commitments, ceiling)
+    p = low = high = state.price
+    steps = 0
+    while steps < params.horizon and not p < PRICE_FLOOR:
+        advance(state, draw, False)
+        steps += 1
+        p = state.price
+        low = p if p < low else low
+        high = p if p > high else high
+    return low, high, p < PRICE_FLOOR, steps
+
+
+def recorded_run(loop, initial, ceiling: float, params: MarketParams,
+                 commitments: CommitmentParams, seed: int, crash: "CrashPredicate",
+                 stop_at_crash: bool) -> RunResult:
+    """engine.run(initial, params, commitments, seed, crash, stop_at_crash)
+    of a start whose price ceiling check_state gave, bit for bit, stepped
+    as a one-run batch of the compiled summary loop, which writes each
+    step's row into a series buffer, SERIES_BLOCK steps a call.
+
+    With stop_at_crash the loop stops at the first price at or below
+    crash.stop_price(p0, PRICE_FLOOR), as crash_step does; that price, the
+    first one where the predicate fires or the floor aborts the run, is
+    also where crash_step is read. boom_step is read like run_summaries'
+    boomed, at the highest price first."""
+    p0 = initial.price
+    stop = crash.stop_price(p0, PRICE_FLOOR)
+    buffers = _loop_buffers([initial], [ceiling], [stop if stop_at_crash else -math.inf],
+                            [seed])
+    width = _ROW_COLUMNS + len(initial.traders)
+    series, left = None, params.horizon
+    while True:
+        block = min(left, SERIES_BLOCK)
+        rows = array("d", [0.0]) * (width * (block + 1))
+        code, _, p_new, done = _step_loop(loop, buffers, params, commitments, block, rows)
+        if code:
+            engine._raise_loop_failure(code, ceiling, p_new)
+        [(_, _, _, steps)] = done
+        del rows[width * (steps + 1):]
+        if series is None:
+            series = rows
+        else:  # a call's first row is the state the last call stopped at
+            del rows[:width]
+            series += rows
+        left -= steps
+        if steps < block or not left:
+            break
+    prices, momenta = series[0::width].tolist(), series[1::width].tolist()
+    records = list(starmap(StepRecord, zip(
+        prices, prices[1:], series[width + 2::width].tolist(),
+        series[width + 3::width].tolist(), series[width + 4::width].tolist(), momenta,
+        momenta[1:], map((1.0).__eq__, series[width + 5::width]))))
+    wealth = [series[i:i + width - _ROW_COLUMNS].tolist()
+              for i in range(_ROW_COLUMNS, len(series), width)]
+    state = initial.copy()
+    for j, trader in enumerate(state.traders):
+        trader.cash, trader.asset = buffers[3][5 * j], buffers[3][5 * j + 1]
+    state.price, state.momentum = prices[-1], momenta[-1]
+    crashed = boomed = None
+    if min(prices) <= stop:
+        crashed = next(i for i, p in enumerate(prices) if p <= stop)
+    if crash.boom_at(p0, max(prices)):
+        boomed = next(i for i, p in enumerate(prices) if crash.boom_at(p0, p))
+    return RunResult(prices, momenta, wealth, records, state, crashed, boomed,
+                     prices[-1] < PRICE_FLOOR)

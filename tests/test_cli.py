@@ -408,6 +408,27 @@ class TestCliCommands:
                 data.setdefault(name, set()).add((tmp_path / loop / name).read_bytes())
         assert [len(files) for files in data.values()] == [1, 1]
 
+    def test_run_and_multival_sidecars_name_the_loop_that_ran(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the data files themselves are the golden digests' on both loops;
+        # a crash stops neither command, so each counts its whole horizon
+        commands = {"run.csv": ["run", "--mo", "0.3", "--horizon", "40"],
+                    "multival_run.csv": ["multival", "--multival-n-vals", "2",
+                                         "--multival-horizon", "30"]}
+        loops = ["python"] if engine._crash_loop() is None else ["compiled", "python"]
+        for loop in loops:
+            if loop == "python":
+                monkeypatch.setattr(engine, "_crash_loop", lambda: None)
+            for (name, argv), steps in zip(commands.items(), (40, 30)):
+                assert cli.main([*argv, "--out", str(tmp_path / loop)]) == 0
+                sidecar = json.loads((tmp_path / loop / f"{name}.meta.json").read_text())
+                telemetry = sidecar["telemetry"]
+                assert set(telemetry) == {"loop", "steps", "wall_s"}
+                assert (telemetry["loop"], telemetry["steps"]) == (loop, steps)
+                assert telemetry["wall_s"] > 0
+        histogram = json.loads((tmp_path / loop / "multival_histogram.csv.meta.json").read_text())
+        assert "telemetry" not in histogram
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert cli.main(["run", "--mo", "0.1", "--horizon", "5"]) == 0
@@ -559,7 +580,8 @@ def test_every_output_file_has_a_sidecar(argv, tmp_path, capsys):
 
 def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path, capsys):
     """main() reuses one parser per process; overrides of one call must not
-    leak into the next."""
+    leak into the next. The sidecars are compared without their telemetry,
+    which times the run."""
     calls = {"with overrides": ["run", "--set", "market.horizon=30", "--mo", "0.25",
                                 "--rand", "0.25", "--seed", "5"],
              "without": ["run"]}
@@ -574,8 +596,11 @@ def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_pat
         in_process, fresh = tmp_path / "in_process" / name, tmp_path / "fresh" / name
         files = sorted(f.name for f in in_process.iterdir())
         assert files == sorted(f.name for f in fresh.iterdir()) == ["run.csv", "run.csv.meta.json"]
-        for file in files:
-            assert (in_process / file).read_bytes() == (fresh / file).read_bytes()
+        assert (in_process / "run.csv").read_bytes() == (fresh / "run.csv").read_bytes()
+        sidecars = [json.loads((d / "run.csv.meta.json").read_text()) for d in (in_process, fresh)]
+        for sidecar in sidecars:
+            assert sidecar.pop("telemetry")["loop"] in ("compiled", "python")
+        assert sidecars[0] == sidecars[1]
 
 
 def test_the_shared_set_option_starts_empty_on_every_parse():
@@ -602,11 +627,14 @@ def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
     the package imports it at the top; the engine, seeding and metrics
     import it inside the functions that draw numbers or build arrays, so
     importing the harnesses, parsing a command line and a config, a Val/Mo
-    run and crash probe and the analytic threshold never load it."""
+    run and crash probe and the analytic threshold never load it. The run
+    steps in the compiled summary loop where it can be built, which builds
+    a generator only for a market with a random trader."""
+    compiled = engine._crash_loop() is not None
     assert fresh_interpreter("""
         import sys
         import valtrack, valtrack.cli
-        from valtrack import analysis, cli, experiments
+        from valtrack import analysis, cli, engine, experiments
         from valtrack.config import parse_config
         cli.build_parser().parse_args(["grid", "--cells", "3"])
         cfg = parse_config(overrides={"population.mo_frac": 0.25})
@@ -615,8 +643,9 @@ def test_set_up_and_deterministic_runs_leave_numpy_unloaded():
         valtrack.run(state, cfg.market, cfg.commitments, 0, cfg.crash)
         constants = analysis.AnalysisConstants.from_params(cfg.market, cfg.commitments)
         analysis.mo_crash_threshold_analytic(constants, cfg.market.rho)
-        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
-    """) == "[]"
+        print(engine._crash_loop() is not None, "valtrack.summaries" in sys.modules,
+              sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+    """) == f"{compiled} {compiled} []"
 
 
 def test_deterministic_commands_write_their_sidecars_without_numpy(tmp_path):
@@ -653,16 +682,36 @@ def test_set_up_loads_only_the_modules_it_runs():
 def test_a_grid_loads_the_cached_crash_loop_without_a_compiler_or_hash_module(tmp_path):
     """Once the compiled crash loop is in the user cache, a grid loads it
     without subprocess, sysconfig, ctypes or hashlib (whose OpenSSL alone
-    adds 3.6 MiB of resident memory)."""
+    adds 3.6 MiB of resident memory), and so does a deterministic run,
+    which steps in it. (numpy, which a random run loads, imports ctypes
+    and hashlib itself.)"""
     if engine._crash_loop() is None:  # this also fills the cache
         pytest.skip("the compiled crash loop cannot be built here")
     assert fresh_interpreter(f"""
         import sys
         from valtrack import cli, engine
-        assert cli.main(["grid", "--cells", "1", "--out", {str(tmp_path)!r}]) == 0
+        for argv in (["grid", "--cells", "1"], ["run", "--mo", "0.25"]):
+            assert cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
         print(engine._crash_loop() is not None,
               sorted({{"ctypes", "hashlib", "subprocess", "sysconfig"}} & set(sys.modules)))
     """) == "True []"
+
+
+def test_grid_and_impact_load_no_full_run_module_and_no_numpy(tmp_path):
+    """grid and impact probe through crash_step and run no full run, so
+    they load neither summaries, the Python side of the compiled full run
+    and sweep summaries, nor numpy: every module a command loads is
+    compiled from source in the bench, at a cost in its peak RSS."""
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli
+        for argv in (["grid", "--cells", "1"], ["impact"]):
+            assert cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] in ("valtrack", "numpy")
+                     and name != "valtrack._crashloop"))
+    """) == str(["valtrack", "valtrack.analysis", "valtrack.cli", "valtrack.config",
+                 "valtrack.engine", "valtrack.errors", "valtrack.experiments",
+                 "valtrack.metrics", "valtrack.params", "valtrack.seeding", "valtrack.traders"])
 
 
 def test_the_svg_module_loads_no_harness_and_no_numpy():

@@ -418,8 +418,15 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
         """(run's outcome, crash_step's, and where the run raises, 1 if
         check_state rejects its start and 2 if a step raises); with
         row_only, only run's outcome of a run that does not raise"""
+        def run_in(loop, predicate=crash, stop_at_crash=False):
+            with pytest.MonkeyPatch.context() as patch:
+                if loop == "python":
+                    patch.setattr(engine, "_crash_loop", lambda: None)
+                return outcome(lambda: run(state, params, commitments, seed, predicate,
+                                           stop_at_crash))
+
         run_trace = PriceTrace(crash)
-        result = outcome(lambda: run(state, params, commitments, seed, run_trace))
+        result = run_in("python", run_trace)
         if row_only and not isinstance(result, str):
             return result, None, None
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -435,17 +442,7 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
             error = f"InvalidInputError: {e}"
         prices = [s.price for s in chain]
         raised = result if isinstance(result, str) else None
-        if raised:
-            assert error == raised
-        else:
-            assert not error and (
-                bits(result.prices), bits(result.momenta),
-                bits(v for r in result.records for v in r),
-                bits(w for row in result.wealth for w in row), repr(result.final_state)) == (
-                bits(prices), bits(s.momentum for s in chain),
-                bits(v for r in records for v in r),
-                bits(t.cash + t.asset * s.price for s in chain for t in s.traders),
-                repr(chain[-1]))
+        assert error == raised
 
         up, down = math.exp(params.eta), math.exp(-params.eta)
         cash, asset = state.cash_sum(), state.asset_sum()
@@ -466,25 +463,49 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
             return value
 
         rejected = isinstance(outcome(lambda: engine.check_state(state)), str)
-        stopped = stopped_at(crash)
+        stopped, crashed = stopped_at(crash), None
         if rejected:
             assert stopped == raised
         else:
             # a run the price floor aborts crashes at its last index unless
             # it crashed before
-            aborted = prices[-1] < engine.PRICE_FLOOR
             crashed = first_index(crash.crash_at, prices)
-            if aborted and crashed is None:
+            if prices[-1] < engine.PRICE_FLOOR and crashed is None:
                 crashed = len(prices) - 1
-            if not raised:
-                assert (result.crash_step, result.boom_step, result.aborted) == (
-                    crashed, first_index(crash.boom_at, prices), aborted)
             assert stopped == (raised if crashed is None else crashed)
-            if not (raised or aborted):
+            if not (raised or prices[-1] < engine.PRICE_FLOOR):
                 low = min(prices[1:])
                 for pinned in map(CrashPredicate.drop_below, (low, math.nextafter(low, math.inf))):
                     assert stopped_at(pinned) == first_index(pinned.crash_at, prices)
         assert bits(run_trace.prices) == bits(prices[:len(run_trace.prices)])
+
+        def recorded(result):
+            """what a RunResult records, bit for bit, or an error message"""
+            if isinstance(result, str):
+                return result
+            return (bits(result.prices), bits(result.momenta),
+                    bits(v for r in result.records for v in r),
+                    bits(w for row in result.wealth for w in row), repr(result.final_state),
+                    result.crash_step, result.boom_step, result.aborted)
+
+        def chained(steps):
+            """what run records of the chain's first `steps` steps"""
+            kept = prices[:steps + 1]
+            return (bits(kept), bits(s.momentum for s in chain[:steps + 1]),
+                    bits(v for r in records[:steps] for v in r),
+                    bits(t.cash + t.asset * s.price for s in chain[:steps + 1]
+                         for t in s.traders), repr(chain[steps]),
+                    crashed, first_index(crash.boom_at, kept), kept[-1] < engine.PRICE_FLOOR)
+
+        # run in both loops, to its end and stopped at its crash
+        for stop_at_crash in (False, True):
+            expect = raised or chained(len(prices) - 1)
+            if stop_at_crash and crashed is not None:
+                expect = chained(crashed)
+            for loop in ("compiled", "python"):
+                got = result if (loop, stop_at_crash) == ("python", False) else run_in(
+                    loop, stop_at_crash=stop_at_crash)
+                assert recorded(got) == expect, (loop, stop_at_crash)
         return result, stopped, raised and (1 if rejected else 2)
 
     def expected(rows):
@@ -611,6 +632,27 @@ class TestDrawBlocks:
                                         CrashPredicate.drop_below(1e-9))
         assert not result.aborted
         assert result.prices.index(min(result.prices)) * 6 > 3 * engine.DRAW_BLOCK
+
+    def test_a_run_longer_than_a_series_block_goes_on_where_it_stopped(self, monkeypatch):
+        # the compiled run writes at most summaries.SERIES_BLOCK steps a
+        # call and steps on in the next call from the price, momentum,
+        # holdings and random stream the last one left: at 7 steps a call
+        # these 60 steps take 9 calls
+        calls = []
+        loop = compiled_loop()
+
+        def counted(*args):
+            calls.append(args[13])
+            return loop.run_summaries(*args)
+
+        monkeypatch.setattr(summaries, "SERIES_BLOCK", 7)
+        monkeypatch.setattr(engine, "_crash_loop",
+                            lambda: SimpleNamespace(run_summaries=counted))
+        run(self.state(), MarketParams(horizon=60), CommitmentParams(), 0,
+            CrashPredicate.drop_below(1e-9))
+        assert calls == [7] * 8 + [4]
+        assert_engines_agree([self.state()], MarketParams(horizon=60), CommitmentParams(), [0],
+                             CrashPredicate.drop_below(1e-9))
 
     def test_an_early_crash_at_an_unbounded_horizon_returns_at_once(self):
         # what a run draws does not grow with its horizon: a block of 2e12
@@ -1269,6 +1311,19 @@ def test_a_flow_ratio_that_overflows_moves_at_the_cap_without_a_warning():
                                     [0], CrashPredicate.relative_drop(0.3))
     assert result.prices == [1e-12, 1e-12 * math.exp(0.1), 1e-12 * math.exp(0.1) * math.exp(0.1)]
     assert all(r.cap_hit for r in result.records)
+
+
+def test_a_move_of_exactly_eta_is_not_a_cap_hit():
+    # a Val bid of 0.1 cash at price 1 against no offer is a power-law
+    # imbalance of exactly 0.1 = eta at liquidity 1 and zeta 1: the price
+    # moves by e^eta, as at the cap, but the move is not above the cap, so
+    # cap_hit is unset; at the higher price the same bid buys less
+    params = MarketParams(impact="powerlaw", horizon=3)
+    [result] = assert_engines_agree([flow_state(1.0, 0.1, 0.0)], params, ALL_IN, [0],
+                                    CrashPredicate.relative_drop(0.3))
+    assert [(r.q_p, r.new_price, r.cap_hit) for r in result.records[:1]] == [
+        (0.1, math.exp(params.eta), False)]
+    assert not any(r.cap_hit for r in result.records)
 
 
 def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():

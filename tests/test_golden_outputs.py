@@ -7,8 +7,9 @@ and the current-settlement grid and stochastic impact digests before the
 bisection probes became summary-only (engine.crash_step). Any change to a
 seeded output, however small, changes the digest.
 
-The sidecar digests cover everything a sidecar records but the sweep's
-timing telemetry and the RNG identification (it names the numpy version):
+The run and multival digests hold in the compiled summary loop and in the
+Python step body alike. The sidecar digests cover everything a sidecar
+records but its timing telemetry and the RNG identification (it names the numpy version):
 the resolved configuration, command, output name, seed, code version and
 the command's own sizes. They were recorded before the configuration keys,
 defaults and flags were derived from one table, except the grid and
@@ -22,7 +23,7 @@ import json
 
 import pytest
 
-from valtrack import cli
+from valtrack import cli, engine
 
 SWEEP = ["sweep", "--resolution", "3", "--sweep-replicates", "3"]
 
@@ -139,11 +140,25 @@ def test_sweep_csv_matches_golden_digest(name, tmp_path, capsys):
     assert sha256(tmp_path / "ternary.csv") == digest
 
 
+def assert_outputs_match_golden_digests(name, out):
+    argv, digests = GOLDEN_COMMANDS[name]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert {f: sha256(out / f) for f in digests} == digests
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_command_outputs_match_golden_digests(name, tmp_path, capsys):
-    argv, digests = GOLDEN_COMMANDS[name]
-    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    assert {f: sha256(tmp_path / f) for f in digests} == digests
+    assert_outputs_match_golden_digests(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN_COMMANDS
+                                        if name.startswith(("run", "multival"))))
+def test_full_runs_match_golden_digests_in_the_python_loop(name, tmp_path, capsys, monkeypatch):
+    # run and multival step their run in the compiled summary loop where it
+    # can be built; with the loader giving None, as without a compiler,
+    # they step it in engine._stepper, to the same bytes
+    monkeypatch.setattr(engine, "_crash_loop", lambda: None)
+    assert_outputs_match_golden_digests(name, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SIDECARS))
