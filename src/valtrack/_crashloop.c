@@ -1,44 +1,47 @@
-/* The compiled step loops of valtrack: crash_step, the two-trader crash
-   loop of engine.crash_step, and run_summaries, the summary loop of
-   summaries.run_summaries and of engine.run, which it steps as a one-run
-   batch that writes each step's row (price, momentum, flow, executed
-   volume, cap_hit and each trader's wealth) into a series buffer.
+/* The compiled step loop of valtrack, summarise: the scalar step of
+   engine._stepper with the order rules of traders.population_orders
+   inlined. It is force-inlined at three call sites, so that gcc
+   specialises its one body to each: crash_step, the crash loop of
+   engine.crash_step for a market of one Val trader and at most one Mo
+   trader; run_summaries without a series, the summary loop of a sweep's
+   batch; and run_summaries with a series, engine.run as a one-run batch
+   that writes each step's row into a buffer.
 
-   Both are the scalar step of engine._stepper with the order rules of
-   traders.population_orders inlined: the same float operations in the
-   same order, so with the libm exp, log and pow that Python's math module
-   and float ** call, math.fsum's algorithm for the order totals (fsum),
+   It does the same float operations in the same order as the scalar
+   step, so with the libm exp, log and pow that Python's math module and
+   float ** call, math.fsum's algorithm for the order totals (fsum),
    numpy's PCG64 stream for the random traders' draws (uniform), and built
    with -ffp-contract=off so that no a * b + c is fused into one rounding,
    every price and every recorded value is the scalar engine's bit for
    bit. The ceiling and demand failures come back as codes, CEILING or
-   DEMAND with the offending price; Python raises the InvalidInputError of
-   the scalar step for those.
+   DEMAND with the offending price; Python raises the scalar step's
+   InvalidInputError for those.
+
+   A run without a random trader that records no series stops at its
+   first step that places no order, and reports its horizon as its steps:
+   from there nothing changes that an order reads, so every later step
+   repeats that one:
+   - no flow moves the price by exp(0.0) == 1.0, so p, and with it the
+     lowest and highest price, stays where it was, above the stop price
+     and the floor;
+   - no order settles, so no holding moves;
+   - m becomes mu * log(1.0) + (1 - mu) * m, of m's sign or 0 as mu lies
+     in (0, 1): a silent Mo trader stays silent, and so does a Val trader,
+     which reads only the unchanged p and holdings;
+   - the price stays at or below the ceiling, and a zero bid makes a zero
+     demand, so no step raises either.
+   A random trader draws anew at every step, so its run goes on.
 
    crash_step(p, m, cv, av, cm, am, u, kv_buy, kv_sell, km_buy, km_sell,
               eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
               ceiling, stop) -> (code, steps, price)
 
    steps a checked market of one Val trader (cash cv, asset av, valuation
-   u) and at most one Mo trader (cm, am; 0.0 when absent) from price p and
-   momentum m, and stops at the first price at or below stop. A sum of two
-   orders is their fsum but for the sign of a zero sum, which no later
-   value reads.
-
-   code is CRASH when the price reached stop at step `steps`, NO_CRASH at
-   the horizon or at the first step whose four orders are all zero, after
-   `steps` steps, and CEILING or DEMAND when step `steps` moved the price
-   to `price` above the ceiling or made an infinite demand at it.
-
-   From a step whose four orders are all zero nothing changes that an
-   order reads, so no order is placed again and the run never crashes:
-   - no flow moves the price by exp(0.0) == 1.0, so p stays above stop;
-   - no order settles, so no holding moves;
-   - m becomes mu * log(1.0) + (1 - mu) * m, of m's sign or 0: the Mo
-     trader, silent at m with its holdings, stays silent, and so does the
-     Val trader, which reads only the unchanged p and holdings;
-   - the price stays at or below the ceiling, and a zero bid makes a zero
-     demand, so no step raises either. */
+   u) and one Mo trader (cm, am; 0.0 when absent) from price p and
+   momentum m to its first price at or below stop, its horizon or its
+   first step that places no order. price is the last price, at or below
+   stop where the run crashed, or with code CEILING or DEMAND the price
+   the run failed at. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -46,7 +49,8 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { NO_CRASH, CRASH, CEILING, DEMAND };
+/* What summarise returns: a run that ended, or the failure it ended at. */
+enum { DONE, CEILING, DEMAND };
 
 /* The trader codes of run_summaries: summaries._LOOP_KINDS. */
 enum { VAL, MO, RAND_BASIC, RAND_REFINED };
@@ -56,31 +60,23 @@ typedef struct {
     int ratio, updated;
 } Market;
 
-/* The power-law move of engine._stepper: math.copysign(abs(imbalance /
-   liquidity) ** zeta, imbalance), infinite where the power raises
-   OverflowError. Python's float ** raises where libm returns inf or sets
-   errno, an underflow to zero aside. Inlined, as moved_price is, so that
-   each loop keeps its state in registers. */
-static inline double
-powerlaw_move(double imbalance, double liquidity, double zeta)
-{
-    double r;
-    errno = 0;
-    r = pow(fabs(imbalance / liquidity), zeta);
-    if (errno == 0 ? isinf(r) : !(errno == ERANGE && r == 0.0))
-        r = INFINITY;
-    return copysign(r, imbalance);
-}
-
 /* The price that the flow q_p, q_s moves p to: the uncapped log move,
-   which goes to *uncapped, capped at eta and then at -eta. */
+   which goes to *uncapped, capped at eta and then at -eta. The power-law
+   move is math.copysign(abs(imbalance / liquidity) ** zeta, imbalance),
+   infinite where Python's float ** raises OverflowError: where libm
+   returns inf or sets errno, an underflow to zero aside. */
 static inline double
 moved_price(const Market *mk, double p, double q_p, double q_s, double *uncapped)
 {
     double dlog, move;
 
-    if (!mk->ratio)
-        dlog = powerlaw_move(q_p - q_s, mk->liquidity, mk->zeta);
+    if (!mk->ratio) {
+        errno = 0;
+        dlog = pow(fabs((q_p - q_s) / mk->liquidity), mk->zeta);
+        if (errno == 0 ? isinf(dlog) : !(errno == ERANGE && dlog == 0.0))
+            dlog = INFINITY;
+        dlog = copysign(dlog, q_p - q_s);
+    }
     else if (q_p > 0.0 && q_s > 0.0) {
         double r = q_p / q_s;
         /* math.log raises on a ratio that underflows to 0 */
@@ -116,79 +112,24 @@ settle(Trader *x, double bid, double offer, double f_buy, double f_sell, double 
     }
 }
 
-static PyObject *
-crash_step(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    double p, m, cv, av, cm, am, u, kv_buy, kv_sell, km_buy, km_sell;
-    double eta, lam, mu, zeta, liquidity, ceiling, stop;
-    int ratio, updated, code = NO_CRASH;
-    long long horizon, t = 0;
-
-    if (!PyArg_ParseTuple(args, "ddddddddddddddddppLdd", &p, &m, &cv, &av, &cm, &am, &u,
-                          &kv_buy, &kv_sell, &km_buy, &km_sell, &eta, &lam, &mu, &zeta,
-                          &liquidity, &ratio, &updated, &horizon, &ceiling, &stop))
-        return NULL;
-    /* copies whose addresses no call outside this file sees, so that they
-       can stay in registers across the libm calls */
-    Market mk = {eta, lam, mu, 1.0 - mu, zeta, liquidity, ratio, updated};
-    Trader val = {cv, av, u, 0.0, 0.0}, mo = {cm, am, 0.0, 0.0, 0.0};
-
-    while (t < horizon) {
-        double bv = p < val.u ? kv_buy * val.cash : 0.0;
-        double ov = p > val.u ? kv_sell * val.asset : 0.0;
-        double bm = m > 0.0 ? km_buy * mo.cash : 0.0;
-        double om = m < 0.0 ? km_sell * mo.asset : 0.0;
-        double total_bid = bv + bm, q_s = ov + om;
-        double dlog, p_new, p_settle, demand;
-
-        /* tested on total_bid: q_p can underflow to 0 for a positive bid */
-        if (total_bid == 0.0 && q_s == 0.0)
-            break;
-        t++;
-        if ((t & 0xfffff) == 0 && PyErr_CheckSignals() < 0)
-            return NULL;
-        p_new = moved_price(&mk, p, total_bid / p, q_s, &dlog);
-        if (!(p_new <= ceiling)) {
-            code = CEILING;
-            p = p_new;
-            break;
-        }
-        p_settle = mk.updated ? p_new : p;
-        demand = total_bid / p_settle;
-        if (demand == INFINITY) {  /* only a settlement price below the floor */
-            code = DEMAND;
-            p = p_new;
-            break;
-        }
-        if (demand > 0.0 && q_s > 0.0) {
-            double f_buy = q_s / demand, f_sell = demand / q_s;
-            f_buy = f_buy < 1.0 ? f_buy : 1.0;
-            f_sell = f_sell < 1.0 ? f_sell : 1.0;
-            settle(&val, bv, ov, f_buy, f_sell, p_settle);
-            settle(&mo, bm, om, f_buy, f_sell, p_settle);
-        }
-        m = mk.mu * log(p_new / p) + mk.one_minus_mu * m;
-        p = p_new;
-        if (p <= stop) {
-            code = CRASH;
-            break;
-        }
-    }
-    return Py_BuildValue("iLd", code, t, p);
-}
-
 /* math.fsum of x[0..n-1] as CPython 3.11 computes it: Shewchuk's exact
    partials, then their sum from the top down to its first inexact step,
    with the correction that rounds half-even across partials. partials
    holds n doubles, the most a sum of n terms keeps. check_state's bounds
    keep every order, and so every partial, finite, so fsum's branches for
-   inf, NaN and intermediate overflow are never taken and are left out. */
+   inf, NaN and intermediate overflow are never taken and are left out.
+   Orders are >= 0, so a sum of at most two is one correctly rounded
+   addition, and fsum's +0.0 where they sum to zero. */
 static double
 fsum(const double *x, Py_ssize_t n, double *partials)
 {
     Py_ssize_t i, j, k, kept = 0;
     double hi, lo = 0.0, y, yr;
 
+    if (n <= 2) {
+        hi = n == 2 ? x[0] + x[1] : n == 1 ? x[0] : 0.0;
+        return hi == 0.0 ? 0.0 : hi;
+    }
     for (k = 0; k < n; k++) {
         double v = x[k];
         for (i = j = 0; j < kept; j++) {
@@ -278,28 +219,30 @@ record(double *row, double p, double m, double q_p, double q_s, double executed,
     return row + 6 + nt;
 }
 
-/* One run of run_summaries from start, its price, momentum, ceiling and
-   stop price, to its abort, a price below floor_price, its first price at
-   or below the stop price, or its horizon, as engine.run steps it: its nt
-   traders, of codes kind, are stepped in place, and scratch holds 3 * nt
-   doubles. Where series is not NULL it gets the start's row, with a zero
-   flow, and then each step's (see record). The last price and momentum
-   go back to start, so that another call goes on from there. Returns the
-   tuple (lowest price, highest price, aborted, steps), the start's price
-   among them; or Py_None, a borrowed reference, with *code CEILING or
-   DEMAND and the price in *failed; or NULL with an exception set.
-   Inlined at two call sites, so that the loop of a call without a series
-   carries none of its code. */
-static inline __attribute__((always_inline)) PyObject *
+/* One run from start, its price, momentum, ceiling and stop price, to
+   its abort, a price below floor_price, its first price at or below the
+   stop price, or its horizon, as engine.run steps it; with idle_stops,
+   given only to a run without a random trader or a series, also to its
+   first step that places no order, reported as the horizon (the proof is
+   above). Its nt traders, of codes kind, are stepped in place, and
+   scratch holds 3 * nt doubles. Where series is not NULL it gets the
+   start's row, with a zero flow, and then each step's (see record). The
+   last price and momentum go back to start, so that another call goes on
+   from there, the lowest and highest price, the start's among them, to
+   extremes, and the steps to *steps. Returns DONE, or CEILING or DEMAND
+   with the offending price in start[0], or -1 with an exception set. */
+static inline __attribute__((always_inline)) int
 summarise(const Market *mk, const double *k, double *start, double floor_price,
           long long horizon, const unsigned char *kind, Trader *tr, Py_ssize_t nt,
-          Stream *stream, double *scratch, double *series, int *code, double *failed)
+          Stream *stream, double *scratch, double *series, int idle_stops,
+          double *extremes, long long *steps)
 {
     double *bids = scratch, *offers = scratch + nt, *partials = scratch + 2 * nt;
     double p = start[0], m = start[1], ceiling = start[2], stop = start[3];
     double low = p, high = p;
     long long t = 0;
     Py_ssize_t j;
+    int code = DONE;
 
     if (series)
         series = record(series, p, m, 0.0, 0.0, 0.0, 0.0, tr, nt);
@@ -308,7 +251,7 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
 
         t++;
         if ((t & 0xfffff) == 0 && PyErr_CheckSignals() < 0)
-            return NULL;
+            return -1;
         for (j = 0; j < nt; j++) {
             const Trader *x = &tr[j];
             double bid, offer;
@@ -341,19 +284,20 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
         }
         total_bid = fsum(bids, nt, partials);
         q_s = fsum(offers, nt, partials);
+        /* tested on total_bid: q_p can underflow to 0 for a positive bid */
+        if (idle_stops && total_bid == 0.0 && q_s == 0.0) {
+            t = horizon;
+            break;
+        }
         q_p = total_bid / p;
         p_new = moved_price(mk, p, q_p, q_s, &dlog);
-        if (!(p_new <= ceiling)) {
-            *code = CEILING;
-            *failed = p_new;
-            return Py_None;
-        }
         p_settle = mk->updated ? p_new : p;
         demand = total_bid / p_settle;
-        if (demand == INFINITY) {  /* only a settlement price below the floor */
-            *code = DEMAND;
-            *failed = p_new;
-            return Py_None;
+        /* an infinite demand needs a settlement price below the floor */
+        code = !(p_new <= ceiling) ? CEILING : demand == INFINITY ? DEMAND : DONE;
+        if (code != DONE) {
+            p = p_new;
+            break;
         }
         if (demand > 0.0 && q_s > 0.0) {
             double f_buy = q_s / demand, f_sell = demand / q_s;
@@ -372,7 +316,32 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
     }
     start[0] = p;
     start[1] = m;
-    return Py_BuildValue("(ddNL)", low, high, PyBool_FromLong(p < floor_price), t);
+    extremes[0] = low;
+    extremes[1] = high;
+    *steps = t;
+    return code;
+}
+
+static PyObject *
+crash_step(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    static const unsigned char kinds[2] = {VAL, MO};
+    Market mk;
+    Trader tr[2] = {{0}};
+    double start[4], k[6] = {0}, scratch[6], extremes[2];
+    long long horizon, steps;
+    int code;
+
+    if (!PyArg_ParseTuple(args, "ddddddddddddddddppLdd", &start[0], &start[1], &tr[0].cash,
+                          &tr[0].asset, &tr[1].cash, &tr[1].asset, &tr[0].u, &k[0], &k[1],
+                          &k[2], &k[3], &mk.eta, &mk.lam, &mk.mu, &mk.zeta, &mk.liquidity,
+                          &mk.ratio, &mk.updated, &horizon, &start[2], &start[3]))
+        return NULL;
+    mk.one_minus_mu = 1.0 - mk.mu;
+    /* every price below the floor is at or below the stop price */
+    code = summarise(&mk, k, start, -INFINITY, horizon, kinds, tr, 2, NULL, scratch, NULL, 1,
+                     extremes, &steps);
+    return code < 0 ? NULL : Py_BuildValue("iLd", code, steps, start[0]);
 }
 
 /* run_summaries(starts, first, kinds, holdings, streams, commitments,
@@ -381,12 +350,13 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
 
    steps each of n checked runs to its abort, a price below floor_price,
    its first price at or below its stop price, or its horizon, as
-   engine.run does, run by run in row order. Run i starts from price,
-   momentum, ceiling and stop price starts[4i:4i+4] (doubles; a stop price
-   of -inf never stops a run) with traders first[i] to first[i+1] - 1
-   (first holds n + 1 int64). Trader j has the code kinds[j] (bytes) and
-   the cash, asset, valuation, critical cash and critical asset
-   holdings[5j:5j+5] (doubles). streams[4i:4i+4] (uint64) are the high and
+   engine.run does, run by run in row order; without a series, a run
+   without a random trader stops at its first step that places no order
+   (summarise). Run i starts from price, momentum, ceiling and stop price
+   starts[4i:4i+4] (doubles; a stop price of -inf never stops a run) with
+   traders first[i] to first[i+1] - 1 (first holds n + 1 int64). Trader
+   j has the code kinds[j] (bytes) and the cash, asset, valuation,
+   critical cash and critical asset holdings[5j:5j+5] (doubles). streams[4i:4i+4] (uint64) are the high and
    low halves of the PCG64 state and increment of run i's random traders,
    if it has any. A run leaves its last price and momentum in starts, and
    its holdings and its stream's state in holdings and streams, so that a
@@ -394,9 +364,9 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
    kv_sell, km_buy, km_sell, kr_buy and kr_sell. series, given for a call
    of one run of nt traders, is a writable buffer of at least (horizon +
    1) * (6 + nt) doubles, which gets the run's rows (summarise). rows
-   holds summarise's tuple of each run that ended. code is NO_CRASH when
-   every run ended, else CEILING or DEMAND of run `row` at `price`, which
-   ends the call. */
+   holds the tuple (lowest price, highest price, aborted, steps) of each
+   run that ended. code is DONE when every run ended, else CEILING or
+   DEMAND of run `row` at `price`, which ends the call. */
 static PyObject *
 run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -405,7 +375,7 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
     double eta, lam, mu, zeta, liquidity, floor_price, failed = 0.0, *scratch = NULL;
     PyObject *result = NULL, *rows = NULL;
     Py_ssize_t n, i, j, most = 1;
-    int ratio, updated, code = NO_CRASH;
+    int ratio, updated, code = DONE;
 
     if (!PyArg_ParseTuple(args, "w*y*y*w*w*y*dddddppLd|w*", &starts, &first, &kinds,
                           &holdings, &streams, &commitments, &eta, &lam, &mu, &zeta,
@@ -444,18 +414,32 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
         Py_ssize_t at = firsts[i], nt = firsts[i + 1] - at;
         uint64_t *w = words + 4 * i;
         Stream stream = {(u128)w[0] << 64 | w[1], (u128)w[2] << 64 | w[3]};
-        PyObject *row = series.buf ?
+        double extremes[2];
+        long long steps;
+        int idle_stops = 1;
+        PyObject *row;
+
+        for (j = at; j < at + nt; j++)
+            idle_stops = idle_stops && kind[j] < RAND_BASIC;
+        code = series.buf ?
             summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
-                      (Trader *)holdings.buf + at, nt, &stream, scratch, series.buf, &code,
-                      &failed) :
+                      (Trader *)holdings.buf + at, nt, &stream, scratch, series.buf, 0,
+                      extremes, &steps) :
             summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
-                      (Trader *)holdings.buf + at, nt, &stream, scratch, NULL, &code, &failed);
-        if (row == NULL)
+                      (Trader *)holdings.buf + at, nt, &stream, scratch, NULL, idle_stops,
+                      extremes, &steps);
+        if (code < 0)
             goto done;
-        if (row == Py_None)
+        if (code != DONE) {
+            failed = start[4 * i];
             break;
+        }
         w[0] = (uint64_t)(stream.state >> 64);
         w[1] = (uint64_t)stream.state;
+        row = Py_BuildValue("(ddNL)", extremes[0], extremes[1],
+                            PyBool_FromLong(start[4 * i] < floor_price), steps);
+        if (row == NULL)
+            goto done;
         j = PyList_Append(rows, row);
         Py_DECREF(row);
         if (j < 0)
@@ -477,7 +461,7 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"crash_step", crash_step, METH_VARARGS, "The two-trader crash loop."},
+    {"crash_step", crash_step, METH_VARARGS, "The crash loop of a Val/Mo market."},
     {"run_summaries", run_summaries, METH_VARARGS, "The summary loop of a batch of runs."},
     {NULL, NULL, 0, NULL},
 };

@@ -46,27 +46,23 @@ returns a new state and leaves its input as it was, `run` records every
 step, `crash_step` keeps no history and returns only what a threshold
 bisection reads, run(..., stop_at_crash=True).crash_step, and
 `summaries.run_summaries` only what a sweep reads of each run of a batch.
-`_stepper` is the body of `step` and the oracle of every loop, and it
-steps `run`, `crash_step` and `run_summaries` where no compiled loop
-does.
+`_stepper` is the body of `step` and the oracle of every loop.
 
-The compiled loops. `_crashloop.c` holds two C functions, the `_stepper`
-body with the order rules inlined and the state in C doubles: the
-two-trader loop of crash_step, for a market of one Val trader and at most
-one Mo trader, the layout of every bisection probe of `grid` and
-`impact`, and the summary loop, for markets of any traders. The summary
-loop steps a batch of summaries.run_summaries in one call, and `run` as a
-one-run batch that also writes each step's row into a series buffer
-(summaries.recorded_run, which builds the RunResult from it). Its header
-says why they are the scalar engine bit for bit. `_crash_loop` builds the
-module at the first call that needs it, never on import, with
-sysconfig's compiler and Python's headers into the user cache,
-$XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it cannot (no
-compiler, no Python.h, no writable cache) `run`, crash_step and
-run_summaries step in `_stepper`, crash_step's two-trader markets to the
-horizon, with the same answers, slower (README gives the cost). The
-`run`, `sweep`, `grid`, `impact` and `multival` sidecars name the loop
-that ran in their telemetry, "compiled" or "python".
+The compiled loop. `_crashloop.c` holds one C loop, the `_stepper` body
+with the order rules inlined, at three entries: crash_step's, for a
+market of one Val trader and at most one Mo trader, the layout of every
+bisection probe of `grid` and `impact`; a batch of
+summaries.run_summaries in one call; and `run` as a one-run batch that
+also writes each step's row into a series buffer (summaries.recorded_run).
+A run that writes no series and has no random trader stops at its first
+step that places no order, reported as its horizon. The header says why
+the loop is the scalar engine bit for bit and why that stop is exact.
+`_crash_loop` builds the module at the first call that needs it into the
+user cache, $XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it
+cannot, `run` steps in `_stepper`, and crash_step and run_summaries in
+`_stepped_row`, with the same answers, slower (README gives the cost).
+The `run`, `sweep`, `grid`, `impact` and `multival` sidecars name the
+loop that ran in their telemetry, "compiled" or "python".
 """
 
 import functools
@@ -336,37 +332,51 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     stop price, computed once from the start. A market of one Val trader
     and at most one Mo trader steps in the compiled loop where
     _crash_loop() gives one, which also stops, with None, at the first step
-    that places no order; any other steps a copy of the start in _stepper.
+    that places no order; any other in _stepped_row.
     """
     ceiling = check_state(initial)
     stop = crash.stop_price(initial.price, PRICE_FLOOR)
-    if initial.price <= stop:
-        return 0
     two_traders = sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL])
     loop = _crash_loop() if two_traders else None
-    if loop is not None:
-        cv = av = cm = am = 0.0
-        for trader in initial.traders:
-            if trader.kind == KIND_VAL:
-                cv, av, u = trader.cash, trader.asset, trader.valuation
-            else:
-                cm, am = trader.cash, trader.asset
-        c = commitments
-        code, steps, p_new = loop.crash_step(
-            initial.price, initial.momentum, cv, av, cm, am, u,
-            c.kv_buy, c.kv_sell, c.km_buy, c.km_sell,
-            params.eta, params.lam, params.mu, params.zeta, params.liquidity,
-            params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
-            min(params.horizon, 2**63 - 1), ceiling, stop)  # no run takes 2**63 steps
-        _raise_loop_failure(code, ceiling, p_new)
-        return steps if code == _LOOP_CRASH else None
+    if loop is None:
+        low, _, _, steps = _stepped_row(initial, ceiling, params, commitments, seed, stop)
+        return steps if low <= stop else None
+    cv = av = cm = am = 0.0
+    for trader in initial.traders:
+        if trader.kind == KIND_VAL:
+            cv, av, u = trader.cash, trader.asset, trader.valuation
+        else:
+            cm, am = trader.cash, trader.asset
+    c = commitments
+    code, steps, p_new = loop.crash_step(
+        initial.price, initial.momentum, cv, av, cm, am, u,
+        c.kv_buy, c.kv_sell, c.km_buy, c.km_sell,
+        params.eta, params.lam, params.mu, params.zeta, params.liquidity,
+        params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
+        min(params.horizon, 2**63 - 1), ceiling, stop)  # no run takes 2**63 steps
+    _raise_loop_failure(code, ceiling, p_new)
+    return steps if p_new <= stop else None
+
+
+def _stepped_row(initial: MarketState, ceiling: float, params: MarketParams,
+                 commitments: CommitmentParams, seed: int, stop: float = -math.inf) -> tuple:
+    """The compiled summary loop's row of one run from a start whose price
+    ceiling check_state gave, (lowest price, highest price, aborted,
+    steps), from a copy of the start stepped in _stepper without records
+    to its abort, its first price at or below stop, or its horizon: the
+    row of summaries.run_summaries, and the run of crash_step, where no
+    compiled loop steps them."""
     state, draw = initial.copy(), _draw(initial, seed)
     advance = _stepper(params, commitments, ceiling)
-    for t in range(1, params.horizon + 1):
+    p = low = high = state.price
+    steps = 0
+    while steps < params.horizon and not (p < PRICE_FLOOR or p <= stop):
         advance(state, draw, False)
-        if state.price <= stop:
-            return t
-    return None
+        steps += 1
+        p = state.price
+        low = p if p < low else low
+        high = p if p > high else high
+    return low, high, p < PRICE_FLOOR, steps
 
 
 def _raise_loop_failure(code: int, ceiling: float, p_new: float) -> None:
@@ -378,10 +388,10 @@ def _raise_loop_failure(code: int, ceiling: float, p_new: float) -> None:
         raise InvalidInputError(_DEMAND_ERROR.format(p_new))
 
 
-# The compiled loops' C source and compile flags, and the codes they return.
+# The compiled loop's C source and compile flags, and the failure codes it returns.
 _LOOP_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_crashloop.c")
 _LOOP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_LOOP_CRASH, _LOOP_CEILING, _LOOP_DEMAND = 1, 2, 3
+_LOOP_CEILING, _LOOP_DEMAND = 1, 2
 
 
 @functools.cache

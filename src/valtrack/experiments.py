@@ -9,6 +9,7 @@ of worker count or scheduling. Aggregation is keyed by task index.
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 from importlib import import_module
 
@@ -229,24 +230,25 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     tasks = [(config, replicates, start, stop,
               points[start // replicates:(stop - 1) // replicates + 1])
              for start, stop in zip(bounds, bounds[1:])]
-    batches = _run_tasks(_ternary_batch_task, tasks, workers)
     p0 = config.population.p0
-    drops, crashed, boomed, aborted = [], [], [], []
-    for summaries, rows in batches:
+    # each batch is read as it arrives, keeping only what the points need
+    drops, crashed, boomed, aborted = array("d"), bytearray(), bytearray(), bytearray()
+    steps = batch_runs = 0
+    for summaries, rows in _run_tasks(_ternary_batch_task, tasks, workers):
         row_drops = [metrics.max_relative_drop((p0, low)) for low in summaries.min_price]
         for per_run, per_row in ((drops, row_drops), (crashed, summaries.crashed),
                                  (boomed, summaries.boomed), (aborted, summaries.aborted)):
-            per_run += [per_row[r] for r in rows]
+            per_run.extend(per_row[r] for r in rows)
+        steps += sum(summaries.steps)
+        batch_runs = max(batch_runs, len(rows))
     results = []
     for i, (val, mo, rand) in enumerate(points):
         runs = slice(i * replicates, (i + 1) * replicates)
         results.append(TernaryPoint(
             val, mo, rand, math.fsum(drops[runs]) / replicates,
             sum(crashed[runs]) / replicates, sum(boomed[runs]) / replicates))
-    return TernaryGrid(resolution, replicates, tuple(results),
-                       steps=sum(sum(s.steps) for s, _ in batches),
-                       aborted_runs=sum(aborted), batches=len(batches),
-                       batch_runs=max(len(rows) for _, rows in batches))
+    return TernaryGrid(resolution, replicates, tuple(results), steps=steps,
+                       aborted_runs=sum(aborted), batches=len(tasks), batch_runs=batch_runs)
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
@@ -258,15 +260,17 @@ def _pool_size(workers: int, n_tasks: int) -> int:
 
 
 def _run_tasks(fn, tasks, workers: int):
-    """Execute tasks preserving submission order, in this process or on a
-    pool of _pool_size(workers, len(tasks)) processes."""
+    """Yield fn(task) for each task in submission order, computed in this
+    process or on a pool of _pool_size(workers, len(tasks)) processes, as
+    the caller takes them."""
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     # imported only here: the import takes ~20 ms, which a single worker never needs
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        yield from pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
 # --- commitment grid ---------------------------------------------------------
@@ -318,8 +322,7 @@ def commitment_grid(config: ExperimentConfig, k_plus_range=(0.02, 0.30),
     k_plus = _linspace(k_plus_range[0], k_plus_range[1], cells)
     k_minus = _linspace(k_minus_range[0], k_minus_range[1], cells)
     tasks = [(config, kp, km) for kp in k_plus for km in k_minus]
-    results = _run_tasks(_grid_cell_task, tasks, workers)
-    return CommitmentGrid(tuple(results))
+    return CommitmentGrid(tuple(_run_tasks(_grid_cell_task, tasks, workers)))
 
 
 def _linspace(lo: float, hi: float, n: int):

@@ -3,13 +3,13 @@ full runs.
 
 `run_summaries` summarises a batch of runs, bit for bit as `engine.run`
 would, in one call of the compiled summary loop of `_crashloop.c` where
-`engine._crash_loop()` gives it, and in `engine._stepper` without records
-where it does not. `recorded_run` is `engine.run` in that loop, with a
-series buffer that the loop writes one row per step into. `run` is the
-oracle of both. `experiments` imports this module where a sweep runs its
-batches and before a full run builds its start (`run_once`), and
-`engine.run` where it has the compiled loop, so `grid`, `impact` and
-`analyze`, which run no full run, do not load it.
+`engine._crash_loop()` gives it, and in `engine._stepped_row`, `_stepper`
+without records, where it does not. `recorded_run` is `engine.run` in
+that loop, with a series buffer that the loop writes one row per step
+into. `run` is the oracle of both. `experiments` imports this module
+where a sweep runs its batches and before a full run builds its start
+(`run_once`), and `engine.run` where it has the compiled loop, so `grid`,
+`impact` and `analyze`, which run no full run, do not load it.
 """
 
 import math
@@ -39,12 +39,11 @@ class RunSummaries:
     """What a sweep reads of each run of a batch, indexed like the batch.
 
     min_price and max_price are the lowest and highest price of the run,
-    its initial price included, as packed doubles (array("d")): a sweep
-    holds every batch's summaries until it aggregates them. crashed and boomed say whether the
-    predicate, or its boom reading, fires at some step of the run, as
-    run() sets crash_step and boom_step; a run stopped by the price floor
-    is aborted and counts as crashed. steps is the step the run stopped
-    at: its abort or the horizon.
+    its initial price included, as packed doubles (array("d")). crashed
+    and boomed say whether the predicate, or its boom reading, fires at
+    some step of the run, as run() sets crash_step and boom_step; a run
+    stopped by the price floor is aborted and counts as crashed. steps is
+    the step the run stopped at: its abort or the horizon.
     """
 
     min_price: array
@@ -105,7 +104,7 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     ceilings = [engine.check_state(state) for state in initials]
     loop = engine._crash_loop()
     if loop is None:
-        rows = [_stepped_row(state, ceiling, params, commitments, seed)
+        rows = [engine._stepped_row(state, ceiling, params, commitments, seed)
                 for state, ceiling, seed in zip(initials, ceilings, seeds)]
     else:
         buffers = _loop_buffers(initials, ceilings, repeat(-math.inf), seeds)
@@ -117,25 +116,6 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     crashed = tuple(a or crash.crash_at(p, lo) for a, p, lo in zip(aborted, p0, low))
     return RunSummaries(array("d", low), array("d", high), crashed,
                         tuple(map(crash.boom_at, p0, high)), aborted, steps)
-
-
-def _stepped_row(initial, ceiling: float, params: MarketParams, commitments: CommitmentParams,
-                 seed: int) -> tuple:
-    """The summary loop's row of one checked run, (lowest price, highest
-    price, aborted, steps), from a copy of its start stepped in
-    engine._stepper without records, as crash_step steps where it has no
-    compiled loop."""
-    state, draw = initial.copy(), engine._draw(initial, seed)
-    advance = engine._stepper(params, commitments, ceiling)
-    p = low = high = state.price
-    steps = 0
-    while steps < params.horizon and not p < PRICE_FLOOR:
-        advance(state, draw, False)
-        steps += 1
-        p = state.price
-        low = p if p < low else low
-        high = p if p > high else high
-    return low, high, p < PRICE_FLOOR, steps
 
 
 def recorded_run(loop, initial, ceiling: float, params: MarketParams,

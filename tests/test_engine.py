@@ -321,11 +321,11 @@ class TestInputsStayUnchanged:
         assert not given & {id(t) for t in out.traders + result.final_state.traders}
 
 
-# The step loops, engine._stepper and the two compiled loops of
-# _crashloop.c, the two-trader loop of engine.crash_step and the summary
-# loop of summaries.run_summaries, state one rule. assert_engines_agree is
-# their one differential oracle, and engine_cases draws its inputs; each
-# edge input below is one call of it, with the facts its case pins.
+# The step loops, engine._stepper and the compiled loop of _crashloop.c,
+# at its entries for engine.crash_step and summaries.run_summaries, state
+# one rule. assert_engines_agree is their one differential oracle, and
+# engine_cases draws its inputs; each edge input below is one call of it,
+# with the facts its case pins.
 
 def outcome(fn):
     """fn()'s value, or the message of the InvalidInputError it raises."""
@@ -355,7 +355,7 @@ def summary_row(result):
 
 def recorded_crash_step(*args):
     """(crash_step(*args), or the message of the InvalidInputError it
-    raises, and the (code, steps, price) that the compiled two-trader loop
+    raises, and the (code, steps, price) that the compiled crash loop
     returned to it, or None where that loop did not step it)."""
     loop, returned = engine._crash_loop(), []
     if loop is None:
@@ -380,8 +380,8 @@ def assert_engines_agree(states, params, commitments, seeds, crash, expect=None)
       raises where `run` raises, with its message: every state of a run
       has its start's price ceiling. run's crash_step, boom_step and
       aborted are the first indices of the chain's prices where they fire.
-    - crash_step, which steps a Val/Mo market in the compiled two-trader
-      loop, returns the chain's first crash, or else its error. Where that
+    - crash_step, which steps a Val/Mo market in the compiled crash loop,
+      returns the chain's first crash, or else its error. Where that
       loop stops at a crash or an end, the price it returns is the chain's
       price at the step count it returns, bit for bit. Where the run
       neither raises nor aborts, crash_step with a drop below the chain's
@@ -727,7 +727,7 @@ def counted_steps(fn, limit=1000):
 
 
 def compiled_loop():
-    """The compiled two-trader loop; the test skips where it cannot be
+    """The compiled loop's module; the test skips where it cannot be
     built, which test_the_compiled_loop_loads_where_it_can_be_built fails."""
     loop = engine._crash_loop()
     if loop is None:
@@ -749,29 +749,35 @@ def crash_loop(kind):
 
 
 @contextlib.contextmanager
-def loop_results(seconds=10):
-    """Yield a list, and append to it each (code, steps, price) that the
-    compiled loop returns to crash_step meanwhile. The loop checks for
-    signals every 2**20 steps, so one that is still stepping after
-    `seconds` fails with TimeoutError and cannot hang the test."""
-    loop, results = compiled_loop(), []
-
-    def recording(*args):
-        results.append(loop.crash_step(*args))
-        return results[-1]
-
+def deadline(seconds=10):
+    """Fail the block with TimeoutError if it still runs after `seconds`.
+    The compiled loop checks for signals every 2**20 steps, so a call of
+    it that keeps stepping cannot hang the test."""
     def expire(signum, frame):
         raise TimeoutError(f"the compiled loop still stepped after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_crash_loop", lambda: SimpleNamespace(crash_step=recording))
-            yield results
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def loop_results(seconds=10):
+    """Yield a list, and append to it each (code, steps, price) that the
+    compiled loop returns to crash_step meanwhile, within deadline(seconds)."""
+    loop, results = compiled_loop(), []
+
+    def recording(*args):
+        results.append(loop.crash_step(*args))
+        return results[-1]
+
+    with deadline(seconds), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_crash_loop", lambda: SimpleNamespace(crash_step=recording))
+        yield results
 
 
 def compiled_steps(fn):
@@ -853,12 +859,13 @@ class TestCrashStep:
         init_population(PopulationSpec(), m0=-0.001), two_trader_state(m0=0.0),
     ], ids=["val at its valuation", "val mo at zero momentum"])
     def test_an_order_free_start_stops_without_stepping(self, state):
-        # a start that places no order never places one, so even a horizon
-        # of 10**9 steps takes none in the compiled loop; the _stepper body
-        # steps to the horizon
+        # a start that places no order never places one, so the compiled
+        # loop stops at its first step and reports the horizon: 10**9
+        # steps return inside loop_results' 10 s. The _stepper body steps
+        # to the horizon
         assert compiled_steps(lambda: engine.crash_step(
             state, MarketParams(horizon=10**9), CommitmentParams(), 0,
-            CrashPredicate.relative_drop(0.3))) == (None, 0)
+            CrashPredicate.relative_drop(0.3))) == (None, 10**9)
         assert compiled_steps(lambda: engine.crash_step(
             two_trader_state(), MarketParams(horizon=3), CommitmentParams(), 0,
             CrashPredicate.relative_drop(0.3))) == (None, 3)
@@ -869,16 +876,18 @@ class TestCrashStep:
                     CrashPredicate.relative_drop(0.3))) == (None, 3)
 
     def test_a_horizon_past_2_63_with_an_order_free_start_returns_none_at_once(self):
-        # the horizon is clamped to the loop's 64-bit count, which no run reaches
+        # the horizon is clamped to the loop's 64-bit count, which no run
+        # reaches, and the order-free stop reports that count
         state = init_population(PopulationSpec(), m0=-0.001)
         assert compiled_steps(lambda: engine.crash_step(
             state, MarketParams(horizon=2**70), CommitmentParams(), 0,
-            CrashPredicate.relative_drop(0.3))) == (None, 0)
+            CrashPredicate.relative_drop(0.3))) == (None, 2**63 - 1)
 
     def test_a_market_that_empties_both_sides_stops_mid_run(self):
         # the Val trader's whole cash buys the Mo trader's whole asset at
         # an unmoved price: both sides fill at step 1, and from step 2 on
-        # neither holds what it would order
+        # neither holds what it would order. The compiled loop stops there
+        # and reports the horizon, so 10**12 steps return at once
         state = market_state(1.0, [Trader(1.0, 0.0, "val", valuation=2.0),
                                    Trader(0.0, 1.0, "mo")], momentum=-0.001)
         params = MarketParams(horizon=20)
@@ -886,8 +895,10 @@ class TestCrashStep:
                                         CrashPredicate.drop_below(0.5))
         assert [(r.q_p, r.q_s, r.executed) for r in result.records[:2]] == [
             (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]
-        assert compiled_steps(lambda: engine.crash_step(
-            state, params, ALL_IN, 0, CrashPredicate.drop_below(0.5))) == (None, 1)
+        for horizon in (20, 10**12):
+            assert compiled_steps(lambda: engine.crash_step(
+                state, replace(params, horizon=horizon), ALL_IN, 0,
+                CrashPredicate.drop_below(0.5))) == (None, horizon)
         with crash_loop("python"):
             assert counted_steps(lambda: engine.crash_step(
                 state, params, ALL_IN, 0, CrashPredicate.drop_below(0.5))) == (None, 20)
@@ -1058,6 +1069,38 @@ class TestRunSummaries:
                                        CrashPredicate.drop_below(1e-13))
         assert [summary_row(r)[4:] for r in results] == [(True, 1), (False, 10), (True, 4)]
 
+    def test_a_market_without_a_random_trader_stops_at_its_first_order_free_step(self):
+        # two Val traders at their valuation and a Mo trader with no asset
+        # at negative momentum place no order, so they never place one: the
+        # compiled loop stops at its first step and reports the horizon, so
+        # 10**12 steps return at once; the _stepper body steps them all
+        state = market_state(1.0, [Trader(1.0, 2.0, "val"), Trader(0.5, 1.0, "val"),
+                                   Trader(0.5, 0.0, "mo")], momentum=-0.001)
+        compiled_loop()
+        with deadline():
+            s = summaries.run_summaries([state], MarketParams(horizon=10**12),
+                                        CommitmentParams(), [0], CrashPredicate.drop_below(0.5))
+        assert (s.min_price[0], s.max_price[0], s.aborted[0], s.steps[0]) == (
+            1.0, 1.0, False, 10**12)
+        params = MarketParams(horizon=20)
+        s = summaries.run_summaries([state], params, CommitmentParams(), [0],
+                                    CrashPredicate.drop_below(0.5))
+        assert (s.min_price[0], s.max_price[0], s.aborted[0], s.steps[0]) == \
+            engine._stepped_row(state, engine.check_state(state), params, CommitmentParams(), 0)
+
+    def test_a_random_trader_that_places_no_order_is_not_cut_short(self):
+        # a basic Rand trader of 5e-324 cash bids all of it times its draw,
+        # which rounds to 0 below a draw of 1/2: at seed 2 it places no
+        # order at step 1, while the Val trader sits at its valuation, and
+        # then bids 5e-324, which moves the price up by the cap, where the
+        # Val trader sells
+        state = market_state(1.0, [Trader(5e-324, 0.0, "rand"), Trader(1.0, 4.0, "val")])
+        [result] = assert_engines_agree([state], MarketParams(horizon=20),
+                                        CommitmentParams(kr_buy=1.0), [2],
+                                        CrashPredicate.relative_drop(0.3))
+        assert result.records[0].q_p == 0.0 and result.records[0].new_price == 1.0
+        assert result.records[1].q_p > 0.0 and max(result.prices) > 1.0
+
     def test_an_aborted_row_places_no_order_at_its_frozen_price(self):
         # at eta = 705 the Mo seller takes the price from 1e-12 to about
         # 6.6e-319 in one step; the refined random trader's offer divides
@@ -1192,8 +1235,8 @@ def test_holdings_above_the_recorded_total_step_finitely_up_to_a_bound():
 def test_holdings_at_the_bounds_step_with_finite_flows():
     # every trader bids all its cash at the 1e-12 floor: the purchase volume
     # is about sys.float_info.max / 2, and the one-sided flow moves the price
-    # up at the cap. One Val trader steps in the compiled two-trader
-    # crash_step loop, two in the generic one.
+    # up at the cap. crash_step steps one Val trader in the compiled crash
+    # loop and two in _stepper.
     cash = engine.MAX_TOTAL_CASH
     one = market_state(engine.PRICE_FLOOR, [Trader(cash, 0.0, "val", valuation=1.0)])
     two = market_state(engine.PRICE_FLOOR, [Trader(cash / 2, 0.0, "val", valuation=1.0),
@@ -1289,7 +1332,7 @@ def test_a_flow_ratio_that_underflows_moves_by_its_log_difference():
 def test_a_flow_ratio_that_underflows_above_the_floor_pins_its_price():
     # the market above at lam = 0.01: the move, about -7.5, leaves the price
     # near 5.7e-4, above the floor, so the oracle pins that price bit for
-    # bit through crash_step, which steps the market in the two-trader loop
+    # bit through crash_step, which steps the market in the crash loop
     state = MarketState(1.0, 0.001, [Trader(0.0, 4.0, "val", valuation=0.5),
                                      Trader(5e-324, 0.0, "mo")], 5e-324, 4.0)
     params = MarketParams(lam=0.01, eta=100.0, horizon=1)
@@ -1326,6 +1369,24 @@ def test_a_move_of_exactly_eta_is_not_a_cap_hit():
     assert not any(r.cap_hit for r in result.records)
 
 
+@pytest.mark.parametrize("traders, momentum", [
+    ([Trader(-0.0, 1.0, "val", valuation=2.0)], 0.0),
+    ([Trader(-0.0, 1.0, "val", valuation=2.0), Trader(-0.0, 1.0, "mo")], 0.001),
+], ids=["val", "val mo"])
+def test_order_totals_of_negative_zero_bids_are_positive_zero(traders, momentum):
+    # check_state accepts a cash of -0.0, whose bids are -0.0; math.fsum
+    # sums them to 0.0, so the recorded q_p and executed volume are 0.0,
+    # which repr, unlike ==, tells from -0.0
+    state = market_state(1.0, traders, momentum)
+    params, crash = MarketParams(horizon=3), CrashPredicate.relative_drop(0.3)
+    engine.check_state(state)
+    assert_engines_agree([state], params, CommitmentParams(), [0], crash)
+    recorded = run(state, params, CommitmentParams(), 0, crash).records[0]
+    chained = step(state, params, CommitmentParams())[1]
+    assert repr((recorded.q_p, recorded.executed)) == repr((chained.q_p, chained.executed)) \
+        == "(0.0, 0.0)"
+
+
 def test_flow_ratios_at_the_overflow_margin_match_run_beside_ordinary_rows():
     # at price 1 one Val trader bids its cash and another offers its asset,
     # so the flow ratio is cash / asset: exactly 2**1000, its next float
@@ -1354,8 +1415,8 @@ def test_a_power_law_move_that_overflows_moves_at_the_cap(liquidity):
     # above 1e150, whose square overflows a double and raised OverflowError;
     # at 1e-310 the quotient imbalance / liquidity overflows. A power
     # above DBL_MAX is above eta <= ln(DBL_MAX), so each step moves at the
-    # cap. One Val trader steps in the compiled two-trader crash_step
-    # loop, two in the generic one.
+    # cap. crash_step steps one Val trader in the compiled crash loop and
+    # two in _stepper.
     one = init_population(PopulationSpec(val_fracs=(0.5,), mo_frac=0.5), m0=0.001)
     two = init_population(PopulationSpec(val_fracs=(0.25, 0.25), mo_frac=0.5), m0=0.001)
     params = MarketParams(impact="powerlaw", zeta=2.0, liquidity=liquidity, horizon=6)
