@@ -32,6 +32,11 @@
      demand, so no step raises either.
    A random trader draws anew at every step, so its run goes on.
 
+   seed_streams seeds each run's stream as np.random.PCG64(seed) does for
+   a seed in [0, 2**64), the engine seeds that Python checks where they
+   enter (engine._stream_seed), so the compiled loops step numpy's streams
+   without numpy: a batch's seeds are one call, before run_summaries.
+
    crash_step(p, m, cv, av, cm, am, u, kv_buy, kv_sell, km_buy, km_sell,
               eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
               ceiling, stop) -> (code, steps, price)
@@ -199,6 +204,56 @@ uniform(Stream *s)
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* numpy's SeedSequence constants: the hash constants and multipliers of
+   its pool (A) and of its output (B), and the multipliers of its mix. */
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875, INIT_B = 0x8b51f9dd,
+    MULT_B = 0x58f38ded, MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
+
+/* SeedSequence's hash of a 32-bit word, which steps the hash constant
+   *h by mult. */
+static inline uint32_t
+hashmix(uint32_t v, uint32_t *h, uint32_t mult)
+{
+    v ^= *h;
+    *h *= mult;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+/* The stream of np.random.PCG64(seed) for a seed in [0, 2**64): its
+   SeedSequence(seed) hashes the seed's 32-bit words, low word first, into
+   a pool of four words; the words past the seed's are zeros, as the pool
+   pads them, so the seed's word count changes nothing. Each pool word is
+   mixed into each other, and generate_state(4, uint64) gives the words
+   of PCG64's initial state (0 and 1, high half first) and sequence (2
+   and 3), which srandom turns into the increment and the first state. */
+static Stream
+seeded_stream(uint64_t seed)
+{
+    uint32_t pool[4] = {(uint32_t)seed, (uint32_t)(seed >> 32), 0, 0}, h = INIT_A, r;
+    uint64_t w[4];
+    Stream s;
+    int i, j;
+
+    for (i = 0; i < 4; i++)
+        pool[i] = hashmix(pool[i], &h, MULT_A);
+    for (i = 0; i < 4; i++)
+        for (j = 0; j < 4; j++)
+            if (i != j) {
+                r = MIX_MULT_L * pool[j] - MIX_MULT_R * hashmix(pool[i], &h, MULT_A);
+                pool[j] = r ^ (r >> 16);
+            }
+    h = INIT_B;
+    for (i = 0; i < 4; i++) {
+        r = hashmix(pool[2 * i % 4], &h, MULT_B);
+        w[i] = (uint64_t)hashmix(pool[(2 * i + 1) % 4], &h, MULT_B) << 32 | r;
+    }
+    s.inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+    s.state = s.inc + ((u128)w[0] << 64 | w[1]);
+    uniform(&s);  /* one LCG step; its output is not a draw */
+    return s;
+}
+
 /* Write a row of run_summaries' series and return the next: the price p,
    the momentum m, the flow q_p and q_s, the executed volume, cap_hit (1.0
    or 0.0) and each of the nt traders' wealth, cash + asset * p. */
@@ -356,11 +411,13 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
    starts[4i:4i+4] (doubles; a stop price of -inf never stops a run) with
    traders first[i] to first[i+1] - 1 (first holds n + 1 int64). Trader
    j has the code kinds[j] (bytes) and the cash, asset, valuation,
-   critical cash and critical asset holdings[5j:5j+5] (doubles). streams[4i:4i+4] (uint64) are the high and
-   low halves of the PCG64 state and increment of run i's random traders,
-   if it has any. A run leaves its last price and momentum in starts, and
-   its holdings and its stream's state in holdings and streams, so that a
-   second call goes on from where it stopped. commitments holds kv_buy,
+   critical cash and critical asset holdings[5j:5j+5] (doubles).
+   streams[4i:4i+4] (uint64) are the high and low halves of the PCG64
+   state and increment of run i's random traders, as seed_streams writes
+   them, read only where it has any. A run leaves its last price and
+   momentum in starts, and its holdings and its stream's state in
+   holdings and streams, so that a second call goes on from where it
+   stopped. commitments holds kv_buy,
    kv_sell, km_buy, km_sell, kr_buy and kr_sell. series, given for a call
    of one run of nt traders, is a writable buffer of at least (horizon +
    1) * (6 + nt) doubles, which gets the run's rows (summarise). rows
@@ -460,9 +517,43 @@ done:
     return result;
 }
 
+/* seed_streams(seeds, streams) writes to streams[4i:4i+4] the stream of
+   seeds[i] (uint64), np.random.PCG64(seeds[i]), as run_summaries reads
+   it: the high and low halves of its state and increment. */
+static PyObject *
+seed_streams(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer seeds, streams;
+    PyObject *result = NULL;
+    Py_ssize_t i, n;
+
+    if (!PyArg_ParseTuple(args, "y*w*", &seeds, &streams))
+        return NULL;
+    n = seeds.len / (Py_ssize_t)sizeof(uint64_t);
+    if (seeds.len != n * (Py_ssize_t)sizeof(uint64_t) ||
+        streams.len != 4 * n * (Py_ssize_t)sizeof(uint64_t))
+        PyErr_SetString(PyExc_ValueError, "seed_streams: inconsistent buffers");
+    else {
+        const uint64_t *seed = seeds.buf;
+        uint64_t *w = streams.buf;
+        for (i = 0; i < n; i++, w += 4) {
+            Stream s = seeded_stream(seed[i]);
+            w[0] = (uint64_t)(s.state >> 64);
+            w[1] = (uint64_t)s.state;
+            w[2] = (uint64_t)(s.inc >> 64);
+            w[3] = (uint64_t)s.inc;
+        }
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&seeds);
+    PyBuffer_Release(&streams);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"crash_step", crash_step, METH_VARARGS, "The crash loop of a Val/Mo market."},
     {"run_summaries", run_summaries, METH_VARARGS, "The summary loop of a batch of runs."},
+    {"seed_streams", seed_streams, METH_VARARGS, "The PCG64 streams of a batch's seeds."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -28,7 +28,9 @@ and, up to the state's price ceiling, every asset value stays finite. The
 ceiling comes from the state's recorded total asset, which no step
 changes, so every entry point gives a run one ceiling. So a step checks
 only its new price against the ceiling, and below the floor the demand at
-it. Every loop raises the same InvalidInputError.
+it. Every loop raises the same InvalidInputError. The same entry points,
+`step` aside, check the seed of a start with a random trader, an int in
+[0, 2**64) (`_stream_seed`, seeding's contract).
 
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
@@ -55,7 +57,9 @@ bisection probe of `grid` and `impact`; a batch of
 summaries.run_summaries in one call; and `run` as a one-run batch that
 also writes each step's row into a series buffer (summaries.recorded_run).
 A run that writes no series and has no random trader stops at its first
-step that places no order, reported as its horizon. The header says why
+step that places no order, reported as its horizon. The module seeds the
+random traders' PCG64 streams itself (seed_streams), so the compiled
+loops need no numpy. The header says why
 the loop is the scalar engine bit for bit and why that stop is exact.
 `_crash_loop` builds the module at the first call that needs it into the
 user cache, $XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it
@@ -261,13 +265,26 @@ def step(state: MarketState, params: MarketParams, commitments: CommitmentParams
     return new_state, _stepper(params, commitments, ceiling)(new_state, draw, True)
 
 
-def _draw(state: MarketState, seed: int):
+def _stream_seed(state: MarketState, seed: int) -> int | None:
+    """The seed of the state's random stream, or None for a state without a
+    random trader, which draws nothing and whose seed is never read.
+    Raises InvalidInputError unless a random trader's seed is an int in
+    [0, 2**64), the seeds whose streams seeding's contract fixes."""
+    if KIND_RAND not in [t.kind for t in state.traders]:
+        return None
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise InvalidInputError(f"a run with a random trader needs a seed in [0, 2**64), "
+                                f"got {seed!r}")
+    return seed
+
+
+def _draw(seed: int | None):
     """The run's draw(): the next uniform on [0, 1) of its stream,
     seeding.generator(seed), taken DRAW_BLOCK at a time as the run needs
-    them, the uniforms of Generator.random() calls bit for bit. Built only
-    for a state with a random trader; only then is numpy imported, so a
-    deterministic run never loads it."""
-    if not any(t.kind == KIND_RAND for t in state.traders):
+    them, the uniforms of Generator.random() calls bit for bit; None for
+    the seed None of a state without a random trader (_stream_seed). Only
+    a stream imports numpy, so a deterministic run never loads it."""
+    if seed is None:
         return None
     blocks = map(generator(seed).random, repeat(DRAW_BLOCK))
     return chain.from_iterable(map(methodcaller("tolist"), blocks)).__next__
@@ -283,18 +300,19 @@ def run(initial: MarketState, params: MarketParams, commitments: CommitmentParam
     aborts if the price falls below the 1e-12 floor. Crash and boom are
     decided as the run steps, as RunResult says. With stop_at_crash the run
     stops at its crash, the start included, which shortens the recorded
-    series. Raises InvalidInputError on an initial state check_state rejects.
+    series. Raises InvalidInputError on an initial state check_state rejects,
+    and with a random trader on a seed _stream_seed rejects.
 
     It steps in the compiled summary loop where _crash_loop() gives one
     (summaries.recorded_run), and in _stepper where it does not.
     """
-    ceiling = check_state(initial)
+    ceiling, seed = check_state(initial), _stream_seed(initial, seed)
     loop = _crash_loop()
     if loop is not None:
         from .summaries import recorded_run  # not loaded by the commands that run no full run
         return recorded_run(loop, initial, ceiling, params, commitments, seed, crash,
                             stop_at_crash)
-    state, draw = initial.copy(), _draw(initial, seed)
+    state, draw = initial.copy(), _draw(seed)
     crash_at, boom_at = crash.crash_at, crash.boom_at
     p0 = state.price
     prices = [p0]
@@ -339,7 +357,8 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     two_traders = sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL])
     loop = _crash_loop() if two_traders else None
     if loop is None:
-        low, _, _, steps = _stepped_row(initial, ceiling, params, commitments, seed, stop)
+        low, _, _, steps = _stepped_row(initial, ceiling, params, commitments,
+                                        _stream_seed(initial, seed), stop)
         return steps if low <= stop else None
     cv = av = cm = am = 0.0
     for trader in initial.traders:
@@ -359,14 +378,15 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
 
 
 def _stepped_row(initial: MarketState, ceiling: float, params: MarketParams,
-                 commitments: CommitmentParams, seed: int, stop: float = -math.inf) -> tuple:
+                 commitments: CommitmentParams, seed: int | None,
+                 stop: float = -math.inf) -> tuple:
     """The compiled summary loop's row of one run from a start whose price
-    ceiling check_state gave, (lowest price, highest price, aborted,
-    steps), from a copy of the start stepped in _stepper without records
-    to its abort, its first price at or below stop, or its horizon: the
-    row of summaries.run_summaries, and the run of crash_step, where no
-    compiled loop steps them."""
-    state, draw = initial.copy(), _draw(initial, seed)
+    ceiling check_state gave, with the seed _stream_seed gave, (lowest
+    price, highest price, aborted, steps), from a copy of the start
+    stepped in _stepper without records to its abort, its first price at
+    or below stop, or its horizon: the row of summaries.run_summaries, and
+    the run of crash_step, where no compiled loop steps them."""
+    state, draw = initial.copy(), _draw(seed)
     advance = _stepper(params, commitments, ceiling)
     p = low = high = state.price
     steps = 0

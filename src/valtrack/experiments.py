@@ -221,10 +221,12 @@ def ternary_sweep(config: ExperimentConfig, resolution: int, replicates: int,
     pool = _pool_size(workers, n_runs)
     if pool > 1:
         # loaded before the pool forks its workers, which then share them
-        # instead of each loading them: the compiled loops, and numpy, which
-        # seeds the random traders
+        # instead of each loading them: the compiled loops, and for gamma
+        # valuations numpy, which draws them (the loops seed the random
+        # traders' streams themselves)
         _crash_loop()
-        import_module("numpy")
+        if config.population.valuation == VALUATION_GAMMA:
+            import_module("numpy")
     n_batches = pool * -(-n_runs // (pool * _MAX_BATCH_RUNS))
     bounds = [i * n_runs // n_batches for i in range(n_batches + 1)]
     tasks = [(config, replicates, start, stop,

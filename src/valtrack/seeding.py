@@ -11,8 +11,16 @@ with M = 2^64 - 1 and splitmix64 the finalizer of Steele et al. (the usual
 constants 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB).
 Streams are reproducible across processes and worker counts; matching them
 from another implementation additionally requires the same RNG algorithm,
-which is recorded in every output sidecar (numpy PCG64). `generator` builds
-every random stream of the package, so rng_info describes them all.
+which is recorded in every output sidecar (numpy PCG64).
+
+A run's engine seed, the seed of its random traders' stream, is an int in
+[0, 2^64), as every mix_seed output is; `engine.run`, `engine.crash_step`
+and `summaries.run_summaries` raise InvalidInputError on any other seed
+of a start with a random trader (one without draws nothing and never
+reads its seed). The stream is numpy's PCG64 of that seed: `generator`
+builds it in Python, and the compiled loops seed it themselves from the
+same seed, with numpy's SeedSequence and PCG64 seeding written out in C
+(`_crashloop.c`'s seed_streams). So rng_info describes every stream.
 """
 
 import functools

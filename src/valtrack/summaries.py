@@ -6,10 +6,13 @@ would, in one call of the compiled summary loop of `_crashloop.c` where
 `engine._crash_loop()` gives it, and in `engine._stepped_row`, `_stepper`
 without records, where it does not. `recorded_run` is `engine.run` in
 that loop, with a series buffer that the loop writes one row per step
-into. `run` is the oracle of both. `experiments` imports this module
-where a sweep runs its batches and before a full run builds its start
-(`run_once`), and `engine.run` where it has the compiled loop, so `grid`,
-`impact` and `analyze`, which run no full run, do not load it.
+into. Both seed their runs' random streams in one call of the loop's
+seed_streams, numpy's PCG64 of each engine seed without numpy, so a
+sweep or a run whose valuations are fixed never loads numpy where the
+loop is built. `run` is the oracle of both. `experiments` imports this
+module where a sweep runs its batches and before a full run builds its
+start (`run_once`), and `engine.run` where it has the compiled loop, so
+`grid`, `impact` and `analyze`, which run no full run, do not load it.
 """
 
 import math
@@ -21,7 +24,6 @@ from . import engine
 from .engine import PRICE_FLOOR, RunResult, StepRecord
 from .errors import InvalidInputError
 from .params import IMPACT_RATIO, SETTLE_UPDATED, CommitmentParams, MarketParams
-from .seeding import generator
 from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_BASIC, RAND_REFINED
 
 # The compiled summary loop's codes of the trader kinds and random-trader modes.
@@ -54,25 +56,24 @@ class RunSummaries:
     steps: tuple
 
 
-def _loop_buffers(states, ceilings, stops, seeds):
+def _loop_buffers(loop, states, ceilings, stops, seeds):
     """The buffers the summary loop steps these runs from: starts, first,
     kinds, holdings and streams, as _crashloop.c's run_summaries lays them
-    out. A run's random draws come from the PCG64 state and increment of
-    its generator, seeding.generator(seed), in 64-bit halves; a run
-    without a random trader builds no generator and passes zeros."""
-    starts, first, kinds, holdings, streams = [], [0], bytearray(), [], []
-    for state, ceiling, stop, seed in zip(states, ceilings, stops, seeds):
+    out. seeds are engine._stream_seed's: a run's stream is that of
+    np.random.PCG64(seed), which the loop's seed_streams writes for the
+    whole batch in one call; a run without a random trader, whose seed is
+    None, gets seed 0's stream and never reads it."""
+    starts, first, kinds, holdings = [], [0], bytearray(), []
+    for state, ceiling, stop in zip(states, ceilings, stops):
         starts += state.price, state.momentum, ceiling, stop
         for t in state.traders:
             kinds.append(_LOOP_KINDS[t.rand_mode if t.kind == KIND_RAND else t.kind])
             holdings += t.cash, t.asset, t.valuation, t.critical_cash, t.critical_asset
         first.append(len(kinds))
-        pcg = {"state": 0, "inc": 0}
-        if KIND_RAND in [t.kind for t in state.traders]:
-            pcg = generator(seed).bit_generator.state["state"]
-        streams += divmod(pcg["state"], 2**64) + divmod(pcg["inc"], 2**64)
-    return (array("d", starts), array("q", first), kinds, array("d", holdings),
-            array("Q", streams))
+    seeds = array("Q", [0 if seed is None else seed for seed in seeds])
+    streams = array("Q", bytes(32 * len(seeds)))
+    loop.seed_streams(seeds, streams)
+    return array("d", starts), array("q", first), kinds, array("d", holdings), streams
 
 
 def _step_loop(loop, buffers, params: MarketParams, commitments: CommitmentParams,
@@ -96,18 +97,24 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
     lowest and highest price: the predicates compare the price, or
     price / p0, which rounds monotonically in it, so one fires at some step
     iff it fires at that extreme. Raises InvalidInputError where run()
-    would: every start is checked first, and then the batch raises the
-    error of its first failing row.
+    would: every start is checked first, once however many runs share it,
+    then the seed of each run with a random trader, and then the batch
+    raises the error of its first failing row.
     """
     if len(initials) != len(seeds):
         raise InvalidInputError(f"{len(initials)} initial states but {len(seeds)} seeds")
-    ceilings = [engine.check_state(state) for state in initials]
+    checked = {}  # a start that several runs share is checked once
+    for state in initials:
+        if id(state) not in checked:
+            checked[id(state)] = engine.check_state(state)
+    ceilings = [checked[id(state)] for state in initials]
+    seeds = list(map(engine._stream_seed, initials, seeds))
     loop = engine._crash_loop()
     if loop is None:
         rows = [engine._stepped_row(state, ceiling, params, commitments, seed)
                 for state, ceiling, seed in zip(initials, ceilings, seeds)]
     else:
-        buffers = _loop_buffers(initials, ceilings, repeat(-math.inf), seeds)
+        buffers = _loop_buffers(loop, initials, ceilings, repeat(-math.inf), seeds)
         code, row, p_new, rows = _step_loop(loop, buffers, params, commitments, params.horizon)
         if code:
             engine._raise_loop_failure(code, ceilings[row], p_new)
@@ -133,8 +140,8 @@ def recorded_run(loop, initial, ceiling: float, params: MarketParams,
     boomed, at the highest price first."""
     p0 = initial.price
     stop = crash.stop_price(p0, PRICE_FLOOR)
-    buffers = _loop_buffers([initial], [ceiling], [stop if stop_at_crash else -math.inf],
-                            [seed])
+    buffers = _loop_buffers(loop, [initial], [ceiling],
+                            [stop if stop_at_crash else -math.inf], [seed])
     width = _ROW_COLUMNS + len(initial.traders)
     series, left = None, params.horizon
     while True:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -15,7 +16,7 @@ from xml.etree import ElementTree as ET
 import pytest
 
 import valtrack
-from valtrack import cli, engine, experiments
+from valtrack import cli, engine, experiments, seeding
 from valtrack.config import KEYS, config_values, parse_config
 from valtrack.errors import ConfigError
 from valtrack.experiments import ExperimentConfig, ternary_sweep
@@ -737,11 +738,14 @@ def test_analyze_loads_no_simulator_and_no_numpy(tmp_path):
                  "valtrack.seeding", "valtrack.traders"])
 
 
-def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
-    """A sweep on more than one process loads the compiled loops and numpy
-    in the parent before the pool forks its workers, which then do not
-    load them again."""
-    assert fresh_interpreter("""
+@pytest.mark.parametrize("valuation, loads_numpy", [("fixed", False), ("gamma", True)],
+                         ids=["fixed", "gamma"])
+def test_a_sweep_pool_starts_after_its_parent_loads_the_compiled_loop(valuation, loads_numpy):
+    """A sweep on more than one process loads the compiled loops in the
+    parent before the pool forks its workers, which then do not load them
+    again, and numpy only for gamma valuations, which it draws: the
+    compiled loops seed the random traders' streams themselves."""
+    assert fresh_interpreter(f"""
         import concurrent.futures, os, sys
         from valtrack import engine, experiments
         from valtrack.config import parse_config
@@ -762,8 +766,43 @@ def test_a_sweep_pool_starts_after_its_parent_loads_the_kernel():
 
         concurrent.futures.ProcessPoolExecutor = SerialPool
         os.cpu_count = lambda: 2
-        experiments.ternary_sweep(parse_config(), 1, 2, workers=2)
-    """) == "2 1 True"
+        config = parse_config(overrides={{"population.valuation": {valuation!r}}})
+        experiments.ternary_sweep(config, 1, 2, workers=2)
+    """) == f"2 1 {loads_numpy}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--resolution", "2", "--sweep-replicates", "3", "--horizon", "20",
+     "--workers", "1"],
+    ["sweep", "--resolution", "2", "--sweep-replicates", "3", "--horizon", "20",
+     "--workers", "2"],
+    ["run", "--rand", "0.2"],
+], ids=["sweep one worker", "sweep two workers", "run rand"])
+def test_random_traders_with_fixed_valuations_leave_numpy_unloaded(argv, tmp_path):
+    """The compiled loops seed and step the random traders' PCG64 streams
+    themselves, so a fixed-valuation sweep, in its one process or in each
+    process of a pool, and a run with a random trader never load numpy
+    where the loops can be built; their sidecars still name numpy's PCG64
+    (rng_info)."""
+    if engine._crash_loop() is None:
+        pytest.skip("the compiled loops cannot be built here")
+    assert fresh_interpreter(f"""
+        import sys
+        from valtrack import cli, experiments
+
+        batch_task = experiments._ternary_batch_task
+
+        def checked_batch_task(args):
+            result = batch_task(args)
+            assert "numpy" not in sys.modules, "a sweep batch loaded numpy"
+            return result
+
+        experiments._ternary_batch_task = checked_batch_task
+        assert cli.main([*{argv!r}, "--out", {str(tmp_path)!r}]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+    """) == "[]"
+    [sidecar] = tmp_path.glob("*.csv.meta.json")
+    assert json.loads(sidecar.read_text())["rng"]["algorithm"] == "PCG64"
 
 
 @pytest.mark.parametrize("argv, loads_analysis", [
@@ -795,13 +834,15 @@ def test_rng_info_does_not_change_when_numpy_loads():
     assert after["library_version"] == numpy.__version__
 
 
-# numpy's names for building a random stream
+# numpy's names for building a random stream, and the compiled loop's
 STREAM_BUILDERS = {"Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
-                   "SeedSequence", "RandomState", "default_rng"}
+                   "SeedSequence", "RandomState", "default_rng", "seed_streams"}
 
 
 def test_only_seeding_builds_a_random_stream():
-    """seeding.generator builds every random stream, so the algorithm that
+    """seeding.generator builds every random stream in Python, and the
+    compiled loop's seed_streams, which only summaries calls, seeds the
+    streams it steps as that generator seeds them, so the algorithm that
     rng_info records in each sidecar is the one every stream uses."""
     builders = {}
     for path in sorted(Path(valtrack.__file__).parent.glob("*.py")):
@@ -811,7 +852,18 @@ def test_only_seeding_builds_a_random_stream():
                  | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
         if names & STREAM_BUILDERS:
             builders[path.name] = sorted(names & STREAM_BUILDERS)
-    assert builders == {"seeding.py": ["Generator", "PCG64"]}
+    assert builders == {"seeding.py": ["Generator", "PCG64"], "summaries.py": ["seed_streams"]}
+    bit_generator = seeding.generator(0).bit_generator
+    assert seeding.rng_info()["algorithm"] == type(bit_generator).__name__
+    loop = engine._crash_loop()
+    if loop is not None:
+        seeds = [0, 2**64 - 1, seeding.mix_seed(7, 1)]
+        words = array("Q", bytes(32 * len(seeds)))
+        loop.seed_streams(array("Q", seeds), words)
+        states = [seeding.generator(seed).bit_generator.state["state"] for seed in seeds]
+        assert words.tolist() == [word for state in states
+                                  for value in (state["state"], state["inc"])
+                                  for word in divmod(value, 2**64)]
 
 
 def test_every_import_is_used():

@@ -27,6 +27,7 @@ from valtrack import (CommitmentParams, MarketParams, MarketState,
 from valtrack import cli, engine, experiments, summaries
 from valtrack.errors import ConfigError, InvalidInputError
 from valtrack.metrics import CrashPredicate
+from valtrack.seeding import mix_seed
 from valtrack.traders import KIND_RAND, KIND_VAL, RAND_MODES, population_orders
 
 
@@ -647,7 +648,8 @@ class TestDrawBlocks:
 
         monkeypatch.setattr(summaries, "SERIES_BLOCK", 7)
         monkeypatch.setattr(engine, "_crash_loop",
-                            lambda: SimpleNamespace(run_summaries=counted))
+                            lambda: SimpleNamespace(run_summaries=counted,
+                                                    seed_streams=loop.seed_streams))
         run(self.state(), MarketParams(horizon=60), CommitmentParams(), 0,
             CrashPredicate.drop_below(1e-9))
         assert calls == [7] * 8 + [4]
@@ -980,24 +982,33 @@ class TestCrashStep:
                                   CrashPredicate.drop_below(0.01))
 
 
-@pytest.mark.parametrize("theta, commitments, settlement", [
-    (0.575, CommitmentParams(0.075, 0.219, 0.232, 0.264), "updated"),
-    (0.492, CommitmentParams(0.087, 0.2, 0.234, 0.259), "current"),
+@pytest.mark.parametrize("theta, p0, m0, settlement", [
+    (0.3, 1.02, 0.0001806328536114849, "updated"),
+    (0.4, 1.1, 0.0001512681081388683, "current"),
 ], ids=["updated", "current"])
-def test_the_compiled_loop_rounds_each_product_on_its_own(theta, commitments, settlement):
-    # the price the compiled loop reaches at each horizon is run's price
-    # at that step, bit for bit. A build that fuses a * b + c into one
-    # rounding moves these two paths from step 110 and 111 on: gcc 12 with
-    # -march=native and without -ffp-contract=off, on an x86-64 Xeon with
-    # FMA, where the assert_engines_agree cases rarely see it
-    state = two_trader_state(theta=theta)
-    params = MarketParams(settlement=settlement, horizon=130)
-    prices = run(state, params, commitments, 0, CrashPredicate.drop_below(1e-9)).prices
+def test_the_compiled_loop_rounds_each_product_on_its_own(theta, p0, m0, settlement):
+    # the compiled loop's price at each horizon, and the compiled run's
+    # prices, are _stepper's, bit for bit. At m0 > 0 the Mo trader bids
+    # while the Val trader's larger offer moves the price down, and m0 is
+    # the one that makes the two products of the first momentum update,
+    # mu * log(p1 / p0) + (1 - mu) * m0, round to opposite values: 0.0, so
+    # the Mo trader is silent at step 2. A build that fuses the update into
+    # one rounding (gcc 12 with -ffp-contract=fast -mfma, x86-64 Xeon)
+    # leaves the first product's rounding error as the momentum, and the
+    # Mo trader trades at step 2
+    compiled_loop()
+    state = two_trader_state(theta=theta, p0=p0, m0=m0)
+    params = MarketParams(settlement=settlement, horizon=30)
+    crash = CrashPredicate.drop_below(1e-9)
+    with crash_loop("python"):
+        oracle = run(state, params, CommitmentParams(), 0, crash)
+    assert oracle.momenta[1] == 0.0 and oracle.prices[2] != oracle.prices[1]
+    assert bits(run(state, params, CommitmentParams(), 0, crash).prices) == bits(oracle.prices)
     with loop_results() as results:
         for horizon in range(1, params.horizon + 1):
-            assert engine.crash_step(state, replace(params, horizon=horizon), commitments, 0,
-                                     CrashPredicate.drop_below(1e-9)) is None
-    assert bits(price for _, _, price in results) == bits(prices[1:])
+            assert engine.crash_step(state, replace(params, horizon=horizon), CommitmentParams(),
+                                     0, crash) is None
+    assert bits(price for _, _, price in results) == bits(oracle.prices[1:])
 
 
 def test_the_compiled_loop_loads_where_it_can_be_built(tmp_path, monkeypatch):
@@ -1132,6 +1143,92 @@ class TestRunSummaries:
                                             CommitmentParams(), [0, 1], crash,
                                             expect="InvalidInputError: price must stay <= "):
             assert message.endswith("got inf")
+
+    def test_a_start_that_runs_share_is_checked_once(self, monkeypatch):
+        # replicates of a fixed-valuation sweep point share one start: it is
+        # checked once, and each run steps a copy of it from its own seed
+        shared, other = TestDrawBlocks.state(), two_trader_state()
+        params, crash = MarketParams(horizon=60), CrashPredicate.drop_below(0.9)
+        alone = [summaries.run_summaries([state], params, CommitmentParams(), [seed], crash)
+                 for state, seed in [(shared, 1), (other, 0), (shared, 2), (shared, 3)]]
+        checked, check_state = [], engine.check_state
+        monkeypatch.setattr(engine, "check_state",
+                            lambda state: checked.append(state) or check_state(state))
+        batch = summaries.run_summaries([shared, other, shared, shared], params,
+                                        CommitmentParams(), [1, 0, 2, 3], crash)
+        assert checked == [shared, other] and checked[0] is shared
+        assert [(s.min_price[0], s.max_price[0], s.crashed[0], s.steps[0]) for s in alone] == \
+            list(zip(batch.min_price, batch.max_price, batch.crashed, batch.steps))
+        assert len(set(batch.min_price[i] for i in (0, 2, 3))) == 3
+
+
+class TestSeedStreams:
+    """The compiled loop seeds each random stream from its 64-bit engine
+    seed as numpy does, np.random.PCG64(seed): SeedSequence(seed), then
+    PCG64's srandom. The seeds are checked where they enter."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def compiled(seeds):
+        """The (state, increment) of each seed's stream as seed_streams
+        writes it."""
+        words = array("Q", bytes(32 * len(seeds)))
+        compiled_loop().seed_streams(array("Q", seeds), words)
+        return [(words[i] << 64 | words[i + 1], words[i + 2] << 64 | words[i + 3])
+                for i in range(0, len(words), 4)]
+
+    @staticmethod
+    def numpy(seeds):
+        states = [np.random.PCG64(seed).state["state"] for seed in seeds]
+        return [(state["state"], state["inc"]) for state in states]
+
+    def test_the_edge_seeds_seed_numpys_streams(self):
+        assert self.compiled(self.EDGE_SEEDS) == self.numpy(self.EDGE_SEEDS)
+
+    def test_ten_thousand_engine_seeds_of_a_sweep_seed_numpys_streams(self):
+        # a sweep run's engine seed, mix_seed(mix_seed(seed, point, replicate), 1)
+        seeds = [mix_seed(mix_seed(7, i // 100, i % 100), 1) for i in range(10**4)]
+        assert self.compiled(seeds) == self.numpy(seeds)
+
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_any_64_bit_seeds_seed_numpys_streams(self, seeds):
+        assert self.compiled(seeds) == self.numpy(seeds)
+
+    def test_runs_at_the_edge_seeds_draw_numpys_uniforms(self):
+        assert_engines_agree([TestDrawBlocks.state()] * len(self.EDGE_SEEDS),
+                             MarketParams(horizon=40), CommitmentParams(), self.EDGE_SEEDS,
+                             CrashPredicate.drop_below(1e-9))
+
+    @pytest.mark.parametrize("kind", ["compiled", "python"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "7"])
+    def test_a_random_trader_needs_an_int_seed_in_64_bits(self, kind, seed):
+        # numpy would seed 2**70 from three words and reject -1 with its
+        # own ValueError; every entry point raises InvalidInputError instead
+        state, params = TestDrawBlocks.state(), MarketParams(horizon=5)
+        crash = CrashPredicate.drop_below(1e-9)
+        with crash_loop(kind):
+            for call in (lambda: run(state, params, CommitmentParams(), seed, crash),
+                         lambda: engine.crash_step(state, params, CommitmentParams(), seed,
+                                                   crash),
+                         lambda: summaries.run_summaries([two_trader_state(), state], params,
+                                                         CommitmentParams(), [0, seed],
+                                                         crash)):
+                with pytest.raises(InvalidInputError, match=r"seed in \[0, 2\*\*64\)"):
+                    call()
+
+    @pytest.mark.parametrize("kind", ["compiled", "python"])
+    def test_a_start_without_a_random_trader_never_reads_its_seed(self, kind):
+        state, params = two_trader_state(theta=0.3), MarketParams(horizon=50)
+        crash = CrashPredicate.relative_drop(0.3)
+        with crash_loop(kind):
+            prices = run(state, params, CommitmentParams(), 0, crash).prices
+            assert run(state, params, CommitmentParams(), -1, crash).prices == prices
+            assert engine.crash_step(state, params, CommitmentParams(), 2**70, crash) == \
+                engine.crash_step(state, params, CommitmentParams(), 0, crash)
+            s = summaries.run_summaries([state], params, CommitmentParams(), [-1], crash)
+            assert s.min_price[0] == min(prices)
 
 
 class TestRunFindsTheFirstCrashAndBoom:
