@@ -3,9 +3,10 @@
    inlined. It is force-inlined at three call sites, so that gcc
    specialises its one body to each: crash_step, the crash loop of
    engine.crash_step for a market of one Val trader and at most one Mo
-   trader; run_summaries without a series, the summary loop of a sweep's
-   batch; and run_summaries with a series, engine.run as a one-run batch
-   that writes each step's row into a buffer.
+   trader (engine.crash_loop_for); run_summaries without a series, the
+   summary loop of a sweep's batch; and run_summaries with a series,
+   engine.run as a one-run batch that appends each step's row to a
+   bytearray that it grows.
 
    It does the same float operations in the same order as the scalar
    step, so with the libm exp, log and pow that Python's math module and
@@ -32,10 +33,12 @@
      demand, so no step raises either.
    A random trader draws anew at every step, so its run goes on.
 
-   seed_streams seeds each run's stream as np.random.PCG64(seed) does for
-   a seed in [0, 2**64), the engine seeds that Python checks where they
-   enter (engine._stream_seed), so the compiled loops step numpy's streams
-   without numpy: a batch's seeds are one call, before run_summaries.
+   run_summaries seeds each run's stream from its engine seed as
+   np.random.PCG64(seed) does for a seed in [0, 2**64), the seeds that
+   Python checks where they enter (engine._stream_seed), so the compiled
+   loops step numpy's streams without numpy. Each call steps whole runs,
+   each from its seed to its last row, and writes back only the holdings
+   it steps; no run goes on in another call.
 
    crash_step(p, m, cv, av, cm, am, u, kv_buy, kv_sell, km_buy, km_sell,
               eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
@@ -254,15 +257,30 @@ seeded_stream(uint64_t seed)
     return s;
 }
 
-/* Write a row of run_summaries' series and return the next: the price p,
-   the momentum m, the flow q_p and q_s, the executed volume, cap_hit (1.0
-   or 0.0) and each of the nt traders' wealth, cash + asset * p. */
-static inline double *
-record(double *row, double p, double m, double q_p, double q_s, double executed,
-       double cap_hit, const Trader *tr, Py_ssize_t nt)
+/* Append a row to series, a bytearray of rows of 6 + nt doubles that
+   holds *room rows, *rows of them written: the price p, the momentum m,
+   the flow q_p and q_s, the executed volume, cap_hit (1.0 or 0.0) and each
+   of the nt traders' wealth, cash + asset * p. A full series first grows
+   to 2 * *room + 1 rows. Returns 0, or -1 with an exception set where it
+   cannot grow. */
+static inline int
+record(PyObject *series, Py_ssize_t *rows, Py_ssize_t *room, double p, double m, double q_p,
+       double q_s, double executed, double cap_hit, const Trader *tr, Py_ssize_t nt)
 {
-    Py_ssize_t j;
+    Py_ssize_t j, row_size = (6 + nt) * (Py_ssize_t)sizeof(double);
+    double *row;
 
+    if (*rows == *room) {
+        if (*room > (PY_SSIZE_T_MAX / row_size - 1) / 2) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (PyByteArray_Resize(series, (2 * *room + 1) * row_size) < 0)
+            return -1;
+        *room = 2 * *room + 1;
+    }
+    row = (double *)PyByteArray_AS_STRING(series) + *rows * (6 + nt);
+    ++*rows;
     row[0] = p;
     row[1] = m;
     row[2] = q_p;
@@ -271,7 +289,7 @@ record(double *row, double p, double m, double q_p, double q_s, double executed,
     row[5] = cap_hit;
     for (j = 0; j < nt; j++)
         row[6 + j] = tr[j].cash + tr[j].asset * p;
-    return row + 6 + nt;
+    return 0;
 }
 
 /* One run from start, its price, momentum, ceiling and stop price, to
@@ -280,27 +298,27 @@ record(double *row, double p, double m, double q_p, double q_s, double executed,
    given only to a run without a random trader or a series, also to its
    first step that places no order, reported as the horizon (the proof is
    above). Its nt traders, of codes kind, are stepped in place, and
-   scratch holds 3 * nt doubles. Where series is not NULL it gets the
-   start's row, with a zero flow, and then each step's (see record). The
-   last price and momentum go back to start, so that another call goes on
-   from there, the lowest and highest price, the start's among them, to
-   extremes, and the steps to *steps. Returns DONE, or CEILING or DEMAND
-   with the offending price in start[0], or -1 with an exception set. */
+   scratch holds 3 * nt doubles. Where series is not NULL, an empty
+   bytearray, it gets the start's row, with a zero flow, and then each
+   step's (see record), and is cut to those rows at the end. The lowest
+   and highest price, the start's among them, and the last price go to
+   ends, and the steps to *steps. Returns DONE, or CEILING or DEMAND with
+   the offending price as the last, or -1 with an exception set. */
 static inline __attribute__((always_inline)) int
-summarise(const Market *mk, const double *k, double *start, double floor_price,
+summarise(const Market *mk, const double *k, const double *start, double floor_price,
           long long horizon, const unsigned char *kind, Trader *tr, Py_ssize_t nt,
-          Stream *stream, double *scratch, double *series, int idle_stops,
-          double *extremes, long long *steps)
+          Stream *stream, double *scratch, PyObject *series, int idle_stops, double *ends,
+          long long *steps)
 {
     double *bids = scratch, *offers = scratch + nt, *partials = scratch + 2 * nt;
     double p = start[0], m = start[1], ceiling = start[2], stop = start[3];
     double low = p, high = p;
     long long t = 0;
-    Py_ssize_t j;
+    Py_ssize_t j, rows = 0, room = 0;
     int code = DONE;
 
-    if (series)
-        series = record(series, p, m, 0.0, 0.0, 0.0, 0.0, tr, nt);
+    if (series && record(series, &rows, &room, p, m, 0.0, 0.0, 0.0, 0.0, tr, nt) < 0)
+        return -1;
     while (t < horizon && !(p < floor_price) && !(p <= stop)) {
         double total_bid, q_p, q_s, dlog, p_new, p_settle, demand;
 
@@ -365,14 +383,15 @@ summarise(const Market *mk, const double *k, double *start, double floor_price,
         p = p_new;
         low = p < low ? p : low;
         high = p > high ? p : high;
-        if (series)
-            series = record(series, p, m, q_p, q_s, q_s < demand ? q_s : demand,
-                            fabs(dlog) > mk->eta, tr, nt);
+        if (series && record(series, &rows, &room, p, m, q_p, q_s,
+                             q_s < demand ? q_s : demand, fabs(dlog) > mk->eta, tr, nt) < 0)
+            return -1;
     }
-    start[0] = p;
-    start[1] = m;
-    extremes[0] = low;
-    extremes[1] = high;
+    if (series && PyByteArray_Resize(series, rows * (6 + nt) * (Py_ssize_t)sizeof(double)) < 0)
+        return -1;
+    ends[0] = low;
+    ends[1] = high;
+    ends[2] = p;
     *steps = t;
     return code;
 }
@@ -383,7 +402,7 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
     static const unsigned char kinds[2] = {VAL, MO};
     Market mk;
     Trader tr[2] = {{0}};
-    double start[4], k[6] = {0}, scratch[6], extremes[2];
+    double start[4], k[6] = {0}, scratch[6], ends[3];
     long long horizon, steps;
     int code;
 
@@ -395,11 +414,11 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
     mk.one_minus_mu = 1.0 - mk.mu;
     /* every price below the floor is at or below the stop price */
     code = summarise(&mk, k, start, -INFINITY, horizon, kinds, tr, 2, NULL, scratch, NULL, 1,
-                     extremes, &steps);
-    return code < 0 ? NULL : Py_BuildValue("iLd", code, steps, start[0]);
+                     ends, &steps);
+    return code < 0 ? NULL : Py_BuildValue("iLd", code, steps, ends[2]);
 }
 
-/* run_summaries(starts, first, kinds, holdings, streams, commitments,
+/* run_summaries(starts, first, kinds, holdings, seeds, commitments,
                  eta, lam, mu, zeta, liquidity, ratio, updated, horizon,
                  floor_price[, series]) -> (code, row, price, rows)
 
@@ -411,52 +430,47 @@ crash_step(PyObject *Py_UNUSED(self), PyObject *args)
    starts[4i:4i+4] (doubles; a stop price of -inf never stops a run) with
    traders first[i] to first[i+1] - 1 (first holds n + 1 int64). Trader
    j has the code kinds[j] (bytes) and the cash, asset, valuation,
-   critical cash and critical asset holdings[5j:5j+5] (doubles).
-   streams[4i:4i+4] (uint64) are the high and low halves of the PCG64
-   state and increment of run i's random traders, as seed_streams writes
-   them, read only where it has any. A run leaves its last price and
-   momentum in starts, and its holdings and its stream's state in
-   holdings and streams, so that a second call goes on from where it
-   stopped. commitments holds kv_buy,
-   kv_sell, km_buy, km_sell, kr_buy and kr_sell. series, given for a call
-   of one run of nt traders, is a writable buffer of at least (horizon +
-   1) * (6 + nt) doubles, which gets the run's rows (summarise). rows
-   holds the tuple (lowest price, highest price, aborted, steps) of each
-   run that ended. code is DONE when every run ended, else CEILING or
-   DEMAND of run `row` at `price`, which ends the call. */
+   critical cash and critical asset holdings[5j:5j+5] (doubles), which
+   the run steps in place. Its random traders draw from one stream,
+   seeded_stream(seeds[i]) (uint64), read only where it has any.
+   commitments holds kv_buy, kv_sell, km_buy, km_sell, kr_buy and
+   kr_sell. series, an empty bytearray given for a call of one run of nt
+   traders, gets the run's rows of 6 + nt doubles (summarise). rows holds
+   the tuple (lowest price, highest price, aborted, steps) of each run
+   that ended. code is DONE when every run ended, else CEILING or DEMAND
+   of run `row` at `price`, which ends the call. */
 static PyObject *
 run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_buffer starts, first, kinds, holdings, streams, commitments, series = {0};
+    Py_buffer starts, first, kinds, holdings, seeds, commitments;
+    PyObject *series = NULL, *result = NULL, *rows = NULL;
     long long horizon;
-    double eta, lam, mu, zeta, liquidity, floor_price, failed = 0.0, *scratch = NULL;
-    PyObject *result = NULL, *rows = NULL;
+    double eta, lam, mu, zeta, liquidity, floor_price, ends[3] = {0.0}, *scratch = NULL;
     Py_ssize_t n, i, j, most = 1;
     int ratio, updated, code = DONE;
 
-    if (!PyArg_ParseTuple(args, "w*y*y*w*w*y*dddddppLd|w*", &starts, &first, &kinds,
-                          &holdings, &streams, &commitments, &eta, &lam, &mu, &zeta,
+    if (!PyArg_ParseTuple(args, "y*y*y*w*y*y*dddddppLd|Y", &starts, &first, &kinds,
+                          &holdings, &seeds, &commitments, &eta, &lam, &mu, &zeta,
                           &liquidity, &ratio, &updated, &horizon, &floor_price, &series))
         return NULL;
     Market mk = {eta, lam, mu, 1.0 - mu, zeta, liquidity, ratio, updated};
-    double *start = starts.buf;
+    const double *start = starts.buf;
     const double *k = commitments.buf;
     const int64_t *firsts = first.buf;
     const unsigned char *kind = kinds.buf;
-    uint64_t *words = streams.buf;
+    const uint64_t *seed = seeds.buf;
     n = starts.len / (4 * (Py_ssize_t)sizeof(double));
     int valid = first.len == (n + 1) * (Py_ssize_t)sizeof(int64_t) && firsts[0] == 0 &&
         firsts[n] == kinds.len && holdings.len == kinds.len * (Py_ssize_t)sizeof(Trader) &&
-        streams.len == 4 * n * (Py_ssize_t)sizeof(uint64_t) &&
-        commitments.len == 6 * (Py_ssize_t)sizeof(double);
+        seeds.len == n * (Py_ssize_t)sizeof(uint64_t) &&
+        commitments.len == 6 * (Py_ssize_t)sizeof(double) &&
+        !(series && (n != 1 || PyByteArray_GET_SIZE(series) != 0));
     for (i = 0; valid && i < n; i++) {
         valid = firsts[i + 1] >= firsts[i];
         most = firsts[i + 1] - firsts[i] > most ? firsts[i + 1] - firsts[i] : most;
     }
     for (j = 0; valid && j < kinds.len; j++)
         valid = kind[j] <= RAND_REFINED;
-    if (valid && series.buf)  /* rows of 6 + nt doubles, one more than the horizon */
-        valid = n == 1 && series.len / (Py_ssize_t)sizeof(double) / (6 + kinds.len) > horizon;
     if (!valid) {
         PyErr_SetString(PyExc_ValueError, "run_summaries: inconsistent buffers");
         goto done;
@@ -469,32 +483,26 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
     }
     for (i = 0; i < n; i++) {
         Py_ssize_t at = firsts[i], nt = firsts[i + 1] - at;
-        uint64_t *w = words + 4 * i;
-        Stream stream = {(u128)w[0] << 64 | w[1], (u128)w[2] << 64 | w[3]};
-        double extremes[2];
+        Stream stream = seeded_stream(seed[i]);
         long long steps;
         int idle_stops = 1;
         PyObject *row;
 
         for (j = at; j < at + nt; j++)
             idle_stops = idle_stops && kind[j] < RAND_BASIC;
-        code = series.buf ?
+        code = series ?
             summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
-                      (Trader *)holdings.buf + at, nt, &stream, scratch, series.buf, 0,
-                      extremes, &steps) :
+                      (Trader *)holdings.buf + at, nt, &stream, scratch, series, 0, ends,
+                      &steps) :
             summarise(&mk, k, start + 4 * i, floor_price, horizon, kind + at,
                       (Trader *)holdings.buf + at, nt, &stream, scratch, NULL, idle_stops,
-                      extremes, &steps);
+                      ends, &steps);
         if (code < 0)
             goto done;
-        if (code != DONE) {
-            failed = start[4 * i];
+        if (code != DONE)
             break;
-        }
-        w[0] = (uint64_t)(stream.state >> 64);
-        w[1] = (uint64_t)stream.state;
-        row = Py_BuildValue("(ddNL)", extremes[0], extremes[1],
-                            PyBool_FromLong(start[4 * i] < floor_price), steps);
+        row = Py_BuildValue("(ddNL)", ends[0], ends[1], PyBool_FromLong(ends[2] < floor_price),
+                            steps);
         if (row == NULL)
             goto done;
         j = PyList_Append(rows, row);
@@ -502,7 +510,7 @@ run_summaries(PyObject *Py_UNUSED(self), PyObject *args)
         if (j < 0)
             goto done;
     }
-    result = Py_BuildValue("indO", code, i, failed, rows);
+    result = Py_BuildValue("indO", code, i, ends[2], rows);
 done:
     Py_XDECREF(rows);
     PyMem_Free(scratch);
@@ -510,50 +518,14 @@ done:
     PyBuffer_Release(&first);
     PyBuffer_Release(&kinds);
     PyBuffer_Release(&holdings);
-    PyBuffer_Release(&streams);
-    PyBuffer_Release(&commitments);
-    if (series.obj)
-        PyBuffer_Release(&series);
-    return result;
-}
-
-/* seed_streams(seeds, streams) writes to streams[4i:4i+4] the stream of
-   seeds[i] (uint64), np.random.PCG64(seeds[i]), as run_summaries reads
-   it: the high and low halves of its state and increment. */
-static PyObject *
-seed_streams(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    Py_buffer seeds, streams;
-    PyObject *result = NULL;
-    Py_ssize_t i, n;
-
-    if (!PyArg_ParseTuple(args, "y*w*", &seeds, &streams))
-        return NULL;
-    n = seeds.len / (Py_ssize_t)sizeof(uint64_t);
-    if (seeds.len != n * (Py_ssize_t)sizeof(uint64_t) ||
-        streams.len != 4 * n * (Py_ssize_t)sizeof(uint64_t))
-        PyErr_SetString(PyExc_ValueError, "seed_streams: inconsistent buffers");
-    else {
-        const uint64_t *seed = seeds.buf;
-        uint64_t *w = streams.buf;
-        for (i = 0; i < n; i++, w += 4) {
-            Stream s = seeded_stream(seed[i]);
-            w[0] = (uint64_t)(s.state >> 64);
-            w[1] = (uint64_t)s.state;
-            w[2] = (uint64_t)(s.inc >> 64);
-            w[3] = (uint64_t)s.inc;
-        }
-        result = Py_NewRef(Py_None);
-    }
     PyBuffer_Release(&seeds);
-    PyBuffer_Release(&streams);
+    PyBuffer_Release(&commitments);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"crash_step", crash_step, METH_VARARGS, "The crash loop of a Val/Mo market."},
     {"run_summaries", run_summaries, METH_VARARGS, "The summary loop of a batch of runs."},
-    {"seed_streams", seed_streams, METH_VARARGS, "The PCG64 streams of a batch's seeds."},
     {NULL, NULL, 0, NULL},
 };
 

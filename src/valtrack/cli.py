@@ -15,8 +15,9 @@ identification, which is sufficient to reproduce the file byte-for-byte.
 The data sidecars of run, sweep, grid, impact and multival (its run
 series) also have a "telemetry" key that changes between runs; it is not
 part of the reproducible output. It names the loop that stepped the
-command's runs or two-trader probes, "loop": "compiled", or "python"
-where the compiled loops cannot be built, and gives the wall time of the
+command's runs or threshold probes, "loop": "compiled", or "python" where
+the compiled loops cannot be built or, for grid and impact, take no probe
+of the population (engine.crash_loop_for), and gives the wall time of the
 simulation; run's and multival's also count the steps of their run, and
 the sweep's counts runs, the steps the engine simulated, which count a
 repeated run once per batch, aborted runs, engine batches and the widest
@@ -246,13 +247,17 @@ def cmd_sweep(args, cfg) -> int:
     return EXIT_OK
 
 
-def _telemetry(start: float, **counts) -> dict:
+def _telemetry(start: float, probes=None, **counts) -> dict:
     """The telemetry of a command started at start: the loop that stepped
-    its runs or two-trader probes ("compiled", or "python" where the
-    compiled loops cannot be built), its counts and its wall time."""
+    its runs, or, given the population of its threshold probes, those
+    probes (experiments.probe_loop), "compiled", or "python" where the
+    compiled loops cannot be built or take no such probe; its counts and
+    its wall time."""
     from .engine import _crash_loop
+    from .experiments import probe_loop
     wall = time.perf_counter() - start
-    return {"loop": "python" if _crash_loop() is None else "compiled", **counts, "wall_s": wall}
+    loop = _crash_loop() if probes is None else probe_loop(probes)
+    return {"loop": "python" if loop is None else "compiled", **counts, "wall_s": wall}
 
 
 def cmd_grid(args, cfg) -> int:
@@ -265,7 +270,7 @@ def cmd_grid(args, cfg) -> int:
     sizes = ("cells", "k_plus_min", "k_plus_max", "k_minus_min", "k_minus_max")
     out = _write(args, cfg, "grid.csv", grid_csv_rows(grid),
                  {**{size: getattr(args, size) for size in sizes},
-                  "telemetry": _telemetry(start)})
+                  "telemetry": _telemetry(start, experiments.grid_population(cfg.population))})
     print(f"grid: {len(grid.cells)} cells ({cfg.market.settlement} settlement) -> {out}")
     return EXIT_OK
 
@@ -275,7 +280,7 @@ def cmd_impact(args, cfg) -> int:
     start = time.perf_counter()
     report = experiments.impact_comparison(cfg, workers=args.workers)
     out = _write(args, cfg, "impact.json", _json(asdict(report)),
-                 {"telemetry": _telemetry(start)})
+                 {"telemetry": _telemetry(start, cfg.population)})
     print(f"impact thresholds: ratio={report.ratio_threshold:.5f} "
           f"powerlaw(zeta=1)={report.powerlaw_linear_threshold:.5f} "
           f"powerlaw(zeta=0.8)={report.powerlaw_concave_threshold:.5f} -> {out}")

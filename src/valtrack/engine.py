@@ -30,7 +30,7 @@ changes, so every entry point gives a run one ceiling. So a step checks
 only its new price against the ceiling, and below the floor the demand at
 it. Every loop raises the same InvalidInputError. The same entry points,
 `step` aside, check the seed of a start with a random trader, an int in
-[0, 2**64) (`_stream_seed`, seeding's contract).
+[0, 2**64) and not a bool (`_stream_seed`, seeding's contract).
 
 A run crashes when its crash predicate fires at some step of it, the start
 included, or when the price floor aborts it. `run` and `crash_step`
@@ -51,16 +51,17 @@ bisection reads, run(..., stop_at_crash=True).crash_step, and
 `_stepper` is the body of `step` and the oracle of every loop.
 
 The compiled loop. `_crashloop.c` holds one C loop, the `_stepper` body
-with the order rules inlined, at three entries: crash_step's, for a
-market of one Val trader and at most one Mo trader, the layout of every
-bisection probe of `grid` and `impact`; a batch of
-summaries.run_summaries in one call; and `run` as a one-run batch that
-also writes each step's row into a series buffer (summaries.recorded_run).
-A run that writes no series and has no random trader stops at its first
-step that places no order, reported as its horizon. The module seeds the
-random traders' PCG64 streams itself (seed_streams), so the compiled
-loops need no numpy. The header says why
-the loop is the scalar engine bit for bit and why that stop is exact.
+with the order rules inlined, at three entries: crash_step's, for the
+markets `crash_loop_for` names, one Val trader and at most one Mo
+trader, the layout of every bisection probe of a Val/Mo `grid` or
+`impact`; a batch of summaries.run_summaries in one call; and `run` as a
+one-run batch that also appends each step's row to a series that the
+loop grows (summaries.recorded_run). Each call steps whole runs, seeding
+each random stream from its engine seed as numpy's PCG64 does, so the
+compiled loops need no numpy and no call goes on from another. A run
+that writes no series and has no random trader stops at its first step
+that places no order, reported as its horizon. The header says why the
+loop is the scalar engine bit for bit and why that stop is exact.
 `_crash_loop` builds the module at the first call that needs it into the
 user cache, $XDG_CACHE_HOME/valtrack or ~/.cache/valtrack. Where it
 cannot, `run` steps in `_stepper`, and crash_step and run_summaries in
@@ -269,10 +270,11 @@ def _stream_seed(state: MarketState, seed: int) -> int | None:
     """The seed of the state's random stream, or None for a state without a
     random trader, which draws nothing and whose seed is never read.
     Raises InvalidInputError unless a random trader's seed is an int in
-    [0, 2**64), the seeds whose streams seeding's contract fixes."""
+    [0, 2**64) and not a bool, the seeds whose streams seeding's contract
+    fixes."""
     if KIND_RAND not in [t.kind for t in state.traders]:
         return None
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not (type(seed) is int and 0 <= seed < 2**64):
         raise InvalidInputError(f"a run with a random trader needs a seed in [0, 2**64), "
                                 f"got {seed!r}")
     return seed
@@ -347,15 +349,13 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
     The run stops at its crash: 0 for a start that already satisfies the
     predicate, else the first step where the predicate fires or the price
     floor aborts it, found by one comparison per step with the predicate's
-    stop price, computed once from the start. A market of one Val trader
-    and at most one Mo trader steps in the compiled loop where
-    _crash_loop() gives one, which also stops, with None, at the first step
-    that places no order; any other in _stepped_row.
+    stop price, computed once from the start. It steps in the compiled
+    loop where crash_loop_for gives one, which also stops, with None, at
+    the first step that places no order, and in _stepped_row where not.
     """
     ceiling = check_state(initial)
     stop = crash.stop_price(initial.price, PRICE_FLOOR)
-    two_traders = sorted(t.kind for t in initial.traders) in ([KIND_VAL], [KIND_MO, KIND_VAL])
-    loop = _crash_loop() if two_traders else None
+    loop = crash_loop_for(t.kind for t in initial.traders)
     if loop is None:
         low, _, _, steps = _stepped_row(initial, ceiling, params, commitments,
                                         _stream_seed(initial, seed), stop)
@@ -375,6 +375,15 @@ def crash_step(initial: MarketState, params: MarketParams, commitments: Commitme
         min(params.horizon, 2**63 - 1), ceiling, stop)  # no run takes 2**63 steps
     _raise_loop_failure(code, ceiling, p_new)
     return steps if p_new <= stop else None
+
+
+def crash_loop_for(kinds):
+    """The compiled loop that crash_step steps a market of traders of these
+    kinds in, or None where it steps it in _stepped_row: the rule for
+    which markets compile. crash_step's C entry takes one Val trader and
+    at most one Mo trader, the layout of every bisection probe of a Val/Mo
+    population, and only where _crash_loop() gives the module."""
+    return _crash_loop() if sorted(kinds) in ([KIND_VAL], [KIND_MO, KIND_VAL]) else None
 
 
 def _stepped_row(initial: MarketState, ceiling: float, params: MarketParams,

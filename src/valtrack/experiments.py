@@ -15,11 +15,11 @@ from importlib import import_module
 
 from . import metrics
 from .config import ExperimentConfig
-from .engine import RunResult, _crash_loop, crash_step, run
+from .engine import RunResult, _crash_loop, crash_loop_for, crash_step, run
 from .errors import ConfigError
 from .metrics import CrashPredicate, Histogram
 from .seeding import mix_seed, rng_for
-from .traders import (KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
+from .traders import (KIND_MO, KIND_RAND, KIND_VAL, VALUATION_FIXED, VALUATION_GAMMA,
                       PopulationSpec, init_population)
 
 # Largest number of sweep runs summarised together by summaries.run_summaries.
@@ -122,6 +122,17 @@ def threshold_search(config: ExperimentConfig, tol: float = 5e-4) -> float:
         else:
             lo = mid
     return hi
+
+
+def probe_loop(population: PopulationSpec):
+    """The compiled loop that threshold_search's probes of this population
+    step in, or None where they step in Python (engine.crash_loop_for).
+    Each probe's market has the population's valuation traders, a Mo
+    trader where its share is positive and a random trader where the
+    population has one, so every probe steps in the loop of this layout
+    or, with only the valuation traders, in the same one."""
+    rand = [KIND_RAND] if population.rand_frac > 0.0 else []
+    return crash_loop_for([KIND_VAL] * population.n_vals + [KIND_MO] + rand)
 
 
 # --- ternary sweep -----------------------------------------------------------
@@ -291,6 +302,12 @@ class CommitmentGrid:
     cells: tuple
 
 
+def grid_population(population: PopulationSpec) -> PopulationSpec:
+    """The population of every grid cell: its wealth all with the valuation
+    traders, before threshold_search moves a share to the Mo trader."""
+    return population.with_mix(1.0, 0.0, 0.0)
+
+
 def _grid_cell_task(args):
     from . import analysis  # only the grid needs the analytic threshold
     config, k_buy, k_sell = args
@@ -298,7 +315,7 @@ def _grid_cell_task(args):
                           km_buy=k_buy, km_sell=k_sell)
     cfg = replace(config, commitments=commitments,
                   crash=CrashPredicate.drop_below(0.01),
-                  population=config.population.with_mix(1.0, 0.0, 0.0))
+                  population=grid_population(config.population))
     constants = analysis.AnalysisConstants.from_params(cfg.market, commitments)
     theta_analytic = analysis.mo_crash_threshold_analytic(constants, cfg.market.rho)
     theta_sim = threshold_search(cfg)

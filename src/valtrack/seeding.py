@@ -14,13 +14,14 @@ from another implementation additionally requires the same RNG algorithm,
 which is recorded in every output sidecar (numpy PCG64).
 
 A run's engine seed, the seed of its random traders' stream, is an int in
-[0, 2^64), as every mix_seed output is; `engine.run`, `engine.crash_step`
-and `summaries.run_summaries` raise InvalidInputError on any other seed
-of a start with a random trader (one without draws nothing and never
-reads its seed). The stream is numpy's PCG64 of that seed: `generator`
-builds it in Python, and the compiled loops seed it themselves from the
-same seed, with numpy's SeedSequence and PCG64 seeding written out in C
-(`_crashloop.c`'s seed_streams). So rng_info describes every stream.
+[0, 2^64), as every mix_seed output is, and not a bool; `engine.run`,
+`engine.crash_step` and `summaries.run_summaries` raise InvalidInputError
+on any other seed of a start with a random trader (one without draws
+nothing and never reads its seed). The stream is numpy's PCG64 of that
+seed: `generator` builds it in Python, and the compiled loop seeds it
+itself from the same seed as it starts each run, with numpy's
+SeedSequence and PCG64 seeding written out in C (`_crashloop.c`'s
+seeded_stream). So rng_info describes every stream.
 """
 
 import functools

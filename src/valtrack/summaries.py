@@ -5,11 +5,11 @@ full runs.
 would, in one call of the compiled summary loop of `_crashloop.c` where
 `engine._crash_loop()` gives it, and in `engine._stepped_row`, `_stepper`
 without records, where it does not. `recorded_run` is `engine.run` in
-that loop, with a series buffer that the loop writes one row per step
-into. Both seed their runs' random streams in one call of the loop's
-seed_streams, numpy's PCG64 of each engine seed without numpy, so a
-sweep or a run whose valuations are fixed never loads numpy where the
-loop is built. `run` is the oracle of both. `experiments` imports this
+that loop, with a series that the loop grows by one row per step. Each
+is one call of the loop, which seeds each run's random stream from its
+engine seed, numpy's PCG64 of that seed without numpy, so a sweep or a
+run whose valuations are fixed never loads numpy where the loop is
+built. `run` is the oracle of both. `experiments` imports this
 module where a sweep runs its batches and before a full run builds its
 start (`run_once`), and `engine.run` where it has the compiled loop, so
 `grid`, `impact` and `analyze`, which run no full run, do not load it.
@@ -28,10 +28,6 @@ from .traders import KIND_MO, KIND_RAND, KIND_VAL, RAND_BASIC, RAND_REFINED
 
 # The compiled summary loop's codes of the trader kinds and random-trader modes.
 _LOOP_KINDS = {KIND_VAL: 0, KIND_MO: 1, RAND_BASIC: 2, RAND_REFINED: 3}
-# The most steps of a full run that one call of the summary loop writes into
-# its series; a longer run goes on in another call from where it stopped, so
-# the buffer stays small whatever the horizon.
-SERIES_BLOCK = 2**16
 # The leading columns of a series row; each trader's wealth follows them.
 _ROW_COLUMNS = 6  # price, momentum, q_p, q_s, executed, cap_hit
 
@@ -56,13 +52,12 @@ class RunSummaries:
     steps: tuple
 
 
-def _loop_buffers(loop, states, ceilings, stops, seeds):
+def _loop_buffers(states, ceilings, stops, seeds):
     """The buffers the summary loop steps these runs from: starts, first,
-    kinds, holdings and streams, as _crashloop.c's run_summaries lays them
+    kinds, holdings and seeds, as _crashloop.c's run_summaries lays them
     out. seeds are engine._stream_seed's: a run's stream is that of
-    np.random.PCG64(seed), which the loop's seed_streams writes for the
-    whole batch in one call; a run without a random trader, whose seed is
-    None, gets seed 0's stream and never reads it."""
+    np.random.PCG64(seed), which the loop seeds; a run without a random
+    trader, whose seed is None, gets seed 0 and never reads it."""
     starts, first, kinds, holdings = [], [0], bytearray(), []
     for state, ceiling, stop in zip(states, ceilings, stops):
         starts += state.price, state.momentum, ceiling, stop
@@ -70,22 +65,19 @@ def _loop_buffers(loop, states, ceilings, stops, seeds):
             kinds.append(_LOOP_KINDS[t.rand_mode if t.kind == KIND_RAND else t.kind])
             holdings += t.cash, t.asset, t.valuation, t.critical_cash, t.critical_asset
         first.append(len(kinds))
-    seeds = array("Q", [0 if seed is None else seed for seed in seeds])
-    streams = array("Q", bytes(32 * len(seeds)))
-    loop.seed_streams(seeds, streams)
-    return array("d", starts), array("q", first), kinds, array("d", holdings), streams
+    return (array("d", starts), array("q", first), kinds, array("d", holdings),
+            array("Q", [0 if seed is None else seed for seed in seeds]))
 
 
-def _step_loop(loop, buffers, params: MarketParams, commitments: CommitmentParams,
-               horizon: int, *series):
+def _step_loop(loop, buffers, params: MarketParams, commitments: CommitmentParams, *series):
     """One call of the summary loop on _loop_buffers' buffers, with a series
-    buffer if one is given: its (code, row, price, rows)."""
+    bytearray if one is given: its (code, row, price, rows)."""
     c = commitments
     return loop.run_summaries(
         *buffers, array("d", (c.kv_buy, c.kv_sell, c.km_buy, c.km_sell, c.kr_buy, c.kr_sell)),
         params.eta, params.lam, params.mu, params.zeta, params.liquidity,
         params.impact == IMPACT_RATIO, params.settlement == SETTLE_UPDATED,
-        min(horizon, 2**63 - 1), PRICE_FLOOR, *series)  # no run takes 2**63 steps
+        min(params.horizon, 2**63 - 1), PRICE_FLOOR, *series)  # no run takes 2**63 steps
 
 
 def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
@@ -114,8 +106,8 @@ def run_summaries(initials, params: MarketParams, commitments: CommitmentParams,
         rows = [engine._stepped_row(state, ceiling, params, commitments, seed)
                 for state, ceiling, seed in zip(initials, ceilings, seeds)]
     else:
-        buffers = _loop_buffers(loop, initials, ceilings, repeat(-math.inf), seeds)
-        code, row, p_new, rows = _step_loop(loop, buffers, params, commitments, params.horizon)
+        buffers = _loop_buffers(initials, ceilings, repeat(-math.inf), seeds)
+        code, row, p_new, rows = _step_loop(loop, buffers, params, commitments)
         if code:
             engine._raise_loop_failure(code, ceilings[row], p_new)
     low, high, aborted, steps = zip(*rows) if rows else ((),) * 4
@@ -131,7 +123,7 @@ def recorded_run(loop, initial, ceiling: float, params: MarketParams,
     """engine.run(initial, params, commitments, seed, crash, stop_at_crash)
     of a start whose price ceiling check_state gave, bit for bit, stepped
     as a one-run batch of the compiled summary loop, which writes each
-    step's row into a series buffer, SERIES_BLOCK steps a call.
+    step's row into a series that it grows, in one call.
 
     With stop_at_crash the loop stops at the first price at or below
     crash.stop_price(p0, PRICE_FLOOR), as crash_step does; that price, the
@@ -140,26 +132,13 @@ def recorded_run(loop, initial, ceiling: float, params: MarketParams,
     boomed, at the highest price first."""
     p0 = initial.price
     stop = crash.stop_price(p0, PRICE_FLOOR)
-    buffers = _loop_buffers(loop, [initial], [ceiling],
-                            [stop if stop_at_crash else -math.inf], [seed])
-    width = _ROW_COLUMNS + len(initial.traders)
-    series, left = None, params.horizon
-    while True:
-        block = min(left, SERIES_BLOCK)
-        rows = array("d", [0.0]) * (width * (block + 1))
-        code, _, p_new, done = _step_loop(loop, buffers, params, commitments, block, rows)
-        if code:
-            engine._raise_loop_failure(code, ceiling, p_new)
-        [(_, _, _, steps)] = done
-        del rows[width * (steps + 1):]
-        if series is None:
-            series = rows
-        else:  # a call's first row is the state the last call stopped at
-            del rows[:width]
-            series += rows
-        left -= steps
-        if steps < block or not left:
-            break
+    buffers = _loop_buffers([initial], [ceiling], [stop if stop_at_crash else -math.inf],
+                            [seed])
+    rows = bytearray()
+    code, _, p_new, _ = _step_loop(loop, buffers, params, commitments, rows)
+    if code:
+        engine._raise_loop_failure(code, ceiling, p_new)
+    series, width = memoryview(rows).cast("d"), _ROW_COLUMNS + len(initial.traders)
     prices, momenta = series[0::width].tolist(), series[1::width].tolist()
     records = list(starmap(StepRecord, zip(
         prices, prices[1:], series[width + 2::width].tolist(),

@@ -1,4 +1,4 @@
-"""The crash predicates that the engine and sweep-kernel strategies draw
+"""The crash predicates that the engine and sweep test strategies draw
 from, every kind at the values drawn for it, and PriceTrace, which records
 the prices a predicate is asked about."""
 

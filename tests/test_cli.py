@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from array import array
 from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -23,7 +22,7 @@ from valtrack.experiments import ExperimentConfig, ternary_sweep
 from valtrack.metrics import CrashPredicate, tau
 from valtrack.params import CommitmentParams, MarketParams
 from valtrack.svg import render_series_svg, render_ternary_svg
-from valtrack.traders import PopulationSpec
+from valtrack.traders import MarketState, PopulationSpec, Trader
 
 
 # a valid non-default value for every config key, in KEYS order
@@ -392,22 +391,28 @@ class TestCliCommands:
 
     def test_grid_and_impact_sidecars_name_the_crash_loop_that_ran(self, tmp_path, monkeypatch):
         # the same data files from the compiled loop and from _stepper,
-        # where the loader gives None as it does with no compiler
+        # where the loader gives None as it does with no compiler; probes
+        # of two Val traders or with a random trader step in _stepper
+        # whatever the loader gives
         if engine._crash_loop() is None:
             pytest.skip("the compiled crash loop cannot be built here")
-        commands = {"grid.csv": ["grid", "--cells", "2"], "impact.json": ["impact"]}
+        commands = {"grid.csv": [["grid", "--cells", "2"],
+                                 ["grid", "--cells", "3", "--n-vals", "2"]],
+                    "impact.json": [["impact"], ["impact", "--rand", "0.1"]]}
         data = {}
         for loop in ("compiled", "python"):
             if loop == "python":
                 monkeypatch.setattr(engine, "_crash_loop", lambda: None)
-            for name, argv in commands.items():
-                assert cli.main([*argv, "--horizon", "60", "--out", str(tmp_path / loop)]) == 0
-                sidecar = json.loads((tmp_path / loop / f"{name}.meta.json").read_text())
-                assert sidecar["telemetry"]["loop"] == loop
-                assert set(sidecar["telemetry"]) == {"loop", "wall_s"}
-                assert sidecar["telemetry"]["wall_s"] > 0
-                data.setdefault(name, set()).add((tmp_path / loop / name).read_bytes())
-        assert [len(files) for files in data.values()] == [1, 1]
+            for name, argvs in commands.items():
+                for i, (argv, ran) in enumerate(zip(argvs, (loop, "python"))):
+                    out = tmp_path / loop / str(i)
+                    assert cli.main([*argv, "--horizon", "60", "--out", str(out)]) == 0
+                    sidecar = json.loads((out / f"{name}.meta.json").read_text())
+                    assert sidecar["telemetry"]["loop"] == ran, argv
+                    assert set(sidecar["telemetry"]) == {"loop", "wall_s"}
+                    assert sidecar["telemetry"]["wall_s"] > 0
+                    data.setdefault((name, i), set()).add((out / name).read_bytes())
+        assert [len(files) for files in data.values()] == [1, 1, 1, 1]
 
     def test_run_and_multival_sidecars_name_the_loop_that_ran(self, tmp_path, monkeypatch,
                                                                 capsys):
@@ -834,16 +839,18 @@ def test_rng_info_does_not_change_when_numpy_loads():
     assert after["library_version"] == numpy.__version__
 
 
-# numpy's names for building a random stream, and the compiled loop's
+# numpy's names for building a random stream
 STREAM_BUILDERS = {"Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
-                   "SeedSequence", "RandomState", "default_rng", "seed_streams"}
+                   "SeedSequence", "RandomState", "default_rng"}
 
 
 def test_only_seeding_builds_a_random_stream():
     """seeding.generator builds every random stream in Python, and the
-    compiled loop's seed_streams, which only summaries calls, seeds the
-    streams it steps as that generator seeds them, so the algorithm that
-    rng_info records in each sidecar is the one every stream uses."""
+    compiled loop seeds the streams it steps as that generator seeds them:
+    a one-step run of a lone basic random trader that commits all of its
+    cash and asset 1 at price 1 records the stream's first two uniforms as
+    q_p and q_s. So the algorithm that rng_info records in each sidecar is
+    the one every stream uses."""
     builders = {}
     for path in sorted(Path(valtrack.__file__).parent.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
@@ -852,18 +859,16 @@ def test_only_seeding_builds_a_random_stream():
                  | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
         if names & STREAM_BUILDERS:
             builders[path.name] = sorted(names & STREAM_BUILDERS)
-    assert builders == {"seeding.py": ["Generator", "PCG64"], "summaries.py": ["seed_streams"]}
+    assert builders == {"seeding.py": ["Generator", "PCG64"]}
     bit_generator = seeding.generator(0).bit_generator
     assert seeding.rng_info()["algorithm"] == type(bit_generator).__name__
-    loop = engine._crash_loop()
-    if loop is not None:
-        seeds = [0, 2**64 - 1, seeding.mix_seed(7, 1)]
-        words = array("Q", bytes(32 * len(seeds)))
-        loop.seed_streams(array("Q", seeds), words)
-        states = [seeding.generator(seed).bit_generator.state["state"] for seed in seeds]
-        assert words.tolist() == [word for state in states
-                                  for value in (state["state"], state["inc"])
-                                  for word in divmod(value, 2**64)]
+    if engine._crash_loop() is not None:
+        state = MarketState(1.0, 0.0, [Trader(1.0, 1.0, "rand")], 1.0, 1.0)
+        params, commitments = MarketParams(horizon=1), CommitmentParams(kr_buy=1.0, kr_sell=1.0)
+        for seed in [0, 2**64 - 1, seeding.mix_seed(7, 1)]:
+            [record] = engine.run(state, params, commitments, seed,
+                                  CrashPredicate.drop_below(1e-9)).records
+            assert [record.q_p, record.q_s] == seeding.generator(seed).random(2).tolist()
 
 
 def test_every_import_is_used():

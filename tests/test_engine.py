@@ -634,27 +634,26 @@ class TestDrawBlocks:
         assert not result.aborted
         assert result.prices.index(min(result.prices)) * 6 > 3 * engine.DRAW_BLOCK
 
-    def test_a_run_longer_than_a_series_block_goes_on_where_it_stopped(self, monkeypatch):
-        # the compiled run writes at most summaries.SERIES_BLOCK steps a
-        # call and steps on in the next call from the price, momentum,
-        # holdings and random stream the last one left: at 7 steps a call
-        # these 60 steps take 9 calls
+    def test_a_compiled_run_is_one_loop_call_that_grows_its_series(self, monkeypatch):
+        # the compiled run steps from its seed to its last row in one call
+        # of the summary loop, which grows the empty series it is given to
+        # 2 * rows + 1 rows each time it is full and cuts it to the rows it
+        # wrote: these 2,000 steps write 2,001 rows across eleven growths
         calls = []
         loop = compiled_loop()
 
         def counted(*args):
-            calls.append(args[13])
+            calls.append(args[13:])
             return loop.run_summaries(*args)
 
-        monkeypatch.setattr(summaries, "SERIES_BLOCK", 7)
-        monkeypatch.setattr(engine, "_crash_loop",
-                            lambda: SimpleNamespace(run_summaries=counted,
-                                                    seed_streams=loop.seed_streams))
-        run(self.state(), MarketParams(horizon=60), CommitmentParams(), 0,
-            CrashPredicate.drop_below(1e-9))
-        assert calls == [7] * 8 + [4]
-        assert_engines_agree([self.state()], MarketParams(horizon=60), CommitmentParams(), [0],
-                             CrashPredicate.drop_below(1e-9))
+        params, crash = MarketParams(horizon=2000), CrashPredicate.drop_below(1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_crash_loop", lambda: SimpleNamespace(run_summaries=counted))
+            result = run(self.state(), params, CommitmentParams(), 0, crash)
+        [(horizon, _, series)] = calls
+        assert (horizon, len(result.prices)) == (2000, 2001)
+        assert len(series) == 2001 * (6 + len(self.state().traders)) * 8
+        assert_engines_agree([self.state()], params, CommitmentParams(), [0], crash)
 
     def test_an_early_crash_at_an_unbounded_horizon_returns_at_once(self):
         # what a run draws does not grow with its horizon: a block of 2e12
@@ -1032,13 +1031,16 @@ def test_the_compiled_loop_loads_where_it_can_be_built(tmp_path, monkeypatch):
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
-def test_the_compiled_loops_compile_without_warnings():
-    # gcc's -Wall and -Wextra warnings, with the loader's own flags
+def test_the_compiled_loops_compile_without_warnings(tmp_path):
+    # gcc's -Wall and -Wextra warnings, with the loader's own flags, in a
+    # whole build, whose optimiser also reports code left unused or read
+    # before it is set
     compiled_loop()
     cc = sysconfig.get_config_var("CC").split()
     done = subprocess.run([*cc, *engine._LOOP_FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-fsyntax-only", "-I", sysconfig.get_paths()["include"],
-                           engine._LOOP_SOURCE], capture_output=True, text=True, timeout=60)
+                           "-I", sysconfig.get_paths()["include"], engine._LOOP_SOURCE,
+                           "-o", str(tmp_path / "crashloop.so"), "-lm"],
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 
 
@@ -1171,17 +1173,20 @@ class TestSeedStreams:
 
     @staticmethod
     def compiled(seeds):
-        """The (state, increment) of each seed's stream as seed_streams
-        writes it."""
-        words = array("Q", bytes(32 * len(seeds)))
-        compiled_loop().seed_streams(array("Q", seeds), words)
-        return [(words[i] << 64 | words[i + 1], words[i + 2] << 64 | words[i + 3])
-                for i in range(0, len(words), 4)]
+        """The first two uniforms of each seed's stream as the compiled loop
+        seeds it: a lone basic random trader with cash and asset 1 that
+        commits all it holds at price 1 bids the first and offers the
+        second, so a one-step run records them as q_p and q_s exactly."""
+        compiled_loop()
+        state = market_state(1.0, [Trader(1.0, 1.0, "rand")])
+        params, commitments = MarketParams(horizon=1), CommitmentParams(kr_buy=1.0, kr_sell=1.0)
+        crash = CrashPredicate.drop_below(1e-9)
+        return [run(state, params, commitments, seed, crash).records[0][2:4] for seed in seeds]
 
     @staticmethod
     def numpy(seeds):
-        states = [np.random.PCG64(seed).state["state"] for seed in seeds]
-        return [(state["state"], state["inc"]) for state in states]
+        return [tuple(np.random.Generator(np.random.PCG64(seed)).random(2).tolist())
+                for seed in seeds]
 
     def test_the_edge_seeds_seed_numpys_streams(self):
         assert self.compiled(self.EDGE_SEEDS) == self.numpy(self.EDGE_SEEDS)
@@ -1202,10 +1207,11 @@ class TestSeedStreams:
                              CrashPredicate.drop_below(1e-9))
 
     @pytest.mark.parametrize("kind", ["compiled", "python"])
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "7"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "7", True])
     def test_a_random_trader_needs_an_int_seed_in_64_bits(self, kind, seed):
-        # numpy would seed 2**70 from three words and reject -1 with its
-        # own ValueError; every entry point raises InvalidInputError instead
+        # numpy would seed 2**70 from three words, reject -1 with its own
+        # ValueError and take True as 1; every entry point raises
+        # InvalidInputError instead
         state, params = TestDrawBlocks.state(), MarketParams(horizon=5)
         crash = CrashPredicate.drop_below(1e-9)
         with crash_loop(kind):
